@@ -163,8 +163,10 @@ def read_wav(path, expected_rate):
         data = data.astype(np.float64)
     else:
         raise ValueError(f"{path}: unsupported WAV sample format {data.dtype}")
-    if data.ndim == 2:
-        data = data[:, 0]
+    if data.ndim != 1:
+        raise ValueError(f"{path}: expected a mono WAV, got {data.shape[1]} channels")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: WAV contains non-finite samples")
     return data
 
 

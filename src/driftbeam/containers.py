@@ -56,6 +56,13 @@ def _check_header(data, kind):
         raise ValueError(f"expected a {kind} container, found {found!r}")
 
 
+def _check_rows(data, *names):
+    """Reject a container whose parallel arrays disagree in length."""
+    rows = {name: len(data[name]) for name in names}
+    if len(set(rows.values())) > 1:
+        raise ValueError(f"truncated container: row counts {rows} disagree")
+
+
 def save_covariances(path, covs: CovarianceSet, templates: dict | None = None):
     """Serialize a CovarianceSet (and optional pilot templates) to path."""
     sources = sorted(covs.ensemble)
@@ -92,15 +99,18 @@ def load_covariances(path):
     """Load (CovarianceSet, templates) written by save_covariances."""
     with np.load(path) as data:
         _check_header(data, "covariances")
+        _check_rows(data, "ensemble_sources", "ensemble")
+        _check_rows(data, "per_state_keys", "per_state", "frame_counts")
+        _check_rows(data, "template_states", "templates")
         freqs = data["frequencies"]
         ensemble = {
             int(n): HermitianSpectrum(bins, freqs)
-            for n, bins in zip(data["ensemble_sources"], data["ensemble"])
+            for n, bins in zip(data["ensemble_sources"], data["ensemble"], strict=True)
         }
         per_state = {}
         counts = {}
         for (n, state), bins, count in zip(
-            data["per_state_keys"], data["per_state"], data["frame_counts"]
+            data["per_state_keys"], data["per_state"], data["frame_counts"], strict=True
         ):
             per_state[(int(n), int(state))] = HermitianSpectrum(bins, freqs)
             counts[(int(n), int(state))] = int(count)
@@ -113,7 +123,7 @@ def load_covariances(path):
         )
         templates = {
             int(state): HermitianSpectrum(bins, data["template_frequencies"])
-            for state, bins in zip(data["template_states"], data["templates"])
+            for state, bins in zip(data["template_states"], data["templates"], strict=True)
         }
     return covs, templates
 
@@ -135,8 +145,9 @@ def save_bank(path, bank: BeamformerBank):
 def load_bank(path) -> BeamformerBank:
     with np.load(path) as data:
         _check_header(data, "bank")
+        _check_rows(data, "weight_states", "weights")
         weights = {
-            int(state): w for state, w in zip(data["weight_states"], data["weights"])
+            int(state): w for state, w in zip(data["weight_states"], data["weights"], strict=True)
         }
         return BeamformerBank(
             mode=str(data["mode"]),

@@ -3,19 +3,15 @@ pilot-band identification of the array pose at test time.
 
 Training expects one render per source with that source isolated (plus the
 shared diffuse noise) and one source-free render for the noise statistics.
-Per-state covariances are accumulated from the frames labeled with each
-state; the ensemble covariance is their frame-count-weighted average.
+Every covariance comes from one grouped outer-product estimator; the ensemble
+pools the per-state groups' sums and frame counts.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .covmath import (
-    HermitianSpectrum,
-    gaussian_divergence_stack,
-    regularize,
-)
+from .covmath import HermitianSpectrum, gaussian_divergence, regularize
 from .scene import RenderedScene, StateSequence
 from .stft import SpectralFrameTensor
 
@@ -70,6 +66,20 @@ class CovarianceSet:
         return self.noise.mic_count
 
 
+def _outer_sums(frames, labels, group_count):
+    """Per-group sums (G, F, M, M) of x[t,f] x[t,f]^H over complex frames (T, F, M)
+    labeled in [0, G), one batched zgemm per group, and frame counts (G,)."""
+    counts = np.bincount(labels, minlength=group_count)
+    _, f_count, m_count = frames.shape
+    sums = np.empty((group_count, f_count, m_count, m_count), dtype=np.complex128)
+    for group in range(group_count):
+        # A group holding every frame uses the frames as they are, saving a full copy.
+        subset = frames if counts[group] == len(labels) else frames[labels == group]
+        x = subset.transpose(1, 2, 0)  # (F, M, T_g)
+        np.matmul(x, x.conj().transpose(0, 2, 1), out=sums[group])
+    return sums, counts
+
+
 def sample_covariance(frames, frequencies) -> HermitianSpectrum:
     """Per-bin average of frame outer products: (1/T) sum_t x[t,f] x[t,f]^H.
 
@@ -80,9 +90,8 @@ def sample_covariance(frames, frequencies) -> HermitianSpectrum:
         raise ValueError(f"frames must have shape (T, F, M), got {frames.shape}")
     if frames.shape[0] == 0:
         raise ValueError("cannot estimate a covariance from an empty frame subset")
-    x = frames.transpose(1, 2, 0)  # (F, M, T)
-    acc = x @ x.conj().transpose(0, 2, 1) / frames.shape[0]
-    return HermitianSpectrum(acc, frequencies)
+    sums, counts = _outer_sums(frames, np.zeros(frames.shape[0], dtype=np.int64), 1)
+    return HermitianSpectrum(sums[0] / counts[0], frequencies)
 
 
 def train(source_renders, noise_render: RenderedScene, per_state: bool = True) -> CovarianceSet:
@@ -91,7 +100,8 @@ def train(source_renders, noise_render: RenderedScene, per_state: bool = True) -
     source_renders: one RenderedScene per source, each with exactly that
     source active. noise_render: a render with no active sources. Set
     per_state=False for continuous-state motion (per-frame jitter), where
-    materializing one covariance per frame would be useless and enormous.
+    materializing one covariance per frame would be useless and enormous;
+    every frame then falls in one group.
     """
     if not source_renders:
         raise ValueError("at least one source render is required")
@@ -108,6 +118,7 @@ def train(source_renders, noise_render: RenderedScene, per_state: bool = True) -
         raise ValueError(f"source renders must cover sources 0..N-1, got {indices}")
 
     state_count = source_renders[0].truth_states.state_count
+    group_count = state_count if per_state else 1
     omega = source_renders[0].mixture.bin_omega
     per_state_covs = {}
     ensembles = {}
@@ -116,24 +127,13 @@ def train(source_renders, noise_render: RenderedScene, per_state: bool = True) -
         n = render.active_sources[0]
         if render.truth_states.state_count != state_count:
             raise ValueError("training renders disagree on the number of states")
-        frames = render.mixture.frames
-        labels = render.truth_states.labels
+        labels = np.where(per_state, render.truth_states.labels, 0)
+        sums, sizes = _outer_sums(render.mixture.frames, labels, group_count)
+        ensembles[n] = HermitianSpectrum(sums.sum(axis=0) / sizes.sum(), omega)
         if per_state:
-            sums = {}
-            for state in np.unique(labels):
-                subset = frames[labels == state]
-                counts[(n, int(state))] = subset.shape[0]
-                sums[int(state)] = np.einsum("tfm,tfn->fmn", subset, subset.conj())
-                per_state_covs[(n, int(state))] = HermitianSpectrum(
-                    sums[int(state)] / subset.shape[0], omega
-                )
-            total = sum(counts[(n, s)] for s in sums)
-            ensembles[n] = HermitianSpectrum(
-                sum(counts[(n, s)] * per_state_covs[(n, s)].bins for s in sums) / total,
-                omega,
-            )
-        else:
-            ensembles[n] = sample_covariance(frames, omega)
+            for state in np.flatnonzero(sizes).tolist():
+                counts[(n, state)] = int(sizes[state])
+                per_state_covs[(n, state)] = HermitianSpectrum(sums[state] / sizes[state], omega)
     noise = sample_covariance(noise_render.mixture.frames, omega)
     return CovarianceSet(
         per_state=per_state_covs,
@@ -159,22 +159,25 @@ def pilot_templates(source_renders) -> dict:
     bins = [r.pilot_bins[r.active_sources[0]] for r in renders]
     omega = omega_grid[list(bins)]
 
-    missing = []
-    templates = {}
-    for state in range(state_count):
-        mats = []
-        for render, pilot_bin in zip(renders, bins):
-            mask = render.truth_states.labels == state
-            if not mask.any():
-                missing.append((render.active_sources[0], state))
-                continue
-            x = render.mixture.frames[mask][:, pilot_bin, :]  # (T', M)
-            mats.append(x.T @ x.conj() / x.shape[0])
-        if len(mats) == len(renders):
-            templates[state] = HermitianSpectrum(np.stack(mats), omega)
+    grouped = [  # (S, 1, M, M) sums and (S,) counts per source
+        _outer_sums(render.mixture.frames[:, [pilot_bin], :],
+                    render.truth_states.labels, state_count)
+        for render, pilot_bin in zip(renders, bins)
+    ]
+    missing = [
+        (render.active_sources[0], state)
+        for state in range(state_count)
+        for render, (_, counts) in zip(renders, grouped)
+        if counts[state] == 0
+    ]
     if missing:
         raise ValueError(f"no training frames for (source, state) pairs: {missing}")
-    return templates
+    return {
+        state: HermitianSpectrum(
+            np.stack([sums[state, 0] / counts[state] for sums, counts in grouped]), omega
+        )
+        for state in range(state_count)
+    }
 
 
 def estimate_states(mixture: SpectralFrameTensor, templates: dict,
@@ -202,17 +205,16 @@ def estimate_states(mixture: SpectralFrameTensor, templates: dict,
 
     x = mixture.frames[:, bins, :]  # (T, B, M)
     inst = np.einsum("tbm,tbn->tbmn", x, x.conj())
-    window = np.ones(2 * smoothing + 1)
-    counts = np.convolve(np.ones(inst.shape[0]), window, mode="same")
-    summed = np.apply_along_axis(
-        lambda v: np.convolve(v, window, mode="same"), 0, inst.reshape(inst.shape[0], -1)
-    ).reshape(inst.shape)
-    smoothed = regularize(summed / counts[:, None, None, None], epsilon_rel)
+    # Mean over frames t-smoothing..t+smoothing, clipped to the frame range,
+    # as a difference of cumulative sums.
+    cumulative = np.concatenate([np.zeros_like(inst[:1]), np.cumsum(inst, axis=0)])
+    frame = np.arange(inst.shape[0])
+    lo, hi = np.maximum(frame - smoothing, 0), np.minimum(frame + smoothing + 1, len(frame))
+    smoothed = regularize((cumulative[hi] - cumulative[lo]) / (hi - lo)[:, None, None, None],
+                          epsilon_rel)
 
-    scores = np.zeros((inst.shape[0], state_count))
-    scores[:, [s for s in range(state_count) if s not in templates]] = np.inf
+    scores = np.full((inst.shape[0], state_count), np.inf)
     for state, template in templates.items():
         loaded = regularize(template.bins, epsilon_rel)
-        for b in range(len(bins)):
-            scores[:, state] += gaussian_divergence_stack(smoothed[:, b], loaded[b])
+        scores[:, state] = gaussian_divergence(smoothed, loaded).sum(axis=1)
     return StateSequence(np.argmin(scores, axis=1), state_count)

@@ -8,7 +8,6 @@ on steering-vector covariances.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 # Relative tolerance for the Hermitian-symmetry check of covariance bins.
 HERMITIAN_RTOL = 1e-12
@@ -112,30 +111,12 @@ class PerturbationModel:
 
 def _square(r, name):
     r = np.asarray(r, dtype=np.complex128)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {r.shape}")
+    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
+        raise ValueError(f"{name} must be square matrices, got shape {r.shape}")
     return r
 
 
-def _check_invertible(r2):
-    eigs = np.linalg.eigvalsh(r2)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > CONDITION_LIMIT:
-        raise IllConditionedError(
-            "covariance is singular or has condition number above 1e12; "
-            "apply regularize() before inverting"
-        )
-
-
-def _whitened_eigvals(r1, r2):
-    # Eigenvalues of R2^{-1/2} (R1 - R2) R2^{-H/2}; real and >= -1 for PSD r1.
-    chol = np.linalg.cholesky(r2)
-    half = solve_triangular(chol, r1 - r2, lower=True)
-    sym = solve_triangular(chol, half.conj().T, lower=True).conj().T
-    sym = 0.5 * (sym + sym.conj().T)
-    return np.linalg.eigvalsh(sym)
-
-
-def gaussian_divergence(r1, r2) -> float:
+def gaussian_divergence(r1, r2):
     """Divergence in nats between zero-mean Gaussians with covariances r1, r2.
 
     Equal to 0.5 * [trace(R1 R2^{-1} - I) - ln(det R1 / det R2)], evaluated
@@ -143,30 +124,27 @@ def gaussian_divergence(r1, r2) -> float:
     difference R2^{-1/2} (R1 - R2) R2^{-H/2}. The log1p form stays accurate
     when r1 and r2 are nearly equal, where the trace and log-determinant
     terms would cancel catastrophically.
+
+    r1 and r2 are matrices or stacks (..., M, M) that broadcast against each
+    other; the result has the broadcast stack shape, and is a float for two
+    plain matrices.
     """
     r1 = _square(r1, "r1")
     r2 = _square(r2, "r2")
-    if r1.shape != r2.shape:
+    if r1.shape[-1] != r2.shape[-1]:
         raise ValueError(f"dimension mismatch: {r1.shape} vs {r2.shape}")
-    _check_invertible(r2)
-    lam = _whitened_eigvals(r1, r2)
-    lam = np.maximum(lam, -1.0 + 1e-18)
-    return float(0.5 * np.sum(lam - np.log1p(lam)))
-
-
-def gaussian_divergence_stack(r1_stack, r2) -> np.ndarray:
-    """Divergence of each matrix in r1_stack (..., M, M) against a single r2."""
-    r1_stack = np.asarray(r1_stack, dtype=np.complex128)
-    r2 = _square(r2, "r2")
-    if r1_stack.shape[-2:] != r2.shape:
-        raise ValueError(f"dimension mismatch: {r1_stack.shape[-2:]} vs {r2.shape}")
-    _check_invertible(r2)
+    eigs = np.linalg.eigvalsh(r2)
+    if (eigs[..., 0] <= 0).any() or (eigs[..., -1] > CONDITION_LIMIT * eigs[..., 0]).any():
+        raise IllConditionedError(
+            "covariance is singular or has condition number above 1e12; "
+            "apply regularize() before inverting"
+        )
     inv_chol = np.linalg.inv(np.linalg.cholesky(r2))
-    sym = inv_chol @ (r1_stack - r2) @ inv_chol.conj().T
-    sym = 0.5 * (sym + sym.conj().transpose(*range(sym.ndim - 2), -1, -2))
-    lam = np.linalg.eigvalsh(sym)
-    lam = np.maximum(lam, -1.0 + 1e-18)
-    return 0.5 * np.sum(lam - np.log1p(lam), axis=-1)
+    sym = inv_chol @ (r1 - r2) @ inv_chol.conj().swapaxes(-1, -2)
+    sym = 0.5 * (sym + sym.conj().swapaxes(-1, -2))
+    lam = np.maximum(np.linalg.eigvalsh(sym), -1.0 + 1e-18)
+    div = 0.5 * np.sum(lam - np.log1p(lam), axis=-1)
+    return float(div) if div.ndim == 0 else div
 
 
 def perturbed_covariance(r, omega, model: PerturbationModel) -> np.ndarray:
@@ -179,6 +157,8 @@ def perturbed_covariance(r, omega, model: PerturbationModel) -> np.ndarray:
         out = exp(-omega^2 sigma^2) * r + (1 - exp(-omega^2 sigma^2)) * I
     """
     r = _square(r, "r")
+    if r.ndim != 2:
+        raise ValueError(f"r must be a single matrix, got shape {r.shape}")
     if np.abs(np.diagonal(r) - 1.0).max() > 1e-8:
         raise ValueError("perturbed_covariance expects a unit-diagonal (power-normalized) matrix")
     att = np.exp(-((omega * model.sigma) ** 2))
@@ -224,9 +204,7 @@ def regularize(r, epsilon_rel: float = DEFAULT_EPSILON_REL) -> np.ndarray:
     """
     if epsilon_rel <= 0:
         raise ValueError("epsilon_rel must be positive")
-    r = np.asarray(r, dtype=np.complex128)
-    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {r.shape}")
+    r = _square(r, "r")
     m = r.shape[-1]
     tr = np.trace(r, axis1=-2, axis2=-1).real
     eps = np.where(tr > 0, epsilon_rel * tr / m, epsilon_rel)

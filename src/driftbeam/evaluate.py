@@ -84,8 +84,9 @@ def gain(outputs, mixture_ref, desired, frequencies_hz, scene_id: str = "",
 
     num = np.sum(np.abs(mixture_ref[:, :, None] - desired) ** 2, axis=0).T  # (N, F)
     den = np.sum(np.abs(outputs - desired) ** 2, axis=0).T  # (N, F)
-    flagged = (den == 0).any(axis=0) | (num == 0).any(axis=0)
-    gain_db = np.full(num.shape[1], np.inf)
+    finite = np.isfinite(num).all(axis=0) & np.isfinite(den).all(axis=0)
+    flagged = (den == 0).any(axis=0) | (num == 0).any(axis=0) | ~finite
+    gain_db = np.where(finite, np.inf, np.nan)
     ok = ~flagged
     gain_db[ok] = np.mean(10.0 * np.log10(num[:, ok] / den[:, ok]), axis=0)
     return GainReport(
@@ -122,15 +123,14 @@ def divergence_curve(covs: CovarianceSet, named_pairs: dict,
     loaded by epsilon_rel before inverting.
     """
     table = {"frequency_hz": covs.frequencies / (2.0 * np.pi)}
-    f_count = covs.frequencies.shape[0]
     for name, pairs in named_pairs.items():
         if not pairs:
             raise ValueError(f"no slot pairs given for column {name!r}")
-        acc = np.zeros(f_count)
+        acc = np.zeros(covs.frequencies.shape[0])
         for slot1, slot2 in pairs:
             r1 = regularize(_slot_spectrum(covs, slot1).bins, epsilon_rel)
             r2 = regularize(_slot_spectrum(covs, slot2).bins, epsilon_rel)
-            acc += [gaussian_divergence(r1[f], r2[f]) for f in range(f_count)]
+            acc += gaussian_divergence(r1, r2)
         table[name] = acc / len(pairs)
     return table
 

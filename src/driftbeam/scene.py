@@ -494,9 +494,11 @@ def _diffuse_noise(spec: SceneSpec, cell_power: float, shape, seed: int):
         return np.zeros(shape, dtype=np.complex128)
     variance = cell_power * 10.0 ** (spec.noise_level_db / 10.0)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM,)))
-    draws = rng.standard_normal((t_count, f_count, m_count, 2))
-    noise = (draws[..., 0] + 1j * draws[..., 1]) * np.sqrt(variance / 2.0)
+    # Draw (real, imaginary) pairs straight into the complex buffer.
+    noise = np.empty(shape, dtype=np.complex128)
+    rng.standard_normal(out=noise.view(np.float64).reshape(t_count, f_count, m_count, 2))
     # DC and Nyquist bins of a real signal carry no quadrature component.
-    noise[:, 0, :] = draws[:, 0, :, 0] * np.sqrt(variance)
-    noise[:, -1, :] = draws[:, -1, :, 0] * np.sqrt(variance)
+    edges = noise[:, [0, -1], :].real * np.sqrt(variance)
+    noise *= np.sqrt(variance / 2.0)
+    noise[:, [0, -1], :] = edges
     return noise

@@ -74,6 +74,20 @@ class TestWav:
         cli.write_wav(path, x, 16000)
         np.testing.assert_array_equal(cli.read_wav(path, 16000), x.astype(np.float64))
 
+    def test_multichannel_rejected(self, tmp_path):
+        path = tmp_path / "x.wav"
+        wavfile.write(path, 16000, np.zeros((100, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match="mono"):
+            cli.read_wav(path, 16000)
+
+    def test_non_finite_sample_rejected(self, tmp_path):
+        path = tmp_path / "x.wav"
+        x = np.zeros(100, dtype=np.float32)
+        x[37] = np.nan
+        wavfile.write(path, 16000, x)
+        with pytest.raises(ValueError, match="non-finite"):
+            cli.read_wav(path, 16000)
+
 
 class TestSimulate:
     def test_writes_expected_artifacts(self, tmp_path):

@@ -1,3 +1,5 @@
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,33 @@ def test_kind_mismatch_rejected(trained, tmp_path):
     containers.save_covariances(path, covs)
     with pytest.raises(ValueError, match="bank"):
         containers.load_bank(path)
+
+
+def truncate_entry(src, dst, name):
+    """Copy a container with array `name` cut one row short."""
+    with np.load(src) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays[name] = arrays[name][:-1]
+    with zipfile.ZipFile(dst, "w") as zf:
+        for key, value in arrays.items():
+            with zf.open(key + ".npy", "w") as fh:
+                np.lib.format.write_array(fh, value)
+
+
+@pytest.mark.parametrize("name", ["per_state", "templates"])
+def test_truncated_covariance_container_rejected(trained, tmp_path, name):
+    covs, templates = trained
+    path, cut = tmp_path / "covs.npz", tmp_path / "cut.npz"
+    containers.save_covariances(path, covs, templates)
+    truncate_entry(path, cut, name)
+    with pytest.raises(ValueError, match=f"truncated container.*{name}"):
+        containers.load_covariances(cut)
+
+
+def test_truncated_bank_rejected(trained, tmp_path):
+    covs, _ = trained
+    path, cut = tmp_path / "bank.npz", tmp_path / "cut.npz"
+    containers.save_bank(path, beamform.build(covs, "dynamic"))
+    truncate_entry(path, cut, "weights")
+    with pytest.raises(ValueError, match="truncated container.*weights"):
+        containers.load_bank(cut)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from driftbeam import covest, covmath, scene
 from driftbeam.stft import StftConfig
@@ -70,6 +73,34 @@ class TestSampleCovariance:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             covest.sample_covariance(np.zeros((0, 4, 2), complex), np.zeros(4))
+
+
+@st.composite
+def labeled_frames(draw):
+    """Complex (T, F, M) frames with labels drawn from [0, G)."""
+    t = draw(st.integers(1, 12))
+    f = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    groups = draw(st.integers(1, 4))
+    parts = draw(hnp.arrays(np.float64, (2, t, f, m),
+                            elements=st.floats(-100.0, 100.0, allow_subnormal=False)))
+    labels = draw(hnp.arrays(np.int64, t, elements=st.integers(0, groups - 1)))
+    return parts[0] + 1j * parts[1], labels, groups
+
+
+class TestOuterSums:
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_frames())
+    def test_matches_per_frame_outer_products(self, case):
+        frames, labels, groups = case
+        sums, counts = covest._outer_sums(frames, labels, groups)
+        expected = np.zeros_like(sums)
+        for t, group in enumerate(labels):
+            for f in range(frames.shape[1]):
+                expected[group, f] += np.outer(frames[t, f], frames[t, f].conj())
+        np.testing.assert_array_equal(counts, np.bincount(labels, minlength=groups))
+        scale = max(np.abs(frames).max() ** 2, 1.0)
+        np.testing.assert_allclose(sums, expected, rtol=0, atol=1e-12 * scale * len(labels))
 
 
 class TestTrain:

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import solve_triangular
 
 from driftbeam.covmath import (
     HermitianSpectrum,
@@ -8,7 +12,6 @@ from driftbeam.covmath import (
     SteeringVector,
     far_field_divergence,
     gaussian_divergence,
-    gaussian_divergence_stack,
     perturbed_covariance,
     regularize,
 )
@@ -23,6 +26,39 @@ def random_psd(rng, m, rank=None):
 def random_steering(rng, m, frequency):
     phases = rng.uniform(-np.pi, np.pi, m)
     return SteeringVector(np.exp(1j * phases), frequency)
+
+
+def reference_divergence(r1, r2):
+    """Scalar divergence by triangular solves, independent of the batched kernel."""
+    chol = np.linalg.cholesky(r2)
+    half = solve_triangular(chol, r1 - r2, lower=True)
+    sym = solve_triangular(chol, half.conj().T, lower=True).conj().T
+    lam = np.linalg.eigvalsh(0.5 * (sym + sym.conj().T))
+    lam = np.maximum(lam, -1.0 + 1e-18)
+    return float(0.5 * np.sum(lam - np.log1p(lam)))
+
+
+@st.composite
+def psd_stacks(draw, count, m):
+    """(count, m, m) PSD matrices of random rank, scaled to unit trace and
+    loaded with DEFAULT_EPSILON_REL as the divergence curves load them."""
+    rank = draw(st.integers(1, m))
+    parts = draw(hnp.arrays(np.int64, (2, count, m, rank), elements=st.integers(-9, 9)))
+    a = parts[0] + 1j * parts[1]
+    r = a @ a.conj().transpose(0, 2, 1)
+    trace = np.trace(r, axis1=1, axis2=2).real
+    r /= np.where(trace > 0, trace, 1.0)[:, None, None]
+    return regularize(r)
+
+
+@st.composite
+def divergence_inputs(draw):
+    """(r1 stack, r2) with r2 either one matrix or a stack as long as r1."""
+    m = draw(st.integers(1, 6))
+    count = draw(st.integers(1, 5))
+    r1 = draw(psd_stacks(count, m))
+    r2 = draw(psd_stacks(count, m)) if draw(st.booleans()) else draw(psd_stacks(1, m))[0]
+    return r1, r2
 
 
 class TestGaussianDivergence:
@@ -62,13 +98,25 @@ class TestGaussianDivergence:
         with pytest.raises(IllConditionedError):
             gaussian_divergence(np.eye(2), bad)
 
-    def test_stack_matches_scalar(self):
-        rng = np.random.default_rng(2)
-        r2 = regularize(random_psd(rng, 4), 1e-3)
-        stack = np.stack([regularize(random_psd(rng, 4), 1e-3) for _ in range(6)])
-        batch = gaussian_divergence_stack(stack, r2)
-        single = [gaussian_divergence(stack[i], r2) for i in range(6)]
+    @settings(max_examples=200, deadline=None)
+    @given(divergence_inputs())
+    def test_stack_matches_scalar(self, inputs):
+        r1, r2 = inputs
+        batch = gaussian_divergence(r1, r2)
+        r2_stack = np.broadcast_to(r2, r1.shape)
+        single = [reference_divergence(a, b) for a, b in zip(r1, r2_stack)]
+        assert batch.shape == (r1.shape[0],)
         np.testing.assert_allclose(batch, single, rtol=1e-10, atol=1e-12)
+        assert (batch >= 0).all()
+        assert np.abs(gaussian_divergence(r1, r1)).max() < 1e-10
+
+    def test_plain_matrices_give_a_float(self):
+        assert isinstance(gaussian_divergence(np.eye(2), 2.0 * np.eye(2)), float)
+
+    def test_ill_conditioned_stack_member_rejected(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, 1e-14])]).astype(complex)
+        with pytest.raises(IllConditionedError):
+            gaussian_divergence(np.eye(2), stack)
 
 
 class TestPerturbedCovariance:

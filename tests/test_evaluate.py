@@ -33,6 +33,18 @@ class TestGain:
         assert report.flagged.all()
         assert np.isposinf(report.gain_db).all()
 
+    def test_non_finite_bins_flagged(self):
+        rng = np.random.default_rng(5)
+        t, f, n = 10, 6, 2
+        desired = random_series(rng, t, f, n)
+        ref = rng.standard_normal((t, f)) + 1j * rng.standard_normal((t, f))
+        outputs = random_series(rng, t, f, n)
+        outputs[3, 2, 1] = np.nan
+        report = gain(outputs, ref, desired, np.linspace(0, 4000, f))
+        np.testing.assert_array_equal(report.flagged, np.arange(f) == 2)
+        assert np.isnan(report.gain_db[2])
+        assert np.isfinite(np.delete(report.gain_db, 2)).all()
+
     def test_scaling_both_series_preserves_gain(self):
         rng = np.random.default_rng(2)
         t, f = 30, 5
