@@ -11,7 +11,6 @@ and the rank-one variant replaces each ensemble covariance by its principal
 eigenpair before solving.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +63,7 @@ class BeamformerBank:
 
 
 def mwf_weights(source_covs, noise_cov: HermitianSpectrum, reference: int,
-                epsilon_rel: float = DEFAULT_EPSILON_REL, threads: int = 1) -> np.ndarray:
+                epsilon_rel: float = DEFAULT_EPSILON_REL) -> np.ndarray:
     """Wiener weights (F, N, M) from per-source and noise covariance spectra.
 
     The summed covariance is diagonally loaded by epsilon_rel before
@@ -72,7 +71,6 @@ def mwf_weights(source_covs, noise_cov: HermitianSpectrum, reference: int,
     """
     if not source_covs:
         raise ValueError("at least one source covariance is required")
-    f_count = noise_cov.bin_count
     m_count = noise_cov.mic_count
     for cov in source_covs:
         if cov.bins.shape != noise_cov.bins.shape:
@@ -96,25 +94,7 @@ def mwf_weights(source_covs, noise_cov: HermitianSpectrum, reference: int,
         )
 
     rows = np.stack([cov.bins[:, reference, :] for cov in source_covs], axis=1)  # (F, N, M)
-    weights = np.empty_like(rows)
-
-    def solve_block(lo, hi):
-        inv = np.linalg.inv(total[lo:hi])
-        weights[lo:hi] = rows[lo:hi] @ inv
-
-    if threads <= 1:
-        solve_block(0, f_count)
-    else:
-        edges = np.linspace(0, f_count, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(solve_block, lo, hi)
-                for lo, hi in zip(edges[:-1], edges[1:])
-                if hi > lo
-            ]
-            for future in futures:
-                future.result()
-    return weights
+    return rows @ np.linalg.inv(total)
 
 
 def _principal_component(spectrum: HermitianSpectrum) -> HermitianSpectrum:
@@ -126,7 +106,7 @@ def _principal_component(spectrum: HermitianSpectrum) -> HermitianSpectrum:
 
 
 def build(covs: CovarianceSet, mode: str, reference: int = 0,
-          epsilon_rel: float = DEFAULT_EPSILON_REL, threads: int = 1) -> BeamformerBank:
+          epsilon_rel: float = DEFAULT_EPSILON_REL) -> BeamformerBank:
     """Build a beamformer bank of the requested mode from trained covariances."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose one of {MODES}")
@@ -145,16 +125,16 @@ def build(covs: CovarianceSet, mode: str, reference: int = 0,
         weights = {
             state: mwf_weights(
                 [covs.per_state[(n, state)] for n in sources],
-                covs.noise, reference, epsilon_rel, threads,
+                covs.noise, reference, epsilon_rel,
             )
             for state in range(covs.state_count)
         }
     elif mode == "static":
         weights = {0: mwf_weights([covs.ensemble[n] for n in sources],
-                                  covs.noise, reference, epsilon_rel, threads)}
+                                  covs.noise, reference, epsilon_rel)}
     else:
         rank_one = [_principal_component(covs.ensemble[n]) for n in sources]
-        weights = {0: mwf_weights(rank_one, covs.noise, reference, epsilon_rel, threads)}
+        weights = {0: mwf_weights(rank_one, covs.noise, reference, epsilon_rel)}
     return BeamformerBank(
         mode=mode,
         weights=weights,

@@ -24,6 +24,7 @@ import copy
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +63,11 @@ DEFAULT_CONFIG = {
     "modes": ["static"],
     "state_oracle": False,
     "theory": {"sigmas_s": [1e-5, 2e-5, 5e-5], "points": 128},
-    "threads": 1,
+    "threads": 1,  # accepted so older configs still load; has no effect
     "out_dir": "out",
 }
 
+# CLI mode name -> beamform.build mode.
 MODE_NAMES = {"static": "static", "dynamic": "dynamic", "rank1": "rank_one_static"}
 
 
@@ -75,6 +77,19 @@ class StageError(RuntimeError):
     def __init__(self, stage, cause):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
+
+
+@contextmanager
+def stage(label):
+    """Run a block as the pipeline stage `label`: any exception raised in it
+    becomes a StageError carrying the label. A StageError from an inner stage
+    passes through unchanged, so the innermost label wins."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as err:
+        raise StageError(label, err) from err
 
 
 def _merge(base, override):
@@ -87,17 +102,39 @@ def _merge(base, override):
     return merged
 
 
+def _unknown_keys(config, known, prefix=""):
+    """Dotted paths of the keys in config that known does not have."""
+    for key, value in config.items():
+        if key not in known:
+            yield prefix + key
+        elif isinstance(value, dict) and isinstance(known[key], dict):
+            yield from _unknown_keys(value, known[key], f"{prefix}{key}.")
+
+
 def load_config(path=None, overrides=None):
-    """Merge defaults, the optional JSON config file, and CLI overrides."""
+    """Merge defaults, the optional JSON config file, and CLI overrides.
+
+    Unknown keys (at any depth) and unknown or repeated modes are rejected.
+    """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             config = _merge(config, json.load(fh))
     if overrides:
         config = _merge(config, overrides)
+    unknown = sorted(_unknown_keys(config, {**DEFAULT_CONFIG, "seed": None}))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
     if "seed" not in config or config["seed"] is None:
         raise ValueError("a seed is required (config key 'seed' or --seed)")
     config["seed"] = int(config["seed"])
+    modes = config["modes"]
+    if not (isinstance(modes, list) and set(modes) <= MODE_NAMES.keys()
+            and len(set(modes)) == len(modes)):
+        raise ValueError(
+            f"modes must be a list of distinct names from {list(MODE_NAMES)}, "
+            f"got {modes!r}"
+        )
     wavs = config["sources"].get("wav_paths")
     if wavs:
         for p in wavs:
@@ -242,12 +279,7 @@ def run_simulate(config):
     out = _out_dir(config)
     cfg = _stft_config(config)
     rate = config["sample_rate"]
-    samples = int(round(config["test_duration_s"] * rate))
-    signals = _test_signals(config, samples)
-    spec = _scene_spec(config, signals)
-    rendered = scene.render(
-        spec, config["test_duration_s"], cfg, rate, seed=config["seed"]
-    )
+    rendered = _test_render(config)
 
     outputs = []
     mixture_path = out / "mixture.wav"
@@ -292,16 +324,13 @@ def _render_training(config):
     return renders, noise_render
 
 
-def _wants_dynamic(config):
-    return any(MODE_NAMES.get(m, m) == "dynamic" for m in config["modes"])
-
-
 def run_train(config):
     """Train covariances (and pilot templates when needed); write the container."""
     out = _out_dir(config)
     motion = _motion(config)
     per_state = motion.kind != "gaussian_jitter"
-    if _wants_dynamic(config) and motion.kind == "gaussian_jitter":
+    wants_dynamic = "dynamic" in config["modes"]
+    if wants_dynamic and motion.kind == "gaussian_jitter":
         raise ValueError(
             "dynamic beamforming needs discrete motion states; gaussian_jitter "
             "scenes support only the static modes"
@@ -309,7 +338,7 @@ def run_train(config):
     renders, noise_render = _render_training(config)
     covs = covest.train(renders, noise_render, per_state=per_state)
     templates = None
-    if _wants_dynamic(config) and not config["state_oracle"]:
+    if wants_dynamic and not config["state_oracle"]:
         templates = covest.pilot_templates(renders)
     path = out / "covariances.npz"
     containers.save_covariances(path, covs, templates)
@@ -326,65 +355,55 @@ def _test_render(config):
     return scene.render(spec, config["test_duration_s"], cfg, rate, seed=config["seed"])
 
 
-def _states_for(config, bank, rendered, templates):
-    if bank.mode != "dynamic":
-        return None
-    if config["state_oracle"]:
-        return rendered.truth_states
-    return covest.estimate_states(rendered.mixture, templates or {})
+def _beamformed(config, covs, templates, rendered):
+    """Build each configured mode's bank, pick the test scene's state track
+    when the bank is dynamic, and filter the test mixture. Yields
+    (mode, bank, estimates) per mode, mode being its CLI name; each mode's
+    work runs as stage beamform:<mode>."""
+    reference = config["geometry"]["reference"]
+    for mode in config["modes"]:
+        with stage(f"beamform:{mode}"):
+            bank = beamform.build(covs, MODE_NAMES[mode], reference=reference)
+            states = None
+            if bank.mode == "dynamic":
+                states = rendered.truth_states if config["state_oracle"] else \
+                    covest.estimate_states(rendered.mixture, templates or {})
+            estimates = beamform.apply_bank(bank, rendered.mixture, states)
+        yield mode, bank, estimates
 
 
 def run_pipeline(config):
     """Full experiment: train, build each requested mode, filter the test
     scene, and write gain/divergence CSVs, banks and manifests."""
     out = _out_dir(config)
-    try:
+    with stage("train"):
         covs, templates, cov_path = run_train(config)
-    except StageError:
-        raise
-    except Exception as err:
-        raise StageError("train", err) from err
-
-    try:
+    with stage("simulate"):
         rendered = _test_render(config)
-    except Exception as err:
-        raise StageError("simulate", err) from err
 
-    cfg_threads = int(config.get("threads", 1))
     reference = config["geometry"]["reference"]
     outputs = [cov_path]
-    for mode_arg in config["modes"]:
-        mode = MODE_NAMES.get(mode_arg, mode_arg)
-        try:
-            bank = beamform.build(covs, mode, reference=reference, threads=cfg_threads)
-            states = _states_for(config, bank, rendered, templates)
-            estimates = beamform.apply_bank(bank, rendered.mixture, states)
-        except Exception as err:
-            raise StageError(f"beamform:{mode}", err) from err
-        try:
+    for mode, bank, estimates in _beamformed(config, covs, templates, rendered):
+        with stage(f"analyze:{mode}"):
             report = evaluate.gain(
                 estimates,
                 rendered.mixture.frames[:, :, reference],
                 rendered.desired,
                 rendered.mixture.bin_hz,
                 scene_id=str(config["seed"]),
-                mode=mode,
+                mode=bank.mode,
             )
-            gain_path = out / f"gain_{mode_arg}.csv"
+            gain_path = out / f"gain_{mode}.csv"
             evaluate.write_table(gain_path, report.table())
             outputs.append(gain_path)
-            bank_path = out / f"bank_{mode_arg}.npz"
+            bank_path = out / f"bank_{mode}.npz"
             containers.save_bank(bank_path, bank)
             outputs.append(bank_path)
-        except Exception as err:
-            raise StageError(f"analyze:{mode}", err) from err
 
-    try:
+    with stage("analyze:divergence"):
         div_path = out / "divergence.csv"
         evaluate.write_table(div_path, _divergence_table(covs))
         outputs.append(div_path)
-    except Exception as err:
-        raise StageError("analyze:divergence", err) from err
 
     write_manifest(out / "pipeline_manifest.json", config, _input_files(config), outputs)
     return outputs + [out / "pipeline_manifest.json"]
@@ -417,15 +436,9 @@ def run_beamform(config, covariances_path=None):
     covs, templates = containers.load_covariances(cov_path)
     rendered = _test_render(config)
     cfg = _stft_config(config)
-    reference = config["geometry"]["reference"]
     outputs = []
-    for mode_arg in config["modes"]:
-        mode = MODE_NAMES.get(mode_arg, mode_arg)
-        bank = beamform.build(covs, mode, reference=reference,
-                              threads=int(config.get("threads", 1)))
-        states = _states_for(config, bank, rendered, templates)
-        estimates = beamform.apply_bank(bank, rendered.mixture, states)
-        bank_path = out / f"bank_{mode_arg}.npz"
+    for mode, bank, estimates in _beamformed(config, covs, templates, rendered):
+        bank_path = out / f"bank_{mode}.npz"
         containers.save_bank(bank_path, bank)
         outputs.append(bank_path)
         for col, n in enumerate(rendered.active_sources):
@@ -433,7 +446,7 @@ def run_beamform(config, covariances_path=None):
                 estimates[:, :, col:col + 1], rendered.mixture.sample_rate,
                 rendered.mixture.fft_size, rendered.mixture.hop,
             )
-            wav_path = out / f"enhanced_{mode_arg}_{n:02d}.wav"
+            wav_path = out / f"enhanced_{mode}_{n:02d}.wav"
             write_wav(wav_path, synthesize(mono, cfg), config["sample_rate"])
             outputs.append(wav_path)
     write_manifest(out / "beamform_manifest.json", config,
@@ -497,7 +510,8 @@ def _parser():
         "--mode", type=str, default=None,
         help="comma-separated beamformer modes: static,dynamic,rank1",
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted for older scripts; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="render the test scene to WAV files")
     sub.add_parser("train", help="estimate covariances from training renders")
@@ -523,27 +537,25 @@ def _overrides(args):
     return overrides
 
 
+COMMANDS = {
+    "simulate": lambda config, args: run_simulate(config),
+    "train": lambda config, args: run_train(config),
+    "beamform": lambda config, args: run_beamform(config, args.covariances),
+    "analyze": lambda config, args: run_pipeline(config),
+    "theory": lambda config, args: run_theory(config),
+    "report": lambda config, args: run_report(config),
+}
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = load_config(args.config, _overrides(args))
-        if args.command == "simulate":
-            run_simulate(config)
-        elif args.command == "train":
-            run_train(config)
-        elif args.command == "beamform":
-            run_beamform(config, args.covariances)
-        elif args.command == "analyze":
-            run_pipeline(config)
-        elif args.command == "theory":
-            run_theory(config)
-        elif args.command == "report":
-            run_report(config)
+        with stage("config"):
+            config = load_config(args.config, _overrides(args))
+        with stage(args.command):
+            COMMANDS[args.command](config, args)
     except StageError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
-        print(f"error: [{args.command}] {err}", file=sys.stderr)
         return 1
     return 0
 

@@ -415,8 +415,8 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
             phases = np.exp(1j * omega[:, None] * tau[None, :])  # (F, M)
             image[:] = spectra[n][:, :, None] * phases[None, :, :]
         else:
-            tau = _frame_delays(frame_rel, spec.sources[n].azimuth_deg,
-                                spec.speed_of_sound)  # (T, M)
+            tau = propagation_delays(frame_rel, spec.sources[n].azimuth_deg,
+                                     spec.speed_of_sound)  # (T, M)
             for start in range(0, t_count, _FRAME_BLOCK):
                 stop = min(start + _FRAME_BLOCK, t_count)
                 phases = np.exp(1j * omega[None, :, None] * tau[start:stop, None, :])
@@ -479,13 +479,6 @@ def _frame_relative_positions(spec: SceneSpec, t_count: int, frame_rate: float,
     absolute[:, moving, 0] = cos[:, None] * q[:, 0] - sin[:, None] * q[:, 1] + center[0]
     absolute[:, moving, 1] = sin[:, None] * q[:, 0] + cos[:, None] * q[:, 1] + center[1]
     return absolute - absolute[:, ref:ref + 1, :]
-
-
-def _frame_delays(frame_rel, azimuth_deg, c):
-    # Relative arrival delays for every frame, (T, M).
-    rad = np.deg2rad(azimuth_deg)
-    toward = np.array([np.cos(rad), np.sin(rad)])
-    return frame_rel @ toward / c
 
 
 def _diffuse_noise(spec: SceneSpec, cell_power: float, shape, seed: int):

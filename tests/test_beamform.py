@@ -64,21 +64,6 @@ class TestMwfWeights:
         with pytest.raises(covmath.IllConditionedError, match=r"\[1\]"):
             mwf_weights([src], noise, reference=0, epsilon_rel=0.0)
 
-    def test_threads_give_identical_weights(self):
-        rng = np.random.default_rng(1)
-        f, m = 37, 5
-        bins = np.stack([
-            (lambda x: x @ x.conj().T / m)(rng.standard_normal((m, m)) +
-                                           1j * rng.standard_normal((m, m)))
-            for _ in range(f)
-        ])
-        src = spectrum(bins, np.linspace(0, 1000, f))
-        noise = spectrum(np.broadcast_to(0.1 * np.eye(m), (f, m, m)).copy(),
-                         np.linspace(0, 1000, f))
-        serial = mwf_weights([src], noise, reference=0)
-        threaded = mwf_weights([src], noise, reference=0, threads=4)
-        np.testing.assert_array_equal(serial, threaded)
-
 
 def trained_covs(motion=None, duration=4.0, mic_count=4, azimuths=(30.0, 120.0),
                  per_state=True, seed=50):

@@ -53,6 +53,22 @@ class TestConfig:
                 "sources": {"wav_paths": [str(tmp_path / "missing.wav")]},
             })
 
+    @pytest.mark.parametrize("modes", [
+        ["statc"], ["rank_one_static", "rank1"], ["static", "static"], "static",
+    ])
+    def test_modes_must_be_distinct_cli_names(self, modes):
+        with pytest.raises(ValueError, match="modes must be a list of distinct names"):
+            cli.load_config(None, {"seed": 1, "modes": modes})
+
+    def test_unknown_keys_named_by_dotted_path(self):
+        with pytest.raises(ValueError,
+                           match=r"unknown config keys \['modez', 'motion.knd'\]"):
+            cli.load_config(None, {
+                "seed": 1,
+                "motion": {"knd": "rotation_sweep"},
+                "modez": ["dynamic"],
+            })
+
 
 class TestWav:
     def test_rate_mismatch_rejected(self, tmp_path):
@@ -250,3 +266,44 @@ class TestMain:
         assert code == 1
         err = capsys.readouterr().err
         assert "[train]" in err
+
+    def write_config(self, tmp_path, **fields):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "seed": 1,
+            "stft": {"fft_size": 256, "hop": 128},
+            "geometry": {"mic_count": 3, "spacing": 0.04},
+            "sources": {"azimuths_deg": [20.0, 100.0]},
+            "test_duration_s": 1.0,
+            "train_duration_s": 1.0,
+            **fields,
+        }))
+        return path
+
+    def test_bad_mode_rejected_before_any_work(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(path), "--out", str(out),
+                         "--mode", "statc", "analyze"])
+        assert code == 1
+        assert "[config]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_theory_failure_labelled_without_traceback(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, theory={"points": 0})
+        code = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "theory"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[theory]" in err
+        assert "Traceback" not in err
+
+    def test_beamform_failure_carries_mode_label(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["--config", str(path), "--out", out, "train"]) == 0
+        code = cli.main(["--config", str(path), "--out", out,
+                         "--mode", "dynamic", "beamform"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[beamform:dynamic]" in err
+        assert "Traceback" not in err
