@@ -21,6 +21,7 @@ rate; mismatched rates are rejected, never resampled.
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import sys
@@ -114,7 +115,8 @@ def _unknown_keys(config, known, prefix=""):
 def load_config(path=None, overrides=None):
     """Merge defaults, the optional JSON config file, and CLI overrides.
 
-    Unknown keys (at any depth) and unknown or repeated modes are rejected.
+    Unknown keys (at any depth), unknown or repeated modes, an invalid STFT
+    section and non-positive durations or theory points are rejected.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -135,6 +137,12 @@ def load_config(path=None, overrides=None):
             f"modes must be a list of distinct names from {list(MODE_NAMES)}, "
             f"got {modes!r}"
         )
+    _stft_config(config)
+    for key in ("train_duration_s", "test_duration_s"):
+        if not config[key] > 0:
+            raise ValueError(f"{key} must be positive, got {config[key]!r}")
+    if not config["theory"]["points"] >= 1:
+        raise ValueError(f"theory.points must be at least 1, got {config['theory']['points']!r}")
     wavs = config["sources"].get("wav_paths")
     if wavs:
         for p in wavs:
@@ -274,18 +282,20 @@ def _out_dir(config):
 def run_simulate(config):
     """Render the test scene; write mixture and image WAVs, the state track
     and a manifest. Returns the list of written paths."""
-    if config["test_duration_s"] <= 0:
-        raise ValueError("test_duration_s must be positive")
     out = _out_dir(config)
     cfg = _stft_config(config)
     rate = config["sample_rate"]
-    rendered = _test_render(config)
+    spec = _test_spec(config)
+    rendered = _test_render(config, spec)
 
     outputs = []
     mixture_path = out / "mixture.wav"
     write_wav(mixture_path, synthesize(rendered.mixture, cfg), rate)
     outputs.append(mixture_path)
-    for n, image in zip(rendered.active_sources, rendered.images):
+    # A noiseless render of one source is exactly that source's image.
+    noiseless = dataclasses.replace(spec, noise_level_db=None)
+    for n in rendered.active_sources:
+        image = _test_render(config, noiseless, active_sources=[n]).mixture
         path = out / f"image_{n:02d}.wav"
         write_wav(path, synthesize(image, cfg), rate)
         outputs.append(path)
@@ -325,12 +335,12 @@ def _render_training(config):
 
 
 def run_train(config):
-    """Train covariances (and pilot templates when needed); write the container."""
+    """Train covariances and write the container. Pilot templates go with
+    them whenever the motion has discrete states, pilots are enabled and the
+    training run visits every (source, state) cell, whatever the modes."""
     out = _out_dir(config)
-    motion = _motion(config)
-    per_state = motion.kind != "gaussian_jitter"
-    wants_dynamic = "dynamic" in config["modes"]
-    if wants_dynamic and motion.kind == "gaussian_jitter":
+    per_state = _motion(config).kind != "gaussian_jitter"
+    if "dynamic" in config["modes"] and not per_state:
         raise ValueError(
             "dynamic beamforming needs discrete motion states; gaussian_jitter "
             "scenes support only the static modes"
@@ -338,7 +348,8 @@ def run_train(config):
     renders, noise_render = _render_training(config)
     covs = covest.train(renders, noise_render, per_state=per_state)
     templates = None
-    if wants_dynamic and not config["state_oracle"]:
+    if per_state and renders[0].pilot_bins is not None and \
+            len(covs.frame_counts) == len(renders) * covs.state_count:
         templates = covest.pilot_templates(renders)
     path = out / "covariances.npz"
     containers.save_covariances(path, covs, templates)
@@ -346,13 +357,15 @@ def run_train(config):
     return covs, templates, path
 
 
-def _test_render(config):
-    cfg = _stft_config(config)
-    rate = config["sample_rate"]
-    samples = int(round(config["test_duration_s"] * rate))
-    signals = _test_signals(config, samples)
-    spec = _scene_spec(config, signals)
-    return scene.render(spec, config["test_duration_s"], cfg, rate, seed=config["seed"])
+def _test_spec(config):
+    samples = int(round(config["test_duration_s"] * config["sample_rate"]))
+    return _scene_spec(config, _test_signals(config, samples))
+
+
+def _test_render(config, spec, active_sources=None):
+    return scene.render(spec, config["test_duration_s"], _stft_config(config),
+                        config["sample_rate"], seed=config["seed"],
+                        active_sources=active_sources)
 
 
 def _beamformed(config, covs, templates, rendered):
@@ -379,7 +392,7 @@ def run_pipeline(config):
     with stage("train"):
         covs, templates, cov_path = run_train(config)
     with stage("simulate"):
-        rendered = _test_render(config)
+        rendered = _test_render(config, _test_spec(config))
 
     reference = config["geometry"]["reference"]
     outputs = [cov_path]
@@ -434,7 +447,7 @@ def run_beamform(config, covariances_path=None):
     if not cov_path.is_file():
         raise ValueError(f"covariance container not found: {cov_path}")
     covs, templates = containers.load_covariances(cov_path)
-    rendered = _test_render(config)
+    rendered = _test_render(config, _test_spec(config))
     cfg = _stft_config(config)
     outputs = []
     for mode, bank, estimates in _beamformed(config, covs, templates, rendered):

@@ -182,17 +182,14 @@ def pilot_templates(source_renders) -> dict:
 
 def estimate_states(mixture: SpectralFrameTensor, templates: dict,
                     smoothing: int = PILOT_SMOOTHING,
-                    epsilon_rel: float = PILOT_EPSILON_REL,
-                    oracle: StateSequence | None = None) -> StateSequence:
+                    epsilon_rel: float = PILOT_EPSILON_REL) -> StateSequence:
     """Classify each frame's motion state from the pilot bins.
 
     Each frame's pilot-bin outer product, averaged over +-smoothing frames
     and diagonally loaded, is compared against every state template with the
     Gaussian divergence; the state with the smallest total divergence wins,
-    ties going to the lower state index. Pass oracle to bypass estimation.
+    ties going to the lower state index.
     """
-    if oracle is not None:
-        return oracle
     if not templates:
         raise ValueError("state estimation requires pilot templates (pilot disabled?)")
     state_count = max(templates) + 1

@@ -92,17 +92,23 @@ class ArrayGeometry:
     def rotations(cls, positions, angles_deg, reference: int = 0) -> "ArrayGeometry":
         """One state per angle: all microphones except the reference rotate
         about the centroid of the moving microphones."""
-        base = np.asarray(positions, dtype=np.float64)
-        moving = np.ones(base.shape[0], dtype=bool)
-        moving[reference] = False
-        center = base[moving].mean(axis=0)
-        states = np.empty((len(angles_deg), base.shape[0], 2))
-        for k, angle in enumerate(np.asarray(angles_deg, dtype=np.float64)):
-            rad = np.deg2rad(angle)
-            rot = np.array([[np.cos(rad), -np.sin(rad)], [np.sin(rad), np.cos(rad)]])
-            states[k] = base
-            states[k, moving] = (base[moving] - center) @ rot.T + center
-        return cls(states, reference)
+        return cls(_rotated(positions, reference, angles_deg), reference)
+
+
+def _rotated(positions, reference, angles_deg):
+    """Poses (K, M, 2) of the (M, 2) positions, one per angle: every microphone
+    except the reference rotated about the centroid of the moving ones."""
+    base = np.asarray(positions, dtype=np.float64)
+    moving = np.ones(base.shape[0], dtype=bool)
+    moving[reference] = False
+    center = base[moving].mean(axis=0)
+    rad = np.deg2rad(np.asarray(angles_deg, dtype=np.float64))
+    cos, sin = np.cos(rad), np.sin(rad)
+    q = base[moving] - center  # (Mm, 2)
+    poses = np.repeat(base[None, :, :], rad.shape[0], axis=0)
+    poses[:, moving, 0] = cos[:, None] * q[:, 0] - sin[:, None] * q[:, 1] + center[0]
+    poses[:, moving, 1] = sin[:, None] * q[:, 0] + cos[:, None] * q[:, 1] + center[1]
+    return poses
 
 
 def linear_positions(mic_count: int = 12, spacing: float = 0.03, reference: int = 0):
@@ -248,16 +254,16 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class RenderedScene:
-    """Simulator output: the mixture, its additive parts, and ground truth.
+    """Simulator output: the mixture and ground truth.
 
-    mixture = sum(images) + noise holds entrywise by construction. `desired`
-    holds each active source as observed at the reference microphone, shape
+    The mixture is the diffuse noise plus the image of every active source;
+    those additive parts are not stored. A render with noise_level_db=None and
+    one active source n is exactly source n's image. `desired` holds each
+    active source as observed at the reference microphone, shape
     (T, F, n_active).
     """
 
     mixture: SpectralFrameTensor
-    images: tuple
-    noise: SpectralFrameTensor
     truth_states: StateSequence
     desired: np.ndarray
     active_sources: tuple
@@ -405,38 +411,28 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     frame_rel = _frame_relative_positions(
         spec, t_count, sample_rate / cfg.hop, seed
     )  # (T, M, 2) for moving scenes, None for static
-    images = []
+    # Noise first, then each image in active order, summed in place; this
+    # order fixes the mixture's bytes.
+    mixture = _diffuse_noise(spec, noise_cell_power, (t_count, f_count, m_count), seed)
     for n in active:
-        image = np.empty((t_count, f_count, m_count), dtype=np.complex128)
         if frame_rel is None:
             rel = _relative_positions(spec.geometry)[0]
             tau = propagation_delays(rel, spec.sources[n].azimuth_deg,
                                      spec.speed_of_sound)
             phases = np.exp(1j * omega[:, None] * tau[None, :])  # (F, M)
-            image[:] = spectra[n][:, :, None] * phases[None, :, :]
+            mixture += spectra[n][:, :, None] * phases[None, :, :]
         else:
             tau = propagation_delays(frame_rel, spec.sources[n].azimuth_deg,
                                      spec.speed_of_sound)  # (T, M)
             for start in range(0, t_count, _FRAME_BLOCK):
                 stop = min(start + _FRAME_BLOCK, t_count)
                 phases = np.exp(1j * omega[None, :, None] * tau[start:stop, None, :])
-                image[start:stop] = spectra[n][start:stop, :, None] * phases
-        images.append(image)
-
-    noise = _diffuse_noise(spec, noise_cell_power, (t_count, f_count, m_count), seed)
-    mixture = noise.copy()
-    for image in images:
-        mixture += image
-
-    def tensor(data):
-        return SpectralFrameTensor(data, sample_rate, cfg.fft_size, cfg.hop)
+                mixture[start:stop] += spectra[n][start:stop, :, None] * phases
 
     desired = np.stack([spectra[n] for n in active], axis=-1) if active else \
         np.zeros((t_count, f_count, 0), dtype=np.complex128)
     return RenderedScene(
-        mixture=tensor(mixture),
-        images=tuple(tensor(image) for image in images),
-        noise=tensor(noise),
+        mixture=SpectralFrameTensor(mixture, sample_rate, cfg.fft_size, cfg.hop),
         truth_states=states,
         desired=desired,
         active_sources=active,
@@ -468,16 +464,7 @@ def _frame_relative_positions(spec: SceneSpec, t_count: int, frame_rate: float,
     # rotation_sweep: rotate the moving microphones continuously about their
     # centroid; state_positions[0] holds the pose at min_deg.
     angles = _sweep_angle_series(motion, t_count, frame_rate) - motion.min_deg
-    base = spec.geometry.state_positions[0]
-    moving = np.ones(base.shape[0], dtype=bool)
-    moving[ref] = False
-    center = base[moving].mean(axis=0)
-    rad = np.deg2rad(angles)
-    cos, sin = np.cos(rad), np.sin(rad)
-    q = base[moving] - center  # (Mm, 2)
-    absolute = np.repeat(base[None, :, :], t_count, axis=0)
-    absolute[:, moving, 0] = cos[:, None] * q[:, 0] - sin[:, None] * q[:, 1] + center[0]
-    absolute[:, moving, 1] = sin[:, None] * q[:, 0] + cos[:, None] * q[:, 1] + center[1]
+    absolute = _rotated(spec.geometry.state_positions[0], ref, angles)
     return absolute - absolute[:, ref:ref + 1, :]
 
 

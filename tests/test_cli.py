@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from driftbeam import cli
+from driftbeam import cli, containers
 
 
 def tiny_config(out_dir, **overrides):
@@ -39,10 +39,10 @@ class TestConfig:
 
     def test_file_and_overrides_merge(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"seed": 3, "stft": {"hop": 256}}))
+        path.write_text(json.dumps({"seed": 3, "stft": {"window": "hann"}}))
         config = cli.load_config(path, {"out_dir": "elsewhere"})
         assert config["seed"] == 3
-        assert config["stft"]["hop"] == 256
+        assert config["stft"]["window"] == "hann"
         assert config["stft"]["fft_size"] == 1024
         assert config["out_dir"] == "elsewhere"
 
@@ -127,9 +127,8 @@ class TestSimulate:
         assert manifest["config"]["seed"] == 5
 
     def test_zero_duration_rejected(self, tmp_path):
-        config = tiny_config(tmp_path / "out", test_duration_s=0.0)
         with pytest.raises(ValueError, match="positive"):
-            cli.run_simulate(config)
+            tiny_config(tmp_path / "out", test_duration_s=0.0)
 
     def test_same_seed_byte_identical(self, tmp_path):
         config_a = tiny_config(tmp_path / "a", test_duration_s=1.0)
@@ -289,8 +288,22 @@ class TestMain:
         assert "[config]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields", [
+        {"stft": {"hop": 0}},
+        {"theory": {"points": 0}},
+        {"train_duration_s": 0.0},
+        {"test_duration_s": -1.0},
+    ], ids=["hop", "theory_points", "train_duration", "test_duration"])
+    def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, fields):
+        path = self.write_config(tmp_path, **fields)
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(path), "--out", str(out), "analyze"])
+        assert code == 1
+        assert "[config]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_theory_failure_labelled_without_traceback(self, tmp_path, capsys):
-        path = self.write_config(tmp_path, theory={"points": 0})
+        path = self.write_config(tmp_path, sources={"azimuths_deg": [20.0]})
         code = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "theory"])
         assert code == 1
         err = capsys.readouterr().err
@@ -298,7 +311,7 @@ class TestMain:
         assert "Traceback" not in err
 
     def test_beamform_failure_carries_mode_label(self, tmp_path, capsys):
-        path = self.write_config(tmp_path)
+        path = self.write_config(tmp_path, pilot={"enabled": False})
         out = str(tmp_path / "out")
         assert cli.main(["--config", str(path), "--out", out, "train"]) == 0
         code = cli.main(["--config", str(path), "--out", out,
@@ -307,3 +320,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert "[beamform:dynamic]" in err
         assert "Traceback" not in err
+
+    ROTATION = {"kind": "rotation_sweep", "min_deg": -45.0, "max_deg": 45.0,
+                "period_s": 1.0, "state_count": 4}
+
+    def test_static_training_serves_dynamic_beamform(self, tmp_path):
+        path = self.write_config(tmp_path, motion=self.ROTATION)
+        out = str(tmp_path / "out")
+        assert cli.main(["--config", str(path), "--out", out, "train"]) == 0
+        assert cli.main(["--config", str(path), "--out", out,
+                         "--mode", "dynamic", "beamform"]) == 0
+        assert (tmp_path / "out" / "enhanced_dynamic_00.wav").is_file()
+
+    def test_training_missing_a_state_writes_no_templates(self, tmp_path):
+        # One second of a 20 s sweep reaches only the first states.
+        path = self.write_config(tmp_path, motion={**self.ROTATION, "period_s": 20.0})
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "train"]) == 0
+        covs, templates = containers.load_covariances(out / "covariances.npz")
+        assert len(covs.frame_counts) < covs.source_count * covs.state_count
+        assert templates == {}

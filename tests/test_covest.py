@@ -228,11 +228,6 @@ class TestEstimateStates:
         agreement = (est.labels == test.truth_states.labels).mean()
         assert agreement >= 0.95
 
-    def test_oracle_bypass(self, rotation_setup):
-        templates, test = rotation_setup
-        est = covest.estimate_states(test.mixture, templates, oracle=test.truth_states)
-        assert est is test.truth_states
-
     def test_missing_templates_rejected(self):
         spec = build_spec()
         test = scene.render(spec, 1.0, CFG, FS, seed=8)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,18 @@ def simple_spec(mic_count=4, azimuths=(30.0, 120.0), duration=2.0,
         noise_level_db=noise_level_db,
         pilot=pilot,
     )
+
+
+def isolated_parts(spec, duration, seed):
+    """Each source's image and the noise of render(spec, duration, seed=seed),
+    from isolated renders: noiseless with one source active, and source-free."""
+    noiseless = dataclasses.replace(spec, noise_level_db=None)
+    images = [
+        scene.render(noiseless, duration, CFG, FS, seed=seed, active_sources=[n]).mixture.frames
+        for n in range(spec.source_count)
+    ]
+    noise = scene.render(spec, duration, CFG, FS, seed=seed, active_sources=[]).mixture.frames
+    return images, noise
 
 
 class TestSteeringVector:
@@ -86,9 +100,9 @@ class TestRender:
     def test_mixture_is_sum_of_parts(self):
         spec = simple_spec(pilot=scene.Pilot(7000.0))
         rendered = scene.render(spec, 2.0, CFG, FS, seed=1)
-        total = sum(im.frames for im in rendered.images) + rendered.noise.frames
-        scale = np.abs(rendered.mixture.frames).max()
-        assert np.abs(rendered.mixture.frames - total).max() < 1e-9 * scale
+        images, noise = isolated_parts(spec, 2.0, seed=1)
+        # Noise first, then the images in source order: the render's own order.
+        np.testing.assert_array_equal(rendered.mixture.frames, noise + images[0] + images[1])
 
     def test_deterministic_under_seed(self):
         spec = simple_spec(motion=scene.MotionModel.gaussian_jitter(0.003))
@@ -101,7 +115,11 @@ class TestRender:
     def test_single_noiseless_source_mixture_equals_image(self):
         spec = simple_spec(azimuths=(60.0,), noise_level_db=None)
         rendered = scene.render(spec, 2.0, CFG, FS, seed=2)
-        np.testing.assert_array_equal(rendered.mixture.frames, rendered.images[0].frames)
+        rel = spec.geometry.state_positions[0] - spec.geometry.state_positions[0][0]
+        tau = scene.propagation_delays(rel, 60.0)
+        phases = np.exp(1j * rendered.mixture.bin_omega[:, None] * tau[None, :])
+        image = rendered.desired[:, :, :1] * phases[None, :, :]
+        np.testing.assert_array_equal(rendered.mixture.frames, image)
         np.testing.assert_array_equal(
             rendered.desired[:, :, 0], rendered.mixture.frames[:, :, 0]
         )
@@ -118,34 +136,35 @@ class TestRender:
     def test_desired_is_reference_channel(self):
         spec = simple_spec(pilot=scene.Pilot(7200.0))
         rendered = scene.render(spec, 2.0, CFG, FS, seed=4)
+        images, _ = isolated_parts(spec, 2.0, seed=4)
         for col, n in enumerate(rendered.active_sources):
-            np.testing.assert_array_equal(
-                rendered.desired[:, :, col], rendered.images[col].frames[:, :, 0]
-            )
+            np.testing.assert_array_equal(rendered.desired[:, :, col], images[n][:, :, 0])
 
     def test_five_source_twelve_mic_layout(self):
         spec = simple_spec(mic_count=12, azimuths=(0.0, 45.0, 90.0, 135.0, 180.0),
                            duration=1.0)
         rendered = scene.render(spec, 1.0, CFG, FS, seed=5)
         assert rendered.mixture.mic_count == 12
-        assert len(rendered.images) == 5
-        total = sum(im.frames for im in rendered.images) + rendered.noise.frames
-        scale = np.abs(rendered.mixture.frames).max()
-        assert np.abs(rendered.mixture.frames - total).max() < 1e-9 * scale
+        assert rendered.desired.shape[-1] == 5
+        images, noise = isolated_parts(spec, 1.0, seed=5)
+        assert [image.shape[-1] for image in images] == [12] * 5
+        np.testing.assert_array_equal(rendered.mixture.frames, sum(images, noise))
 
     def test_active_sources_subset(self):
         spec = simple_spec()
         rendered = scene.render(spec, 1.0, CFG, FS, seed=6, active_sources=[1])
         assert rendered.active_sources == (1,)
-        assert len(rendered.images) == 1
-        noise_only = scene.render(spec, 1.0, CFG, FS, seed=6, active_sources=[])
-        np.testing.assert_array_equal(noise_only.mixture.frames, noise_only.noise.frames)
+        assert rendered.desired.shape[-1] == 1
+        images, noise = isolated_parts(spec, 1.0, seed=6)
+        np.testing.assert_array_equal(rendered.mixture.frames, noise + images[1])
 
     def test_noise_level_shared_across_active_sets(self):
         spec = simple_spec()
         full = scene.render(spec, 1.0, CFG, FS, seed=7)
-        empty = scene.render(spec, 1.0, CFG, FS, seed=7, active_sources=[])
-        np.testing.assert_array_equal(full.noise.frames, empty.noise.frames)
+        first = scene.render(spec, 1.0, CFG, FS, seed=7, active_sources=[0])
+        images, noise = isolated_parts(spec, 1.0, seed=7)
+        np.testing.assert_array_equal(full.mixture.frames, noise + images[0] + images[1])
+        np.testing.assert_array_equal(first.mixture.frames, noise + images[0])
 
     def test_short_source_rejected(self):
         samples = int(0.5 * FS)
@@ -214,14 +233,16 @@ class TestRender:
             scene.render(spec, 1.0, CFG, FS, seed=0)
 
     def test_pilot_tone_energy_at_its_bin(self):
-        quiet = scene.render(simple_spec(noise_level_db=None), 2.0, CFG, FS, seed=13)
+        # Noiseless renders of source 0 alone: each mixture is that source's image.
+        quiet = scene.render(simple_spec(noise_level_db=None), 2.0, CFG, FS, seed=13,
+                             active_sources=[0])
         loud = scene.render(
             simple_spec(noise_level_db=None, pilot=scene.Pilot(7000.0, -10.0)),
-            2.0, CFG, FS, seed=13,
+            2.0, CFG, FS, seed=13, active_sources=[0],
         )
         b = loud.pilot_bins[0]
-        added = np.abs(loud.images[0].frames[:, b, 0]) ** 2 - \
-            np.abs(quiet.images[0].frames[:, b, 0]) ** 2
+        added = np.abs(loud.mixture.frames[:, b, 0]) ** 2 - \
+            np.abs(quiet.mixture.frames[:, b, 0]) ** 2
         source_power = np.mean(np.sum(np.abs(quiet.desired[:, :, 0]) ** 2, axis=1))
         assert added.mean() == pytest.approx(0.1 * source_power, rel=0.3)
 
