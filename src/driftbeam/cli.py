@@ -115,8 +115,9 @@ def _unknown_keys(config, known, prefix=""):
 def load_config(path=None, overrides=None):
     """Merge defaults, the optional JSON config file, and CLI overrides.
 
-    Unknown keys (at any depth), unknown or repeated modes, an invalid STFT
-    section and non-positive durations or theory points are rejected.
+    Unknown keys (at any depth), unknown or repeated modes, an invalid STFT,
+    motion or geometry section and non-positive durations or theory points
+    are rejected.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -138,6 +139,7 @@ def load_config(path=None, overrides=None):
             f"got {modes!r}"
         )
     _stft_config(config)
+    _geometry(config, _motion(config))
     for key in ("train_duration_s", "test_duration_s"):
         if not config[key] > 0:
             raise ValueError(f"{key} must be positive, got {config[key]!r}")

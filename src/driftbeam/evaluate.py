@@ -183,15 +183,13 @@ def write_table(path, table: dict):
         raise ValueError("all table columns must be 1-D and equally long")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(length):
-            fh.write(",".join(_format_cell(col[i]) for col in columns) + "\n")
+        for row in zip(*(col.tolist() for col in columns)):
+            fh.write(",".join(map(_format_cell, row)) + "\n")
 
 
 def _format_cell(value):
-    if np.isposinf(value):
-        return "inf"
-    if np.isneginf(value):
-        return "-inf"
-    if float(value).is_integer() and abs(value) < 1e15:
+    # Infinities are not integers and format as "inf"/"-inf", NaN as "nan".
+    value = float(value)
+    if value.is_integer() and abs(value) < 1e15:
         return str(int(value))
     return f"{value:.12g}"

@@ -293,7 +293,13 @@ class TestMain:
         {"theory": {"points": 0}},
         {"train_duration_s": 0.0},
         {"test_duration_s": -1.0},
-    ], ids=["hop", "theory_points", "train_duration", "test_duration"])
+        {"motion": {"kind": "rotation_sweep", "period_s": 0}},
+        {"motion": {"kind": "rotation_sweep", "state_count": 1}},
+        {"motion": {"kind": "spin"}},
+        {"geometry": {"mic_count": 0}},
+        {"geometry": {"layout": "circle"}},
+    ], ids=["hop", "theory_points", "train_duration", "test_duration", "rotation_period",
+            "rotation_state_count", "motion_kind", "mic_count", "layout"])
     def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, fields):
         path = self.write_config(tmp_path, **fields)
         out = tmp_path / "out"

@@ -256,3 +256,21 @@ class TestWriteTable:
         with pytest.raises(ValueError, match="equally long"):
             write_table(tmp_path / "bad.csv",
                         {"a": np.zeros(3), "b": np.zeros(2)})
+
+    def test_special_values_and_integer_boundary(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_table(path, {
+            "value": np.array([np.inf, -np.inf, np.nan, -0.0, 3.0, -7.0,
+                               999999999999999.0, 1e15, -1e15, 2.5e15, 1.0 / 3.0]),
+            "count": np.array([0, 1, -2, 7, 10**15 - 1, 10**15, -(10**15), 2**53 + 1,
+                               42, 5, 6], dtype=np.int64),
+        })
+        rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
+        assert [value for value, _ in rows] == [
+            "inf", "-inf", "nan", "0", "3", "-7",
+            "999999999999999", "1e+15", "-1e+15", "2.5e+15", "0.333333333333",
+        ]
+        assert [count for _, count in rows] == [
+            "0", "1", "-2", "7", "999999999999999", "1e+15", "-1e+15",
+            "9.00719925474e+15", "42", "5", "6",
+        ]

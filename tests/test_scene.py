@@ -124,6 +124,31 @@ class TestRender:
             rendered.desired[:, :, 0], rendered.mixture.frames[:, :, 0]
         )
 
+    @pytest.mark.parametrize("fft_size", [256, 32], ids=["129_bins", "17_bins"])
+    @pytest.mark.parametrize("motion", [
+        scene.MotionModel.rotation_sweep(-60.0, 60.0, period_s=0.5, state_count=6),
+        scene.MotionModel.gaussian_jitter(0.01),
+    ], ids=["rotation_sweep", "gaussian_jitter"])
+    def test_moving_noiseless_source_matches_exact_phases(self, motion, fft_size):
+        # Moving-array phases are built per bin chunk; compare with exact
+        # per-frame exponentials, for bin counts that are not a multiple of
+        # the chunk width and smaller than it.
+        cfg = StftConfig(fft_size=fft_size, hop=fft_size // 2)
+        spec = simple_spec(mic_count=6, azimuths=(70.0,), noise_level_db=None,
+                           motion=motion, spacing=0.08)
+        rendered = scene.render(spec, 2.0, cfg, FS, seed=14)
+        t_count = rendered.mixture.frames.shape[0]
+        rel = scene._frame_relative_positions(spec, t_count, FS / cfg.hop, seed=14)
+        tau = scene.propagation_delays(rel, 70.0)  # (T, M)
+        omega = rendered.mixture.bin_omega
+        assert omega.shape[0] == fft_size // 2 + 1
+        image = np.empty_like(rendered.mixture.frames)
+        for t in range(t_count):
+            phases = np.exp(1j * omega[:, None] * tau[t][None, :])  # (F, M)
+            image[t] = rendered.desired[t, :, :1] * phases
+        peak = np.abs(image).max()
+        np.testing.assert_allclose(rendered.mixture.frames, image, rtol=0, atol=1e-13 * peak)
+
     def test_zero_jitter_matches_static(self):
         static = scene.render(simple_spec(), 1.0, CFG, FS, seed=3)
         jitter = scene.render(
@@ -219,6 +244,13 @@ class TestRender:
         )
         gap = np.abs(diffs.mean(axis=0))
         assert (gap <= 3.0 * se + 1e-12).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_source_sample_rejected(self, bad):
+        signal = scene.pseudorandom_signals(1, FS, 0)[0]
+        signal[100] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            scene.Source(10.0, signal)
 
     def test_pilot_bins_assigned_per_source(self):
         spec = simple_spec(pilot=scene.Pilot(7000.0))
