@@ -156,7 +156,7 @@ def apply_bank(bank: BeamformerBank, mixture: SpectralFrameTensor,
     if x.shape[2] != bank.mic_count:
         raise ValueError("mixture channel count does not match the beamformer bank")
     if bank.mode != "dynamic":
-        return np.einsum("fnm,tfm->tfn", bank.weights[0], x)
+        return _filter(bank.weights[0], x)
     if states is None:
         raise ValueError("a dynamic bank needs a state sequence to apply")
     if states.frame_count != x.shape[0]:
@@ -167,5 +167,11 @@ def apply_bank(bank: BeamformerBank, mixture: SpectralFrameTensor,
     out = np.empty((x.shape[0], x.shape[1], bank.source_count), dtype=np.complex128)
     for state in np.unique(states.labels):
         mask = states.labels == state
-        out[mask] = np.einsum("fnm,tfm->tfn", bank.weights[int(state)], x[mask])
+        out[mask] = _filter(bank.weights[int(state)], x[mask])
     return out
+
+
+def _filter(weights, frames):
+    """Source estimates (T, F, N) of frames (T, F, M) under weights (F, N, M),
+    one batched zgemm over (F, N, M) x (F, M, T)."""
+    return (weights @ frames.transpose(1, 2, 0)).transpose(2, 0, 1)

@@ -116,8 +116,8 @@ def load_config(path=None, overrides=None):
     """Merge defaults, the optional JSON config file, and CLI overrides.
 
     Unknown keys (at any depth), unknown or repeated modes, an invalid STFT,
-    motion or geometry section and non-positive durations or theory points
-    are rejected.
+    motion or geometry section, non-finite scalars, a non-positive speed of
+    sound and non-positive durations or theory points are rejected.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -140,9 +140,17 @@ def load_config(path=None, overrides=None):
         )
     _stft_config(config)
     _geometry(config, _motion(config))
-    for key in ("train_duration_s", "test_duration_s"):
-        if not config[key] > 0:
-            raise ValueError(f"{key} must be positive, got {config[key]!r}")
+    for key in ("speed_of_sound", "train_duration_s", "test_duration_s"):
+        if not (_finite(config[key]) and config[key] > 0):
+            raise ValueError(f"{key} must be finite and positive, got {config[key]!r}")
+    if config["noise_level_db"] is not None and not _finite(config["noise_level_db"]):
+        raise ValueError(
+            f"noise_level_db must be finite or null, got {config['noise_level_db']!r}"
+        )
+    if not _finite(config["motion"]["sigma_pos_m"]):
+        raise ValueError(
+            f"motion.sigma_pos_m must be finite, got {config['motion']['sigma_pos_m']!r}"
+        )
     if not config["theory"]["points"] >= 1:
         raise ValueError(f"theory.points must be at least 1, got {config['theory']['points']!r}")
     wavs = config["sources"].get("wav_paths")
@@ -151,6 +159,12 @@ def load_config(path=None, overrides=None):
             if not Path(p).is_file():
                 raise ValueError(f"source WAV not found: {p}")
     return config
+
+
+def _finite(value):
+    """True for a finite int or float (JSON NaN and Infinity are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and np.isfinite(value)
 
 
 def _stft_config(config):

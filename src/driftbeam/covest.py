@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmath import HermitianSpectrum, gaussian_divergence, regularize
+from .covmath import HermitianSpectrum, regularize
 from .scene import RenderedScene, StateSequence
 from .stft import SpectralFrameTensor
 
@@ -186,9 +186,12 @@ def estimate_states(mixture: SpectralFrameTensor, templates: dict,
     """Classify each frame's motion state from the pilot bins.
 
     Each frame's pilot-bin outer product, averaged over +-smoothing frames
-    and diagonally loaded, is compared against every state template with the
-    Gaussian divergence; the state with the smallest total divergence wins,
-    ties going to the lower state index.
+    and diagonally loaded, is compared against every diagonally loaded state
+    template R_s: the state with the smallest total Gaussian divergence over
+    the pilot bins wins, ties going to the lower state index. The score is
+    sum_bins [tr(R_s^-1 R_t) + log det R_s], which is twice that divergence
+    plus sum_bins [M + log det R_t], a term every state shares, so no
+    snapshot R_t is decomposed.
     """
     if not templates:
         raise ValueError("state estimation requires pilot templates (pilot disabled?)")
@@ -210,8 +213,12 @@ def estimate_states(mixture: SpectralFrameTensor, templates: dict,
     smoothed = regularize((cumulative[hi] - cumulative[lo]) / (hi - lo)[:, None, None, None],
                           epsilon_rel)
 
-    scores = np.full((inst.shape[0], state_count), np.inf)
+    # tr(A B) = sum_ij A_ij B_ji: each state's trace term is one product of
+    # the flattened snapshots with its flattened, transposed inverses.
+    flat = smoothed.reshape(len(frame), -1)
+    scores = np.full((len(frame), state_count), np.inf)
     for state, template in templates.items():
         loaded = regularize(template.bins, epsilon_rel)
-        scores[:, state] = gaussian_divergence(smoothed, loaded).sum(axis=1)
+        inverse_t = np.linalg.inv(loaded).swapaxes(-1, -2).reshape(-1)
+        scores[:, state] = (flat @ inverse_t).real + np.linalg.slogdet(loaded)[1].sum()
     return StateSequence(np.argmin(scores, axis=1), state_count)

@@ -44,18 +44,26 @@ class HermitianSpectrum:
             raise ValueError(
                 f"frequencies length {freqs.shape} does not match bin count {bins.shape[0]}"
             )
+        if not np.isfinite(bins).all():
+            raise ValueError("bins contain non-finite entries")
         defect = np.abs(bins - bins.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         scale = np.abs(bins).max(axis=(1, 2))
         bad = defect > HERMITIAN_RTOL * np.maximum(scale, np.finfo(float).tiny)
         if bad.any():
             raise ValueError(f"bins not Hermitian at indices {np.flatnonzero(bad)[:8]}")
-        eigs = np.linalg.eigvalsh(bins)
         mean_eig = np.trace(bins, axis1=1, axis2=2).real / bins.shape[1]
-        bad = eigs[:, 0] < -PSD_RTOL * np.maximum(mean_eig, 0.0)
-        if bad.any():
-            raise ValueError(
-                f"bins not positive semidefinite at indices {np.flatnonzero(bad)[:8]}"
-            )
+        delta = PSD_RTOL * np.maximum(mean_eig, 0.0)
+        # A Cholesky of bins + (delta/2) I succeeds only when the smallest
+        # eigenvalue is above -delta/2, so success settles the check at a
+        # fraction of an eigvalsh; on failure eigvalsh decides and names the bins.
+        try:
+            np.linalg.cholesky(bins + 0.5 * delta[:, None, None] * np.eye(bins.shape[1]))
+        except np.linalg.LinAlgError:
+            bad = np.linalg.eigvalsh(bins)[:, 0] < -delta
+            if bad.any():
+                raise ValueError(
+                    f"bins not positive semidefinite at indices {np.flatnonzero(bad)[:8]}"
+                ) from None
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "frequencies", freqs)
 
@@ -123,7 +131,9 @@ def gaussian_divergence(r1, r2):
     as 0.5 * sum(lam - log1p(lam)) over the eigenvalues lam of the whitened
     difference R2^{-1/2} (R1 - R2) R2^{-H/2}. The log1p form stays accurate
     when r1 and r2 are nearly equal, where the trace and log-determinant
-    terms would cancel catastrophically.
+    terms would cancel catastrophically. Below lam = -0.5 the logarithm comes
+    from the eigenvalues of the whitened R1 instead, so an r1 far smaller
+    than r2 still gets a finite divergence; a singular r1 gets inf.
 
     r1 and r2 are matrices or stacks (..., M, M) that broadcast against each
     other; the result has the broadcast stack shape, and is a float for two
@@ -140,11 +150,23 @@ def gaussian_divergence(r1, r2):
             "apply regularize() before inverting"
         )
     inv_chol = np.linalg.inv(np.linalg.cholesky(r2))
-    sym = inv_chol @ (r1 - r2) @ inv_chol.conj().swapaxes(-1, -2)
-    sym = 0.5 * (sym + sym.conj().swapaxes(-1, -2))
-    lam = np.maximum(np.linalg.eigvalsh(sym), -1.0 + 1e-18)
-    div = 0.5 * np.sum(lam - np.log1p(lam), axis=-1)
+    inv_chol_h = inv_chol.conj().swapaxes(-1, -2)
+    lam = np.linalg.eigvalsh(_hermitian_part(inv_chol @ (r1 - r2) @ inv_chol_h))
+    far = lam < -0.5
+    log1p_lam = np.log1p(np.maximum(lam, -0.5))
+    if far.any():
+        # lam = mu - 1 keeps a small eigenvalue mu of the whitened r1 only to
+        # an ulp of 1 (1e-20 - 1 is -1), so take log(mu) from that matrix
+        # itself; both spectra ascend, so mu pairs with lam index by index.
+        mu = np.linalg.eigvalsh(_hermitian_part(inv_chol @ r1 @ inv_chol_h))
+        with np.errstate(divide="ignore"):  # singular r1: infinite divergence
+            log1p_lam = np.where(far, np.log(np.maximum(mu, 0.0)), log1p_lam)
+    div = 0.5 * np.sum(lam - log1p_lam, axis=-1)
     return float(div) if div.ndim == 0 else div
+
+
+def _hermitian_part(r):
+    return 0.5 * (r + r.conj().swapaxes(-1, -2))
 
 
 def perturbed_covariance(r, omega, model: PerturbationModel) -> np.ndarray:

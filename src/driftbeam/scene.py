@@ -165,13 +165,18 @@ class MotionModel:
     def __post_init__(self):
         if self.kind not in ("static", "gaussian_jitter", "rotation_sweep"):
             raise ValueError(f"unknown motion kind {self.kind!r}")
-        if self.kind == "gaussian_jitter" and self.sigma_pos < 0:
-            raise ValueError("sigma_pos must be nonnegative")
+        if self.kind == "gaussian_jitter" and not 0 <= self.sigma_pos < np.inf:
+            raise ValueError(f"sigma_pos must be finite and nonnegative, got {self.sigma_pos}")
         if self.kind == "rotation_sweep":
             if self.state_count < 2:
                 raise ValueError("rotation_sweep needs at least two states")
             if self.period_s <= 0:
                 raise ValueError("rotation_sweep needs a positive period")
+            if not self.min_deg < self.max_deg:
+                raise ValueError(
+                    f"rotation_sweep needs min_deg < max_deg, got {self.min_deg} "
+                    f"and {self.max_deg}"
+                )
 
     @staticmethod
     def static() -> "MotionModel":

@@ -298,8 +298,16 @@ class TestMain:
         {"motion": {"kind": "spin"}},
         {"geometry": {"mic_count": 0}},
         {"geometry": {"layout": "circle"}},
+        {"motion": {"kind": "gaussian_jitter", "sigma_pos_m": float("nan")}},
+        {"noise_level_db": float("nan")},
+        {"speed_of_sound": 0},
+        {"speed_of_sound": -343.0},
+        {"speed_of_sound": float("inf")},
+        {"motion": {"kind": "rotation_sweep", "min_deg": 10.0, "max_deg": 10.0}},
     ], ids=["hop", "theory_points", "train_duration", "test_duration", "rotation_period",
-            "rotation_state_count", "motion_kind", "mic_count", "layout"])
+            "rotation_state_count", "motion_kind", "mic_count", "layout", "sigma_pos_nan",
+            "noise_level_nan", "speed_of_sound_zero", "speed_of_sound_negative",
+            "speed_of_sound_inf", "rotation_empty_span"])
     def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, fields):
         path = self.write_config(tmp_path, **fields)
         out = tmp_path / "out"

@@ -211,7 +211,41 @@ def rotation_setup():
     return templates, test
 
 
+def divergence_argmin_states(mixture, templates, smoothing=covest.PILOT_SMOOTHING,
+                             epsilon_rel=covest.PILOT_EPSILON_REL):
+    """Oracle track: argmin over states of the summed Gaussian divergence of
+    each loaded, smoothed pilot snapshot from the loaded state template."""
+    bins = [int(np.argmin(np.abs(mixture.bin_omega - w)))
+            for w in next(iter(templates.values())).frequencies]
+    x = mixture.frames[:, bins, :]
+    t_count = x.shape[0]
+    scores = np.full((t_count, max(templates) + 1), np.inf)
+    snapshots = []
+    for t in range(t_count):
+        window = x[max(t - smoothing, 0):t + smoothing + 1]
+        snapshots.append(np.einsum("tbm,tbn->bmn", window, window.conj()) / len(window))
+    smoothed = covmath.regularize(np.stack(snapshots), epsilon_rel)
+    for state, template in templates.items():
+        loaded = covmath.regularize(template.bins, epsilon_rel)
+        scores[:, state] = covmath.gaussian_divergence(smoothed, loaded).sum(axis=1)
+    return np.argmin(scores, axis=1)
+
+
 class TestEstimateStates:
+    def test_track_is_the_divergence_argmin(self, rotation_setup):
+        templates, test = rotation_setup
+        est = covest.estimate_states(test.mixture, templates)
+        np.testing.assert_array_equal(est.labels,
+                                      divergence_argmin_states(test.mixture, templates))
+
+    def test_equal_templates_tie_to_the_lower_state(self, rotation_setup):
+        templates, test = rotation_setup
+        # States 4 and 5 share one template; insert the higher key first.
+        tied = {state: templates[4 if state == 5 else state] for state in reversed(range(10))}
+        est = covest.estimate_states(test.mixture, tied)
+        assert 4 in est.labels and 5 not in est.labels
+        np.testing.assert_array_equal(est.labels, divergence_argmin_states(test.mixture, tied))
+
     def test_static_scene_constant_estimate(self):
         spec = build_spec(pilot=scene.Pilot(7000.0, -10.0), noise_level_db=None,
                           duration=4.0)

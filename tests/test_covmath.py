@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_triangular
 
+from driftbeam import covmath
 from driftbeam.covmath import (
+    PSD_RTOL,
     HermitianSpectrum,
     IllConditionedError,
     PerturbationModel,
@@ -112,6 +114,20 @@ class TestGaussianDivergence:
 
     def test_plain_matrices_give_a_float(self):
         assert isinstance(gaussian_divergence(np.eye(2), 2.0 * np.eye(2)), float)
+
+    def test_tiny_r1_keeps_its_log_determinant(self):
+        # 1 + lam is 1 - 1 in float64 here, so the log must come from r1 itself.
+        m = 3
+        d = gaussian_divergence(1e-20 * np.eye(m), np.eye(m))
+        assert d == pytest.approx(0.5 * m * (1e-20 - 1.0 - np.log(1e-20)), rel=1e-14)
+        stack = np.stack([1e-20 * np.eye(m), 0.25 * np.eye(m), np.diag([4.0, 1e-20, 1.0])])
+        np.testing.assert_allclose(
+            gaussian_divergence(stack, np.eye(m)),
+            [d, 0.5 * m * (-0.75 - np.log(0.25)),
+             0.5 * (3.0 - np.log(4.0) + 1e-20 - 1.0 - np.log(1e-20))], rtol=1e-14)
+
+    def test_singular_r1_gives_infinity(self):
+        assert gaussian_divergence(np.diag([1.0, 0.0]), np.eye(2)) == np.inf
 
     def test_ill_conditioned_stack_member_rejected(self):
         stack = np.stack([np.eye(2), np.diag([1.0, 1e-14])]).astype(complex)
@@ -285,6 +301,74 @@ class TestRegularize:
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValueError, match="epsilon_rel"):
             regularize(np.eye(2), 0.0)
+
+
+@st.composite
+def spectra_with_min_eigenvalue(draw, ratio):
+    """(bins, index): a PSD stack whose bin `index` has smallest eigenvalue
+    ratio * delta, delta being that bin's PSD_RTOL * mean eigenvalue. The
+    other bins are full rank, rank one or all zero."""
+    m = draw(st.integers(2, 6))
+    count = draw(st.integers(1, 5))
+    index = draw(st.integers(0, count - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bins = np.empty((count, m, m), complex)
+    for k in range(count):
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        eigs = rng.uniform(0.1, 10.0, m) * 10.0 ** draw(st.integers(-6, 6))
+        kind = "target" if k == index else draw(st.sampled_from(["full", "rank_one", "zero"]))
+        if kind == "target":
+            # Solve lam = ratio * PSD_RTOL * (sum(others) + lam) / m for lam.
+            eigs[0] = ratio * PSD_RTOL * eigs[1:].sum() / (m - ratio * PSD_RTOL)
+        elif kind == "rank_one":
+            eigs[1:] = 0.0
+        elif kind == "zero":
+            eigs[:] = 0.0
+        r = (q * eigs) @ q.conj().T
+        bins[k] = 0.5 * (r + r.conj().T)
+    return bins, index
+
+
+class TestPsdCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.one_of(spectra_with_min_eigenvalue(-0.5),
+                          spectra_with_min_eigenvalue(-0.99),
+                          spectra_with_min_eigenvalue(0.0)))
+    def test_eigenvalues_above_minus_delta_accepted(self, case):
+        bins, _ = case
+        spec = HermitianSpectrum(bins, np.zeros(len(bins)))
+        assert spec.bins.shape == bins.shape
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=spectra_with_min_eigenvalue(-2.0))
+    def test_eigenvalue_below_minus_delta_rejected_and_named(self, case):
+        bins, index = case
+        with pytest.raises(ValueError, match=rf"semidefinite at indices \[{index}\]"):
+            HermitianSpectrum(bins, np.zeros(len(bins)))
+
+    def test_zero_and_rank_one_stacks_accepted(self):
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        rank_one = 7.0 * np.einsum("fm,fn->fmn", u, u.conj())
+        HermitianSpectrum(np.zeros((3, 5, 5), complex), np.zeros(3))
+        HermitianSpectrum(rank_one, np.zeros(4))
+        HermitianSpectrum(np.concatenate([rank_one, np.zeros((1, 5, 5))]), np.zeros(5))
+
+    def test_positive_definite_stack_needs_no_eigenvalues(self, monkeypatch):
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        rng = np.random.default_rng(4)
+        bins = np.stack([random_psd(rng, 6) for _ in range(9)])
+        monkeypatch.setattr(covmath.np.linalg, "eigvalsh", no_eigvalsh)
+        HermitianSpectrum(bins, np.zeros(9))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bins_rejected(self, bad):
+        bins = np.stack([np.eye(3, dtype=complex)] * 2)
+        bins[1, 2, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianSpectrum(bins, np.zeros(2))
 
 
 class TestTypes:

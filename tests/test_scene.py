@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftbeam import covmath, scene
 from driftbeam.stft import StftConfig
@@ -95,6 +97,17 @@ class TestStateSequence:
         with pytest.raises(ValueError, match="frame_count"):
             scene.state_sequence(scene.MotionModel.static(), 0, 31.25)
 
+    @pytest.mark.parametrize("span", [(10.0, 10.0), (20.0, -20.0), (float("nan"), 10.0)],
+                             ids=["empty", "reversed", "nan"])
+    def test_rotation_sweep_without_a_span_rejected(self, span):
+        with pytest.raises(ValueError, match="min_deg < max_deg"):
+            scene.MotionModel.rotation_sweep(*span, period_s=5.0, state_count=4)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1e-3])
+    def test_jitter_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValueError, match="sigma_pos"):
+            scene.MotionModel.gaussian_jitter(sigma)
+
 
 class TestRender:
     def test_mixture_is_sum_of_parts(self):
@@ -111,6 +124,24 @@ class TestRender:
         np.testing.assert_array_equal(a.mixture.frames, b.mixture.frames)
         c = scene.render(spec, 2.0, CFG, FS, seed=10)
         assert not np.array_equal(a.mixture.frames, c.mixture.frames)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["static", "gaussian_jitter", "rotation_sweep"]))
+    def test_same_seed_renders_identical_bytes(self, seed, kind):
+        motion = {
+            "static": scene.MotionModel.static(),
+            "gaussian_jitter": scene.MotionModel.gaussian_jitter(0.004),
+            "rotation_sweep": scene.MotionModel.rotation_sweep(-30.0, 30.0, 0.25, 3),
+        }[kind]
+        spec = simple_spec(mic_count=3, duration=0.25, motion=motion,
+                           pilot=scene.Pilot(7000.0))
+        first = scene.render(spec, 0.25, CFG, FS, seed=seed)
+        scene.render(spec, 0.25, CFG, FS, seed=seed ^ 1)  # no state carries over
+        again = scene.render(spec, 0.25, CFG, FS, seed=seed)
+        assert first.mixture.frames.tobytes() == again.mixture.frames.tobytes()
+        assert first.desired.tobytes() == again.desired.tobytes()
+        np.testing.assert_array_equal(first.truth_states.labels, again.truth_states.labels)
 
     def test_single_noiseless_source_mixture_equals_image(self):
         spec = simple_spec(azimuths=(60.0,), noise_level_db=None)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from driftbeam.stft import SpectralFrameTensor, StftConfig, analyze, synthesize
 
@@ -119,7 +121,33 @@ class TestAnalyze:
         assert tensor_energy == pytest.approx(np.sum(weight * x ** 2), rel=1e-6)
 
 
+@st.composite
+def valid_configs(draw):
+    """StftConfigs that pass the overlap-add check: a Hann product at half
+    overlap or rectangular windows without overlap, for any frame length."""
+    window = draw(st.sampled_from(["sqrt_hann", "hann", "rect"]))
+    fft_size = draw(st.integers(2, 512))
+    hop = fft_size if window == "rect" else fft_size // 2
+    try:
+        return StftConfig(fft_size=fft_size, hop=hop, window=window)
+    except ValueError:
+        assume(False)
+
+
 class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=valid_configs(), extra=st.integers(0, 600), channels=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_valid_config_reconstructs_interior(self, cfg, extra, channels, seed):
+        x = np.random.default_rng(seed).standard_normal((3 * cfg.fft_size + extra, channels))
+        tensor = analyze(x, cfg)
+        assert tensor.frame_count == (len(x) - cfg.fft_size) // cfg.hop + 1
+        y = synthesize(tensor, cfg)
+        assert y.shape == ((tensor.frame_count - 1) * cfg.hop + cfg.fft_size, channels)
+        guard = cfg.fft_size
+        np.testing.assert_allclose(y[guard:len(y) - guard], x[guard:len(y) - guard],
+                                   rtol=0, atol=1e-10 * np.abs(x).max())
+
     @pytest.mark.parametrize("window,fft_size,hop", [
         ("sqrt_hann", 1024, 512),
         ("sqrt_hann", 512, 256),
