@@ -15,18 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmath import (
-    CONDITION_LIMIT,
-    DEFAULT_EPSILON_REL,
-    HermitianSpectrum,
-    IllConditionedError,
-    regularize,
-)
+from .covmath import DEFAULT_EPSILON_REL, HermitianSpectrum, check_condition, regularize
 from .covest import CovarianceSet
 from .scene import StateSequence
 from .stft import SpectralFrameTensor
 
-MODES = ("static", "dynamic", "rank_one_static")
+MODES = ("static", "dynamic", "rank1")
 
 
 class StarvedStateError(ValueError):
@@ -85,13 +79,7 @@ def mwf_weights(source_covs, noise_cov: HermitianSpectrum, reference: int,
         total += cov.bins
     if epsilon_rel > 0:
         total = regularize(total, epsilon_rel)
-    eigs = np.linalg.eigvalsh(total)
-    bad = (eigs[:, 0] <= 0) | (eigs[:, -1] > CONDITION_LIMIT * eigs[:, 0])
-    if bad.any():
-        raise IllConditionedError(
-            f"summed covariance is ill-conditioned after loading at bins "
-            f"{np.flatnonzero(bad)[:8].tolist()}"
-        )
+    check_condition(total, "summed covariance after loading")
 
     rows = np.stack([cov.bins[:, reference, :] for cov in source_covs], axis=1)  # (F, N, M)
     return rows @ np.linalg.inv(total)
@@ -112,12 +100,7 @@ def build(covs: CovarianceSet, mode: str, reference: int = 0,
         raise ValueError(f"unknown mode {mode!r}; choose one of {MODES}")
     sources = sorted(covs.ensemble)
     if mode == "dynamic":
-        missing = [
-            (n, state)
-            for n in sources
-            for state in range(covs.state_count)
-            if (n, state) not in covs.per_state
-        ]
+        missing = covs.missing_pairs()
         if missing:
             raise StarvedStateError(
                 f"no training frames for (source, state) pairs: {missing}"

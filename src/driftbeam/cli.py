@@ -68,10 +68,6 @@ DEFAULT_CONFIG = {
     "out_dir": "out",
 }
 
-# CLI mode name -> beamform.build mode.
-MODE_NAMES = {"static": "static", "dynamic": "dynamic", "rank1": "rank_one_static"}
-
-
 class StageError(RuntimeError):
     """A pipeline stage failed; carries the stage label for diagnostics."""
 
@@ -116,8 +112,8 @@ def load_config(path=None, overrides=None):
     """Merge defaults, the optional JSON config file, and CLI overrides.
 
     Unknown keys (at any depth), unknown or repeated modes, an invalid STFT,
-    motion or geometry section, non-finite scalars, a non-positive speed of
-    sound and non-positive durations or theory points are rejected.
+    motion, geometry or pilot section, non-finite scalars, a non-positive
+    speed of sound and non-positive durations or theory points are rejected.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -132,13 +128,14 @@ def load_config(path=None, overrides=None):
         raise ValueError("a seed is required (config key 'seed' or --seed)")
     config["seed"] = int(config["seed"])
     modes = config["modes"]
-    if not (isinstance(modes, list) and set(modes) <= MODE_NAMES.keys()
+    if not (isinstance(modes, list) and set(modes) <= set(beamform.MODES)
             and len(set(modes)) == len(modes)):
         raise ValueError(
-            f"modes must be a list of distinct names from {list(MODE_NAMES)}, "
+            f"modes must be a list of distinct names from {list(beamform.MODES)}, "
             f"got {modes!r}"
         )
-    _stft_config(config)
+    scene.pilot_bins(_pilot(config), len(config["sources"]["azimuths_deg"]),
+                     _stft_config(config), config["sample_rate"])
     _geometry(config, _motion(config))
     for key in ("speed_of_sound", "train_duration_s", "test_duration_s"):
         if not (_finite(config[key]) and config[key] > 0):
@@ -351,9 +348,7 @@ def _render_training(config):
 
 
 def run_train(config):
-    """Train covariances and write the container. Pilot templates go with
-    them whenever the motion has discrete states, pilots are enabled and the
-    training run visits every (source, state) cell, whatever the modes."""
+    """Train covariances and write the container; returns (covs, path)."""
     out = _out_dir(config)
     per_state = _motion(config).kind != "gaussian_jitter"
     if "dynamic" in config["modes"] and not per_state:
@@ -363,14 +358,10 @@ def run_train(config):
         )
     renders, noise_render = _render_training(config)
     covs = covest.train(renders, noise_render, per_state=per_state)
-    templates = None
-    if per_state and renders[0].pilot_bins is not None and \
-            len(covs.frame_counts) == len(renders) * covs.state_count:
-        templates = covest.pilot_templates(renders)
     path = out / "covariances.npz"
-    containers.save_covariances(path, covs, templates)
+    containers.save_covariances(path, covs)
     write_manifest(out / "train_manifest.json", config, _input_files(config), [path])
-    return covs, templates, path
+    return covs, path
 
 
 def _test_spec(config):
@@ -384,19 +375,21 @@ def _test_render(config, spec, active_sources=None):
                         active_sources=active_sources)
 
 
-def _beamformed(config, covs, templates, rendered):
+def _beamformed(config, covs, rendered):
     """Build each configured mode's bank, pick the test scene's state track
-    when the bank is dynamic, and filter the test mixture. Yields
-    (mode, bank, estimates) per mode, mode being its CLI name; each mode's
-    work runs as stage beamform:<mode>."""
+    when the bank is dynamic (matched against the pilot templates of covs at
+    the test render's pilot bins), and filter the test mixture. Yields
+    (mode, bank, estimates) per mode; each mode's work runs as stage
+    beamform:<mode>."""
     reference = config["geometry"]["reference"]
     for mode in config["modes"]:
         with stage(f"beamform:{mode}"):
-            bank = beamform.build(covs, MODE_NAMES[mode], reference=reference)
+            bank = beamform.build(covs, mode, reference=reference)
             states = None
-            if bank.mode == "dynamic":
+            if mode == "dynamic":
                 states = rendered.truth_states if config["state_oracle"] else \
-                    covest.estimate_states(rendered.mixture, templates or {})
+                    covest.estimate_states(rendered.mixture,
+                                           covest.pilot_templates(covs, rendered.pilot_bins))
             estimates = beamform.apply_bank(bank, rendered.mixture, states)
         yield mode, bank, estimates
 
@@ -406,13 +399,13 @@ def run_pipeline(config):
     scene, and write gain/divergence CSVs, banks and manifests."""
     out = _out_dir(config)
     with stage("train"):
-        covs, templates, cov_path = run_train(config)
+        covs, cov_path = run_train(config)
     with stage("simulate"):
         rendered = _test_render(config, _test_spec(config))
 
     reference = config["geometry"]["reference"]
     outputs = [cov_path]
-    for mode, bank, estimates in _beamformed(config, covs, templates, rendered):
+    for mode, bank, estimates in _beamformed(config, covs, rendered):
         with stage(f"analyze:{mode}"):
             report = evaluate.gain(
                 estimates,
@@ -420,7 +413,7 @@ def run_pipeline(config):
                 rendered.desired,
                 rendered.mixture.bin_hz,
                 scene_id=str(config["seed"]),
-                mode=bank.mode,
+                mode=mode,
             )
             gain_path = out / f"gain_{mode}.csv"
             evaluate.write_table(gain_path, report.table())
@@ -462,11 +455,11 @@ def run_beamform(config, covariances_path=None):
     cov_path = Path(covariances_path or out / "covariances.npz")
     if not cov_path.is_file():
         raise ValueError(f"covariance container not found: {cov_path}")
-    covs, templates = containers.load_covariances(cov_path)
+    covs = containers.load_covariances(cov_path)
     rendered = _test_render(config, _test_spec(config))
     cfg = _stft_config(config)
     outputs = []
-    for mode, bank, estimates in _beamformed(config, covs, templates, rendered):
+    for mode, bank, estimates in _beamformed(config, covs, rendered):
         bank_path = out / f"bank_{mode}.npz"
         containers.save_bank(bank_path, bank)
         outputs.append(bank_path)

@@ -4,7 +4,7 @@ banks.
 Both use the numpy .npz layout (a zip of .npy arrays) written with fixed
 zip timestamps so identical content produces identical bytes.
 
-Covariance container (format version 1):
+Covariance container (format version 2):
     format_version        ()        int
     kind                  ()        "covariances"
     state_count           ()        int
@@ -15,13 +15,13 @@ Covariance container (format version 1):
     per_state_keys        (K, 2)    (source, state) rows, may be empty
     per_state             (K, F, M, M)
     frame_counts          (K,)
-    template_states       (S,)      states with pilot templates, may be empty
-    template_frequencies  (B,)      rad/s of the pilot bins
-    templates             (S, B, M, M)
 
-Bank container (format version 1):
-    format_version, kind="bank", mode, reference, frequencies,
-    weight_states (S,), weights (S, F, N, M)
+Pilot templates are not stored: covest.pilot_templates slices them from the
+per-state covariances at the test render's pilot bins.
+
+Bank container (format version 2):
+    format_version, kind="bank", mode (one of beamform.MODES), reference,
+    frequencies, weight_states (S,), weights (S, F, N, M)
 """
 
 import io
@@ -33,7 +33,7 @@ from .beamform import BeamformerBank
 from .covest import CovarianceSet
 from .covmath import HermitianSpectrum
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _write_npz(path, arrays: dict):
@@ -63,11 +63,11 @@ def _check_rows(data, *names):
         raise ValueError(f"truncated container: row counts {rows} disagree")
 
 
-def save_covariances(path, covs: CovarianceSet, templates: dict | None = None):
-    """Serialize a CovarianceSet (and optional pilot templates) to path."""
+def save_covariances(path, covs: CovarianceSet):
+    """Serialize a CovarianceSet to path."""
     sources = sorted(covs.ensemble)
     keys = sorted(covs.per_state)
-    arrays = {
+    _write_npz(path, {
         "format_version": FORMAT_VERSION,
         "kind": "covariances",
         "state_count": covs.state_count,
@@ -81,27 +81,15 @@ def save_covariances(path, covs: CovarianceSet, templates: dict | None = None):
             if keys else np.zeros((0,) + covs.noise.bins.shape, dtype=np.complex128)
         ),
         "frame_counts": np.asarray([covs.frame_counts[k] for k in keys], dtype=np.int64),
-    }
-    templates = templates or {}
-    states = sorted(templates)
-    if states:
-        arrays["template_states"] = np.asarray(states, dtype=np.int64)
-        arrays["template_frequencies"] = templates[states[0]].frequencies
-        arrays["templates"] = np.stack([templates[s].bins for s in states])
-    else:
-        arrays["template_states"] = np.zeros(0, dtype=np.int64)
-        arrays["template_frequencies"] = np.zeros(0)
-        arrays["templates"] = np.zeros((0, 0, 0, 0), dtype=np.complex128)
-    _write_npz(path, arrays)
+    })
 
 
-def load_covariances(path):
-    """Load (CovarianceSet, templates) written by save_covariances."""
+def load_covariances(path) -> CovarianceSet:
+    """Load a CovarianceSet written by save_covariances."""
     with np.load(path) as data:
         _check_header(data, "covariances")
         _check_rows(data, "ensemble_sources", "ensemble")
         _check_rows(data, "per_state_keys", "per_state", "frame_counts")
-        _check_rows(data, "template_states", "templates")
         freqs = data["frequencies"]
         ensemble = {
             int(n): HermitianSpectrum(bins, freqs)
@@ -114,18 +102,13 @@ def load_covariances(path):
         ):
             per_state[(int(n), int(state))] = HermitianSpectrum(bins, freqs)
             counts[(int(n), int(state))] = int(count)
-        covs = CovarianceSet(
+        return CovarianceSet(
             per_state=per_state,
             ensemble=ensemble,
             noise=HermitianSpectrum(data["noise"], freqs),
             frame_counts=counts,
             state_count=int(data["state_count"]),
         )
-        templates = {
-            int(state): HermitianSpectrum(bins, data["template_frequencies"])
-            for state, bins in zip(data["template_states"], data["templates"], strict=True)
-        }
-    return covs, templates
 
 
 def save_bank(path, bank: BeamformerBank):

@@ -65,6 +65,15 @@ class CovarianceSet:
     def mic_count(self) -> int:
         return self.noise.mic_count
 
+    def missing_pairs(self) -> list:
+        """The (source, state) pairs without training frames, sorted."""
+        return [
+            (n, state)
+            for n in sorted(self.ensemble)
+            for state in range(self.state_count)
+            if (n, state) not in self.per_state
+        ]
+
 
 def _outer_sums(frames, labels, group_count):
     """Per-group sums (G, F, M, M) of x[t,f] x[t,f]^H over complex frames (T, F, M)
@@ -144,39 +153,28 @@ def train(source_renders, noise_render: RenderedScene, per_state: bool = True) -
     )
 
 
-def pilot_templates(source_renders) -> dict:
+def pilot_templates(covs: CovarianceSet, pilot_bins) -> dict:
     """Per-state covariance templates at the pilot bins, one spectrum per state.
 
-    Template bin n of state theta is the sample covariance of source n's
-    training frames in state theta at that source's pilot bin, so a test
-    frame (all pilots active at once) can be matched bin by bin.
+    Template bin n of state s is source n's trained covariance in state s at
+    that source's pilot bin pilot_bins[n], so a test frame (all pilots
+    active at once) can be matched bin by bin.
     """
-    if not source_renders or any(r.pilot_bins is None for r in source_renders):
-        raise ValueError("pilot templates require training renders with pilots enabled")
-    state_count = source_renders[0].truth_states.state_count
-    omega_grid = source_renders[0].mixture.bin_omega
-    renders = sorted(source_renders, key=lambda r: r.active_sources[0])
-    bins = [r.pilot_bins[r.active_sources[0]] for r in renders]
-    omega = omega_grid[list(bins)]
-
-    grouped = [  # (S, 1, M, M) sums and (S,) counts per source
-        _outer_sums(render.mixture.frames[:, [pilot_bin], :],
-                    render.truth_states.labels, state_count)
-        for render, pilot_bin in zip(renders, bins)
-    ]
-    missing = [
-        (render.active_sources[0], state)
-        for state in range(state_count)
-        for render, (_, counts) in zip(renders, grouped)
-        if counts[state] == 0
-    ]
+    if pilot_bins is None or len(pilot_bins) != covs.source_count:
+        raise ValueError(
+            f"pilot templates need one pilot bin per source ({covs.source_count}), "
+            f"got {pilot_bins!r} (pilot disabled?)"
+        )
+    missing = covs.missing_pairs()
     if missing:
         raise ValueError(f"no training frames for (source, state) pairs: {missing}")
+    sources = sorted(covs.ensemble)
+    omega = covs.frequencies[list(pilot_bins)]
     return {
         state: HermitianSpectrum(
-            np.stack([sums[state, 0] / counts[state] for sums, counts in grouped]), omega
+            np.stack([covs.per_state[(n, state)].bins[pilot_bins[n]] for n in sources]), omega
         )
-        for state in range(state_count)
+        for state in range(covs.state_count)
     }
 
 

@@ -124,6 +124,21 @@ def _square(r, name):
     return r
 
 
+def check_condition(r, name):
+    """Raise IllConditionedError naming the bins of the stack r (..., M, M)
+    whose smallest eigenvalue is not positive or whose condition number
+    exceeds CONDITION_LIMIT. A safety check before an inversion, so it runs
+    a full eigvalsh."""
+    eigs = np.linalg.eigvalsh(r)
+    bad = (eigs[..., 0] <= 0) | (eigs[..., -1] > CONDITION_LIMIT * eigs[..., 0])
+    if bad.any():
+        raise IllConditionedError(
+            f"{name} is singular or has condition number above {CONDITION_LIMIT:.0e} "
+            f"at bins {np.flatnonzero(bad)[:8].tolist()}; apply regularize() "
+            "before inverting"
+        )
+
+
 def gaussian_divergence(r1, r2):
     """Divergence in nats between zero-mean Gaussians with covariances r1, r2.
 
@@ -143,12 +158,7 @@ def gaussian_divergence(r1, r2):
     r2 = _square(r2, "r2")
     if r1.shape[-1] != r2.shape[-1]:
         raise ValueError(f"dimension mismatch: {r1.shape} vs {r2.shape}")
-    eigs = np.linalg.eigvalsh(r2)
-    if (eigs[..., 0] <= 0).any() or (eigs[..., -1] > CONDITION_LIMIT * eigs[..., 0]).any():
-        raise IllConditionedError(
-            "covariance is singular or has condition number above 1e12; "
-            "apply regularize() before inverting"
-        )
+    check_condition(r2, "r2")
     inv_chol = np.linalg.inv(np.linalg.cholesky(r2))
     inv_chol_h = inv_chol.conj().swapaxes(-1, -2)
     lam = np.linalg.eigvalsh(_hermitian_part(inv_chol @ (r1 - r2) @ inv_chol_h))

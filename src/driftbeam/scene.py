@@ -337,18 +337,22 @@ def pseudorandom_signals(count: int, samples: int, seed: int,
     ]
 
 
-def _pilot_bins(spec: SceneSpec, cfg: StftConfig, sample_rate: float):
-    if spec.pilot is None:
+def pilot_bins(pilot: Pilot | None, source_count: int, cfg: StftConfig,
+               sample_rate: float):
+    """Pilot bin of each of source_count sources (None without a pilot);
+    rejects a frequency outside (0.8, 1) x Nyquist or bins past the last
+    usable one."""
+    if pilot is None:
         return None
     nyquist = sample_rate / 2.0
-    if not 0.8 * nyquist < spec.pilot.frequency_hz < nyquist:
+    if not 0.8 * nyquist < pilot.frequency_hz < nyquist:
         raise ValueError(
-            f"pilot frequency {spec.pilot.frequency_hz} Hz must lie in "
+            f"pilot frequency {pilot.frequency_hz} Hz must lie in "
             f"({0.8 * nyquist:.0f}, {nyquist:.0f}) Hz"
         )
     bin_width = sample_rate / cfg.fft_size
-    base = int(round(spec.pilot.frequency_hz / bin_width))
-    bins = tuple(base + 2 * n for n in range(spec.source_count))
+    base = int(round(pilot.frequency_hz / bin_width))
+    bins = tuple(base + 2 * n for n in range(source_count))
     if bins and bins[-1] >= cfg.bin_count - 1:
         raise ValueError(
             f"pilot bins {bins} run past the last usable bin {cfg.bin_count - 2}; "
@@ -398,7 +402,7 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     omega = 2.0 * np.pi * np.fft.rfftfreq(cfg.fft_size, d=1.0 / sample_rate)
 
     states = state_sequence(spec.motion, t_count, sample_rate / cfg.hop)
-    pilot_bins = _pilot_bins(spec, cfg, sample_rate)
+    pilots = pilot_bins(spec.pilot, spec.source_count, cfg, sample_rate)
 
     # Noise power reference over all configured sources, taken before pilot
     # injection so renders with different active sets share one noise level.
@@ -406,15 +410,15 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
 
     # Inject pilot tones into the reference spectra so that images, mixture
     # and desired signals all carry them consistently.
-    if pilot_bins is not None:
+    if pilots is not None:
         frame_advance = np.arange(t_count)[:, None] * cfg.hop
         for n in active:
             power = np.mean(np.sum(np.abs(spectra[n]) ** 2, axis=1))
             amp = np.sqrt(power * 10.0 ** (spec.pilot.level_db / 10.0))
-            digital = 2.0 * np.pi * pilot_bins[n] / cfg.fft_size
+            digital = 2.0 * np.pi * pilots[n] / cfg.fft_size
             tone = amp * np.exp(1j * digital * frame_advance[:, 0])
             spectra[n] = spectra[n].copy()
-            spectra[n][:, pilot_bins[n]] += tone
+            spectra[n][:, pilots[n]] += tone
 
     frame_rel = _frame_relative_positions(
         spec, t_count, sample_rate / cfg.hop, seed
@@ -441,7 +445,7 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
         truth_states=states,
         desired=desired,
         active_sources=active,
-        pilot_bins=pilot_bins,
+        pilot_bins=pilots,
     )
 
 

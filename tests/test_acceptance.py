@@ -65,10 +65,9 @@ def train_scene(spec, duration=20.0, seed=100, per_state=True):
 def rotation_experiment():
     motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=20.0, state_count=10)
     spec = five_source_spec(motion, pilot=scene.Pilot(7000.0, -20.0))
-    renders, covs = train_scene(spec)
-    templates = covest.pilot_templates(renders)
+    _, covs = train_scene(spec)
     test = scene.render(spec, 20.0, CFG, FS, seed=777)
-    return covs, templates, test
+    return covs, covest.pilot_templates(covs, test.pilot_bins), test
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +268,7 @@ def test_c08_full_rank_beats_rank_one(jitter_experiment):
     start = time.time()
     covs, test = jitter_experiment
     full = gain_of(beamform.build(covs, "static"), test)
-    rank_one = gain_of(beamform.build(covs, "rank_one_static"), test)
+    rank_one = gain_of(beamform.build(covs, "rank1"), test)
     for lo, hi in OCTAVE_BANDS:
         assert full.band_mean(lo, hi) > rank_one.band_mean(lo, hi), (lo, hi)
     assert full.band_mean(0.0, FS) > rank_one.band_mean(0.0, FS)

@@ -110,7 +110,7 @@ class TestBuild:
         covs = covest.CovarianceSet(per_state={}, ensemble={0: source}, noise=noise,
                                     frame_counts={}, state_count=1)
         static = build(covs, "static")
-        rank_one = build(covs, "rank_one_static")
+        rank_one = build(covs, "rank1")
         np.testing.assert_allclose(rank_one.weights[0], static.weights[0], atol=1e-9)
 
     def test_ten_state_dynamic_bank_structure(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from driftbeam import cli, containers
+from driftbeam import cli
 
 
 def tiny_config(out_dir, **overrides):
@@ -304,10 +304,15 @@ class TestMain:
         {"speed_of_sound": -343.0},
         {"speed_of_sound": float("inf")},
         {"motion": {"kind": "rotation_sweep", "min_deg": 10.0, "max_deg": 10.0}},
+        {"pilot": {"frequency_hz": 3000}},
+        # Bins 511, 513, ..., 519 of five sources run past the last usable bin 511.
+        {"pilot": {"frequency_hz": 7990}, "stft": {"fft_size": 1024, "hop": 512},
+         "sources": {"azimuths_deg": [0.0, 45.0, 90.0, 135.0, 180.0]}},
     ], ids=["hop", "theory_points", "train_duration", "test_duration", "rotation_period",
             "rotation_state_count", "motion_kind", "mic_count", "layout", "sigma_pos_nan",
             "noise_level_nan", "speed_of_sound_zero", "speed_of_sound_negative",
-            "speed_of_sound_inf", "rotation_empty_span"])
+            "speed_of_sound_inf", "rotation_empty_span", "pilot_below_band",
+            "pilot_bins_past_nyquist"])
     def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, fields):
         path = self.write_config(tmp_path, **fields)
         out = tmp_path / "out"
@@ -346,11 +351,14 @@ class TestMain:
                          "--mode", "dynamic", "beamform"]) == 0
         assert (tmp_path / "out" / "enhanced_dynamic_00.wav").is_file()
 
-    def test_training_missing_a_state_writes_no_templates(self, tmp_path):
-        # One second of a 20 s sweep reaches only the first states.
+    def test_training_missing_a_state_fails_dynamic_beamform(self, tmp_path, capsys):
+        # One second of a 20 s sweep reaches only the first state.
         path = self.write_config(tmp_path, motion={**self.ROTATION, "period_s": 20.0})
-        out = tmp_path / "out"
-        assert cli.main(["--config", str(path), "--out", str(out), "train"]) == 0
-        covs, templates = containers.load_covariances(out / "covariances.npz")
-        assert len(covs.frame_counts) < covs.source_count * covs.state_count
-        assert templates == {}
+        out = str(tmp_path / "out")
+        assert cli.main(["--config", str(path), "--out", out, "train"]) == 0
+        code = cli.main(["--config", str(path), "--out", out, "--mode", "dynamic", "beamform"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[beamform:dynamic]" in err
+        assert ("no training frames for (source, state) pairs: "
+                "[(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]") in err

@@ -30,16 +30,14 @@ def trained():
         for n in range(2)
     ]
     noise = scene.render(spec, 2.0, CFG, FS, seed=20, active_sources=[])
-    covs = covest.train(renders, noise)
-    templates = covest.pilot_templates(renders)
-    return covs, templates
+    return covest.train(renders, noise), renders[0].pilot_bins
 
 
 def test_covariance_round_trip(trained, tmp_path):
-    covs, templates = trained
+    covs, pilot_bins = trained
     path = tmp_path / "covs.npz"
-    containers.save_covariances(path, covs, templates)
-    loaded, loaded_templates = containers.load_covariances(path)
+    containers.save_covariances(path, covs)
+    loaded = containers.load_covariances(path)
     assert loaded.state_count == covs.state_count
     assert sorted(loaded.ensemble) == sorted(covs.ensemble)
     for n in covs.ensemble:
@@ -48,19 +46,15 @@ def test_covariance_round_trip(trained, tmp_path):
         np.testing.assert_array_equal(loaded.per_state[key].bins, covs.per_state[key].bins)
         assert loaded.frame_counts[key] == covs.frame_counts[key]
     np.testing.assert_array_equal(loaded.noise.bins, covs.noise.bins)
+    templates = covest.pilot_templates(covs, pilot_bins)
+    loaded_templates = covest.pilot_templates(loaded, pilot_bins)
     assert sorted(loaded_templates) == sorted(templates)
     for state in templates:
         np.testing.assert_array_equal(
             loaded_templates[state].bins, templates[state].bins
         )
-
-
-def test_covariance_container_without_templates(trained, tmp_path):
-    covs, _ = trained
-    path = tmp_path / "covs.npz"
-    containers.save_covariances(path, covs)
-    _, templates = containers.load_covariances(path)
-    assert templates == {}
+    with zipfile.ZipFile(path) as zf:
+        assert not any(name.startswith("template") for name in zf.namelist())
 
 
 def test_bank_round_trip(trained, tmp_path):
@@ -77,10 +71,10 @@ def test_bank_round_trip(trained, tmp_path):
 
 
 def test_containers_are_byte_stable(trained, tmp_path):
-    covs, templates = trained
+    covs, _ = trained
     a, b = tmp_path / "a.npz", tmp_path / "b.npz"
-    containers.save_covariances(a, covs, templates)
-    containers.save_covariances(b, covs, templates)
+    containers.save_covariances(a, covs)
+    containers.save_covariances(b, covs)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -92,25 +86,39 @@ def test_kind_mismatch_rejected(trained, tmp_path):
         containers.load_bank(path)
 
 
-def truncate_entry(src, dst, name):
-    """Copy a container with array `name` cut one row short."""
+def rewrite_entry(src, dst, name, edit):
+    """Copy a container with array `name` replaced by edit(array)."""
     with np.load(src) as data:
         arrays = {key: data[key] for key in data.files}
-    arrays[name] = arrays[name][:-1]
+    arrays[name] = edit(arrays[name])
     with zipfile.ZipFile(dst, "w") as zf:
         for key, value in arrays.items():
             with zf.open(key + ".npy", "w") as fh:
                 np.lib.format.write_array(fh, value)
 
 
-@pytest.mark.parametrize("name", ["per_state", "templates"])
+def truncate_entry(src, dst, name):
+    """Copy a container with array `name` cut one row short."""
+    rewrite_entry(src, dst, name, lambda value: value[:-1])
+
+
+@pytest.mark.parametrize("name", ["per_state"])
 def test_truncated_covariance_container_rejected(trained, tmp_path, name):
-    covs, templates = trained
+    covs, _ = trained
     path, cut = tmp_path / "covs.npz", tmp_path / "cut.npz"
-    containers.save_covariances(path, covs, templates)
+    containers.save_covariances(path, covs)
     truncate_entry(path, cut, name)
     with pytest.raises(ValueError, match=f"truncated container.*{name}"):
         containers.load_covariances(cut)
+
+
+def test_version_1_covariance_container_rejected(trained, tmp_path):
+    covs, _ = trained
+    path, old = tmp_path / "covs.npz", tmp_path / "old.npz"
+    containers.save_covariances(path, covs)
+    rewrite_entry(path, old, "format_version", lambda value: np.asarray(1))
+    with pytest.raises(ValueError, match="unsupported container version 1"):
+        containers.load_covariances(old)
 
 
 def test_truncated_bank_rejected(trained, tmp_path):

@@ -194,6 +194,65 @@ class TestTrain:
             )
 
 
+def render_pass_templates(source_renders):
+    """Oracle templates from a second pass over the training renders: the
+    sample covariance of source n's frames in each state at its pilot bin."""
+    state_count = source_renders[0].truth_states.state_count
+    renders = sorted(source_renders, key=lambda r: r.active_sources[0])
+    bins = [r.pilot_bins[r.active_sources[0]] for r in renders]
+    omega = renders[0].mixture.bin_omega[bins]
+    grouped = [
+        covest._outer_sums(render.mixture.frames[:, [pilot_bin], :],
+                           render.truth_states.labels, state_count)
+        for render, pilot_bin in zip(renders, bins)
+    ]
+    return {
+        state: covmath.HermitianSpectrum(
+            np.stack([sums[state, 0] / counts[state] for sums, counts in grouped]), omega
+        )
+        for state in range(state_count)
+    }
+
+
+class TestPilotTemplates:
+    @pytest.mark.parametrize("motion", [
+        scene.MotionModel.static(),
+        scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=3.0, state_count=5),
+    ], ids=["static", "rotation"])
+    def test_equal_to_render_pass_bit_for_bit(self, motion):
+        spec = build_spec(motion=motion, duration=3.0, pilot=scene.Pilot(7000.0, -10.0))
+        renders, noise = training_renders(spec, 3.0)
+        templates = covest.pilot_templates(covest.train(renders, noise), renders[0].pilot_bins)
+        expected = render_pass_templates(renders)
+        assert sorted(templates) == sorted(expected)
+        for state, template in expected.items():
+            np.testing.assert_array_equal(templates[state].bins, template.bins)
+            np.testing.assert_array_equal(templates[state].frequencies, template.frequencies)
+
+    @staticmethod
+    def two_source_covs(per_state_keys):
+        freq = np.arange(4.0)
+        unit = covmath.HermitianSpectrum(np.stack([np.eye(2, dtype=complex)] * 4), freq)
+        return covest.CovarianceSet(
+            per_state={key: unit for key in per_state_keys},
+            ensemble={0: unit, 1: unit},
+            noise=unit,
+            frame_counts={key: 3 for key in per_state_keys},
+            state_count=2,
+        )
+
+    def test_wrong_pilot_bin_count_rejected(self):
+        covs = self.two_source_covs([(n, s) for n in range(2) for s in range(2)])
+        with pytest.raises(ValueError, match="one pilot bin per source"):
+            covest.pilot_templates(covs, (1,))
+
+    def test_missing_cell_rejected(self):
+        covs = self.two_source_covs([(0, 0), (0, 1), (1, 0)])
+        with pytest.raises(ValueError, match=r"no training frames for \(source, state\) "
+                                             r"pairs: \[\(1, 1\)\]"):
+            covest.pilot_templates(covs, (1, 3))
+
+
 @pytest.fixture(scope="module")
 def rotation_setup():
     motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=20.0,
@@ -206,8 +265,9 @@ def rotation_setup():
         scene.render(spec, 20.0, cfg, FS, seed=400 + n, active_sources=[n])
         for n in range(2)
     ]
-    templates = covest.pilot_templates(renders)
+    noise = scene.render(spec, 20.0, cfg, FS, seed=402, active_sources=[])
     test = scene.render(spec, 20.0, cfg, FS, seed=444)
+    templates = covest.pilot_templates(covest.train(renders, noise), test.pilot_bins)
     return templates, test
 
 
@@ -249,9 +309,9 @@ class TestEstimateStates:
     def test_static_scene_constant_estimate(self):
         spec = build_spec(pilot=scene.Pilot(7000.0, -10.0), noise_level_db=None,
                           duration=4.0)
-        renders, _ = training_renders(spec, 4.0)
-        templates = covest.pilot_templates(renders)
+        renders, noise = training_renders(spec, 4.0)
         test = scene.render(spec, 4.0, CFG, FS, seed=7)
+        templates = covest.pilot_templates(covest.train(renders, noise), test.pilot_bins)
         est = covest.estimate_states(test.mixture, templates)
         assert est.state_count == 1
         assert not est.labels.any()
@@ -270,6 +330,6 @@ class TestEstimateStates:
 
     def test_templates_require_pilots(self):
         spec = build_spec(pilot=None)
-        renders, _ = training_renders(spec, 1.0)
+        renders, noise = training_renders(spec, 1.0)
         with pytest.raises(ValueError, match="pilot"):
-            covest.pilot_templates(renders)
+            covest.pilot_templates(covest.train(renders, noise), renders[0].pilot_bins)
