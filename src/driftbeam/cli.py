@@ -64,7 +64,6 @@ DEFAULT_CONFIG = {
     "modes": ["static"],
     "state_oracle": False,
     "theory": {"sigmas_s": [1e-5, 2e-5, 5e-5], "points": 128},
-    "threads": 1,  # accepted so older configs still load; has no effect
     "out_dir": "out",
 }
 
@@ -350,14 +349,8 @@ def _render_training(config):
 def run_train(config):
     """Train covariances and write the container; returns (covs, path)."""
     out = _out_dir(config)
-    per_state = _motion(config).kind != "gaussian_jitter"
-    if "dynamic" in config["modes"] and not per_state:
-        raise ValueError(
-            "dynamic beamforming needs discrete motion states; gaussian_jitter "
-            "scenes support only the static modes"
-        )
     renders, noise_render = _render_training(config)
-    covs = covest.train(renders, noise_render, per_state=per_state)
+    covs = covest.train(renders, noise_render)
     path = out / "covariances.npz"
     containers.save_covariances(path, covs)
     write_manifest(out / "train_manifest.json", config, _input_files(config), [path])
@@ -412,8 +405,6 @@ def run_pipeline(config):
                 rendered.mixture.frames[:, :, reference],
                 rendered.desired,
                 rendered.mixture.bin_hz,
-                scene_id=str(config["seed"]),
-                mode=mode,
             )
             gain_path = out / f"gain_{mode}.csv"
             evaluate.write_table(gain_path, report.table())
@@ -433,13 +424,13 @@ def run_pipeline(config):
 
 def _divergence_table(covs):
     """Default separability curves: between-source ensemble divergence, and
-    when per-state statistics exist, the same pairs within the middle state
-    plus the extreme-state divergence of source 0."""
+    when the scene has more than one state, the same pairs within the middle
+    state plus the extreme-state divergence of source 0."""
     n = covs.source_count
     named = {}
     if n >= 2:
         named["div_between_source_ensemble"] = evaluate.outer_vs_central_pairs(n)
-    if covs.per_state and n >= 2:
+    if covs.state_count > 1 and n >= 2:
         mid = covs.state_count // 2
         named["div_between_source_state"] = evaluate.outer_vs_central_pairs(n, state=mid)
         named["div_between_state"] = [((0, 0), (0, covs.state_count - 1))]
@@ -532,8 +523,6 @@ def _parser():
         "--mode", type=str, default=None,
         help="comma-separated beamformer modes: static,dynamic,rank1",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for older scripts; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="render the test scene to WAV files")
     sub.add_parser("train", help="estimate covariances from training renders")
@@ -554,8 +543,6 @@ def _overrides(args):
         overrides["out_dir"] = args.out
     if args.mode is not None:
         overrides["modes"] = args.mode.split(",")
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     return overrides
 
 

@@ -28,8 +28,9 @@ class CovarianceSet:
     per_state maps (source, state) to the covariance spectrum conditioned on
     that state; ensemble maps source to the state-averaged spectrum; noise is
     estimated from a source-free render. frame_counts records how many
-    training frames entered each (source, state) cell. per_state may be empty
-    when only static beamforming is needed (continuous-state motion).
+    training frames entered each (source, state) cell; a state without
+    training frames has no cell. In a one-state scene (static or jitter)
+    each source's state-0 cell equals its ensemble.
     """
 
     per_state: dict
@@ -103,14 +104,12 @@ def sample_covariance(frames, frequencies) -> HermitianSpectrum:
     return HermitianSpectrum(sums[0] / counts[0], frequencies)
 
 
-def train(source_renders, noise_render: RenderedScene, per_state: bool = True) -> CovarianceSet:
+def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
     """Estimate per-state, ensemble and noise covariances from training renders.
 
     source_renders: one RenderedScene per source, each with exactly that
-    source active. noise_render: a render with no active sources. Set
-    per_state=False for continuous-state motion (per-frame jitter), where
-    materializing one covariance per frame would be useless and enormous;
-    every frame then falls in one group.
+    source active; its frames are grouped by its own truth_states labels.
+    noise_render: a render with no active sources.
     """
     if not source_renders:
         raise ValueError("at least one source render is required")
@@ -127,7 +126,6 @@ def train(source_renders, noise_render: RenderedScene, per_state: bool = True) -
         raise ValueError(f"source renders must cover sources 0..N-1, got {indices}")
 
     state_count = source_renders[0].truth_states.state_count
-    group_count = state_count if per_state else 1
     omega = source_renders[0].mixture.bin_omega
     per_state_covs = {}
     ensembles = {}
@@ -136,13 +134,12 @@ def train(source_renders, noise_render: RenderedScene, per_state: bool = True) -
         n = render.active_sources[0]
         if render.truth_states.state_count != state_count:
             raise ValueError("training renders disagree on the number of states")
-        labels = np.where(per_state, render.truth_states.labels, 0)
-        sums, sizes = _outer_sums(render.mixture.frames, labels, group_count)
+        sums, sizes = _outer_sums(render.mixture.frames, render.truth_states.labels,
+                                  state_count)
         ensembles[n] = HermitianSpectrum(sums.sum(axis=0) / sizes.sum(), omega)
-        if per_state:
-            for state in np.flatnonzero(sizes).tolist():
-                counts[(n, state)] = int(sizes[state])
-                per_state_covs[(n, state)] = HermitianSpectrum(sums[state] / sizes[state], omega)
+        for state in np.flatnonzero(sizes).tolist():
+            counts[(n, state)] = int(sizes[state])
+            per_state_covs[(n, state)] = HermitianSpectrum(sums[state] / sizes[state], omega)
     noise = sample_covariance(noise_render.mixture.frames, omega)
     return CovarianceSet(
         per_state=per_state_covs,

@@ -41,8 +41,6 @@ class GainReport:
     numerators: np.ndarray
     denominators: np.ndarray
     flagged: np.ndarray
-    scene_id: str = ""
-    mode: str = ""
 
     def band_mean(self, lo_hz: float, hi_hz: float) -> float:
         """Mean gain over unflagged bins with lo_hz <= f < hi_hz."""
@@ -64,8 +62,7 @@ class GainReport:
         }
 
 
-def gain(outputs, mixture_ref, desired, frequencies_hz, scene_id: str = "",
-         mode: str = "") -> GainReport:
+def gain(outputs, mixture_ref, desired, frequencies_hz) -> GainReport:
     """Per-bin squared-error improvement of beamformer outputs over the
     reference channel.
 
@@ -95,8 +92,6 @@ def gain(outputs, mixture_ref, desired, frequencies_hz, scene_id: str = "",
         numerators=num,
         denominators=den,
         flagged=flagged,
-        scene_id=scene_id,
-        mode=mode,
     )
 
 

@@ -144,8 +144,8 @@ class MotionModel:
     kinds:
         static          -- one state, no movement
         gaussian_jitter -- every frame redraws i.i.d. position offsets of
-                           std sigma_pos per axis; the state set is
-                           effectively continuous (one label per frame)
+                           std sigma_pos per axis; one state, whose
+                           covariance absorbs the motion
         rotation_sweep  -- continuous triangle sweep of the array angle
                            between min_deg and max_deg with the given
                            period; the discrete states are the quantization
@@ -211,6 +211,11 @@ class Pilot:
 
     frequency_hz: float
     level_db: float = -20.0
+
+    def __post_init__(self):
+        for name in ("frequency_hz", "level_db"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"pilot {name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -308,14 +313,12 @@ def state_sequence(motion: MotionModel, frame_count: int, frame_rate: float) -> 
     """Assign one motion state to each of frame_count frames.
 
     rotation_sweep quantizes the continuous triangle-wave angle to the
-    nearest sweep angle; gaussian_jitter treats every frame as a fresh state.
+    nearest sweep angle; static and gaussian_jitter scenes stay in state 0.
     """
     if frame_count < 1:
         raise ValueError("frame_count must be at least 1")
-    if motion.kind == "static":
+    if motion.kind != "rotation_sweep":
         return StateSequence(np.zeros(frame_count, dtype=np.int64), 1)
-    if motion.kind == "gaussian_jitter":
-        return StateSequence(np.arange(frame_count, dtype=np.int64), frame_count)
     angles = _sweep_angle_series(motion, frame_count, frame_rate)
     span = motion.max_deg - motion.min_deg
     labels = np.rint((angles - motion.min_deg) / span * (motion.state_count - 1))

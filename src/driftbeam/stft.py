@@ -113,9 +113,6 @@ class SpectralFrameTensor:
         """Bin center frequencies in rad/s."""
         return 2.0 * np.pi * self.bin_hz
 
-    def channel(self, m) -> np.ndarray:
-        return self.frames[:, :, m]
-
 
 def analyze(signal, cfg: StftConfig, sample_rate: float = DEFAULT_SAMPLE_RATE) -> SpectralFrameTensor:
     """Windowed one-sided STFT of a real signal, shape (samples,) or (samples, M).

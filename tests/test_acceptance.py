@@ -51,14 +51,14 @@ def five_source_spec(motion, spacing=0.05, noise_level_db=-30.0, pilot=None,
     )
 
 
-def train_scene(spec, duration=20.0, seed=100, per_state=True):
+def train_scene(spec, duration=20.0, seed=100):
     count = spec.source_count
     renders = [
         scene.render(spec, duration, CFG, FS, seed=seed + n, active_sources=[n])
         for n in range(count)
     ]
     noise = scene.render(spec, duration, CFG, FS, seed=seed + count, active_sources=[])
-    return renders, covest.train(renders, noise, per_state=per_state)
+    return renders, covest.train(renders, noise)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ def rotation_experiment():
 def jitter_experiment():
     motion = scene.MotionModel.gaussian_jitter(0.005)
     spec = five_source_spec(motion, seed=11)
-    _, covs = train_scene(spec, seed=200, per_state=False)
+    _, covs = train_scene(spec, seed=200)
     test = scene.render(spec, 20.0, CFG, FS, seed=888)
     return covs, test
 
@@ -330,7 +330,7 @@ def test_c09_monotonicity():
             for n in range(2)
         ]
         noise = scene.render(spec, duration, cfg, FS, seed=309, active_sources=[])
-        covs = covest.train(renders, noise, per_state=False)
+        covs = covest.train(renders, noise)
         table = evaluate.divergence_curve(covs, {"d": [((0, None), (1, None))]},
                                           epsilon_rel=1e-4)
         curves[sigma_mm] = (np.asarray(table["frequency_hz"]), table["d"])
@@ -387,11 +387,10 @@ def test_c10_small_instance_brute_force():
 
 
 def test_c11_determinism(tmp_path):
-    # Same seed, two runs, thread counts 1 and 4: WAV and CSV artifacts are
-    # byte-identical.
+    # Same seed, two runs: WAV and CSV artifacts are byte-identical.
     start = time.time()
 
-    def run(tag, threads):
+    def run(tag):
         out = tmp_path / tag
         config = cli.load_config(None, {
             "seed": 13,
@@ -402,7 +401,6 @@ def test_c11_determinism(tmp_path):
             "train_duration_s": 2.0,
             "test_duration_s": 2.0,
             "modes": ["static"],
-            "threads": threads,
         })
         cli.run_simulate(config)
         cli.run_pipeline(config)
@@ -411,16 +409,14 @@ def test_c11_determinism(tmp_path):
         )
         return {p.name: p.read_bytes() for p in artifacts}
 
-    first = run("a", 1)
-    second = run("b", 1)
-    threaded = run("c", 4)
-    assert first.keys() == second.keys() == threaded.keys()
+    first = run("a")
+    second = run("b")
+    assert first.keys() == second.keys()
     assert len([k for k in first if k.endswith(".wav")]) >= 3
     assert len([k for k in first if k.endswith(".csv")]) >= 3
     for name in first:
         assert first[name] == second[name], name
-        assert first[name] == threaded[name], name
     elapsed = time.time() - start
     assert elapsed < 300.0
     report("criterion 11 (determinism)", elapsed,
-           f"{len(first)} artifacts byte-identical across runs and threads")
+           f"{len(first)} artifacts byte-identical across runs")

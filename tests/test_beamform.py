@@ -66,7 +66,7 @@ class TestMwfWeights:
 
 
 def trained_covs(motion=None, duration=4.0, mic_count=4, azimuths=(30.0, 120.0),
-                 per_state=True, seed=50):
+                 seed=50):
     motion = motion or scene.MotionModel.static()
     samples = int(duration * FS)
     signals = scene.pseudorandom_signals(len(azimuths), samples, seed)
@@ -87,14 +87,18 @@ def trained_covs(motion=None, duration=4.0, mic_count=4, azimuths=(30.0, 120.0),
         for n in range(len(azimuths))
     ]
     noise = scene.render(spec, duration, CFG, FS, seed=seed + 9, active_sources=[])
-    return covest.train(renders, noise, per_state=per_state), spec
+    return covest.train(renders, noise), spec
 
 
 class TestBuild:
-    def test_single_state_static_equals_dynamic(self):
-        covs, _ = trained_covs()
+    @pytest.mark.parametrize("motion", [
+        scene.MotionModel.static(), scene.MotionModel.gaussian_jitter(0.005),
+    ], ids=["static", "gaussian_jitter"])
+    def test_single_state_static_equals_dynamic(self, motion):
+        covs, _ = trained_covs(motion=motion)
         static = build(covs, "static")
         dynamic = build(covs, "dynamic")
+        assert sorted(dynamic.weights) == [0]
         np.testing.assert_allclose(static.weights[0], dynamic.weights[0], atol=1e-12)
 
     def test_rank_one_on_truly_rank_one_ensemble_matches_static(self):

@@ -169,14 +169,22 @@ class TestPipeline:
         assert "div_between_source_ensemble" in table
         assert "div_between_state" in table
 
-    def test_dynamic_on_jitter_rejected(self, tmp_path):
+    def test_jitter_dynamic_gain_equals_static(self, tmp_path):
+        # Jitter is a one-state scene: its dynamic bank is the static one.
         config = tiny_config(
             tmp_path / "out",
             motion={"kind": "gaussian_jitter", "sigma_pos_m": 0.005},
-            modes=["dynamic"],
+            modes=["static", "dynamic"],
         )
-        with pytest.raises(cli.StageError, match="train"):
-            cli.run_pipeline(config)
+        cli.run_pipeline(config)
+        out = tmp_path / "out"
+        assert (out / "gain_dynamic.csv").read_bytes() == (out / "gain_static.csv").read_bytes()
+
+    def test_single_state_divergence_has_ensemble_column_only(self, tmp_path):
+        config = tiny_config(tmp_path / "out")
+        cli.run_pipeline(config)
+        header = (tmp_path / "out" / "divergence.csv").read_text().split("\n")[0]
+        assert header == "frequency_hz,div_between_source_ensemble"
 
     def test_manifest_lists_all_outputs(self, tmp_path):
         config = tiny_config(tmp_path / "out")
@@ -247,24 +255,16 @@ class TestMain:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
-    def test_stage_label_in_errors(self, tmp_path, capsys):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({
-            "seed": 1,
-            "stft": {"fft_size": 256, "hop": 128},
-            "geometry": {"mic_count": 3, "spacing": 0.04},
-            "sources": {"azimuths_deg": [20.0, 100.0]},
-            "motion": {"kind": "gaussian_jitter", "sigma_pos_m": 0.002},
-            "modes": ["dynamic"],
-            "test_duration_s": 1.0,
-            "train_duration_s": 1.0,
-        }))
-        code = cli.main([
-            "--config", str(config_path), "--out", str(tmp_path / "out"), "analyze",
-        ])
+    def test_stage_label_in_errors(self, tmp_path, capsys, monkeypatch):
+        def fail(source_renders, noise_render):
+            raise ValueError("training failed")
+
+        monkeypatch.setattr(cli.covest, "train", fail)
+        path = self.write_config(tmp_path)
+        code = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "analyze"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "[train]" in err
+        assert "[train] training failed" in err
 
     def write_config(self, tmp_path, **fields):
         path = tmp_path / "config.json"
@@ -305,6 +305,7 @@ class TestMain:
         {"speed_of_sound": float("inf")},
         {"motion": {"kind": "rotation_sweep", "min_deg": 10.0, "max_deg": 10.0}},
         {"pilot": {"frequency_hz": 3000}},
+        {"pilot": {"level_db": float("nan")}},
         # Bins 511, 513, ..., 519 of five sources run past the last usable bin 511.
         {"pilot": {"frequency_hz": 7990}, "stft": {"fft_size": 1024, "hop": 512},
          "sources": {"azimuths_deg": [0.0, 45.0, 90.0, 135.0, 180.0]}},
@@ -312,7 +313,7 @@ class TestMain:
             "rotation_state_count", "motion_kind", "mic_count", "layout", "sigma_pos_nan",
             "noise_level_nan", "speed_of_sound_zero", "speed_of_sound_negative",
             "speed_of_sound_inf", "rotation_empty_span", "pilot_below_band",
-            "pilot_bins_past_nyquist"])
+            "pilot_level_nan", "pilot_bins_past_nyquist"])
     def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, fields):
         path = self.write_config(tmp_path, **fields)
         out = tmp_path / "out"
@@ -350,6 +351,22 @@ class TestMain:
         assert cli.main(["--config", str(path), "--out", out,
                          "--mode", "dynamic", "beamform"]) == 0
         assert (tmp_path / "out" / "enhanced_dynamic_00.wav").is_file()
+
+    def test_jitter_training_serves_dynamic_beamform(self, tmp_path):
+        path = self.write_config(tmp_path,
+                                 motion={"kind": "gaussian_jitter", "sigma_pos_m": 0.005})
+        out = str(tmp_path / "out")
+        assert cli.main(["--config", str(path), "--out", out, "train"]) == 0
+        assert cli.main(["--config", str(path), "--out", out,
+                         "--mode", "dynamic", "beamform"]) == 0
+        assert (tmp_path / "out" / "enhanced_dynamic_00.wav").is_file()
+
+    def test_threads_key_rejected(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, threads=2)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "analyze"]) == 1
+        assert "[config] unknown config keys ['threads']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_training_missing_a_state_fails_dynamic_beamform(self, tmp_path, capsys):
         # One second of a 20 s sweep reaches only the first state.

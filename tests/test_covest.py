@@ -157,13 +157,16 @@ class TestTrain:
             )
             assert d < 0.1
 
-    def test_per_state_false_skips_materialization(self):
+    def test_jitter_state_cell_is_the_ensemble(self):
         motion = scene.MotionModel.gaussian_jitter(0.004)
         spec = build_spec(motion=motion)
         renders, noise = training_renders(spec, 2.0)
-        covs = covest.train(renders, noise, per_state=False)
-        assert covs.per_state == {}
-        assert set(covs.ensemble) == {0, 1}
+        covs = covest.train(renders, noise)
+        assert covs.state_count == 1
+        assert set(covs.per_state) == {(0, 0), (1, 0)}
+        for n in range(2):
+            np.testing.assert_array_equal(covs.per_state[(n, 0)].bins, covs.ensemble[n].bins)
+            assert covs.frame_counts[(n, 0)] == renders[n].mixture.frame_count
 
     def test_multi_source_render_rejected(self):
         spec = build_spec()

@@ -87,11 +87,11 @@ class TestStateSequence:
         top = np.flatnonzero(seq.labels == 4)
         assert 0 < top.min() < top.max() < 319
 
-    def test_jitter_fresh_state_per_frame(self):
+    def test_jitter_is_one_state(self):
         motion = scene.MotionModel.gaussian_jitter(0.002)
         seq = scene.state_sequence(motion, 40, 31.25)
-        assert seq.state_count == 40
-        np.testing.assert_array_equal(seq.labels, np.arange(40))
+        assert seq.state_count == 1
+        np.testing.assert_array_equal(seq.labels, np.zeros(40))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="frame_count"):
