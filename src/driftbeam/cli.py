@@ -327,7 +327,8 @@ def _input_files(config):
 
 
 def _render_training(config):
-    """Isolated-source renders plus a source-free render for the noise."""
+    """Isolated-source renders, as a generator that draws each one when asked,
+    plus a source-free render for the noise."""
     cfg = _stft_config(config)
     rate = config["sample_rate"]
     duration = config["train_duration_s"]
@@ -335,11 +336,11 @@ def _render_training(config):
     count = len(config["sources"]["azimuths_deg"])
     signals = scene.pseudorandom_signals(count, samples, config["seed"])
     spec = _scene_spec(config, signals)
-    renders = [
+    renders = (
         scene.render(spec, duration, cfg, rate, seed=config["seed"] + 1 + n,
                      active_sources=[n])
         for n in range(count)
-    ]
+    )
     noise_render = scene.render(
         spec, duration, cfg, rate, seed=config["seed"] + 1 + count, active_sources=[]
     )
@@ -349,8 +350,7 @@ def _render_training(config):
 def run_train(config):
     """Train covariances and write the container; returns (covs, path)."""
     out = _out_dir(config)
-    renders, noise_render = _render_training(config)
-    covs = covest.train(renders, noise_render)
+    covs = covest.train(*_render_training(config))
     path = out / "covariances.npz"
     containers.save_covariances(path, covs)
     write_manifest(out / "train_manifest.json", config, _input_files(config), [path])
@@ -370,16 +370,19 @@ def _test_render(config, spec, active_sources=None):
 
 def _beamformed(config, covs, rendered):
     """Build each configured mode's bank, pick the test scene's state track
-    when the bank is dynamic (matched against the pilot templates of covs at
-    the test render's pilot bins), and filter the test mixture. Yields
-    (mode, bank, estimates) per mode; each mode's work runs as stage
-    beamform:<mode>."""
+    when the bank is dynamic (all 0 when covs has one state, else matched
+    against the pilot templates of covs at the test render's pilot bins), and
+    filter the test mixture. Yields (mode, bank, estimates) per mode; each
+    mode's work runs as stage beamform:<mode>."""
     reference = config["geometry"]["reference"]
     for mode in config["modes"]:
         with stage(f"beamform:{mode}"):
             bank = beamform.build(covs, mode, reference=reference)
             states = None
-            if mode == "dynamic":
+            if mode == "dynamic" and covs.state_count == 1:
+                # One weight set: the track is all 0 by construction, no pilot needed.
+                states = scene.StateSequence(np.zeros(rendered.mixture.frame_count, np.int64), 1)
+            elif mode == "dynamic":
                 states = rendered.truth_states if config["state_oracle"] else \
                     covest.estimate_states(rendered.mixture,
                                            covest.pilot_templates(covs, rendered.pilot_bins))

@@ -24,7 +24,6 @@ Bank container (format version 2):
     frequencies, weight_states (S,), weights (S, F, N, M)
 """
 
-import io
 import zipfile
 
 import numpy as np
@@ -37,14 +36,15 @@ FORMAT_VERSION = 2
 
 
 def _write_npz(path, arrays: dict):
-    # np.savez stamps entries with the current time; write entries manually
-    # with a fixed timestamp so re-runs are byte-identical.
+    """Stream each array into a stored .npy member, with no in-memory copy and a
+    fixed timestamp (np.savez stamps the time) so re-runs are byte-identical."""
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for name, value in arrays.items():
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.asarray(value), allow_pickle=False)
+            value = np.asarray(value)
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, buf.getvalue())
+            info.file_size = value.nbytes  # lets zipfile pick ZIP64 above 2 GiB
+            with zf.open(info, "w") as fh:
+                np.lib.format.write_array(fh, value, allow_pickle=False)
 
 
 def _check_header(data, kind):

@@ -107,39 +107,38 @@ def sample_covariance(frames, frequencies) -> HermitianSpectrum:
 def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
     """Estimate per-state, ensemble and noise covariances from training renders.
 
-    source_renders: one RenderedScene per source, each with exactly that
-    source active; its frames are grouped by its own truth_states labels.
-    noise_render: a render with no active sources.
+    source_renders: any iterable of one RenderedScene per source, each with
+    exactly that source active, its frames grouped by its own truth_states
+    labels; each is reduced to its sums and dropped before the next is drawn.
+    noise_render: a render with no active sources; it sets states and bins.
     """
-    if not source_renders:
-        raise ValueError("at least one source render is required")
+    if noise_render.active_sources:
+        raise ValueError("the noise render must have no active sources")
+    state_count = noise_render.truth_states.state_count
+    omega = noise_render.mixture.bin_omega
+    per_state_covs = {}
+    ensembles = {}
+    counts = {}
+    indices = []
     for render in source_renders:
         if len(render.active_sources) != 1:
             raise ValueError(
                 f"training renders must have exactly one active source, "
                 f"got {render.active_sources}"
             )
-    if noise_render.active_sources:
-        raise ValueError("the noise render must have no active sources")
-    indices = sorted(r.active_sources[0] for r in source_renders)
-    if indices != list(range(len(source_renders))):
-        raise ValueError(f"source renders must cover sources 0..N-1, got {indices}")
-
-    state_count = source_renders[0].truth_states.state_count
-    omega = source_renders[0].mixture.bin_omega
-    per_state_covs = {}
-    ensembles = {}
-    counts = {}
-    for render in source_renders:
-        n = render.active_sources[0]
         if render.truth_states.state_count != state_count:
             raise ValueError("training renders disagree on the number of states")
+        n = render.active_sources[0]
+        indices.append(n)
         sums, sizes = _outer_sums(render.mixture.frames, render.truth_states.labels,
                                   state_count)
+        del render
         ensembles[n] = HermitianSpectrum(sums.sum(axis=0) / sizes.sum(), omega)
         for state in np.flatnonzero(sizes).tolist():
             counts[(n, state)] = int(sizes[state])
             per_state_covs[(n, state)] = HermitianSpectrum(sums[state] / sizes[state], omega)
+    if not indices or sorted(indices) != list(range(len(indices))):
+        raise ValueError(f"source renders must cover sources 0..N-1, N >= 1, got {indices}")
     noise = sample_covariance(noise_render.mixture.frames, omega)
     return CovarianceSet(
         per_state=per_state_covs,

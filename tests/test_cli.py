@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,26 @@ class TestPipeline:
         assert header.startswith("frequency_hz,gain_db_static")
 
 
+class TestTrainingMemory:
+    def test_run_train_never_holds_every_render(self, tmp_path):
+        # Holding all N source renders and the noise render at once takes
+        # N + 1 mixtures; streaming holds about two. numpy reports its
+        # buffers to tracemalloc.
+        sources = [0.0, 45.0, 90.0, 135.0, 180.0]
+        config = tiny_config(tmp_path / "out", sources={"azimuths_deg": sources},
+                             train_duration_s=4.0,
+                             motion={"kind": "rotation_sweep", "period_s": 4.0})
+        tracemalloc.start()
+        try:
+            covs, _ = cli.run_train(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        frames = sum(count for (n, _), count in covs.frame_counts.items() if n == 0)
+        mixture_bytes = frames * len(covs.frequencies) * covs.mic_count * 16
+        assert peak < (len(sources) + 1) * mixture_bytes
+
+
 class TestOtherCommands:
     def test_arc_layout_simulate(self, tmp_path):
         config = tiny_config(tmp_path / "out",
@@ -331,7 +352,8 @@ class TestMain:
         assert "Traceback" not in err
 
     def test_beamform_failure_carries_mode_label(self, tmp_path, capsys):
-        path = self.write_config(tmp_path, pilot={"enabled": False})
+        # A multi-state scene without pilots has no state track for dynamic.
+        path = self.write_config(tmp_path, pilot={"enabled": False}, motion=self.ROTATION)
         out = str(tmp_path / "out")
         assert cli.main(["--config", str(path), "--out", out, "train"]) == 0
         code = cli.main(["--config", str(path), "--out", out,
@@ -360,6 +382,14 @@ class TestMain:
         assert cli.main(["--config", str(path), "--out", out,
                          "--mode", "dynamic", "beamform"]) == 0
         assert (tmp_path / "out" / "enhanced_dynamic_00.wav").is_file()
+
+    def test_one_state_dynamic_needs_no_pilot(self, tmp_path):
+        # A static scene has one state, so its dynamic track is all 0 without pilots.
+        path = self.write_config(tmp_path, pilot={"enabled": False})
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out),
+                         "--mode", "static,dynamic", "analyze"]) == 0
+        assert (out / "gain_dynamic.csv").read_bytes() == (out / "gain_static.csv").read_bytes()
 
     def test_threads_key_rejected(self, tmp_path, capsys):
         path = self.write_config(tmp_path, threads=2)

@@ -1,3 +1,4 @@
+import io
 import zipfile
 
 import numpy as np
@@ -128,3 +129,35 @@ def test_truncated_bank_rejected(trained, tmp_path):
     truncate_entry(path, cut, "weights")
     with pytest.raises(ValueError, match="truncated container.*weights"):
         containers.load_bank(cut)
+
+
+def write_through_copies(path, arrays):
+    """The container as written with an in-memory .npy copy of each member."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for name, value in arrays.items():
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, np.asarray(value), allow_pickle=False)
+            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            zf.writestr(info, buf.getvalue())
+
+
+@pytest.mark.parametrize("kind", ["covariances", "bank"])
+def test_streamed_members_match_in_memory_copies(trained, tmp_path, monkeypatch, kind):
+    covs, _ = trained
+    members = {}
+    write = containers._write_npz
+
+    def capture(path, arrays):
+        members.update(arrays)
+        write(path, arrays)
+
+    monkeypatch.setattr(containers, "_write_npz", capture)
+    path = tmp_path / "streamed.npz"
+    if kind == "covariances":
+        containers.save_covariances(path, covs)
+    else:
+        containers.save_bank(path, beamform.build(covs, "dynamic"))
+    assert members
+    expected = tmp_path / "copied.npz"
+    write_through_copies(expected, members)
+    assert path.read_bytes() == expected.read_bytes()

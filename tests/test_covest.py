@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,67 @@ class TestTrain:
                 frame_counts={(0, 0): 10},
                 state_count=1,
             )
+
+
+def streamed_renders(spec, duration, released, seed=100):
+    """Yield one isolated-source render per source, drawing each on demand.
+
+    Before drawing render k+1, append to released whether render k's mixture
+    frames are already gone.
+    """
+    last = None
+    for n in range(spec.source_count):
+        if last is not None:
+            released.append(last() is None)
+        render = scene.render(spec, duration, CFG, FS, seed=seed + n, active_sources=[n])
+        last = weakref.ref(render.mixture.frames)
+        yield render
+        del render
+
+
+class TestStreamingTrain:
+    MOTION = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=3.0, state_count=5)
+
+    def test_each_render_released_before_the_next_is_drawn(self):
+        spec = build_spec(azimuths=(30.0, 80.0, 120.0), motion=self.MOTION, duration=3.0)
+        noise = scene.render(spec, 3.0, CFG, FS, seed=103, active_sources=[])
+        released = []
+        covest.train(streamed_renders(spec, 3.0, released), noise)
+        assert released == [True, True]
+
+    def test_generator_equals_list_bit_for_bit(self):
+        spec = build_spec(motion=self.MOTION, duration=3.0)
+        renders, noise = training_renders(spec, 3.0)
+        expected = covest.train(renders, noise)
+        covs = covest.train(streamed_renders(spec, 3.0, []), noise)
+        assert covs.state_count == expected.state_count == 5
+        assert covs.frame_counts == expected.frame_counts
+        assert sorted(covs.per_state) == sorted(expected.per_state)
+        for key, cell in expected.per_state.items():
+            np.testing.assert_array_equal(covs.per_state[key].bins, cell.bins)
+        assert sorted(covs.ensemble) == sorted(expected.ensemble)
+        for n, ens in expected.ensemble.items():
+            np.testing.assert_array_equal(covs.ensemble[n].bins, ens.bins)
+        np.testing.assert_array_equal(covs.noise.bins, expected.noise.bins)
+        np.testing.assert_array_equal(covs.frequencies, expected.frequencies)
+
+    @pytest.mark.parametrize("sources", [[0, 0], [1], []], ids=["duplicate", "gap", "empty"])
+    def test_sources_must_cover_0_to_n_minus_1(self, sources):
+        spec = build_spec()
+        noise = scene.render(spec, 1.0, CFG, FS, seed=5, active_sources=[])
+        renders = (scene.render(spec, 1.0, CFG, FS, seed=10 + k, active_sources=[n])
+                   for k, n in enumerate(sources))
+        with pytest.raises(ValueError, match=r"must cover sources 0\.\.N-1"):
+            covest.train(renders, noise)
+
+    def test_state_count_disagreement_rejected(self):
+        rotation = build_spec(motion=self.MOTION, duration=1.0)
+        static_noise = scene.render(build_spec(duration=1.0), 1.0, CFG, FS, seed=5,
+                                    active_sources=[])
+        renders = (scene.render(rotation, 1.0, CFG, FS, seed=10 + n, active_sources=[n])
+                   for n in range(2))
+        with pytest.raises(ValueError, match="disagree on the number of states"):
+            covest.train(renders, static_noise)
 
 
 def render_pass_templates(source_renders):
