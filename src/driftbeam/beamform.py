@@ -130,16 +130,18 @@ def apply_bank(bank: BeamformerBank, mixture: SpectralFrameTensor,
                states: StateSequence | None = None) -> np.ndarray:
     """Filter the mixture, returning source estimates of shape (T, F, N).
 
-    Dynamic banks require a state label for every frame; static banks ignore
-    the state argument.
+    A bank with one weight set (static, rank1, or the dynamic bank of a
+    one-state scene) ignores the state argument; a dynamic bank with several
+    weight sets requires a state label for every frame.
     """
     x = mixture.frames
-    if x.shape[1] != bank.frequencies.shape[0]:
+    if bank.frequencies.shape != mixture.bin_omega.shape or \
+            not np.allclose(bank.frequencies, mixture.bin_omega):
         raise ValueError("mixture bin grid does not match the beamformer bank")
     if x.shape[2] != bank.mic_count:
         raise ValueError("mixture channel count does not match the beamformer bank")
-    if bank.mode != "dynamic":
-        return _filter(bank.weights[0], x)
+    if len(bank.weights) == 1:
+        return _filter(next(iter(bank.weights.values())), x)
     if states is None:
         raise ValueError("a dynamic bank needs a state sequence to apply")
     if states.frame_count != x.shape[0]:

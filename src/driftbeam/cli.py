@@ -370,19 +370,16 @@ def _test_render(config, spec, active_sources=None):
 
 def _beamformed(config, covs, rendered):
     """Build each configured mode's bank, pick the test scene's state track
-    when the bank is dynamic (all 0 when covs has one state, else matched
-    against the pilot templates of covs at the test render's pilot bins), and
-    filter the test mixture. Yields (mode, bank, estimates) per mode; each
-    mode's work runs as stage beamform:<mode>."""
+    when the bank is dynamic with more than one state (matched against the
+    pilot templates of covs at the test render's pilot bins), and filter the
+    test mixture. Yields (mode, bank, estimates) per mode; each mode's work
+    runs as stage beamform:<mode>."""
     reference = config["geometry"]["reference"]
     for mode in config["modes"]:
         with stage(f"beamform:{mode}"):
             bank = beamform.build(covs, mode, reference=reference)
             states = None
-            if mode == "dynamic" and covs.state_count == 1:
-                # One weight set: the track is all 0 by construction, no pilot needed.
-                states = scene.StateSequence(np.zeros(rendered.mixture.frame_count, np.int64), 1)
-            elif mode == "dynamic":
+            if mode == "dynamic" and covs.state_count > 1:
                 states = rendered.truth_states if config["state_oracle"] else \
                     covest.estimate_states(rendered.mixture,
                                            covest.pilot_templates(covs, rendered.pilot_bins))
@@ -449,8 +446,16 @@ def run_beamform(config, covariances_path=None):
     cov_path = Path(covariances_path or out / "covariances.npz")
     if not cov_path.is_file():
         raise ValueError(f"covariance container not found: {cov_path}")
-    covs = containers.load_covariances(cov_path)
+    # Render before loading: the buffers the render frees let the allocator
+    # serve the load's many 1 MB validation temporaries from its heap, where
+    # loading first maps each one afresh (2.5x the page faults on rotation).
     rendered = _test_render(config, _test_spec(config))
+    covs = containers.load_covariances(cov_path)
+    if covs.source_count != len(rendered.active_sources):
+        raise ValueError(
+            f"covariance container holds {covs.source_count} sources, "
+            f"the scene has {len(rendered.active_sources)}"
+        )
     cfg = _stft_config(config)
     outputs = []
     for mode, bank, estimates in _beamformed(config, covs, rendered):

@@ -4,10 +4,10 @@ pilot-band identification of the array pose at test time.
 Training expects one render per source with that source isolated (plus the
 shared diffuse noise) and one source-free render for the noise statistics.
 Every covariance comes from one grouped outer-product estimator; the ensemble
-pools the per-state groups' sums and frame counts.
+is the frame-weighted mixture of the per-state covariances.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,33 +26,38 @@ class CovarianceSet:
     """Trained second-order statistics of a scene.
 
     per_state maps (source, state) to the covariance spectrum conditioned on
-    that state; ensemble maps source to the state-averaged spectrum; noise is
-    estimated from a source-free render. frame_counts records how many
-    training frames entered each (source, state) cell; a state without
-    training frames has no cell. In a one-state scene (static or jitter)
-    each source's state-0 cell equals its ensemble.
+    that state, and frame_counts maps the same keys to the number of training
+    frames behind each cell; a state without training frames has no cell.
+    noise is estimated from a source-free render. ensemble is derived, not
+    given: source n's state-averaged spectrum sum_s (c_s / C_n) R_{n,s}, with
+    c_s the cell's frame count and C_n their total, so in a one-state scene
+    (static or jitter) it equals the state-0 cell bit for bit.
     """
 
     per_state: dict
-    ensemble: dict
-    noise: HermitianSpectrum
     frame_counts: dict
+    noise: HermitianSpectrum
     state_count: int
+    ensemble: dict = field(init=False)
 
     def __post_init__(self):
-        for n, ens in self.ensemble.items():
-            keys = [key for key in self.per_state if key[0] == n]
-            if not keys:
-                continue
-            total = sum(self.frame_counts[key] for key in keys)
-            avg = sum(self.frame_counts[key] * self.per_state[key].bins for key in keys)
-            avg /= total
-            scale = np.abs(ens.bins).max()
-            if np.abs(avg - ens.bins).max() > 1e-9 * max(scale, np.finfo(float).tiny):
-                raise ValueError(
-                    f"ensemble covariance of source {n} is not the weighted "
-                    "average of its per-state covariances"
-                )
+        keys = sorted(self.per_state)
+        if keys != sorted(self.frame_counts):
+            raise ValueError("per_state and frame_counts must have the same (source, state) keys")
+        empty = [key for key in keys if self.frame_counts[key] < 1]
+        if empty:
+            raise ValueError(f"frame counts must be at least 1, not for cells {empty}")
+        sources = sorted({n for n, _ in keys})
+        if not sources or sources != list(range(len(sources))):
+            raise ValueError(f"covariance cells must cover sources 0..N-1, N >= 1, got {sources}")
+        self.ensemble = {}
+        for n in sources:
+            cells = [key for key in keys if key[0] == n]
+            total = sum(self.frame_counts[key] for key in cells)
+            acc = (self.frame_counts[cells[0]] / total) * self.per_state[cells[0]].bins
+            for key in cells[1:]:
+                acc += (self.frame_counts[key] / total) * self.per_state[key].bins
+            self.ensemble[n] = HermitianSpectrum(acc, self.frequencies)
 
     @property
     def source_count(self) -> int:
@@ -105,7 +110,8 @@ def sample_covariance(frames, frequencies) -> HermitianSpectrum:
 
 
 def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
-    """Estimate per-state, ensemble and noise covariances from training renders.
+    """Estimate the per-state and noise covariances from training renders; the
+    returned set derives the ensemble from the per-state cells.
 
     source_renders: any iterable of one RenderedScene per source, each with
     exactly that source active, its frames grouped by its own truth_states
@@ -117,7 +123,6 @@ def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
     state_count = noise_render.truth_states.state_count
     omega = noise_render.mixture.bin_omega
     per_state_covs = {}
-    ensembles = {}
     counts = {}
     indices = []
     for render in source_renders:
@@ -133,7 +138,6 @@ def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
         sums, sizes = _outer_sums(render.mixture.frames, render.truth_states.labels,
                                   state_count)
         del render
-        ensembles[n] = HermitianSpectrum(sums.sum(axis=0) / sizes.sum(), omega)
         for state in np.flatnonzero(sizes).tolist():
             counts[(n, state)] = int(sizes[state])
             per_state_covs[(n, state)] = HermitianSpectrum(sums[state] / sizes[state], omega)
@@ -142,9 +146,8 @@ def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
     noise = sample_covariance(noise_render.mixture.frames, omega)
     return CovarianceSet(
         per_state=per_state_covs,
-        ensemble=ensembles,
-        noise=noise,
         frame_counts=counts,
+        noise=noise,
         state_count=state_count,
     )
 

@@ -111,8 +111,8 @@ class TestBuild:
         noise = covmath.HermitianSpectrum(
             np.broadcast_to(0.3 * np.eye(m), (f, m, m)).copy(), omega
         )
-        covs = covest.CovarianceSet(per_state={}, ensemble={0: source}, noise=noise,
-                                    frame_counts={}, state_count=1)
+        covs = covest.CovarianceSet(per_state={(0, 0): source}, frame_counts={(0, 0): 1},
+                                    noise=noise, state_count=1)
         static = build(covs, "static")
         rank_one = build(covs, "rank1")
         np.testing.assert_allclose(rank_one.weights[0], static.weights[0], atol=1e-9)
@@ -127,12 +127,12 @@ class TestBuild:
             assert w.shape == (CFG.bin_count, 2, 4)
 
     def test_starved_state_error_lists_pairs(self):
-        covs, _ = trained_covs()
+        motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=4.0, state_count=4)
+        covs, _ = trained_covs(motion=motion)
         starved = covest.CovarianceSet(
-            per_state={k: v for k, v in covs.per_state.items() if k[0] != 1},
-            ensemble=covs.ensemble,
+            per_state={k: v for k, v in covs.per_state.items() if k != (1, 0)},
+            frame_counts={k: v for k, v in covs.frame_counts.items() if k != (1, 0)},
             noise=covs.noise,
-            frame_counts={k: v for k, v in covs.frame_counts.items() if k[0] != 1},
             state_count=covs.state_count,
         )
         with pytest.raises(StarvedStateError, match=r"\(1, 0\)"):

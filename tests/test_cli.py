@@ -391,6 +391,21 @@ class TestMain:
                          "--mode", "static,dynamic", "analyze"]) == 0
         assert (out / "gain_dynamic.csv").read_bytes() == (out / "gain_static.csv").read_bytes()
 
+    @pytest.mark.parametrize("scene_fields", [
+        {"sources": {"azimuths_deg": [20.0, 100.0, 160.0]}},
+        # 129 bins at 8 kHz as at 16 kHz, on another frequency grid.
+        {"sample_rate": 8000, "pilot": {"enabled": False}},
+    ], ids=["source_count", "sample_rate"])
+    def test_beamform_rejects_a_container_of_another_scene(self, tmp_path, capsys, scene_fields):
+        trained = self.write_config(tmp_path)
+        (tmp_path / "scene").mkdir()
+        path = self.write_config(tmp_path / "scene", **scene_fields)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(trained), "--out", str(out), "train"]) == 0
+        assert cli.main(["--config", str(path), "--out", str(out), "beamform"]) == 1
+        assert "[beamform" in capsys.readouterr().err
+        assert not list(out.glob("enhanced_*.wav"))
+
     def test_threads_key_rejected(self, tmp_path, capsys):
         path = self.write_config(tmp_path, threads=2)
         out = tmp_path / "out"

@@ -55,7 +55,29 @@ def test_covariance_round_trip(trained, tmp_path):
             loaded_templates[state].bins, templates[state].bins
         )
     with zipfile.ZipFile(path) as zf:
-        assert not any(name.startswith("template") for name in zf.namelist())
+        assert not any(name.startswith(("template", "ensemble")) for name in zf.namelist())
+
+
+def test_one_state_container_stores_each_covariance_once(tmp_path):
+    motion = scene.MotionModel.gaussian_jitter(0.005)
+    spec = scene.SceneSpec(
+        geometry=scene.ArrayGeometry.fixed(scene.linear_positions(3, 0.04)),
+        sources=tuple(scene.Source(az, sig) for az, sig in
+                      zip((30.0, 120.0), scene.pseudorandom_signals(2, FS, 1))),
+        motion=motion,
+        noise_level_db=-30.0,
+    )
+    renders = [scene.render(spec, 1.0, CFG, FS, seed=30 + n, active_sources=[n])
+               for n in range(2)]
+    covs = covest.train(renders, scene.render(spec, 1.0, CFG, FS, seed=40, active_sources=[]))
+    path = tmp_path / "covs.npz"
+    containers.save_covariances(path, covs)
+    with zipfile.ZipFile(path) as zf:
+        assert "ensemble.npy" not in zf.namelist()
+    loaded = containers.load_covariances(path)
+    assert sorted(loaded.ensemble) == [0, 1]
+    for n in range(2):
+        np.testing.assert_array_equal(loaded.ensemble[n].bins, covs.ensemble[n].bins)
 
 
 def test_bank_round_trip(trained, tmp_path):
@@ -113,13 +135,46 @@ def test_truncated_covariance_container_rejected(trained, tmp_path, name):
         containers.load_covariances(cut)
 
 
-def test_version_1_covariance_container_rejected(trained, tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_covariance_container_rejected(trained, tmp_path, version):
     covs, _ = trained
     path, old = tmp_path / "covs.npz", tmp_path / "old.npz"
     containers.save_covariances(path, covs)
-    rewrite_entry(path, old, "format_version", lambda value: np.asarray(1))
-    with pytest.raises(ValueError, match="unsupported container version 1"):
+    rewrite_entry(path, old, "format_version", lambda value: np.asarray(version))
+    with pytest.raises(ValueError, match=f"unsupported container version {version}"):
         containers.load_covariances(old)
+
+
+def zero_first(counts):
+    counts = counts.copy()
+    counts[0] = 0
+    return counts
+
+
+def source_1_as_2(keys):
+    keys = keys.copy()
+    keys[keys[:, 0] == 1, 0] = 2
+    return keys
+
+
+def repeat_first_row(keys):
+    keys = keys.copy()
+    keys[1] = keys[0]
+    return keys
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("frame_counts", zero_first, r"frame counts must be at least 1, not for cells \[\(0, 0\)\]"),
+    ("per_state_keys", source_1_as_2, r"must cover sources 0\.\.N-1, N >= 1, got \[0, 2\]"),
+    ("per_state_keys", repeat_first_row, r"repeats a \(source, state\) row"),
+], ids=["zero_frame_count", "sources_0_and_2", "repeated_row"])
+def test_inconsistent_cells_rejected(trained, tmp_path, name, edit, message):
+    covs, _ = trained
+    path, bad = tmp_path / "covs.npz", tmp_path / "bad.npz"
+    containers.save_covariances(path, covs)
+    rewrite_entry(path, bad, name, edit)
+    with pytest.raises(ValueError, match=message):
+        containers.load_covariances(bad)
 
 
 def test_truncated_bank_rejected(trained, tmp_path):

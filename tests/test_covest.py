@@ -183,20 +183,22 @@ class TestTrain:
         with pytest.raises(ValueError, match="no active sources"):
             covest.train(renders, renders[0])
 
-    def test_inconsistent_ensemble_rejected(self):
-        rng = np.random.default_rng(6)
-        freq = np.arange(3.0)
-        bins = np.stack([np.eye(2, dtype=complex)] * 3)
-        good = covmath.HermitianSpectrum(bins, freq)
-        wrong = covmath.HermitianSpectrum(2.0 * bins, freq)
-        with pytest.raises(ValueError, match="weighted"):
-            covest.CovarianceSet(
-                per_state={(0, 0): good},
-                ensemble={0: wrong},
-                noise=good,
-                frame_counts={(0, 0): 10},
-                state_count=1,
-            )
+
+def unit_spectrum():
+    return covmath.HermitianSpectrum(np.stack([np.eye(2, dtype=complex)] * 4), np.arange(4.0))
+
+
+class TestCovarianceSet:
+    @pytest.mark.parametrize("keys, counts, message", [
+        ([(0, 0), (1, 0)], {(0, 0): 2}, r"same \(source, state\) keys"),
+        ([(0, 0), (1, 0)], {(0, 0): 2, (1, 0): 0}, r"at least 1, not for cells \[\(1, 0\)\]"),
+        ([(0, 0), (2, 0)], {(0, 0): 2, (2, 0): 2}, r"cover sources 0\.\.N-1.*\[0, 2\]"),
+        ([], {}, r"cover sources 0\.\.N-1.*\[\]"),
+    ], ids=["key_mismatch", "zero_count", "source_gap", "empty"])
+    def test_bad_cells_rejected(self, keys, counts, message):
+        with pytest.raises(ValueError, match=message):
+            covest.CovarianceSet(per_state={key: unit_spectrum() for key in keys},
+                                 frame_counts=counts, noise=unit_spectrum(), state_count=1)
 
 
 def streamed_renders(spec, duration, released, seed=100):
@@ -297,13 +299,11 @@ class TestPilotTemplates:
 
     @staticmethod
     def two_source_covs(per_state_keys):
-        freq = np.arange(4.0)
-        unit = covmath.HermitianSpectrum(np.stack([np.eye(2, dtype=complex)] * 4), freq)
+        unit = unit_spectrum()
         return covest.CovarianceSet(
             per_state={key: unit for key in per_state_keys},
-            ensemble={0: unit, 1: unit},
-            noise=unit,
             frame_counts={key: 3 for key in per_state_keys},
+            noise=unit,
             state_count=2,
         )
 

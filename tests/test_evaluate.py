@@ -101,16 +101,13 @@ def small_covset():
         return covmath.HermitianSpectrum(a @ a.conj().transpose(0, 2, 1) / m, omega)
 
     per_state = {}
-    ensemble = {}
     counts = {}
     for n in range(2):
-        bins = [psd().bins for _ in range(2)]
-        per_state[(n, 0)] = covmath.HermitianSpectrum(bins[0], omega)
-        per_state[(n, 1)] = covmath.HermitianSpectrum(bins[1], omega)
+        per_state[(n, 0)] = psd()
+        per_state[(n, 1)] = psd()
         counts[(n, 0)] = counts[(n, 1)] = 5
-        ensemble[n] = covmath.HermitianSpectrum((bins[0] + bins[1]) / 2.0, omega)
-    return covest.CovarianceSet(per_state=per_state, ensemble=ensemble, noise=psd(),
-                                frame_counts=counts, state_count=2)
+    return covest.CovarianceSet(per_state=per_state, frame_counts=counts, noise=psd(),
+                                state_count=2)
 
 
 class TestDivergenceCurve:
@@ -123,9 +120,8 @@ class TestDivergenceCurve:
         covs = small_covset()
         single = covest.CovarianceSet(
             per_state={(n, 0): covs.ensemble[n] for n in range(2)},
-            ensemble=covs.ensemble,
-            noise=covs.noise,
             frame_counts={(n, 0): 10 for n in range(2)},
+            noise=covs.noise,
             state_count=1,
         )
         table = divergence_curve(single, {
@@ -220,13 +216,12 @@ class TestTheoryMatchesMeasurement:
             omega = rendered.mixture.bin_omega
             total += x.shape[0]
 
-        ensemble = {
-            n: covmath.HermitianSpectrum(acc[n] / total, omega) for n in range(2)
-        }
         covs = covest.CovarianceSet(
-            per_state={}, ensemble=ensemble,
+            per_state={(n, 0): covmath.HermitianSpectrum(acc[n] / total, omega)
+                       for n in range(2)},
+            frame_counts={(n, 0): 1 for n in range(2)},
             noise=covmath.HermitianSpectrum(np.zeros_like(acc[0]), omega),
-            frame_counts={}, state_count=1,
+            state_count=1,
         )
         measured = divergence_curve(covs, {"d": [((0, None), (1, None))]},
                                     epsilon_rel=1e-5)["d"][1:]
