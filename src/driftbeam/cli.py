@@ -327,8 +327,8 @@ def _input_files(config):
 
 
 def _render_training(config):
-    """Isolated-source renders, as a generator that draws each one when asked,
-    plus a source-free render for the noise."""
+    """Noiseless isolated-source renders, as a generator that draws each one
+    when asked, plus a source-free render that alone carries the noise."""
     cfg = _stft_config(config)
     rate = config["sample_rate"]
     duration = config["train_duration_s"]
@@ -336,8 +336,9 @@ def _render_training(config):
     count = len(config["sources"]["azimuths_deg"])
     signals = scene.pseudorandom_signals(count, samples, config["seed"])
     spec = _scene_spec(config, signals)
+    noiseless = dataclasses.replace(spec, noise_level_db=None)
     renders = (
-        scene.render(spec, duration, cfg, rate, seed=config["seed"] + 1 + n,
+        scene.render(noiseless, duration, cfg, rate, seed=config["seed"] + 1 + n,
                      active_sources=[n])
         for n in range(count)
     )

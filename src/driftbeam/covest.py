@@ -1,8 +1,11 @@
 """Sample spatial covariance estimation from training renders, plus
 pilot-band identification of the array pose at test time.
 
-Training expects one render per source with that source isolated (plus the
-shared diffuse noise) and one source-free render for the noise statistics.
+Training expects one render per source with that source isolated and one
+source-free render for the noise statistics. The CLI renders the isolated
+sources noiseless, so each cell is the covariance of a source image alone and
+the noise enters only through the source-free render; noisy source renders
+are accepted too, and their cells then include the noise.
 Every covariance comes from one grouped outer-product estimator; the ensemble
 is the frame-weighted mixture of the per-state covariances.
 """

@@ -374,9 +374,10 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
            active_sources=None) -> RenderedScene:
     """Simulate the array capture of the configured scene.
 
-    active_sources selects which sources contribute images (default all);
-    inactive sources still define the diffuse-noise power reference, so
-    isolated-source and noise-only training renders share one noise level.
+    active_sources selects which sources contribute images (default all,
+    each at most once). When the scene has noise, inactive sources still
+    define its power reference, so renders with different active sets share
+    one noise level; a noiseless render transforms only its active sources.
     """
     n_samples = int(round(duration_s * sample_rate))
     if n_samples < cfg.fft_size:
@@ -393,23 +394,34 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
         active = tuple(sorted(active_sources))
         if any(not 0 <= n < spec.source_count for n in active):
             raise ValueError(f"active_sources {active} out of range")
+        repeated = sorted({n for n in active if active.count(n) > 1})
+        if repeated:
+            raise ValueError(f"active_sources {active} repeat sources {repeated}")
 
-    # Reference-channel spectra of every source, (T, F) each.
-    spectra = [
-        analyze(src.signal[:n_samples], cfg, sample_rate).frames[:, :, 0]
-        for src in spec.sources
-    ]
-    t_count = spectra[0].shape[0]
-    f_count = spectra[0].shape[1]
+    t_count = (n_samples - cfg.fft_size) // cfg.hop + 1
+    f_count = cfg.bin_count
     m_count = spec.geometry.mic_count
     omega = 2.0 * np.pi * np.fft.rfftfreq(cfg.fft_size, d=1.0 / sample_rate)
 
     states = state_sequence(spec.motion, t_count, sample_rate / cfg.hop)
     pilots = pilot_bins(spec.pilot, spec.source_count, cfg, sample_rate)
 
-    # Noise power reference over all configured sources, taken before pilot
-    # injection so renders with different active sets share one noise level.
-    noise_cell_power = float(np.mean([np.mean(np.abs(s) ** 2) for s in spectra]))
+    # Reference-channel spectra (T, F) of the active sources. With noise,
+    # every configured source is transformed, in order, for the noise power
+    # reference, taken before pilot injection so renders with different
+    # active sets share one noise level.
+    noisy = spec.noise_level_db is not None
+    if noisy and not spec.sources:
+        raise ValueError("a scene with noise needs a source to set the noise level")
+    spectra = {}
+    powers = []
+    for n in range(spec.source_count) if noisy else active:
+        spectrum = analyze(spec.sources[n].signal[:n_samples], cfg, sample_rate).frames[:, :, 0]
+        if noisy:
+            powers.append(np.mean(np.abs(spectrum) ** 2))
+        if n in active:
+            spectra[n] = spectrum
+    noise_cell_power = float(np.mean(powers)) if noisy else None
 
     # Inject pilot tones into the reference spectra so that images, mixture
     # and desired signals all carry them consistently.
@@ -504,7 +516,7 @@ def _frame_relative_positions(spec: SceneSpec, t_count: int, frame_rate: float,
     return absolute - absolute[:, ref:ref + 1, :]
 
 
-def _diffuse_noise(spec: SceneSpec, cell_power: float, shape, seed: int):
+def _diffuse_noise(spec: SceneSpec, cell_power: float | None, shape, seed: int):
     t_count, f_count, m_count = shape
     if spec.noise_level_db is None:
         return np.zeros(shape, dtype=np.complex128)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from driftbeam import covest, covmath, scene
-from driftbeam.stft import StftConfig
+from driftbeam import beamform, cli, covest, covmath, scene
+from driftbeam.stft import StftConfig, analyze
 
 CFG = StftConfig(fft_size=256, hop=128)
 FS = 16000
@@ -182,6 +182,57 @@ class TestTrain:
         renders, _ = training_renders(spec, 1.0)
         with pytest.raises(ValueError, match="no active sources"):
             covest.train(renders, renders[0])
+
+
+def static_cli_training(tmp_path, azimuths):
+    """The CLI's training set for a static 4-mic scene at -30 dB noise, without
+    pilot tones, with each source's exact image covariance: the frame mean of
+    |S_n[t,f]|^2 a a^H, S_n the source's reference spectrum and a its
+    steering vector."""
+    config = cli.load_config(None, {
+        "seed": 9, "out_dir": str(tmp_path),
+        "stft": {"fft_size": 256, "hop": 128},
+        "geometry": {"mic_count": 4, "spacing": 0.04},
+        "sources": {"azimuths_deg": list(azimuths)},
+        "train_duration_s": 2.0,
+        "pilot": {"enabled": False},
+    })
+    assert config["noise_level_db"] == -30.0
+    covs = covest.train(*cli._render_training(config))
+    spec = cli._scene_spec(config, scene.pseudorandom_signals(
+        len(azimuths), int(2.0 * config["sample_rate"]), config["seed"]))
+    rel = spec.geometry.state_positions[0] - spec.geometry.state_positions[0][0]
+    omega = covs.frequencies
+    exact = []
+    for source in spec.sources:
+        spectrum = analyze(source.signal, cli._stft_config(config),
+                           config["sample_rate"]).frames[:, :, 0]
+        power = np.mean(np.abs(spectrum) ** 2, axis=0)  # (F,)
+        a = np.exp(1j * omega[:, None] * scene.propagation_delays(rel, source.azimuth_deg))
+        exact.append(covmath.HermitianSpectrum(
+            power[:, None, None] * a[:, :, None] * a[:, None, :].conj(), omega))
+    return covs, exact
+
+
+class TestCliTraining:
+    """The CLI trains each source on its noiseless image; only the
+    source-free render carries noise."""
+
+    def test_static_cell_is_the_image_covariance(self, tmp_path):
+        covs, exact = static_cli_training(tmp_path, (30.0, 120.0))
+        assert sorted(covs.per_state) == [(0, 0), (1, 0)]
+        for n, image in enumerate(exact):
+            scale = np.abs(image.bins).max()
+            np.testing.assert_allclose(covs.per_state[(n, 0)].bins, image.bins,
+                                       rtol=0, atol=1e-12 * scale)
+        assert np.trace(covs.noise.bins, axis1=1, axis2=2).real.min() > 0
+
+    def test_weights_match_exact_images_plus_trained_noise(self, tmp_path):
+        covs, exact = static_cli_training(tmp_path, (30.0, 120.0))
+        trained = beamform.mwf_weights([covs.ensemble[0], covs.ensemble[1]], covs.noise, 0)
+        expected = beamform.mwf_weights(exact, covs.noise, 0)
+        np.testing.assert_allclose(trained, expected, rtol=0,
+                                   atol=1e-8 * np.abs(expected).max())
 
 
 def unit_spectrum():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftbeam import covmath, scene
+from driftbeam import cli, covest, covmath, scene
 from driftbeam.stft import StftConfig
 
 CFG = StftConfig(fft_size=256, hop=128)
@@ -222,6 +222,50 @@ class TestRender:
         np.testing.assert_array_equal(full.mixture.frames, noise + images[0] + images[1])
         np.testing.assert_array_equal(first.mixture.frames, noise + images[0])
 
+    @pytest.mark.parametrize("active", [[0, 0], [1, 0, 1]], ids=["pair", "among_others"])
+    def test_duplicate_active_sources_rejected(self, active):
+        with pytest.raises(ValueError, match=r"repeat sources \[\d\]"):
+            scene.render(simple_spec(), 1.0, CFG, FS, seed=6, active_sources=active)
+
+    def test_noisy_scene_without_sources_rejected(self):
+        spec = dataclasses.replace(simple_spec(), sources=())
+        with pytest.raises(ValueError, match="needs a source to set the noise level"):
+            scene.render(spec, 1.0, CFG, FS, seed=6)
+        quiet = scene.render(dataclasses.replace(spec, noise_level_db=None), 1.0, CFG, FS, seed=6)
+        assert not quiet.mixture.frames.any()
+
+    @pytest.mark.parametrize("motion", [
+        scene.MotionModel.static(),
+        scene.MotionModel.gaussian_jitter(0.004),
+        scene.MotionModel.rotation_sweep(-30.0, 30.0, period_s=0.5, state_count=3),
+    ], ids=["static", "gaussian_jitter", "rotation_sweep"])
+    def test_noise_does_not_depend_on_the_active_set(self, motion):
+        # A noisy render minus its source-free render is the noiseless render:
+        # noise level and noise stream are the same whatever is active.
+        spec = simple_spec(azimuths=(30.0, 80.0, 120.0), motion=motion)
+        noise = scene.render(spec, 1.0, CFG, FS, seed=12, active_sources=[]).mixture.frames
+        noiseless = dataclasses.replace(spec, noise_level_db=None)
+        for n in range(3):
+            noisy = scene.render(spec, 1.0, CFG, FS, seed=12, active_sources=[n])
+            image = scene.render(noiseless, 1.0, CFG, FS, seed=12, active_sources=[n])
+            peak = np.abs(image.mixture.frames).max()
+            np.testing.assert_allclose(noisy.mixture.frames - noise, image.mixture.frames,
+                                       rtol=0, atol=1e-12 * peak)
+
+    @pytest.mark.parametrize("duration", [1.0, 0.3, 256 / FS], ids=["1s", "0.3s", "one_frame"])
+    def test_noiseless_source_free_render_is_zero_frames(self, duration):
+        spec = simple_spec(noise_level_db=None, motion=scene.MotionModel.gaussian_jitter(0.004))
+        rendered = scene.render(spec, duration, CFG, FS, seed=3, active_sources=[])
+        t_count = (int(round(duration * FS)) - CFG.fft_size) // CFG.hop + 1
+        shape = (t_count, CFG.bin_count, spec.geometry.mic_count)
+        assert rendered.mixture.frames.shape == shape
+        assert not rendered.mixture.frames.any()
+        assert rendered.desired.shape == (t_count, CFG.bin_count, 0)
+        assert rendered.truth_states.frame_count == t_count
+        with_noise = scene.render(dataclasses.replace(spec, noise_level_db=-30.0), duration,
+                                  CFG, FS, seed=3, active_sources=[])
+        assert with_noise.mixture.frames.shape == shape
+
     def test_short_source_rejected(self):
         samples = int(0.5 * FS)
         signals = scene.pseudorandom_signals(1, samples, 0)
@@ -308,6 +352,57 @@ class TestRender:
             np.abs(quiet.mixture.frames[:, b, 0]) ** 2
         source_power = np.mean(np.sum(np.abs(quiet.desired[:, :, 0]) ** 2, axis=1))
         assert added.mean() == pytest.approx(0.1 * source_power, rel=0.3)
+
+
+@pytest.fixture
+def analyze_calls(monkeypatch):
+    """Count the STFT analyses render makes."""
+    calls = []
+
+    original = scene.analyze
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scene, "analyze", counted)
+    return calls
+
+
+class TestRenderTransforms:
+    """A render transforms a source only when its image or the noise level
+    needs it."""
+
+    SPEC = simple_spec(azimuths=(30.0, 80.0, 120.0), duration=1.0)
+
+    @pytest.mark.parametrize("active", [[0], [2]])
+    def test_noiseless_render_transforms_its_active_source(self, analyze_calls, active):
+        noiseless = dataclasses.replace(self.SPEC, noise_level_db=None)
+        scene.render(noiseless, 1.0, CFG, FS, seed=1, active_sources=active)
+        assert len(analyze_calls) == 1
+
+    def test_noiseless_source_free_render_transforms_nothing(self, analyze_calls):
+        noiseless = dataclasses.replace(self.SPEC, noise_level_db=None)
+        scene.render(noiseless, 1.0, CFG, FS, seed=1, active_sources=[])
+        assert analyze_calls == []
+
+    @pytest.mark.parametrize("active", [[0], [], None], ids=["one", "none", "all"])
+    def test_noisy_render_transforms_every_source(self, analyze_calls, active):
+        scene.render(self.SPEC, 1.0, CFG, FS, seed=1, active_sources=active)
+        assert len(analyze_calls) == 3
+
+    def test_cli_training_transforms_each_source_twice(self, analyze_calls, tmp_path):
+        # N noiseless isolated-source renders (one transform each) plus the
+        # noisy source-free render (N transforms).
+        config = cli.load_config(None, {
+            "seed": 4, "out_dir": str(tmp_path),
+            "stft": {"fft_size": 256, "hop": 128},
+            "geometry": {"mic_count": 3, "spacing": 0.04},
+            "sources": {"azimuths_deg": [20.0, 70.0, 140.0]},
+            "train_duration_s": 0.5,
+        })
+        covest.train(*cli._render_training(config))
+        assert len(analyze_calls) == 2 * 3
 
 
 class TestGeometry:
