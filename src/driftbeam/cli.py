@@ -24,12 +24,12 @@ import copy
 import dataclasses
 import hashlib
 import json
+import struct
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from . import beamform, containers, covest, evaluate, scene
 from .stft import SpectralFrameTensor, StftConfig, synthesize
@@ -112,7 +112,8 @@ def load_config(path=None, overrides=None):
 
     Unknown keys (at any depth), unknown or repeated modes, an invalid STFT,
     motion, geometry or pilot section, non-finite scalars, a non-positive
-    speed of sound and non-positive durations or theory points are rejected.
+    speed of sound, non-positive durations or theory points and theory sigmas
+    that are not a non-empty list of finite positive numbers are rejected.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -149,6 +150,10 @@ def load_config(path=None, overrides=None):
         )
     if not config["theory"]["points"] >= 1:
         raise ValueError(f"theory.points must be at least 1, got {config['theory']['points']!r}")
+    sigmas = config["theory"]["sigmas_s"]
+    if not (isinstance(sigmas, list) and sigmas and all(_finite(s) and s > 0 for s in sigmas)):
+        raise ValueError("theory.sigmas_s must be a non-empty list of finite positive "
+                         f"numbers, got {sigmas!r}")
     wavs = config["sources"].get("wav_paths")
     if wavs:
         for p in wavs:
@@ -206,6 +211,10 @@ def _pilot(config):
 
 
 def read_wav(path, expected_rate):
+    # scipy parses every PCM, float and extensible WAV variant; it is imported
+    # here so that commands which read no WAV never load it.
+    from scipy.io import wavfile
+
     rate, data = wavfile.read(path)
     if rate != expected_rate:
         raise ValueError(
@@ -228,7 +237,19 @@ def read_wav(path, expected_rate):
 
 
 def write_wav(path, data, sample_rate):
-    wavfile.write(path, int(sample_rate), np.asarray(data, dtype=np.float32))
+    """Write data, (T,) or (T, channels), as a 32-bit IEEE-float WAV (fmt chunk
+    with cbSize, fact chunk, interleaved little-endian samples): the bytes
+    scipy.io.wavfile.write produces for float32 data."""
+    data = np.ascontiguousarray(data, dtype="<f4")
+    channels = 1 if data.ndim == 1 else data.shape[1]
+    rate = int(sample_rate)
+    fmt = struct.pack("<HHIIHHH", 3, channels, rate, 4 * channels * rate, 4 * channels, 32, 0)
+    header = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+              + b"fact" + struct.pack("<II", 4, data.shape[0])
+              + b"data" + struct.pack("<I", data.nbytes))
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", len(header) + data.nbytes) + header)
+        fh.write(data)
 
 
 def _test_signals(config, samples):

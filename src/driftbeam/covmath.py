@@ -112,8 +112,8 @@ class PerturbationModel:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         object.__setattr__(self, "sigma", float(self.sigma))
 
 

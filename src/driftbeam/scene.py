@@ -170,8 +170,9 @@ class MotionModel:
         if self.kind == "rotation_sweep":
             if self.state_count < 2:
                 raise ValueError("rotation_sweep needs at least two states")
-            if self.period_s <= 0:
-                raise ValueError("rotation_sweep needs a positive period")
+            if not 0 < self.period_s < np.inf:
+                raise ValueError(
+                    f"rotation_sweep needs a finite positive period, got {self.period_s}")
             if not self.min_deg < self.max_deg:
                 raise ValueError(
                     f"rotation_sweep needs min_deg < max_deg, got {self.min_deg} "

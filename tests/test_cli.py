@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +94,23 @@ class TestWav:
         x = rng.standard_normal(200).astype(np.float32)
         cli.write_wav(path, x, 16000)
         np.testing.assert_array_equal(cli.read_wav(path, 16000), x.astype(np.float64))
+
+    @pytest.mark.parametrize("shape", [(200,), (200, 12), (1,)],
+                             ids=["mono", "twelve_channels", "one_sample"])
+    def test_write_matches_scipy_bytes(self, tmp_path, shape):
+        x = np.random.default_rng(1).standard_normal(shape)
+        cli.write_wav(tmp_path / "ours.wav", x, 16000)
+        wavfile.write(tmp_path / "scipy.wav", 16000, x.astype(np.float32))
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+    @pytest.mark.parametrize("samples, expected", [
+        (np.array([0, 1 << 30, -(1 << 31)], dtype=np.int32), [0.0, 0.5, -1.0]),
+        (np.array([0.25, -1.5, 1e-300], dtype=np.float64), [0.25, -1.5, 1e-300]),
+    ], ids=["int32", "float64"])
+    def test_read_scales_int32_and_keeps_float64(self, tmp_path, samples, expected):
+        path = tmp_path / "x.wav"
+        wavfile.write(path, 16000, samples)
+        np.testing.assert_array_equal(cli.read_wav(path, 16000), expected)
 
     def test_multichannel_rejected(self, tmp_path):
         path = tmp_path / "x.wav"
@@ -325,6 +346,11 @@ class TestMain:
         {"speed_of_sound": -343.0},
         {"speed_of_sound": float("inf")},
         {"motion": {"kind": "rotation_sweep", "min_deg": 10.0, "max_deg": 10.0}},
+        {"motion": {"kind": "rotation_sweep", "period_s": float("nan")}},
+        {"motion": {"kind": "rotation_sweep", "period_s": float("inf")}},
+        {"theory": {"sigmas_s": [float("nan"), 1e-5]}},
+        {"theory": {"sigmas_s": [0.0, 1e-5]}},
+        {"theory": {"sigmas_s": []}},
         {"pilot": {"frequency_hz": 3000}},
         {"pilot": {"level_db": float("nan")}},
         # Bins 511, 513, ..., 519 of five sources run past the last usable bin 511.
@@ -333,7 +359,9 @@ class TestMain:
     ], ids=["hop", "theory_points", "train_duration", "test_duration", "rotation_period",
             "rotation_state_count", "motion_kind", "mic_count", "layout", "sigma_pos_nan",
             "noise_level_nan", "speed_of_sound_zero", "speed_of_sound_negative",
-            "speed_of_sound_inf", "rotation_empty_span", "pilot_below_band",
+            "speed_of_sound_inf", "rotation_empty_span", "rotation_period_nan",
+            "rotation_period_inf", "theory_sigma_nan", "theory_sigma_zero",
+            "theory_sigmas_empty", "pilot_below_band",
             "pilot_level_nan", "pilot_bins_past_nyquist"])
     def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, fields):
         path = self.write_config(tmp_path, **fields)
@@ -373,6 +401,29 @@ class TestMain:
         assert cli.main(["--config", str(path), "--out", out,
                          "--mode", "dynamic", "beamform"]) == 0
         assert (tmp_path / "out" / "enhanced_dynamic_00.wav").is_file()
+
+    # Runs in a fresh interpreter: this test module itself imports scipy.
+    SCIPY_FREE_RUN = """
+import sys
+from driftbeam import cli
+config, out = sys.argv[1:]
+for command in (["analyze"], ["theory"], ["simulate"], ["beamform"]):
+    assert cli.main(["--config", config, "--out", out,
+                     "--mode", "static,dynamic,rank1", *command]) == 0, command
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+    def test_commands_without_source_wavs_never_import_scipy(self, tmp_path):
+        path = self.write_config(tmp_path, motion=self.ROTATION)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", self.SCIPY_FREE_RUN, str(path), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+        assert len(list((tmp_path / "out").glob("enhanced_*.wav"))) == 6
 
     def test_jitter_training_serves_dynamic_beamform(self, tmp_path):
         path = self.write_config(tmp_path,

@@ -237,6 +237,11 @@ class TestFarFieldDivergence:
         with pytest.raises(ValueError, match="sigma"):
             far_field_divergence(a1, a2, PerturbationModel(0.0))
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1e-4])
+    def test_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            PerturbationModel(sigma)
+
     def test_frequency_mismatch_rejected(self):
         rng = np.random.default_rng(12)
         a1 = random_steering(rng, 3, 100.0)

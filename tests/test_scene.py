@@ -103,6 +103,11 @@ class TestStateSequence:
         with pytest.raises(ValueError, match="min_deg < max_deg"):
             scene.MotionModel.rotation_sweep(*span, period_s=5.0, state_count=4)
 
+    @pytest.mark.parametrize("period", [0.0, -5.0, float("nan"), float("inf")])
+    def test_rotation_period_must_be_finite_and_positive(self, period):
+        with pytest.raises(ValueError, match="finite positive period"):
+            scene.MotionModel.rotation_sweep(-10.0, 10.0, period_s=period, state_count=4)
+
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1e-3])
     def test_jitter_sigma_must_be_finite_and_nonnegative(self, sigma):
         with pytest.raises(ValueError, match="sigma_pos"):
