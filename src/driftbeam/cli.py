@@ -113,7 +113,7 @@ def load_config(path=None, overrides=None):
     Unknown keys (at any depth), unknown or repeated modes, an invalid STFT,
     motion, geometry or pilot section, non-finite scalars, a non-positive
     speed of sound, non-positive durations or theory points and theory sigmas
-    that are not a non-empty list of finite positive numbers are rejected.
+    that are not a non-empty list of finite positive numbers with distinct :g forms are rejected.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -154,6 +154,8 @@ def load_config(path=None, overrides=None):
     if not (isinstance(sigmas, list) and sigmas and all(_finite(s) and s > 0 for s in sigmas)):
         raise ValueError("theory.sigmas_s must be a non-empty list of finite positive "
                          f"numbers, got {sigmas!r}")
+    if len({f"{sigma:g}" for sigma in sigmas}) != len(sigmas):
+        raise ValueError(f"theory.sigmas_s {sigmas!r} repeat a theory.csv column name")
     wavs = config["sources"].get("wav_paths")
     if wavs:
         for p in wavs:

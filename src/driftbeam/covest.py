@@ -16,7 +16,7 @@ import numpy as np
 
 from .covmath import HermitianSpectrum, regularize
 from .scene import RenderedScene, StateSequence
-from .stft import SpectralFrameTensor
+from .stft import SpectralFrameTensor, block_length
 
 # Loading applied to near-rank-one pilot snapshots before matching.
 PILOT_EPSILON_REL = 1e-2
@@ -86,15 +86,20 @@ class CovarianceSet:
 
 def _outer_sums(frames, labels, group_count):
     """Per-group sums (G, F, M, M) of x[t,f] x[t,f]^H over complex frames (T, F, M)
-    labeled in [0, G), one batched zgemm per group, and frame counts (G,)."""
+    labeled in [0, G), one zgemm batch per cache-sized bin chunk, and counts (G,)."""
     counts = np.bincount(labels, minlength=group_count)
     _, f_count, m_count = frames.shape
     sums = np.empty((group_count, f_count, m_count, m_count), dtype=np.complex128)
     for group in range(group_count):
-        # A group holding every frame uses the frames as they are, saving a full copy.
-        subset = frames if counts[group] == len(labels) else frames[labels == group]
-        x = subset.transpose(1, 2, 0)  # (F, M, T_g)
-        np.matmul(x, x.conj().transpose(0, 2, 1), out=sums[group])
+        # A group holding every frame reads the frames in place.
+        rows = slice(None) if counts[group] == len(labels) else np.flatnonzero(labels == group)
+        # Equal chunks of at least two bins: a one-bin copy of one microphone
+        # would hand BLAS unit-stride vectors, which it sums in another order.
+        parts = max(1, f_count // max(2, block_length(counts[group] * m_count * 16)))
+        for k in range(parts):
+            bins = slice(k * f_count // parts, (k + 1) * f_count // parts)
+            x = frames[rows, bins].transpose(1, 2, 0)  # (bins, M, T_g)
+            np.matmul(x, x.conj().transpose(0, 2, 1), out=sums[group, bins])
     return sums, counts
 
 

@@ -23,6 +23,7 @@ from .covmath import (
 )
 from .covest import CovarianceSet
 from .scene import steering_vector
+from .stft import block_length
 
 
 @dataclass
@@ -79,8 +80,14 @@ def gain(outputs, mixture_ref, desired, frequencies_hz) -> GainReport:
     if outputs.shape[2] < 1:
         raise ValueError("at least one source is required")
 
-    num = np.sum(np.abs(mixture_ref[:, :, None] - desired) ** 2, axis=0).T  # (N, F)
-    den = np.sum(np.abs(outputs - desired) ** 2, axis=0).T  # (N, F)
+    # Running (F, N) sums over cache-sized blocks, frame after frame like np.sum(axis=0).
+    num, den = np.zeros((2, *outputs.shape[1:]))
+    rows = block_length(outputs[:1].nbytes)
+    for lo in range(0, len(outputs), rows):
+        for acc, estimate in ((num, mixture_ref[lo:lo + rows, :, None]), (den, outputs[lo:lo + rows])):
+            for frame in np.abs(estimate - desired[lo:lo + rows]) ** 2:
+                acc += frame
+    num, den = num.T, den.T  # (N, F)
     finite = np.isfinite(num).all(axis=0) & np.isfinite(den).all(axis=0)
     flagged = (den == 0).any(axis=0) | (num == 0).any(axis=0) | ~finite
     gain_db = np.where(finite, np.inf, np.nan)
@@ -147,11 +154,13 @@ def theory_curve(positions, named_pairs: dict, sigmas, freqs_hz,
     named_pairs maps a column base name to a list of azimuth pairs (degrees);
     steering vectors are rebuilt from the positions at every grid frequency.
     One column is emitted per (name, sigma), named f"{name}_sigma_{sigma:g}".
-    sigmas are delay standard deviations in seconds and must be positive.
+    sigmas are delay standard deviations in seconds, positive and distinct as :g.
     """
     freqs_hz = np.asarray(freqs_hz, dtype=np.float64)
     if (freqs_hz <= 0).any():
         raise ValueError("theory curves need strictly positive frequencies")
+    if len({f"{sigma:g}" for sigma in sigmas}) != len(sigmas):
+        raise ValueError(f"sigmas {list(sigmas)!r} repeat a column name")
     table = {"frequency_hz": freqs_hz}
     for sigma in sigmas:
         if sigma <= 0:

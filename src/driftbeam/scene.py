@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covmath import SteeringVector
-from .stft import DEFAULT_SAMPLE_RATE, SpectralFrameTensor, StftConfig, analyze
+from .stft import DEFAULT_SAMPLE_RATE, SpectralFrameTensor, StftConfig, analyze, block_length
 
 SPEED_OF_SOUND = 343.0
 
@@ -379,6 +379,8 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     each at most once). When the scene has noise, inactive sources still
     define its power reference, so renders with different active sets share
     one noise level; a noiseless render transforms only its active sources.
+    Each element of the mixture is its noise (zero without noise) plus the
+    images in active order, added in that order, whatever the block length.
     """
     n_samples = int(round(duration_s * sample_rate))
     if n_samples < cfg.fft_size:
@@ -422,7 +424,9 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
             powers.append(np.mean(np.abs(spectrum) ** 2))
         if n in active:
             spectra[n] = spectrum
-    noise_cell_power = float(np.mean(powers)) if noisy else None
+    if noisy:
+        variance = float(np.mean(powers)) * 10.0 ** (spec.noise_level_db / 10.0)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM,)))
 
     # Inject pilot tones into the reference spectra so that images, mixture
     # and desired signals all carry them consistently.
@@ -433,26 +437,38 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
             amp = np.sqrt(power * 10.0 ** (spec.pilot.level_db / 10.0))
             digital = 2.0 * np.pi * pilots[n] / cfg.fft_size
             tone = amp * np.exp(1j * digital * frame_advance[:, 0])
-            spectra[n] = spectra[n].copy()
             spectra[n][:, pilots[n]] += tone
 
     frame_rel = _frame_relative_positions(
         spec, t_count, sample_rate / cfg.hop, seed
     )  # (T, M, 2) for moving scenes, None for static
-    # Noise first, then each image in active order, summed in place; this
-    # order fixes the mixture's bytes.
-    mixture = _diffuse_noise(spec, noise_cell_power, (t_count, f_count, m_count), seed)
+    static = frame_rel is None
+    positions = _relative_positions(spec.geometry)[0] if static else frame_rel
+    images = {}  # per active source: (F, M) phases if static, (T, M) delays if moving
     for n in active:
-        if frame_rel is None:
-            rel = _relative_positions(spec.geometry)[0]
-            tau = propagation_delays(rel, spec.sources[n].azimuth_deg,
-                                     spec.speed_of_sound)
-            phases = np.exp(1j * omega[:, None] * tau[None, :])  # (F, M)
-            mixture += spectra[n][:, :, None] * phases[None, :, :]
+        tau = propagation_delays(positions, spec.sources[n].azimuth_deg, spec.speed_of_sound)
+        images[n] = np.exp(1j * omega[:, None] * tau[None, :]) if static else tau
+
+    # One cache-sized block of frames at a time, adding in the order that fixes the bytes.
+    mixture = np.empty((t_count, f_count, m_count), dtype=np.complex128)
+    rows = block_length(mixture[0].nbytes)
+    for lo in range(0, t_count, rows):
+        block = mixture[lo:lo + rows]
+        if noisy:
+            # Successive draws into consecutive blocks continue one stream.
+            rng.standard_normal(out=block.view(np.float64).reshape(*block.shape, 2))
+            # DC and Nyquist bins of a real signal carry no quadrature component.
+            edges = block[:, [0, -1], :].real * np.sqrt(variance)
+            block *= np.sqrt(variance / 2.0)
+            block[:, [0, -1], :] = edges
         else:
-            tau = propagation_delays(frame_rel, spec.sources[n].azimuth_deg,
-                                     spec.speed_of_sound)  # (T, M)
-            _add_moving_image(mixture, spectra[n], omega, tau)
+            block.fill(0.0)
+        for n in active:
+            spectrum = spectra[n][lo:lo + rows, :, None]
+            if static:
+                block += spectrum * images[n]
+            else:
+                _add_moving_image(block, spectrum, omega, images[n][lo:lo + rows])
 
     desired = np.stack([spectra[n] for n in active], axis=-1) if active else \
         np.zeros((t_count, f_count, 0), dtype=np.complex128)
@@ -465,28 +481,33 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     )
 
 
-def _add_moving_image(mixture, spectrum, omega, tau):
-    """mixture += spectrum[:, :, None] * exp(1j * omega[None, :, None] * tau[:, None, :]).
+def _add_moving_image(block, spectrum, omega, tau):
+    """block += spectrum * exp(1j * omega[None, :, None] * tau[:, None, :]) for a
+    block of frames: spectrum (Tb, F, 1), delays tau (Tb, M).
 
     The bin grid is uniform (omega[lo + k] = omega[lo] + omega[k]), so the
     phases of each _BIN_CHUNK-wide chunk starting at bin lo are one shared
     table exp(1j * omega[:_BIN_CHUNK] * tau) times exp(1j * omega[lo] * tau):
     _BIN_CHUNK + ceil(F / _BIN_CHUNK) exponentials per (frame, mic) instead
-    of F, and (T, _BIN_CHUNK, M) temporaries instead of (T, F, M) ones.
-    The products differ from exact phases by the rounding of omega * tau
-    (about 1e-14 on unit phasors at the default scene).
+    of F. The products differ from exact phases by the rounding of
+    omega * tau (about 1e-14 on unit phasors at the default scene).
     """
     f_count = omega.shape[0]
     width = min(_BIN_CHUNK, f_count)
-    offsets = np.exp(1j * omega[None, :width, None] * tau[:, None, :])  # (T, W, M)
-    bases = np.exp(1j * omega[None, ::width, None] * tau[:, None, :])  # (T, chunks, M)
-    buffer = np.empty_like(offsets)
-    for c, lo in enumerate(range(0, f_count, width)):
-        hi = min(lo + width, f_count)
-        phases = np.multiply(offsets[:, :hi - lo], bases[:, c:c + 1],
-                             out=buffer[:, :hi - lo])
-        phases *= spectrum[:, lo:hi, None]
-        mixture[:, lo:hi] += phases
+    offsets = _unit_phasors(omega[None, :width, None] * tau[:, None, :])  # (Tb, W, M)
+    bases = _unit_phasors(omega[None, ::width, None] * tau[:, None, :])  # (Tb, C, M)
+    phases = np.multiply(offsets[:, None], bases[:, :, None])  # (Tb, C, W, M)
+    phases = phases.reshape(tau.shape[0], -1, tau.shape[1])[:, :f_count]
+    phases *= spectrum
+    block += phases
+
+
+def _unit_phasors(phase):
+    """exp(1j * phase) for real phase, at half the cost of the complex exponential."""
+    out = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 def _frame_relative_positions(spec: SceneSpec, t_count: int, frame_rate: float,
@@ -515,19 +536,3 @@ def _frame_relative_positions(spec: SceneSpec, t_count: int, frame_rate: float,
     angles = _sweep_angle_series(motion, t_count, frame_rate) - motion.min_deg
     absolute = _rotated(spec.geometry.state_positions[0], ref, angles)
     return absolute - absolute[:, ref:ref + 1, :]
-
-
-def _diffuse_noise(spec: SceneSpec, cell_power: float | None, shape, seed: int):
-    t_count, f_count, m_count = shape
-    if spec.noise_level_db is None:
-        return np.zeros(shape, dtype=np.complex128)
-    variance = cell_power * 10.0 ** (spec.noise_level_db / 10.0)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM,)))
-    # Draw (real, imaginary) pairs straight into the complex buffer.
-    noise = np.empty(shape, dtype=np.complex128)
-    rng.standard_normal(out=noise.view(np.float64).reshape(t_count, f_count, m_count, 2))
-    # DC and Nyquist bins of a real signal carry no quadrature component.
-    edges = noise[:, [0, -1], :].real * np.sqrt(variance)
-    noise *= np.sqrt(variance / 2.0)
-    noise[:, [0, -1], :] = edges
-    return noise

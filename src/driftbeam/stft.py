@@ -13,6 +13,14 @@ import numpy as np
 DEFAULT_SAMPLE_RATE = 16000
 # Residual allowed in the overlap-add reconstruction of the window pair.
 COLA_TOL = 1e-10
+# Rendering, training sums and gain walk (T, F, M) frame tensors in blocks of about
+# this many bytes, so a block stays in L2 cache from the step writing it to the next.
+BLOCK_BYTES = 1 << 20
+
+
+def block_length(unit_bytes: int) -> int:
+    """How many units (frames or bins) of unit_bytes each fit in BLOCK_BYTES, at least 1."""
+    return max(1, BLOCK_BYTES // max(unit_bytes, 1))
 
 
 def _hann_periodic(n):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from driftbeam import cli
+from driftbeam import cli, covest
 
 
 def tiny_config(out_dir, **overrides):
@@ -243,6 +243,23 @@ class TestTrainingMemory:
         mixture_bytes = frames * len(covs.frequencies) * covs.mic_count * 16
         assert peak < (len(sources) + 1) * mixture_bytes
 
+    def test_training_holds_two_mixtures_and_the_cells(self, tmp_path):
+        # While a source render is reduced, it and the noise render are alive;
+        # the sums copy cache-sized chunks of bins, never the whole render.
+        config = tiny_config(tmp_path / "out", geometry={"mic_count": 16},
+                             train_duration_s=8.0,
+                             motion={"kind": "gaussian_jitter", "sigma_pos_m": 0.005})
+        tracemalloc.start()
+        try:
+            covs = covest.train(*cli._render_training(config))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mixture_bytes = covs.frame_counts[(0, 0)] * len(covs.frequencies) * covs.mic_count * 16
+        cells = [covs.noise, *covs.per_state.values(), *covs.ensemble.values()]
+        cell_bytes = sum(cell.bins.nbytes for cell in cells)
+        assert peak < 2 * mixture_bytes + cell_bytes + 0.25 * mixture_bytes
+
 
 class TestOtherCommands:
     def test_arc_layout_simulate(self, tmp_path):
@@ -351,6 +368,7 @@ class TestMain:
         {"theory": {"sigmas_s": [float("nan"), 1e-5]}},
         {"theory": {"sigmas_s": [0.0, 1e-5]}},
         {"theory": {"sigmas_s": []}},
+        {"theory": {"sigmas_s": [1e-5, 1e-5, 1.0000001e-5, 2e-5]}},
         {"pilot": {"frequency_hz": 3000}},
         {"pilot": {"level_db": float("nan")}},
         # Bins 511, 513, ..., 519 of five sources run past the last usable bin 511.
@@ -361,7 +379,7 @@ class TestMain:
             "noise_level_nan", "speed_of_sound_zero", "speed_of_sound_negative",
             "speed_of_sound_inf", "rotation_empty_span", "rotation_period_nan",
             "rotation_period_inf", "theory_sigma_nan", "theory_sigma_zero",
-            "theory_sigmas_empty", "pilot_below_band",
+            "theory_sigmas_empty", "theory_sigmas_duplicate", "pilot_below_band",
             "pilot_level_nan", "pilot_bins_past_nyquist"])
     def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, fields):
         path = self.write_config(tmp_path, **fields)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from driftbeam import beamform, cli, covest, covmath, scene
+from driftbeam import beamform, cli, covest, covmath, scene, stft
 from driftbeam.stft import StftConfig, analyze
 
 CFG = StftConfig(fft_size=256, hop=128)
@@ -103,6 +103,28 @@ class TestOuterSums:
         np.testing.assert_array_equal(counts, np.bincount(labels, minlength=groups))
         scale = max(np.abs(frames).max() ** 2, 1.0)
         np.testing.assert_allclose(sums, expected, rtol=0, atol=1e-12 * scale * len(labels))
+
+
+class TestOuterSumChunks:
+    @pytest.mark.parametrize("mic_count", [1, 3])
+    def test_chunk_width_never_changes_bits(self, monkeypatch, mic_count):
+        # F = 37 bins in chunks from two bins up to all of them, for one group
+        # holding every frame, and for three groups plus an empty fourth.
+        rng = np.random.default_rng(7)
+        t, f = 40, 37
+        parts = rng.standard_normal((2, t, f, mic_count))
+        frames = parts[0] + 1j * parts[1]
+        bin_bytes = t * mic_count * 16
+        for labels, groups in ((np.zeros(t, dtype=np.int64), 1), (rng.integers(0, 3, t), 4)):
+            # The whole-array products: one batched zgemm per group over every bin.
+            expected = np.empty((groups, f, mic_count, mic_count), dtype=np.complex128)
+            for group in range(groups):
+                x = (frames if groups == 1 else frames[labels == group]).transpose(1, 2, 0)
+                np.matmul(x, x.conj().transpose(0, 2, 1), out=expected[group])
+            for budget in (1, 2 * bin_bytes, 5 * bin_bytes, f * bin_bytes):
+                monkeypatch.setattr(stft, "BLOCK_BYTES", budget)
+                sums, _ = covest._outer_sums(frames, labels, groups)
+                np.testing.assert_array_equal(sums.view(np.uint64), expected.view(np.uint64))
 
 
 class TestTrain:

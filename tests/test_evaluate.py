@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from driftbeam import covest, covmath, evaluate, scene
+from driftbeam import covest, covmath, evaluate, scene, stft
 from driftbeam.evaluate import divergence_curve, gain, outer_vs_central_pairs, theory_curve, write_table
 from driftbeam.stft import StftConfig
 
@@ -91,6 +93,42 @@ class TestGain:
                  random_series(rng, 5, 4, 3), np.zeros(4))
 
 
+class TestGainBlocks:
+    @pytest.mark.parametrize("rows", [1, 7, 50, None], ids=["1", "7", "all", "default"])
+    def test_equal_to_the_whole_array_formula(self, monkeypatch, rows):
+        # numpy's axis-0 sum adds one frame after another whenever a frame
+        # holds more than one value, as every (F >= 2)-bin grid does.
+        rng = np.random.default_rng(8)
+        t, f, n = 50, 9, 3
+        outputs, desired = random_series(rng, t, f, n), random_series(rng, t, f, n)
+        reference = random_series(rng, t, f, 1)[:, :, 0]
+        outputs[:, 2, 1] = desired[:, 2, 1]
+        if rows is not None:
+            monkeypatch.setattr(stft, "BLOCK_BYTES", rows * f * n * 16)
+        report = gain(outputs, reference, desired, np.arange(f))
+        num = np.sum(np.abs(reference[:, :, None] - desired) ** 2, axis=0).T
+        den = np.sum(np.abs(outputs - desired) ** 2, axis=0).T
+        ok = (den != 0).all(axis=0)
+        for got, expected in ((report.numerators, num), (report.denominators, den),
+                              (report.gain_db[ok],
+                               np.mean(10.0 * np.log10(num[:, ok] / den[:, ok]), axis=0))):
+            assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert report.flagged.tolist() == (~ok).tolist()
+
+    def test_peak_memory_is_a_fraction_of_the_outputs(self):
+        rng = np.random.default_rng(9)
+        t, f, n = 800, 257, 5
+        outputs, desired = random_series(rng, t, f, n), random_series(rng, t, f, n)
+        reference = random_series(rng, t, f, 1)[:, :, 0]
+        tracemalloc.start()
+        try:
+            gain(outputs, reference, desired, np.arange(f))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * outputs.nbytes
+
+
 def small_covset():
     rng = np.random.default_rng(5)
     f, m = 6, 3
@@ -174,6 +212,12 @@ class TestTheoryCurve:
         with pytest.raises(ValueError, match="sigma"):
             theory_curve(scene.linear_positions(3, 0.05), {"d": [(0.0, 90.0)]},
                          [0.0], [1000.0])
+
+    def test_repeated_column_name_rejected(self):
+        # 1e-5 and 1.0000001e-5 both render as 1e-05.
+        with pytest.raises(ValueError, match="repeat a column name"):
+            theory_curve(scene.linear_positions(3, 0.05), {"d": [(0.0, 90.0)]},
+                         [1e-5, 2e-5, 1.0000001e-5], [1000.0])
 
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ValueError, match="positive"):

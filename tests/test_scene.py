@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftbeam import cli, covest, covmath, scene
+from driftbeam import cli, covest, covmath, scene, stft
 from driftbeam.stft import StftConfig
 
 CFG = StftConfig(fft_size=256, hop=128)
@@ -408,6 +408,28 @@ class TestRenderTransforms:
         })
         covest.train(*cli._render_training(config))
         assert len(analyze_calls) == 2 * 3
+
+
+class TestRenderBlocks:
+    """A render fills its mixture one block of frames at a time; the block
+    length never changes a byte of it."""
+
+    @pytest.mark.parametrize("noise_level_db", [-30.0, None], ids=["noisy", "noiseless"])
+    @pytest.mark.parametrize("motion", [
+        scene.MotionModel.static(),
+        scene.MotionModel.gaussian_jitter(0.004),
+        scene.MotionModel.rotation_sweep(-30.0, 30.0, period_s=0.5, state_count=3),
+    ], ids=["static", "gaussian_jitter", "rotation_sweep"])
+    def test_block_length_never_changes_bytes(self, monkeypatch, motion, noise_level_db):
+        spec = simple_spec(mic_count=3, azimuths=(30.0, 80.0, 120.0), motion=motion,
+                           noise_level_db=noise_level_db, pilot=scene.Pilot(7000.0))
+        default = scene.render(spec, 2.0, CFG, FS, seed=4).mixture.frames
+        t_count, frame_bytes = default.shape[0], default[0].nbytes
+        assert t_count % 5 != 0
+        for rows in (1, 5, t_count, 3 * t_count):
+            monkeypatch.setattr(stft, "BLOCK_BYTES", rows * frame_bytes)
+            blocked = scene.render(spec, 2.0, CFG, FS, seed=4).mixture.frames
+            np.testing.assert_array_equal(blocked.view(np.uint64), default.view(np.uint64))
 
 
 class TestGeometry:
