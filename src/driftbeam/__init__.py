@@ -12,8 +12,6 @@ from .covest import CovarianceSet, estimate_states, pilot_templates, sample_cova
 from .covmath import (
     HermitianSpectrum,
     IllConditionedError,
-    PerturbationModel,
-    SteeringVector,
     far_field_divergence,
     gaussian_divergence,
     perturbed_covariance,
@@ -32,7 +30,6 @@ from .scene import (
     linear_positions,
     render,
     state_sequence,
-    steering_vector,
 )
 from .stft import SpectralFrameTensor, StftConfig, analyze, synthesize
 
@@ -46,7 +43,6 @@ __all__ = [
     "HermitianSpectrum",
     "IllConditionedError",
     "MotionModel",
-    "PerturbationModel",
     "Pilot",
     "RenderedScene",
     "SceneSpec",
@@ -54,7 +50,6 @@ __all__ = [
     "SpectralFrameTensor",
     "StarvedStateError",
     "StateSequence",
-    "SteeringVector",
     "StftConfig",
     "analyze",
     "apply_bank",
@@ -77,7 +72,6 @@ __all__ = [
     "save_bank",
     "save_covariances",
     "state_sequence",
-    "steering_vector",
     "synthesize",
     "theory_curve",
     "train",

@@ -111,9 +111,11 @@ def load_config(path=None, overrides=None):
     """Merge defaults, the optional JSON config file, and CLI overrides.
 
     Unknown keys (at any depth), unknown or repeated modes, an invalid STFT,
-    motion, geometry or pilot section, non-finite scalars, a non-positive
-    speed of sound, non-positive durations or theory points and theory sigmas
-    that are not a non-empty list of finite positive numbers with distinct :g forms are rejected.
+    motion, geometry, source or pilot section, non-finite scalars, a
+    non-positive sample rate or speed of sound, durations shorter than one
+    frame, theory points that are not a positive int and theory sigmas that
+    are not a non-empty list of finite positive numbers with distinct :g forms
+    are rejected.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -134,12 +136,17 @@ def load_config(path=None, overrides=None):
             f"modes must be a list of distinct names from {list(beamform.MODES)}, "
             f"got {modes!r}"
         )
-    scene.pilot_bins(_pilot(config), len(config["sources"]["azimuths_deg"]),
-                     _stft_config(config), config["sample_rate"])
-    _geometry(config, _motion(config))
-    for key in ("speed_of_sound", "train_duration_s", "test_duration_s"):
+    for key in ("sample_rate", "speed_of_sound", "train_duration_s", "test_duration_s"):
         if not (_finite(config[key]) and config[key] > 0):
             raise ValueError(f"{key} must be finite and positive, got {config[key]!r}")
+    cfg = _stft_config(config)
+    for key in ("train_duration_s", "test_duration_s"):
+        if int(round(config[key] * config["sample_rate"])) < cfg.fft_size:
+            raise ValueError(f"{key} {config[key]!r} s is shorter than one frame")
+    scene.pilot_bins(_pilot(config), len(config["sources"]["azimuths_deg"]), cfg,
+                     config["sample_rate"])
+    # Signal-free sources check the azimuths, geometry and motion of the scene.
+    _scene_spec(config, [()] * len(config["sources"]["azimuths_deg"]))
     if config["noise_level_db"] is not None and not _finite(config["noise_level_db"]):
         raise ValueError(
             f"noise_level_db must be finite or null, got {config['noise_level_db']!r}"
@@ -148,8 +155,9 @@ def load_config(path=None, overrides=None):
         raise ValueError(
             f"motion.sigma_pos_m must be finite, got {config['motion']['sigma_pos_m']!r}"
         )
-    if not config["theory"]["points"] >= 1:
-        raise ValueError(f"theory.points must be at least 1, got {config['theory']['points']!r}")
+    points = config["theory"]["points"]
+    if not (isinstance(points, int) and not isinstance(points, bool) and points >= 1):
+        raise ValueError(f"theory.points must be an int of at least 1, got {points!r}")
     sigmas = config["theory"]["sigmas_s"]
     if not (isinstance(sigmas, list) and sigmas and all(_finite(s) and s > 0 for s in sigmas)):
         raise ValueError("theory.sigmas_s must be a non-empty list of finite positive "
@@ -188,7 +196,7 @@ def _motion(config):
     raise ValueError(f"unknown motion kind {m['kind']!r}")
 
 
-def _geometry(config, motion):
+def _geometry(config):
     g = config["geometry"]
     if g.get("positions") is not None:
         base = np.asarray(g["positions"], dtype=np.float64)
@@ -200,9 +208,7 @@ def _geometry(config, motion):
         )
     else:
         raise ValueError(f"unknown geometry layout {g['layout']!r}")
-    if motion.kind == "rotation_sweep":
-        return scene.ArrayGeometry.rotations(base, motion.sweep_angles(), g["reference"])
-    return scene.ArrayGeometry.fixed(base, g["reference"])
+    return scene.ArrayGeometry(base, g["reference"])
 
 
 def _pilot(config):
@@ -270,18 +276,16 @@ def _test_signals(config, samples):
     return signals
 
 
-def _scene_spec(config, signals, motion=None):
-    motion = motion if motion is not None else _motion(config)
-    geometry = _geometry(config, motion)
+def _scene_spec(config, signals):
     azimuths = config["sources"]["azimuths_deg"]
     sources = tuple(
         scene.Source(azimuth_deg=float(az), signal=sig)
         for az, sig in zip(azimuths, signals)
     )
     return scene.SceneSpec(
-        geometry=geometry,
+        geometry=_geometry(config),
         sources=sources,
-        motion=motion,
+        motion=_motion(config),
         noise_level_db=config["noise_level_db"],
         pilot=_pilot(config),
         speed_of_sound=config["speed_of_sound"],
@@ -500,11 +504,10 @@ def run_beamform(config, covariances_path=None):
 
 
 def run_theory(config):
-    """Closed-form divergence curves for the configured geometry."""
+    """Closed-form divergence curves for the array's start pose: the
+    configured geometry, rotated to min_deg for a rotation sweep."""
     out = _out_dir(config)
-    motion = _motion(config)
-    geometry = _geometry(config, motion)
-    positions = geometry.state_positions[0]
+    positions = scene.start_pose(_geometry(config), _motion(config))
     azimuths = config["sources"]["azimuths_deg"]
     if len(azimuths) < 2:
         raise ValueError("theory curves need at least two source azimuths")
@@ -513,7 +516,7 @@ def run_theory(config):
         (azimuths[i], azimuths[central]) for i in range(len(azimuths)) if i != central
     ]
     nyquist = config["sample_rate"] / 2.0
-    points = int(config["theory"]["points"])
+    points = config["theory"]["points"]
     freqs = np.linspace(nyquist / points, nyquist, points)
     table = evaluate.theory_curve(
         positions, {"div_outer_vs_central": pairs},

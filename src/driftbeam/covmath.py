@@ -76,47 +76,6 @@ class HermitianSpectrum:
         return self.bins.shape[1]
 
 
-@dataclass(frozen=True)
-class SteeringVector:
-    """Unit-modulus arrival-phase vector of a far-field plane wave.
-
-    Attributes:
-        entries: complex array of shape (M,), each entry of magnitude one
-        frequency: rad/s
-    """
-
-    entries: np.ndarray
-    frequency: float
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.complex128)
-        if entries.ndim != 1:
-            raise ValueError(f"entries must be a vector, got shape {entries.shape}")
-        if np.abs(np.abs(entries) - 1.0).max() > 1e-12:
-            raise ValueError("steering vector entries must have unit magnitude")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "frequency", float(self.frequency))
-
-    @property
-    def mic_count(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class PerturbationModel:
-    """Independent zero-mean Gaussian delay offsets, one per microphone.
-
-    sigma is the standard deviation of the offsets in seconds.
-    """
-
-    sigma: float
-
-    def __post_init__(self):
-        if not 0 <= self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        object.__setattr__(self, "sigma", float(self.sigma))
-
-
 def _square(r, name):
     r = np.asarray(r, dtype=np.complex128)
     if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
@@ -179,53 +138,67 @@ def _hermitian_part(r):
     return 0.5 * (r + r.conj().swapaxes(-1, -2))
 
 
-def perturbed_covariance(r, omega, model: PerturbationModel) -> np.ndarray:
+def _check_sigma(sigma):
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+
+
+def perturbed_covariance(r, omega, sigma) -> np.ndarray:
     """Ensemble covariance of a unit-diagonal source covariance under random delays.
 
-    With each microphone delayed by an independent N(0, sigma^2) offset, every
-    off-diagonal entry shrinks by exp(-(omega*sigma)^2) and the lost energy
-    moves onto the diagonal, which is preserved exactly:
+    With each microphone delayed by an independent N(0, sigma^2) offset (sigma
+    in seconds, finite and nonnegative), every off-diagonal entry shrinks by
+    exp(-(omega*sigma)^2) and the lost energy moves onto the diagonal, which
+    is preserved exactly:
 
         out = exp(-omega^2 sigma^2) * r + (1 - exp(-omega^2 sigma^2)) * I
     """
+    _check_sigma(sigma)
     r = _square(r, "r")
     if r.ndim != 2:
         raise ValueError(f"r must be a single matrix, got shape {r.shape}")
     if np.abs(np.diagonal(r) - 1.0).max() > 1e-8:
         raise ValueError("perturbed_covariance expects a unit-diagonal (power-normalized) matrix")
-    att = np.exp(-((omega * model.sigma) ** 2))
+    att = np.exp(-((omega * sigma) ** 2))
     out = att * r + (1.0 - att) * np.eye(r.shape[0])
     np.fill_diagonal(out, np.diagonal(r))
     return out
 
 
-def far_field_divergence(a1: SteeringVector, a2: SteeringVector, model: PerturbationModel) -> float:
+def far_field_divergence(tau1, tau2, omega, sigma):
     """Closed-form divergence between two randomly-offset rank-one source covariances.
 
-    Both covariances are the perturbed outer products of unit-modulus steering
-    vectors, so their determinants coincide and the divergence reduces to
+    tau1 and tau2 are the (M,) arrival delays of two plane waves in seconds,
+    omega a grid of angular frequencies, and sigma the std of the independent
+    Gaussian delay offsets, finite and positive. At each omega both
+    covariances are the perturbed outer products of the unit-modulus steering
+    vectors a = exp(j*omega*tau), so their determinants coincide and the
+    divergence reduces to
 
         (M^2 - |a1^H a2|^2) / (2 (e^x - 1) (e^x - 1 + M)),   x = (omega*sigma)^2.
 
-    Decreasing in frequency and in sigma; zero when the steering vectors match.
+    Returns an array shaped like omega. Decreasing in sigma, and in frequency
+    for fixed steering phases; zero when the steering vectors match.
     """
-    if model.sigma <= 0:
+    _check_sigma(sigma)
+    if sigma == 0:
         raise ValueError(
             "sigma must be positive: the unperturbed covariances are rank one "
             "and the divergence is unbounded"
         )
-    if a1.entries.shape != a2.entries.shape:
+    tau1 = np.asarray(tau1, dtype=np.float64)
+    tau2 = np.asarray(tau2, dtype=np.float64)
+    if tau1.ndim != 1 or tau1.shape != tau2.shape:
         raise ValueError(
-            f"steering dimension mismatch: {a1.entries.shape} vs {a2.entries.shape}"
+            f"delays must be two equal-length vectors, got {tau1.shape} and {tau2.shape}"
         )
-    if a1.frequency != a2.frequency:
-        raise ValueError(f"frequency mismatch: {a1.frequency} vs {a2.frequency}")
-    m = a1.mic_count
-    x = (a1.frequency * model.sigma) ** 2
-    em1 = np.expm1(x)
-    overlap = np.abs(np.vdot(a1.entries, a2.entries)) ** 2
-    numerator = max(m * m - overlap, 0.0)
-    return float(numerator / (2.0 * em1 * (em1 + m)))
+    omega = np.asarray(omega, dtype=np.float64)
+    m = tau1.shape[0]
+    a1 = np.exp(1j * omega[..., None] * tau1)
+    a2 = np.exp(1j * omega[..., None] * tau2)
+    overlap = np.abs(a1.conj()[..., None, :] @ a2[..., :, None])[..., 0, 0] ** 2
+    em1 = np.expm1((omega * sigma) ** 2)
+    return np.maximum(m * m - overlap, 0.0) / (2.0 * em1 * (em1 + m))
 
 
 def regularize(r, epsilon_rel: float = DEFAULT_EPSILON_REL) -> np.ndarray:

@@ -14,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmath import (
-    DEFAULT_EPSILON_REL,
-    PerturbationModel,
-    far_field_divergence,
-    gaussian_divergence,
-    regularize,
-)
+from .covmath import DEFAULT_EPSILON_REL, far_field_divergence, gaussian_divergence, regularize
 from .covest import CovarianceSet
-from .scene import steering_vector
+from .scene import propagation_delays
 from .stft import block_length
 
 
@@ -152,7 +146,8 @@ def theory_curve(positions, named_pairs: dict, sigmas, freqs_hz,
     """Closed-form divergence versus frequency for delay jitter of std sigma.
 
     named_pairs maps a column base name to a list of azimuth pairs (degrees);
-    steering vectors are rebuilt from the positions at every grid frequency.
+    each azimuth's arrival delays at the positions enter the closed form over
+    the whole frequency grid.
     One column is emitted per (name, sigma), named f"{name}_sigma_{sigma:g}".
     sigmas are delay standard deviations in seconds, positive and distinct as :g.
     """
@@ -161,19 +156,14 @@ def theory_curve(positions, named_pairs: dict, sigmas, freqs_hz,
         raise ValueError("theory curves need strictly positive frequencies")
     if len({f"{sigma:g}" for sigma in sigmas}) != len(sigmas):
         raise ValueError(f"sigmas {list(sigmas)!r} repeat a column name")
+    omega = 2.0 * np.pi * freqs_hz
     table = {"frequency_hz": freqs_hz}
     for sigma in sigmas:
-        if sigma <= 0:
-            raise ValueError("theory curves require positive sigma")
-        model = PerturbationModel(sigma)
         for name, pairs in named_pairs.items():
             acc = np.zeros(freqs_hz.shape[0])
             for az1, az2 in pairs:
-                for i, f_hz in enumerate(freqs_hz):
-                    omega = 2.0 * np.pi * f_hz
-                    a1 = steering_vector(positions, az1, omega, c)
-                    a2 = steering_vector(positions, az2, omega, c)
-                    acc[i] += far_field_divergence(a1, a2, model)
+                acc += far_field_divergence(propagation_delays(positions, az1, c),
+                                            propagation_delays(positions, az2, c), omega, sigma)
             table[f"{name}_sigma_{sigma:g}"] = acc / len(pairs)
     return table
 

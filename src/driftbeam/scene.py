@@ -2,8 +2,8 @@
 each other.
 
 Rendering happens directly in the STFT domain: each source image is the
-source's reference-channel spectrum multiplied by a per-state steering
-vector, diffuse noise is independent complex Gaussian in every
+source's reference-channel spectrum multiplied by the steering phases of
+the frame's array pose, diffuse noise is independent complex Gaussian in every
 (frame, bin, channel) cell, and optional near-Nyquist pilot tones are
 emitted from the source positions so the array pose can be identified frame
 by frame. Steering phases are taken relative to the reference microphone,
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmath import SteeringVector
 from .stft import DEFAULT_SAMPLE_RATE, SpectralFrameTensor, StftConfig, analyze, block_length
 
 SPEED_OF_SOUND = 343.0
@@ -54,46 +53,26 @@ class StateSequence:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Per-state microphone positions in the horizontal plane.
+    """Microphone positions in the horizontal plane, shape (M, 2) in meters,
+    with microphone `reference` as the reference channel. The motion model
+    moves this pose; it holds no motion of its own."""
 
-    state_positions has shape (state_count, M, 2) in meters. The reference
-    microphone keeps channel index `reference` in every state.
-    """
-
-    state_positions: np.ndarray
+    positions: np.ndarray
     reference: int = 0
 
     def __post_init__(self):
-        pos = np.asarray(self.state_positions, dtype=np.float64)
-        if pos.ndim != 3 or pos.shape[2] != 2:
-            raise ValueError(
-                f"state_positions must have shape (S, M, 2), got {pos.shape}"
-            )
-        if pos.shape[0] < 1:
-            raise ValueError("at least one state is required")
-        if not 0 <= self.reference < pos.shape[1]:
+        pos = np.asarray(self.positions, dtype=np.float64)
+        if pos.ndim != 2 or pos.shape[1] != 2:
+            raise ValueError(f"positions must have shape (M, 2), got {pos.shape}")
+        if not np.isfinite(pos).all():
+            raise ValueError("positions contain non-finite coordinates")
+        if not 0 <= self.reference < pos.shape[0]:
             raise ValueError(f"reference index {self.reference} out of range")
-        object.__setattr__(self, "state_positions", pos)
-
-    @property
-    def state_count(self) -> int:
-        return self.state_positions.shape[0]
+        object.__setattr__(self, "positions", pos)
 
     @property
     def mic_count(self) -> int:
-        return self.state_positions.shape[1]
-
-    @classmethod
-    def fixed(cls, positions, reference: int = 0) -> "ArrayGeometry":
-        """Single-state geometry from one (M, 2) position array."""
-        positions = np.asarray(positions, dtype=np.float64)
-        return cls(positions[None, :, :], reference)
-
-    @classmethod
-    def rotations(cls, positions, angles_deg, reference: int = 0) -> "ArrayGeometry":
-        """One state per angle: all microphones except the reference rotate
-        about the centroid of the moving microphones."""
-        return cls(_rotated(positions, reference, angles_deg), reference)
+        return self.positions.shape[0]
 
 
 def _rotated(positions, reference, angles_deg):
@@ -194,12 +173,6 @@ class MotionModel:
         return MotionModel(kind="rotation_sweep", min_deg=min_deg, max_deg=max_deg,
                            period_s=period_s, state_count=state_count)
 
-    def sweep_angles(self) -> np.ndarray:
-        """The quantized rotation angles, endpoints included."""
-        if self.kind != "rotation_sweep":
-            raise ValueError("sweep_angles is only defined for rotation_sweep")
-        return np.linspace(self.min_deg, self.max_deg, self.state_count)
-
 
 @dataclass(frozen=True)
 class Pilot:
@@ -228,6 +201,8 @@ class Source:
 
     def __post_init__(self):
         signal = np.asarray(self.signal, dtype=np.float64)
+        if not np.isfinite(self.azimuth_deg):
+            raise ValueError(f"source azimuth must be finite, got {self.azimuth_deg!r}")
         if signal.ndim != 1:
             raise ValueError("source signals must be mono")
         if not np.isfinite(signal).all():
@@ -251,14 +226,8 @@ class SceneSpec:
         azimuths = [s.azimuth_deg for s in sources]
         if len(set(azimuths)) != len(azimuths):
             raise ValueError("source azimuths must be distinct")
-        if self.motion.kind == "rotation_sweep":
-            if self.geometry.state_count != self.motion.state_count:
-                raise ValueError(
-                    f"geometry has {self.geometry.state_count} states but the "
-                    f"rotation sweep expects {self.motion.state_count}"
-                )
-        elif self.geometry.state_count != 1:
-            raise ValueError(f"{self.motion.kind} motion requires a single-state geometry")
+        if self.noise_level_db is not None and not sources:
+            raise ValueError("a scene with noise needs a source to set the noise level")
         object.__setattr__(self, "sources", sources)
 
     @property
@@ -294,12 +263,6 @@ def propagation_delays(positions, azimuth_deg, c: float = SPEED_OF_SOUND):
     rad = np.deg2rad(azimuth_deg)
     toward = np.array([np.cos(rad), np.sin(rad)])
     return np.asarray(positions, dtype=np.float64) @ toward / c
-
-
-def steering_vector(positions, azimuth_deg, omega, c: float = SPEED_OF_SOUND) -> SteeringVector:
-    """Far-field steering vector exp(j*omega*tau) for the given positions."""
-    tau = propagation_delays(positions, azimuth_deg, c)
-    return SteeringVector(np.exp(1j * omega * tau), omega)
 
 
 def _sweep_angle_series(motion: MotionModel, frame_count: int, frame_rate: float):
@@ -365,9 +328,12 @@ def pilot_bins(pilot: Pilot | None, source_count: int, cfg: StftConfig,
     return bins
 
 
-def _relative_positions(geometry: ArrayGeometry):
-    pos = geometry.state_positions
-    return pos - pos[:, geometry.reference:geometry.reference + 1, :]
+def start_pose(geometry: ArrayGeometry, motion: MotionModel) -> np.ndarray:
+    """The (M, 2) positions of the first frame's pose before any jitter: the
+    configured pose, rotated to min_deg for a rotation sweep."""
+    if motion.kind != "rotation_sweep":
+        return geometry.positions
+    return _rotated(geometry.positions, geometry.reference, [motion.min_deg])[0]
 
 
 def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
@@ -414,8 +380,6 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     # reference, taken before pilot injection so renders with different
     # active sets share one noise level.
     noisy = spec.noise_level_db is not None
-    if noisy and not spec.sources:
-        raise ValueError("a scene with noise needs a source to set the noise level")
     spectra = {}
     powers = []
     for n in range(spec.source_count) if noisy else active:
@@ -443,7 +407,8 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
         spec, t_count, sample_rate / cfg.hop, seed
     )  # (T, M, 2) for moving scenes, None for static
     static = frame_rel is None
-    positions = _relative_positions(spec.geometry)[0] if static else frame_rel
+    pose = spec.geometry.positions
+    positions = pose - pose[spec.geometry.reference] if static else frame_rel
     images = {}  # per active source: (F, M) phases if static, (T, M) delays if moving
     for n in active:
         tau = propagation_delays(positions, spec.sources[n].azimuth_deg, spec.speed_of_sound)
@@ -515,7 +480,7 @@ def _frame_relative_positions(spec: SceneSpec, t_count: int, frame_rate: float,
     """Per-frame microphone positions relative to the reference channel.
 
     Returns (T, M, 2) for moving scenes, or None for static ones (where the
-    single-state geometry applies to every frame).
+    configured pose applies to every frame).
     """
     motion = spec.motion
     ref = spec.geometry.reference
@@ -529,10 +494,10 @@ def _frame_relative_positions(spec: SceneSpec, t_count: int, frame_rate: float,
         offsets *= motion.sigma_pos
         if not motion.jitter_reference:
             offsets[:, ref, :] = 0.0
-        absolute = spec.geometry.state_positions[0][None, :, :] + offsets
+        absolute = spec.geometry.positions[None, :, :] + offsets
         return absolute - absolute[:, ref:ref + 1, :]
     # rotation_sweep: rotate the moving microphones continuously about their
-    # centroid; state_positions[0] holds the pose at min_deg.
+    # centroid, from the start pose at min_deg.
     angles = _sweep_angle_series(motion, t_count, frame_rate) - motion.min_deg
-    absolute = _rotated(spec.geometry.state_positions[0], ref, angles)
+    absolute = _rotated(start_pose(spec.geometry, motion), ref, angles)
     return absolute - absolute[:, ref:ref + 1, :]

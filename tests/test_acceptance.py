@@ -27,21 +27,16 @@ def report(name, elapsed, detail=""):
     print(f"\nPASS {name} ({elapsed:.1f} s) {detail}")
 
 
-def random_steering(rng, m, omega):
-    phases = rng.uniform(-np.pi, np.pi, m)
-    return covmath.SteeringVector(np.exp(1j * phases), omega)
+def random_delays(rng, m, omega):
+    """Arrival delays whose steering phases at omega are uniform on (-pi, pi)."""
+    return rng.uniform(-np.pi, np.pi, m) / omega
 
 
 def five_source_spec(motion, spacing=0.05, noise_level_db=-30.0, pilot=None,
                      duration=20.0, seed=10):
     samples = int(duration * FS)
     signals = scene.pseudorandom_signals(len(AZIMUTHS), samples, seed)
-    if motion.kind == "rotation_sweep":
-        geometry = scene.ArrayGeometry.rotations(
-            scene.linear_positions(12, spacing), motion.sweep_angles()
-        )
-    else:
-        geometry = scene.ArrayGeometry.fixed(scene.linear_positions(12, spacing))
+    geometry = scene.ArrayGeometry(scene.linear_positions(12, spacing))
     return scene.SceneSpec(
         geometry=geometry,
         sources=tuple(scene.Source(az, s) for az, s in zip(AZIMUTHS, signals)),
@@ -97,13 +92,11 @@ def test_c01_closed_form_divergence_oracle():
         for _ in range(30):
             omega = rng.uniform(200.0, 50000.0)
             sigma = rng.uniform(0.1, 3.0) / omega
-            a1, a2 = random_steering(rng, m, omega), random_steering(rng, m, omega)
-            model = covmath.PerturbationModel(sigma)
-            closed = covmath.far_field_divergence(a1, a2, model)
-            r1 = covmath.perturbed_covariance(
-                np.outer(a1.entries, a1.entries.conj()), omega, model)
-            r2 = covmath.perturbed_covariance(
-                np.outer(a2.entries, a2.entries.conj()), omega, model)
+            tau1, tau2 = random_delays(rng, m, omega), random_delays(rng, m, omega)
+            closed = covmath.far_field_divergence(tau1, tau2, omega, sigma)
+            a1, a2 = np.exp(1j * omega * tau1), np.exp(1j * omega * tau2)
+            r1 = covmath.perturbed_covariance(np.outer(a1, a1.conj()), omega, sigma)
+            r2 = covmath.perturbed_covariance(np.outer(a2, a2.conj()), omega, sigma)
             composed = covmath.gaussian_divergence(r1, r2)
             rel = abs(closed - composed) / abs(closed)
             worst = max(worst, rel)
@@ -126,8 +119,7 @@ def test_c02_perturbed_covariance_monte_carlo():
         sigma = omega_sigma / omega
         entries = np.exp(1j * rng.uniform(-np.pi, np.pi, m))
         base = np.outer(entries, entries.conj())
-        theory = covmath.perturbed_covariance(base, omega,
-                                              covmath.PerturbationModel(sigma))
+        theory = covmath.perturbed_covariance(base, omega, sigma)
         delays = rng.normal(0.0, sigma, (draws, m))
         perturbed = entries[None, :] * np.exp(1j * omega * delays)
         outers = np.einsum("km,kn->kmn", perturbed, perturbed.conj())
@@ -193,7 +185,7 @@ def test_c05_scalar_wiener_baseline():
     signals = scene.pseudorandom_signals(5, samples, seed=42,
                                          stream=scene.TEST_SIGNAL_STREAM)
     spec = scene.SceneSpec(
-        geometry=scene.ArrayGeometry.fixed(np.zeros((1, 2))),
+        geometry=scene.ArrayGeometry(np.zeros((1, 2))),
         sources=tuple(scene.Source(az, s) for az, s in zip((-90.0, -45.0, 0.0, 45.0, 90.0), signals)),
         motion=scene.MotionModel.static(),
         noise_level_db=None,
@@ -289,24 +281,15 @@ def test_c09_monotonicity():
     # Closed form: strictly decreasing in frequency and deformation scale for
     # fixed steering phases.
     rng = np.random.default_rng(9)
-    e1 = np.exp(1j * rng.uniform(-np.pi, np.pi, 8))
-    e2 = np.exp(1j * rng.uniform(-np.pi, np.pi, 8))
+    p1 = rng.uniform(-np.pi, np.pi, 8)
+    p2 = rng.uniform(-np.pi, np.pi, 8)
     omegas = np.linspace(300.0, 50000.0, 60)
     sigma = 2e-5
-    curve = [
-        covmath.far_field_divergence(
-            covmath.SteeringVector(e1, w), covmath.SteeringVector(e2, w),
-            covmath.PerturbationModel(sigma))
-        for w in omegas
-    ]
+    curve = [covmath.far_field_divergence(p1 / w, p2 / w, w, sigma) for w in omegas]
     assert (np.diff(curve) < 0).all()
     sigmas = np.linspace(2e-6, 2e-4, 60)
-    curve = [
-        covmath.far_field_divergence(
-            covmath.SteeringVector(e1, 10000.0), covmath.SteeringVector(e2, 10000.0),
-            covmath.PerturbationModel(s))
-        for s in sigmas
-    ]
+    curve = [covmath.far_field_divergence(p1 / 10000.0, p2 / 10000.0, 10000.0, s)
+             for s in sigmas]
     assert (np.diff(curve) < 0).all()
 
     # Measured: per-bin ensemble between-source divergence non-increasing in
@@ -320,7 +303,7 @@ def test_c09_monotonicity():
                   else scene.MotionModel.gaussian_jitter(sigma_mm / 1000.0))
         signals = scene.pseudorandom_signals(2, samples, seed=50)
         spec = scene.SceneSpec(
-            geometry=scene.ArrayGeometry.fixed(scene.linear_positions(6, 0.05)),
+            geometry=scene.ArrayGeometry(scene.linear_positions(6, 0.05)),
             sources=(scene.Source(45.0, signals[0]), scene.Source(135.0, signals[1])),
             motion=motion,
             noise_level_db=-50.0,

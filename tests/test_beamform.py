@@ -70,12 +70,7 @@ def trained_covs(motion=None, duration=4.0, mic_count=4, azimuths=(30.0, 120.0),
     motion = motion or scene.MotionModel.static()
     samples = int(duration * FS)
     signals = scene.pseudorandom_signals(len(azimuths), samples, seed)
-    if motion.kind == "rotation_sweep":
-        geometry = scene.ArrayGeometry.rotations(
-            scene.linear_positions(mic_count, 0.04), motion.sweep_angles()
-        )
-    else:
-        geometry = scene.ArrayGeometry.fixed(scene.linear_positions(mic_count, 0.04))
+    geometry = scene.ArrayGeometry(scene.linear_positions(mic_count, 0.04))
     spec = scene.SceneSpec(
         geometry=geometry,
         sources=tuple(scene.Source(az, s) for az, s in zip(azimuths, signals)),
@@ -171,14 +166,14 @@ class TestApply:
         duration, az = 4.0, 60.0
         samples = int(duration * FS)
         signal = scene.pseudorandom_signals(1, samples, 4)[0]
-        geometry = scene.ArrayGeometry.fixed(scene.linear_positions(6, 0.05))
+        geometry = scene.ArrayGeometry(scene.linear_positions(6, 0.05))
         spec = scene.SceneSpec(geometry=geometry, sources=(scene.Source(az, signal),),
                                motion=scene.MotionModel.static(), noise_level_db=None)
         rendered = scene.render(spec, duration, CFG, FS, seed=5)
         omega = rendered.mixture.bin_omega
         window_energy = np.sum(CFG.analysis_window ** 2)
-        rel = geometry.state_positions[0] - geometry.state_positions[0][0]
-        a = np.stack([scene.steering_vector(rel, az, w).entries for w in omega])
+        rel = geometry.positions - geometry.positions[0]
+        a = np.stack([np.exp(1j * w * scene.propagation_delays(rel, az)) for w in omega])
         source = covmath.HermitianSpectrum(
             window_energy * np.einsum("fm,fn->fmn", a, a.conj()), omega
         )

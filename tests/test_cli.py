@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from driftbeam import cli, covest
+from driftbeam import cli, covest, evaluate, scene
 
 
 def tiny_config(out_dir, **overrides):
@@ -278,6 +278,25 @@ class TestOtherCommands:
         assert lines[0] == "frequency_hz,div_outer_vs_central_sigma_1e-05"
         assert len(lines) == 17
 
+    def test_rotation_theory_describes_the_min_deg_start_pose(self, tmp_path):
+        # A sweep starts from the configured pose rotated to min_deg, and the
+        # closed form describes that pose, not the configured one.
+        config = tiny_config(tmp_path / "out",
+                             motion={"kind": "rotation_sweep", "min_deg": 20.0, "max_deg": 60.0,
+                                     "period_s": 2.0, "state_count": 3},
+                             sources={"azimuths_deg": [0.0, 50.0, 130.0]},
+                             theory={"sigmas_s": [1e-5, 4e-5], "points": 16})
+        cli.run_theory(config)
+        base = scene.linear_positions(4, 0.04)
+        poses = {"start": scene._rotated(base, 0, [20.0])[0], "configured": base}
+        for name, positions in poses.items():
+            evaluate.write_table(tmp_path / f"{name}.csv", evaluate.theory_curve(
+                positions, {"div_outer_vs_central": [(0.0, 50.0), (130.0, 50.0)]},
+                [1e-5, 4e-5], np.linspace(500.0, 8000.0, 16)))
+        written = (tmp_path / "out" / "theory.csv").read_bytes()
+        assert written == (tmp_path / "start.csv").read_bytes()
+        assert written != (tmp_path / "configured.csv").read_bytes()
+
     def test_beamform_writes_enhanced_wavs(self, tmp_path):
         config = tiny_config(tmp_path / "out")
         cli.run_train(config)
@@ -374,13 +393,24 @@ class TestMain:
         # Bins 511, 513, ..., 519 of five sources run past the last usable bin 511.
         {"pilot": {"frequency_hz": 7990}, "stft": {"fft_size": 1024, "hop": 512},
          "sources": {"azimuths_deg": [0.0, 45.0, 90.0, 135.0, 180.0]}},
+        {"sources": {"azimuths_deg": [0.0, float("nan")]}},
+        {"sources": {"azimuths_deg": [10.0, 10.0]}},
+        {"sources": {"azimuths_deg": []}},
+        {"geometry": {"positions": [[0.0, 0.0], [0.04, float("nan")], [0.08, 0.0]]}},
+        {"sample_rate": 0, "pilot": {"enabled": False}},
+        {"train_duration_s": 0.01},
+        {"test_duration_s": 0.01},
+        {"theory": {"points": 2.5}},
+        {"theory": {"points": True}},
     ], ids=["hop", "theory_points", "train_duration", "test_duration", "rotation_period",
             "rotation_state_count", "motion_kind", "mic_count", "layout", "sigma_pos_nan",
             "noise_level_nan", "speed_of_sound_zero", "speed_of_sound_negative",
             "speed_of_sound_inf", "rotation_empty_span", "rotation_period_nan",
             "rotation_period_inf", "theory_sigma_nan", "theory_sigma_zero",
             "theory_sigmas_empty", "theory_sigmas_duplicate", "pilot_below_band",
-            "pilot_level_nan", "pilot_bins_past_nyquist"])
+            "pilot_level_nan", "pilot_bins_past_nyquist", "azimuth_nan", "azimuths_repeated",
+            "azimuths_empty", "positions_nan", "sample_rate_zero", "train_shorter_than_frame",
+            "test_shorter_than_frame", "theory_points_fraction", "theory_points_bool"])
     def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, fields):
         path = self.write_config(tmp_path, **fields)
         out = tmp_path / "out"

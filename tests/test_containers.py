@@ -14,9 +14,7 @@ FS = 16000
 @pytest.fixture(scope="module")
 def trained():
     motion = scene.MotionModel.rotation_sweep(-30.0, 30.0, period_s=2.0, state_count=4)
-    geometry = scene.ArrayGeometry.rotations(
-        scene.linear_positions(3, 0.04), motion.sweep_angles()
-    )
+    geometry = scene.ArrayGeometry(scene.linear_positions(3, 0.04))
     samples = 2 * FS
     signals = scene.pseudorandom_signals(2, samples, 0)
     spec = scene.SceneSpec(
@@ -61,7 +59,7 @@ def test_covariance_round_trip(trained, tmp_path):
 def test_one_state_container_stores_each_covariance_once(tmp_path):
     motion = scene.MotionModel.gaussian_jitter(0.005)
     spec = scene.SceneSpec(
-        geometry=scene.ArrayGeometry.fixed(scene.linear_positions(3, 0.04)),
+        geometry=scene.ArrayGeometry(scene.linear_positions(3, 0.04)),
         sources=tuple(scene.Source(az, sig) for az, sig in
                       zip((30.0, 120.0), scene.pseudorandom_signals(2, FS, 1))),
         motion=motion,

@@ -18,12 +18,7 @@ def build_spec(mic_count=4, azimuths=(30.0, 120.0), duration=2.0, motion=None,
     samples = int(duration * FS)
     signals = scene.pseudorandom_signals(len(azimuths), samples, seed)
     motion = motion or scene.MotionModel.static()
-    if motion.kind == "rotation_sweep":
-        geometry = scene.ArrayGeometry.rotations(
-            scene.linear_positions(mic_count, spacing), motion.sweep_angles()
-        )
-    else:
-        geometry = scene.ArrayGeometry.fixed(scene.linear_positions(mic_count, spacing))
+    geometry = scene.ArrayGeometry(scene.linear_positions(mic_count, spacing))
     return scene.SceneSpec(
         geometry=geometry,
         sources=tuple(scene.Source(az, s) for az, s in zip(azimuths, signals)),
@@ -65,9 +60,9 @@ class TestSampleCovariance:
         spec = build_spec(azimuths=(80.0,), noise_level_db=-40.0, duration=4.0)
         rendered = scene.render(spec, 4.0, CFG, FS, seed=2)
         cov = covest.sample_covariance(rendered.mixture.frames, rendered.mixture.bin_omega)
-        rel = spec.geometry.state_positions[0] - spec.geometry.state_positions[0][0]
+        rel = spec.geometry.positions - spec.geometry.positions[0]
         for f in (20, 60, 100):
-            sv = scene.steering_vector(rel, 80.0, rendered.mixture.bin_omega[f]).entries
+            sv = np.exp(1j * rendered.mixture.bin_omega[f] * scene.propagation_delays(rel, 80.0))
             principal = np.linalg.eigh(cov.bins[f])[1][:, -1]
             cosine = np.abs(np.vdot(sv, principal)) / np.linalg.norm(sv)
             assert cosine > 0.999
@@ -223,7 +218,7 @@ def static_cli_training(tmp_path, azimuths):
     covs = covest.train(*cli._render_training(config))
     spec = cli._scene_spec(config, scene.pseudorandom_signals(
         len(azimuths), int(2.0 * config["sample_rate"]), config["seed"]))
-    rel = spec.geometry.state_positions[0] - spec.geometry.state_positions[0][0]
+    rel = spec.geometry.positions - spec.geometry.positions[0]
     omega = covs.frequencies
     exact = []
     for source in spec.sources:

@@ -10,8 +10,6 @@ from driftbeam.covmath import (
     PSD_RTOL,
     HermitianSpectrum,
     IllConditionedError,
-    PerturbationModel,
-    SteeringVector,
     far_field_divergence,
     gaussian_divergence,
     perturbed_covariance,
@@ -25,9 +23,9 @@ def random_psd(rng, m, rank=None):
     return a @ a.conj().T / rank
 
 
-def random_steering(rng, m, frequency):
-    phases = rng.uniform(-np.pi, np.pi, m)
-    return SteeringVector(np.exp(1j * phases), frequency)
+def random_delays(rng, m, omega):
+    """Arrival delays whose steering phases at omega are uniform on (-pi, pi)."""
+    return rng.uniform(-np.pi, np.pi, m) / omega
 
 
 def reference_divergence(r1, r2):
@@ -140,7 +138,7 @@ class TestPerturbedCovariance:
         rng = np.random.default_rng(3)
         a = np.exp(1j * rng.uniform(-np.pi, np.pi, 5))
         r = np.outer(a, a.conj())
-        out = perturbed_covariance(r, 2000.0, PerturbationModel(0.0))
+        out = perturbed_covariance(r, 2000.0, 0.0)
         np.testing.assert_array_equal(out, r)
 
     def test_large_sigma_approaches_identity(self):
@@ -148,14 +146,14 @@ class TestPerturbedCovariance:
         a = np.exp(1j * rng.uniform(-np.pi, np.pi, 4))
         r = np.outer(a, a.conj())
         np.fill_diagonal(r, 1.0)
-        out = perturbed_covariance(r, 10.0, PerturbationModel(1.0))
+        out = perturbed_covariance(r, 10.0, 1.0)
         assert np.abs(out - np.eye(4)).max() < 1e-40
 
     def test_diagonal_preserved_exactly(self):
         rng = np.random.default_rng(5)
         a = np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
         r = np.outer(a, a.conj())
-        out = perturbed_covariance(r, 1234.5, PerturbationModel(1e-4))
+        out = perturbed_covariance(r, 1234.5, 1e-4)
         np.testing.assert_array_equal(np.diagonal(out), np.diagonal(r))
 
     def test_off_diagonal_attenuation_against_monte_carlo(self):
@@ -164,7 +162,7 @@ class TestPerturbedCovariance:
         # average over a million Gaussian delay draws.
         omega, sigma = 2.0 * np.pi * 1000.0, 1.0 / (2.0 * np.pi * 1000.0)
         a = np.array([1.0, np.exp(1j * np.pi / 4)])
-        out = perturbed_covariance(np.outer(a, a.conj()), omega, PerturbationModel(sigma))
+        out = perturbed_covariance(np.outer(a, a.conj()), omega, sigma)
         assert abs(out[0, 1]) == pytest.approx(np.exp(-1.0), abs=1e-12)
 
         rng = np.random.default_rng(6)
@@ -179,13 +177,13 @@ class TestPerturbedCovariance:
         a = np.exp(1j * rng.uniform(-np.pi, np.pi, 5))
         r = np.outer(a, a.conj())
         for sigma in (0.0, 1e-6, 1e-4, 1e-2):
-            out = perturbed_covariance(r, 5000.0, PerturbationModel(sigma))
+            out = perturbed_covariance(r, 5000.0, sigma)
             assert np.abs(out - out.conj().T).max() < 1e-12
             assert np.linalg.eigvalsh(out).min() > -1e-10
 
     def test_nonunit_diagonal_rejected(self):
         with pytest.raises(ValueError, match="unit-diagonal"):
-            perturbed_covariance(2.0 * np.eye(3), 100.0, PerturbationModel(1e-4))
+            perturbed_covariance(2.0 * np.eye(3), 100.0, 1e-4)
 
     def test_ensemble_average_matches_monte_carlo_entrywise(self):
         # Brute-force ensemble of perturbed rank-one outer products against
@@ -194,7 +192,7 @@ class TestPerturbedCovariance:
         m, omega = 3, 2.0 * np.pi * 3000.0
         sigma = 0.8 / omega
         a = np.exp(1j * rng.uniform(-np.pi, np.pi, m))
-        theory = perturbed_covariance(np.outer(a, a.conj()), omega, PerturbationModel(sigma))
+        theory = perturbed_covariance(np.outer(a, a.conj()), omega, sigma)
         draws = rng.normal(0.0, sigma, (100_000, m))
         b = a[None, :] * np.exp(1j * omega * draws)
         outers = np.einsum("km,kn->kmn", b, b.conj())
@@ -205,15 +203,15 @@ class TestPerturbedCovariance:
 
 class TestFarFieldDivergence:
     def test_identical_steering_vectors(self):
-        a = random_steering(np.random.default_rng(9), 5, 4000.0)
-        assert far_field_divergence(a, a, PerturbationModel(1e-4)) == pytest.approx(0.0, abs=1e-12)
+        tau = random_delays(np.random.default_rng(9), 5, 4000.0)
+        assert far_field_divergence(tau, tau, 4000.0, 1e-4) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_hand_value(self):
         # M = 4, orthogonal steering, exp(omega^2 sigma^2) = 2:
         # 16 / (2 * 1 * 5) = 1.6
-        a1 = SteeringVector(np.ones(4, complex), 1.0)
-        a2 = SteeringVector(np.array([1, -1, 1, -1], complex), 1.0)
-        d = far_field_divergence(a1, a2, PerturbationModel(np.sqrt(np.log(2.0))))
+        tau1 = np.zeros(4)
+        tau2 = np.array([0.0, np.pi, 0.0, np.pi])
+        d = far_field_divergence(tau1, tau2, 1.0, np.sqrt(np.log(2.0)))
         assert d == pytest.approx(1.6, abs=1e-12)
 
     def test_matches_divergence_of_perturbed_covariances(self):
@@ -222,55 +220,62 @@ class TestFarFieldDivergence:
             for _ in range(15):
                 omega = rng.uniform(500.0, 50000.0)
                 sigma = rng.uniform(0.1, 3.0) / omega
-                a1 = random_steering(rng, m, omega)
-                a2 = random_steering(rng, m, omega)
-                model = PerturbationModel(sigma)
-                closed = far_field_divergence(a1, a2, model)
-                r1 = perturbed_covariance(np.outer(a1.entries, a1.entries.conj()), omega, model)
-                r2 = perturbed_covariance(np.outer(a2.entries, a2.entries.conj()), omega, model)
+                tau1 = random_delays(rng, m, omega)
+                tau2 = random_delays(rng, m, omega)
+                closed = far_field_divergence(tau1, tau2, omega, sigma)
+                a1, a2 = np.exp(1j * omega * tau1), np.exp(1j * omega * tau2)
+                r1 = perturbed_covariance(np.outer(a1, a1.conj()), omega, sigma)
+                r2 = perturbed_covariance(np.outer(a2, a2.conj()), omega, sigma)
                 composed = gaussian_divergence(r1, r2)
                 assert closed == pytest.approx(composed, rel=1e-9)
 
     def test_zero_sigma_rejected(self):
         rng = np.random.default_rng(11)
-        a1, a2 = random_steering(rng, 3, 100.0), random_steering(rng, 3, 100.0)
+        tau1, tau2 = random_delays(rng, 3, 100.0), random_delays(rng, 3, 100.0)
         with pytest.raises(ValueError, match="sigma"):
-            far_field_divergence(a1, a2, PerturbationModel(0.0))
+            far_field_divergence(tau1, tau2, 100.0, 0.0)
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1e-4])
     def test_sigma_must_be_finite_and_nonnegative(self, sigma):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            PerturbationModel(sigma)
+            far_field_divergence(np.zeros(3), np.zeros(3), 100.0, sigma)
 
-    def test_frequency_mismatch_rejected(self):
+    @pytest.mark.parametrize("m", [1, 5, 12])
+    def test_grid_equals_the_per_bin_vdot_form(self, m):
+        # One call over a frequency grid gives, float for float, the closed
+        # form evaluated one bin at a time with np.vdot.
+        rng = np.random.default_rng(14)
+        tau1, tau2 = rng.uniform(-1e-3, 1e-3, (2, m))
+        omegas = 2.0 * np.pi * np.linspace(62.5, 8000.0, 128)
+        sigma = 2e-5
+        grid = far_field_divergence(tau1, tau2, omegas, sigma)
+        assert grid.shape == omegas.shape
+        for w, value in zip(omegas, grid):
+            a1, a2 = np.exp(1j * w * tau1), np.exp(1j * w * tau2)
+            em1 = np.expm1((w * sigma) ** 2)
+            overlap = np.abs(np.vdot(a1, a2)) ** 2
+            assert value == max(m * m - overlap, 0.0) / (2.0 * em1 * (em1 + m))
+
+    def test_delay_length_mismatch_rejected(self):
         rng = np.random.default_rng(12)
-        a1 = random_steering(rng, 3, 100.0)
-        a2 = SteeringVector(a1.entries, 200.0)
-        with pytest.raises(ValueError, match="frequency"):
-            far_field_divergence(a1, a2, PerturbationModel(1e-4))
+        tau = random_delays(rng, 3, 100.0)
+        with pytest.raises(ValueError, match="equal-length"):
+            far_field_divergence(tau, tau[:2], 100.0, 1e-4)
 
     def test_strictly_decreasing_in_frequency_and_sigma(self):
         # Fixed steering phases, the frequency enters only through the
         # attenuation exponent.
         rng = np.random.default_rng(13)
-        entries1 = np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
-        entries2 = np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
+        phases1 = rng.uniform(-np.pi, np.pi, 6)
+        phases2 = rng.uniform(-np.pi, np.pi, 6)
         sigma = 2e-5
         omegas = np.linspace(500.0, 60000.0, 40)
-        curve = [
-            far_field_divergence(SteeringVector(entries1, w), SteeringVector(entries2, w),
-                                 PerturbationModel(sigma))
-            for w in omegas
-        ]
+        curve = [far_field_divergence(phases1 / w, phases2 / w, w, sigma) for w in omegas]
         assert (np.diff(curve) < 0).all()
 
         omega = 10000.0
         sigmas = np.linspace(1e-6, 1e-4, 40)
-        curve = [
-            far_field_divergence(SteeringVector(entries1, omega), SteeringVector(entries2, omega),
-                                 PerturbationModel(s))
-            for s in sigmas
-        ]
+        curve = [far_field_divergence(phases1 / omega, phases2 / omega, omega, s) for s in sigmas]
         assert (np.diff(curve) < 0).all()
 
 
@@ -399,10 +404,6 @@ class TestTypes:
         with pytest.raises(ValueError, match="length"):
             HermitianSpectrum(np.zeros((2, 2, 2), complex), np.zeros(3))
 
-    def test_steering_vector_requires_unit_modulus(self):
-        with pytest.raises(ValueError, match="unit magnitude"):
-            SteeringVector(np.array([1.0, 0.5], complex), 100.0)
-
     def test_perturbation_model_rejects_negative_sigma(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            PerturbationModel(-1e-9)
+            perturbed_covariance(np.eye(3), 100.0, -1e-9)

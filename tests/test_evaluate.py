@@ -197,16 +197,17 @@ class TestTheoryCurve:
 
     def test_small_frequency_first_order_expansion(self):
         # As the frequency drops, the curve approaches
-        # (M^2 - |a1^H a2|^2) / (2 omega^2 sigma^2 M).
+        # (M^2 - |a1^H a2|^2) / (2 omega^2 sigma^2 M), at every point of a grid.
         positions = scene.linear_positions(4, 0.05)
         sigma = 1e-5
-        f_hz = 2.0
-        omega = 2.0 * np.pi * f_hz
-        table = theory_curve(positions, {"d": [(30.0, 110.0)]}, [sigma], [f_hz])
-        a1 = scene.steering_vector(positions, 30.0, omega).entries
-        a2 = scene.steering_vector(positions, 110.0, omega).entries
-        first_order = (16.0 - abs(np.vdot(a1, a2)) ** 2) / (2.0 * omega ** 2 * sigma ** 2 * 4.0)
-        assert table["d_sigma_1e-05"][0] == pytest.approx(first_order, rel=1e-3)
+        freqs_hz = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+        table = theory_curve(positions, {"d": [(30.0, 110.0)]}, [sigma], freqs_hz)
+        for f_hz, value in zip(freqs_hz, table["d_sigma_1e-05"]):
+            omega = 2.0 * np.pi * f_hz
+            a1 = np.exp(1j * omega * scene.propagation_delays(positions, 30.0))
+            a2 = np.exp(1j * omega * scene.propagation_delays(positions, 110.0))
+            first_order = (16.0 - abs(np.vdot(a1, a2)) ** 2) / (2.0 * omega ** 2 * sigma ** 2 * 4.0)
+            assert value == pytest.approx(first_order, rel=1e-3)
 
     def test_zero_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
@@ -235,7 +236,7 @@ class TestTheoryMatchesMeasurement:
         seg_duration, segments = 50.0, 12
         azimuths = (40.0, 140.0)
         positions = scene.linear_positions(3, 0.06)
-        geometry = scene.ArrayGeometry.fixed(positions)
+        geometry = scene.ArrayGeometry(positions)
         motion = scene.MotionModel.gaussian_jitter(sigma_pos, jitter_reference=True)
         samples = int(seg_duration * FS)
 

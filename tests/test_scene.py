@@ -18,12 +18,7 @@ def simple_spec(mic_count=4, azimuths=(30.0, 120.0), duration=2.0,
     samples = int(duration * FS)
     signals = scene.pseudorandom_signals(len(azimuths), samples, seed)
     motion = motion or scene.MotionModel.static()
-    if motion.kind == "rotation_sweep":
-        geometry = scene.ArrayGeometry.rotations(
-            scene.linear_positions(mic_count, spacing), motion.sweep_angles()
-        )
-    else:
-        geometry = scene.ArrayGeometry.fixed(scene.linear_positions(mic_count, spacing))
+    geometry = scene.ArrayGeometry(scene.linear_positions(mic_count, spacing))
     return scene.SceneSpec(
         geometry=geometry,
         sources=tuple(scene.Source(az, s) for az, s in zip(azimuths, signals)),
@@ -47,25 +42,25 @@ def isolated_parts(spec, duration, seed):
 
 class TestSteeringVector:
     def test_single_mic_at_origin(self):
-        sv = scene.steering_vector(np.zeros((1, 2)), 37.0, 2.0 * np.pi * 1000.0)
-        np.testing.assert_allclose(sv.entries, [1.0 + 0.0j])
+        sv = np.exp(1j * 2.0 * np.pi * 1000.0 * scene.propagation_delays(np.zeros((1, 2)), 37.0))
+        np.testing.assert_allclose(sv, [1.0 + 0.0j])
 
     def test_broadside_equal_entries(self):
         positions = np.array([[0.0, -0.1], [0.0, 0.2]])
-        sv = scene.steering_vector(positions, 0.0, 2.0 * np.pi * 2000.0)
-        np.testing.assert_allclose(sv.entries[0], sv.entries[1])
+        sv = np.exp(1j * 2.0 * np.pi * 2000.0 * scene.propagation_delays(positions, 0.0))
+        np.testing.assert_allclose(sv[0], sv[1])
 
     def test_endfire_phase_difference(self):
         positions = np.array([[0.0, 0.0], [0.1, 0.0]])
-        sv = scene.steering_vector(positions, 0.0, 2.0 * np.pi * 1000.0, c=343.0)
-        phase = np.angle(sv.entries[1] / sv.entries[0])
+        sv = np.exp(1j * 2.0 * np.pi * 1000.0 * scene.propagation_delays(positions, 0.0, c=343.0))
+        phase = np.angle(sv[1] / sv[0])
         assert phase == pytest.approx(2.0 * np.pi * 1000.0 * 0.1 / 343.0, abs=1e-12)
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(0)
         positions = rng.standard_normal((8, 2))
-        sv = scene.steering_vector(positions, 123.0, 2.0 * np.pi * 5000.0)
-        np.testing.assert_allclose(np.abs(sv.entries), 1.0, atol=1e-13)
+        sv = np.exp(1j * 2.0 * np.pi * 5000.0 * scene.propagation_delays(positions, 123.0))
+        np.testing.assert_allclose(np.abs(sv), 1.0, atol=1e-13)
 
 
 class TestStateSequence:
@@ -151,7 +146,7 @@ class TestRender:
     def test_single_noiseless_source_mixture_equals_image(self):
         spec = simple_spec(azimuths=(60.0,), noise_level_db=None)
         rendered = scene.render(spec, 2.0, CFG, FS, seed=2)
-        rel = spec.geometry.state_positions[0] - spec.geometry.state_positions[0][0]
+        rel = spec.geometry.positions - spec.geometry.positions[0]
         tau = scene.propagation_delays(rel, 60.0)
         phases = np.exp(1j * rendered.mixture.bin_omega[:, None] * tau[None, :])
         image = rendered.desired[:, :, :1] * phases[None, :, :]
@@ -233,10 +228,10 @@ class TestRender:
             scene.render(simple_spec(), 1.0, CFG, FS, seed=6, active_sources=active)
 
     def test_noisy_scene_without_sources_rejected(self):
-        spec = dataclasses.replace(simple_spec(), sources=())
+        spec = dataclasses.replace(simple_spec(), sources=(), noise_level_db=None)
         with pytest.raises(ValueError, match="needs a source to set the noise level"):
-            scene.render(spec, 1.0, CFG, FS, seed=6)
-        quiet = scene.render(dataclasses.replace(spec, noise_level_db=None), 1.0, CFG, FS, seed=6)
+            dataclasses.replace(spec, noise_level_db=-30.0)
+        quiet = scene.render(spec, 1.0, CFG, FS, seed=6)
         assert not quiet.mixture.frames.any()
 
     @pytest.mark.parametrize("motion", [
@@ -275,7 +270,7 @@ class TestRender:
         samples = int(0.5 * FS)
         signals = scene.pseudorandom_signals(1, samples, 0)
         spec = scene.SceneSpec(
-            geometry=scene.ArrayGeometry.fixed(scene.linear_positions(3, 0.04)),
+            geometry=scene.ArrayGeometry(scene.linear_positions(3, 0.04)),
             sources=(scene.Source(10.0, signals[0]),),
             motion=scene.MotionModel.static(),
         )
@@ -292,8 +287,8 @@ class TestRender:
         cov = np.einsum("tm,tn->mn", x[:, f], x[:, f].conj()) / x.shape[0]
         eigs = np.linalg.eigvalsh(cov)
         assert eigs[-1] / max(eigs[-2], 1e-300) > 1e6
-        rel = spec.geometry.state_positions[0] - spec.geometry.state_positions[0][0]
-        sv = scene.steering_vector(rel, 75.0, rendered.mixture.bin_omega[f]).entries
+        rel = spec.geometry.positions - spec.geometry.positions[0]
+        sv = np.exp(1j * rendered.mixture.bin_omega[f] * scene.propagation_delays(rel, 75.0))
         principal = np.linalg.eigh(cov)[1][:, -1]
         alignment = np.abs(np.vdot(sv, principal)) / np.linalg.norm(sv)
         assert alignment > 0.999999
@@ -309,13 +304,11 @@ class TestRender:
         x = rendered.mixture.frames
         f = 64
         omega = rendered.mixture.bin_omega[f]
-        rel = spec.geometry.state_positions[0] - spec.geometry.state_positions[0][0]
-        sv = scene.steering_vector(rel, 50.0, omega).entries
+        rel = spec.geometry.positions - spec.geometry.positions[0]
+        sv = np.exp(1j * omega * scene.propagation_delays(rel, 50.0))
         base = np.outer(sv, sv.conj())
         np.fill_diagonal(base, 1.0)
-        theory = covmath.perturbed_covariance(
-            base, omega, covmath.PerturbationModel(sigma_pos / 343.0)
-        )
+        theory = covmath.perturbed_covariance(base, omega, sigma_pos / 343.0)
         outers = np.einsum("tm,tn->tmn", x[:, f], x[:, f].conj())
         weights = np.abs(rendered.desired[:, f, 0]) ** 2
         diffs = outers - weights[:, None, None] * theory
@@ -446,34 +439,24 @@ class TestGeometry:
 
     def test_rotations_keep_reference_fixed(self):
         base = scene.linear_positions(4, 0.05)
-        geom = scene.ArrayGeometry.rotations(base, [-30.0, 0.0, 30.0])
-        assert geom.state_count == 3
+        poses = scene._rotated(base, 0, [-30.0, 0.0, 30.0])
+        assert poses.shape == (3, 4, 2)
         for k in range(3):
-            np.testing.assert_array_equal(geom.state_positions[k, 0], base[0])
-        np.testing.assert_allclose(geom.state_positions[1], base, atol=1e-15)
+            np.testing.assert_array_equal(poses[k, 0], base[0])
+        np.testing.assert_allclose(poses[1], base, atol=1e-15)
 
     def test_rotation_preserves_pairwise_distances(self):
         base = scene.linear_positions(5, 0.03)
-        geom = scene.ArrayGeometry.rotations(base, [17.0])
-        moved = geom.state_positions[0][1:]
+        moved = scene._rotated(base, 0, [17.0])[0][1:]
         orig = base[1:]
         dist = lambda p: np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
         np.testing.assert_allclose(dist(moved), dist(orig), atol=1e-12)
-
-    def test_state_count_mismatch_rejected(self):
-        motion = scene.MotionModel.rotation_sweep(-10.0, 10.0, 5.0, state_count=4)
-        geometry = scene.ArrayGeometry.fixed(scene.linear_positions(3, 0.05))
-        signals = scene.pseudorandom_signals(1, FS, 0)
-        with pytest.raises(ValueError, match="states"):
-            scene.SceneSpec(geometry=geometry,
-                            sources=(scene.Source(0.0, signals[0]),),
-                            motion=motion)
 
     def test_duplicate_azimuths_rejected(self):
         signals = scene.pseudorandom_signals(2, FS, 0)
         with pytest.raises(ValueError, match="distinct"):
             scene.SceneSpec(
-                geometry=scene.ArrayGeometry.fixed(scene.linear_positions(3, 0.05)),
+                geometry=scene.ArrayGeometry(scene.linear_positions(3, 0.05)),
                 sources=(scene.Source(5.0, signals[0]), scene.Source(5.0, signals[1])),
                 motion=scene.MotionModel.static(),
             )
