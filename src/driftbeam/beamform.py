@@ -18,7 +18,7 @@ import numpy as np
 from .covmath import DEFAULT_EPSILON_REL, HermitianSpectrum, check_condition, regularize
 from .covest import CovarianceSet
 from .scene import StateSequence
-from .stft import SpectralFrameTensor
+from .stft import SpectralFrameTensor, block_length
 
 MODES = ("static", "dynamic", "rank1")
 
@@ -150,9 +150,21 @@ def apply_bank(bank: BeamformerBank, mixture: SpectralFrameTensor,
     if missing:
         raise ValueError(f"no weights for states {missing}")
     out = np.empty((x.shape[0], x.shape[1], bank.source_count), dtype=np.complex128)
+    # Each state's frames are gathered and filtered in order, a chunk of at
+    # most one block at a time. BLAS may round a column differently by where
+    # it falls in a product (whole tiles of up to 8 columns, then the rest),
+    # and numpy takes a matrix-vector product for a single column, so chunks
+    # hold a multiple of 8 frames and a lone last frame joins the chunk before
+    # it: every frame gets the bits of one product over all its state's frames.
+    chunk = 8 * max(1, (block_length(x[0].nbytes) - 1) // 8)
     for state in np.unique(states.labels):
-        mask = states.labels == state
-        out[mask] = _filter(bank.weights[int(state)], x[mask])
+        frames = np.flatnonzero(states.labels == state)
+        starts = list(range(0, len(frames), chunk))
+        if len(starts) > 1 and len(frames) - starts[-1] == 1:
+            starts.pop()
+        for a, b in zip(starts, starts[1:] + [len(frames)]):
+            rows = frames[a:b]
+            out[rows] = _filter(bank.weights[int(state)], x[rows])
     return out
 
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import beamform, containers, covest, evaluate, scene
 from .stft import SpectralFrameTensor, StftConfig, synthesize
+from .worker import Worker
 
 DEFAULT_CONFIG = {
     "sample_rate": 16000,
@@ -110,12 +111,13 @@ def _unknown_keys(config, known, prefix=""):
 def load_config(path=None, overrides=None):
     """Merge defaults, the optional JSON config file, and CLI overrides.
 
-    Unknown keys (at any depth), unknown or repeated modes, an invalid STFT,
-    motion, geometry, source or pilot section, non-finite scalars, a
-    non-positive sample rate or speed of sound, durations shorter than one
-    frame, theory points that are not a positive int and theory sigmas that
-    are not a non-empty list of finite positive numbers with distinct :g forms
-    are rejected.
+    Unknown keys (at any depth), a seed that is not a nonnegative int, unknown
+    or repeated modes, an invalid STFT, motion, geometry, source or pilot
+    section, an empty source list, non-finite scalars, a non-positive or
+    fractional sample rate, a non-positive speed of sound, durations shorter
+    than one frame, theory points that are not a positive int and theory
+    sigmas that are not a non-empty list of finite positive numbers with
+    distinct :g forms are rejected.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -128,7 +130,9 @@ def load_config(path=None, overrides=None):
         raise ValueError(f"unknown config keys {unknown}")
     if "seed" not in config or config["seed"] is None:
         raise ValueError("a seed is required (config key 'seed' or --seed)")
-    config["seed"] = int(config["seed"])
+    seed = config["seed"]
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
     modes = config["modes"]
     if not (isinstance(modes, list) and set(modes) <= set(beamform.MODES)
             and len(set(modes)) == len(modes)):
@@ -139,10 +143,15 @@ def load_config(path=None, overrides=None):
     for key in ("sample_rate", "speed_of_sound", "train_duration_s", "test_duration_s"):
         if not (_finite(config[key]) and config[key] > 0):
             raise ValueError(f"{key} must be finite and positive, got {config[key]!r}")
+    if not float(config["sample_rate"]).is_integer():
+        raise ValueError("sample_rate must be a whole number of Hz (a WAV header holds an "
+                         f"int), got {config['sample_rate']!r}")
     cfg = _stft_config(config)
     for key in ("train_duration_s", "test_duration_s"):
         if int(round(config[key] * config["sample_rate"])) < cfg.fft_size:
             raise ValueError(f"{key} {config[key]!r} s is shorter than one frame")
+    if not config["sources"]["azimuths_deg"]:
+        raise ValueError("sources.azimuths_deg must list at least one source")
     scene.pilot_bins(_pilot(config), len(config["sources"]["azimuths_deg"]), cfg,
                      config["sample_rate"])
     # Signal-free sources check the azimuths, geometry and motion of the scene.
@@ -300,16 +309,20 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def write_manifest(path, config, inputs, outputs):
-    """Record the config snapshot and the hash of every input/output file."""
+def write_manifest(path, config, inputs, outputs, known=None):
+    """Record the config snapshot and the hash of every input/output file;
+    known maps files hashed already to their digests. Returns the digests of
+    the outputs."""
+    known = known or {}
     manifest = {
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "inputs": {str(p): known.get(str(p)) or _sha256(p) for p in inputs},
+        "outputs": {str(p): known.get(str(p)) or _sha256(p) for p in outputs},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return manifest["outputs"]
 
 
 def _out_dir(config):
@@ -379,10 +392,17 @@ def run_train(config):
     """Train covariances and write the container; returns (covs, path)."""
     out = _out_dir(config)
     covs = covest.train(*_render_training(config))
+    path, _ = _save_training(out, config, covs)
+    return covs, path
+
+
+def _save_training(out, config, covs):
+    """Write the covariance container and its manifest; returns the container's
+    path and {path: digest}."""
     path = out / "covariances.npz"
     containers.save_covariances(path, covs)
-    write_manifest(out / "train_manifest.json", config, _input_files(config), [path])
-    return covs, path
+    digests = write_manifest(out / "train_manifest.json", config, _input_files(config), [path])
+    return path, digests
 
 
 def _test_spec(config):
@@ -396,37 +416,57 @@ def _test_render(config, spec, active_sources=None):
                         active_sources=active_sources)
 
 
-def _beamformed(config, covs, rendered):
-    """Build each configured mode's bank, pick the test scene's state track
-    when the bank is dynamic with more than one state (matched against the
-    pilot templates of covs at the test render's pilot bins), and filter the
-    test mixture. Yields (mode, bank, estimates) per mode; each mode's work
-    runs as stage beamform:<mode>."""
-    reference = config["geometry"]["reference"]
-    for mode in config["modes"]:
-        with stage(f"beamform:{mode}"):
-            bank = beamform.build(covs, mode, reference=reference)
-            states = None
-            if mode == "dynamic" and covs.state_count > 1:
-                states = rendered.truth_states if config["state_oracle"] else \
-                    covest.estimate_states(rendered.mixture,
-                                           covest.pilot_templates(covs, rendered.pilot_bins))
-            estimates = beamform.apply_bank(bank, rendered.mixture, states)
-        yield mode, bank, estimates
+def _beamform(config, covs, rendered, mode):
+    """Build the mode's bank, pick the test scene's state track when the bank
+    is dynamic with more than one state (matched against the pilot templates
+    of covs at the test render's pilot bins), and filter the test mixture, as
+    stage beamform:<mode>. Returns (bank, estimates); callers drop both before
+    the next mode, so one mode's (T, F, N) estimates are alive at a time."""
+    with stage(f"beamform:{mode}"):
+        bank = beamform.build(covs, mode, reference=config["geometry"]["reference"])
+        states = None
+        if mode == "dynamic" and covs.state_count > 1:
+            states = rendered.truth_states if config["state_oracle"] else \
+                covest.estimate_states(rendered.mixture,
+                                       covest.pilot_templates(covs, rendered.pilot_bins))
+        return bank, beamform.apply_bank(bank, rendered.mixture, states)
 
 
 def run_pipeline(config):
     """Full experiment: train, build each requested mode, filter the test
-    scene, and write gain/divergence CSVs, banks and manifests."""
+    scene, and write gain/divergence CSVs, banks and manifests. A worker
+    writes the covariance container and its manifest while this thread runs
+    the test phase."""
     out = _out_dir(config)
     with stage("train"):
-        covs, cov_path = run_train(config)
+        covs = covest.train(*_render_training(config))
+    saving = Worker(_save_training, out, config, covs)
+    try:
+        outputs = _test_phase(config, covs, out)
+    finally:
+        # Joined whatever happens; a failed save came first in serial order,
+        # so its train error wins over any error of the test phase.
+        with stage("train"):
+            cov_path, digests = saving.join()
+
+    with stage("analyze:divergence"):
+        div_path = out / "divergence.csv"
+        evaluate.write_table(div_path, _divergence_table(covs))
+    outputs = [cov_path] + outputs + [div_path]
+    manifest = out / "pipeline_manifest.json"
+    write_manifest(manifest, config, _input_files(config), outputs, known=digests)
+    return outputs + [manifest]
+
+
+def _test_phase(config, covs, out):
+    """Render the test scene, then filter it with each mode and write the
+    mode's gain table and bank; returns the written paths."""
     with stage("simulate"):
         rendered = _test_render(config, _test_spec(config))
-
     reference = config["geometry"]["reference"]
-    outputs = [cov_path]
-    for mode, bank, estimates in _beamformed(config, covs, rendered):
+    outputs = []
+    for mode in config["modes"]:
+        bank, estimates = _beamform(config, covs, rendered, mode)
         with stage(f"analyze:{mode}"):
             report = evaluate.gain(
                 estimates,
@@ -440,14 +480,8 @@ def run_pipeline(config):
             bank_path = out / f"bank_{mode}.npz"
             containers.save_bank(bank_path, bank)
             outputs.append(bank_path)
-
-    with stage("analyze:divergence"):
-        div_path = out / "divergence.csv"
-        evaluate.write_table(div_path, _divergence_table(covs))
-        outputs.append(div_path)
-
-    write_manifest(out / "pipeline_manifest.json", config, _input_files(config), outputs)
-    return outputs + [out / "pipeline_manifest.json"]
+        del bank, estimates
+    return outputs
 
 
 def _divergence_table(covs):
@@ -486,7 +520,8 @@ def run_beamform(config, covariances_path=None):
         )
     cfg = _stft_config(config)
     outputs = []
-    for mode, bank, estimates in _beamformed(config, covs, rendered):
+    for mode in config["modes"]:
+        bank, estimates = _beamform(config, covs, rendered, mode)
         bank_path = out / f"bank_{mode}.npz"
         containers.save_bank(bank_path, bank)
         outputs.append(bank_path)
@@ -498,6 +533,7 @@ def run_beamform(config, covariances_path=None):
             wav_path = out / f"enhanced_{mode}_{n:02d}.wav"
             write_wav(wav_path, synthesize(mono, cfg), config["sample_rate"])
             outputs.append(wav_path)
+        del bank, estimates
     write_manifest(out / "beamform_manifest.json", config,
                    [cov_path] + _input_files(config), outputs)
     return outputs

@@ -38,14 +38,28 @@ BANK_FORMAT_VERSION = 2
 
 def _write_npz(path, arrays: dict):
     """Stream each array into a stored .npy member, with no in-memory copy and a
-    fixed timestamp (np.savez stamps the time) so re-runs are byte-identical."""
+    fixed timestamp (np.savez stamps the time) so re-runs are byte-identical.
+    A list of equal-shape arrays is stored as their stack, written cell after
+    cell behind one .npy header, so the stack itself is never built."""
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for name, value in arrays.items():
-            value = np.asarray(value)
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            info.file_size = value.nbytes  # lets zipfile pick ZIP64 above 2 GiB
+            if not isinstance(value, list):
+                value = np.asarray(value)
+                info.file_size = value.nbytes  # lets zipfile pick ZIP64 above 2 GiB
+                with zf.open(info, "w") as fh:
+                    np.lib.format.write_array(fh, value, allow_pickle=False)
+                continue
+            cells = [np.ascontiguousarray(cell) for cell in value]
+            if len({(cell.shape, cell.dtype) for cell in cells}) != 1:
+                raise ValueError(f"{name}: arrays to stack differ in shape or dtype")
+            header = np.lib.format.header_data_from_array_1_0(cells[0])
+            header["shape"] = (len(cells),) + cells[0].shape
+            info.file_size = sum(cell.nbytes for cell in cells)
             with zf.open(info, "w") as fh:
-                np.lib.format.write_array(fh, value, allow_pickle=False)
+                np.lib.format.write_array_header_1_0(fh, header)
+                for cell in cells:
+                    fh.write(memoryview(cell).cast("B"))
 
 
 def _read_npz(path, kind, version, fields, rows):
@@ -77,7 +91,7 @@ def save_covariances(path, covs: CovarianceSet):
         "frequencies": covs.frequencies,
         "noise": covs.noise.bins,
         "per_state_keys": np.asarray(keys, dtype=np.int64),
-        "per_state": np.stack([covs.per_state[k].bins for k in keys]),
+        "per_state": [covs.per_state[k].bins for k in keys],
         "frame_counts": np.asarray([covs.frame_counts[k] for k in keys], dtype=np.int64),
     })
 
@@ -109,7 +123,7 @@ def save_bank(path, bank: BeamformerBank):
         "reference": bank.reference,
         "frequencies": bank.frequencies,
         "weight_states": np.asarray(states, dtype=np.int64),
-        "weights": np.stack([bank.weights[s] for s in states]),
+        "weights": [bank.weights[s] for s in states],
     })
 
 

@@ -148,7 +148,8 @@ def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
         del render
         for state in np.flatnonzero(sizes).tolist():
             counts[(n, state)] = int(sizes[state])
-            per_state_covs[(n, state)] = HermitianSpectrum(sums[state] / sizes[state], omega)
+            sums[state] /= sizes[state]
+            per_state_covs[(n, state)] = HermitianSpectrum(sums[state], omega)
     if not indices or sorted(indices) != list(range(len(indices))):
         raise ValueError(f"source renders must cover sources 0..N-1, N >= 1, got {indices}")
     noise = sample_covariance(noise_render.mixture.frames, omega)
@@ -211,12 +212,17 @@ def estimate_states(mixture: SpectralFrameTensor, templates: dict,
     x = mixture.frames[:, bins, :]  # (T, B, M)
     inst = np.einsum("tbm,tbn->tbmn", x, x.conj())
     # Mean over frames t-smoothing..t+smoothing, clipped to the frame range,
-    # as a difference of cumulative sums.
-    cumulative = np.concatenate([np.zeros_like(inst[:1]), np.cumsum(inst, axis=0)])
-    frame = np.arange(inst.shape[0])
+    # as a difference of cumulative sums, built in place.
+    cumulative = np.empty((inst.shape[0] + 1, *inst.shape[1:]), dtype=inst.dtype)
+    cumulative[0] = 0.0
+    np.cumsum(inst, axis=0, out=cumulative[1:])
+    del inst
+    frame = np.arange(len(cumulative) - 1)
     lo, hi = np.maximum(frame - smoothing, 0), np.minimum(frame + smoothing + 1, len(frame))
-    smoothed = regularize((cumulative[hi] - cumulative[lo]) / (hi - lo)[:, None, None, None],
-                          epsilon_rel)
+    smoothed = cumulative[hi]
+    smoothed -= cumulative[lo]
+    smoothed /= (hi - lo)[:, None, None, None]
+    smoothed = regularize(smoothed, epsilon_rel)
 
     # tr(A B) = sum_ij A_ij B_ji: each state's trace term is one product of
     # the flattened snapshots with its flattened, transposed inverses.

@@ -10,11 +10,13 @@ by frame. Steering phases are taken relative to the reference microphone,
 so the desired signal of every source equals its unmodified spectrum.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .stft import DEFAULT_SAMPLE_RATE, SpectralFrameTensor, StftConfig, analyze, block_length
+from .worker import Worker
 
 SPEED_OF_SOUND = 343.0
 
@@ -375,65 +377,71 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     states = state_sequence(spec.motion, t_count, sample_rate / cfg.hop)
     pilots = pilot_bins(spec.pilot, spec.source_count, cfg, sample_rate)
 
-    # Reference-channel spectra (T, F) of the active sources. With noise,
-    # every configured source is transformed, in order, for the noise power
-    # reference, taken before pilot injection so renders with different
-    # active sets share one noise level.
+    # One cache-sized block of frames at a time, adding in the order that fixes
+    # the bytes. A worker draws each block's noise (or zeros it) ahead of this
+    # thread, which meanwhile transforms the sources, then waits for each
+    # block in turn to scale it and add the images.
     noisy = spec.noise_level_db is not None
-    spectra = {}
-    powers = []
-    for n in range(spec.source_count) if noisy else active:
-        spectrum = analyze(spec.sources[n].signal[:n_samples], cfg, sample_rate).frames[:, :, 0]
-        if noisy:
-            powers.append(np.mean(np.abs(spectrum) ** 2))
-        if n in active:
-            spectra[n] = spectrum
-    if noisy:
-        variance = float(np.mean(powers)) * 10.0 ** (spec.noise_level_db / 10.0)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM,)))
-
-    # Inject pilot tones into the reference spectra so that images, mixture
-    # and desired signals all carry them consistently.
-    if pilots is not None:
-        frame_advance = np.arange(t_count)[:, None] * cfg.hop
-        for n in active:
-            power = np.mean(np.sum(np.abs(spectra[n]) ** 2, axis=1))
-            amp = np.sqrt(power * 10.0 ** (spec.pilot.level_db / 10.0))
-            digital = 2.0 * np.pi * pilots[n] / cfg.fft_size
-            tone = amp * np.exp(1j * digital * frame_advance[:, 0])
-            spectra[n][:, pilots[n]] += tone
-
-    frame_rel = _frame_relative_positions(
-        spec, t_count, sample_rate / cfg.hop, seed
-    )  # (T, M, 2) for moving scenes, None for static
-    static = frame_rel is None
-    pose = spec.geometry.positions
-    positions = pose - pose[spec.geometry.reference] if static else frame_rel
-    images = {}  # per active source: (F, M) phases if static, (T, M) delays if moving
-    for n in active:
-        tau = propagation_delays(positions, spec.sources[n].azimuth_deg, spec.speed_of_sound)
-        images[n] = np.exp(1j * omega[:, None] * tau[None, :]) if static else tau
-
-    # One cache-sized block of frames at a time, adding in the order that fixes the bytes.
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM,))) \
+        if noisy else None
     mixture = np.empty((t_count, f_count, m_count), dtype=np.complex128)
     rows = block_length(mixture[0].nbytes)
-    for lo in range(0, t_count, rows):
-        block = mixture[lo:lo + rows]
+    drawn = threading.Semaphore(0)
+    noise = Worker(_draw_blocks, mixture, rows, rng, drawn)
+    try:
+        # Reference-channel spectra (T, F) of the active sources. With noise,
+        # every configured source is transformed, in order, for the noise
+        # power reference, taken before pilot injection so renders with
+        # different active sets share one noise level.
+        spectra = {}
+        powers = []
+        for n in range(spec.source_count) if noisy else active:
+            spectrum = analyze(spec.sources[n].signal[:n_samples], cfg, sample_rate).frames[:, :, 0]
+            if noisy:
+                powers.append(np.mean(np.abs(spectrum) ** 2))
+            if n in active:
+                spectra[n] = spectrum
         if noisy:
-            # Successive draws into consecutive blocks continue one stream.
-            rng.standard_normal(out=block.view(np.float64).reshape(*block.shape, 2))
-            # DC and Nyquist bins of a real signal carry no quadrature component.
-            edges = block[:, [0, -1], :].real * np.sqrt(variance)
-            block *= np.sqrt(variance / 2.0)
-            block[:, [0, -1], :] = edges
-        else:
-            block.fill(0.0)
+            variance = float(np.mean(powers)) * 10.0 ** (spec.noise_level_db / 10.0)
+
+        # Inject pilot tones into the reference spectra so that images, mixture
+        # and desired signals all carry them consistently.
+        if pilots is not None:
+            frame_advance = np.arange(t_count)[:, None] * cfg.hop
+            for n in active:
+                power = np.mean(np.sum(np.abs(spectra[n]) ** 2, axis=1))
+                amp = np.sqrt(power * 10.0 ** (spec.pilot.level_db / 10.0))
+                digital = 2.0 * np.pi * pilots[n] / cfg.fft_size
+                tone = amp * np.exp(1j * digital * frame_advance[:, 0])
+                spectra[n][:, pilots[n]] += tone
+
+        frame_rel = _frame_relative_positions(
+            spec, t_count, sample_rate / cfg.hop, seed
+        )  # (T, M, 2) for moving scenes, None for static
+        static = frame_rel is None
+        pose = spec.geometry.positions
+        positions = pose - pose[spec.geometry.reference] if static else frame_rel
+        images = {}  # per active source: (F, M) phases if static, (T, M) delays if moving
         for n in active:
-            spectrum = spectra[n][lo:lo + rows, :, None]
-            if static:
-                block += spectrum * images[n]
-            else:
-                _add_moving_image(block, spectrum, omega, images[n][lo:lo + rows])
+            tau = propagation_delays(positions, spec.sources[n].azimuth_deg, spec.speed_of_sound)
+            images[n] = np.exp(1j * omega[:, None] * tau[None, :]) if static else tau
+
+        for lo in range(0, t_count, rows):
+            block = mixture[lo:lo + rows]
+            drawn.acquire()
+            if noisy:
+                # DC and Nyquist bins of a real signal carry no quadrature component.
+                edges = block[:, [0, -1], :].real * np.sqrt(variance)
+                block *= np.sqrt(variance / 2.0)
+                block[:, [0, -1], :] = edges
+            for n in active:
+                spectrum = spectra[n][lo:lo + rows, :, None]
+                if static:
+                    block += spectrum * images[n]
+                else:
+                    _add_moving_image(block, spectrum, omega, images[n][lo:lo + rows])
+    finally:
+        noise.join()
 
     desired = np.stack([spectra[n] for n in active], axis=-1) if active else \
         np.zeros((t_count, f_count, 0), dtype=np.complex128)
@@ -444,6 +452,28 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
         active_sources=active,
         pilot_bins=pilots,
     )
+
+
+def _draw_blocks(mixture, rows, rng, drawn):
+    """Fill mixture (T, F, M) one block of rows frames at a time, in order, with
+    standard complex normal draws from rng, or zeros when rng is None, and
+    release drawn after each block. Successive draws into consecutive blocks
+    continue one stream, so the bytes do not depend on rows. If a draw fails,
+    every block left is released so that no waiter hangs."""
+    starts = range(0, mixture.shape[0], rows)
+    done = 0
+    try:
+        for lo in starts:
+            block = mixture[lo:lo + rows]
+            if rng is None:
+                block.fill(0.0)
+            else:
+                rng.standard_normal(out=block.view(np.float64).reshape(*block.shape, 2))
+            drawn.release()
+            done += 1
+    finally:
+        for _ in starts[done:]:
+            drawn.release()
 
 
 def _add_moving_image(block, spectrum, omega, tau):

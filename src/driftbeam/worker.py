@@ -1,0 +1,33 @@
+"""One extra thread for work whose result the caller needs only later.
+
+Every caller joins its worker before it returns or raises, so no thread
+outlives the call that started it, and every output is written by one thread
+in a fixed order, so the bytes of a run do not depend on how the threads are
+scheduled.
+"""
+
+import threading
+
+
+class Worker:
+    """Runs fn(*args) on its own thread from construction on; join() waits for
+    the call and returns its value, or re-raises its exception in the joining
+    thread."""
+
+    def __init__(self, fn, *args):
+        self._outcome = None
+        self._thread = threading.Thread(target=self._run, args=(fn, args))
+        self._thread.start()
+
+    def _run(self, fn, args):
+        try:
+            self._outcome = (fn(*args), None)
+        except BaseException as err:  # re-raised by join()
+            self._outcome = (None, err)
+
+    def join(self):
+        self._thread.join()
+        value, error = self._outcome
+        if error is not None:
+            raise error
+        return value

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from driftbeam import beamform, covest, covmath, scene
+from driftbeam import beamform, covest, covmath, scene, stft
 from driftbeam.beamform import BeamformerBank, StarvedStateError, apply_bank, build, mwf_weights
 from driftbeam.stft import SpectralFrameTensor, StftConfig
 
@@ -139,6 +141,26 @@ class TestBuild:
             build(covs, "mvdr")
 
 
+@pytest.fixture(scope="module")
+def dynamic_case():
+    """A four-state dynamic bank at the default scene's bin, source and channel
+    counts, a mixture of 200 frames and a shuffled state track whose per-state
+    counts leave 1, 2, 1 and 4 frames after whole chunks of 8."""
+    rng = np.random.default_rng(9)
+    f, n, m = 513, 5, 12
+    counts = [57, 50, 41, 52]
+    weights = {
+        s: rng.standard_normal((f, n, m)) + 1j * rng.standard_normal((f, n, m))
+        for s in range(len(counts))
+    }
+    frames = rng.standard_normal((sum(counts), f, m)) + 1j * rng.standard_normal((sum(counts), f, m))
+    mixture = SpectralFrameTensor(frames, FS, 1024, 512)
+    labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    bank = BeamformerBank(mode="dynamic", weights=weights, reference=0,
+                          frequencies=mixture.bin_omega)
+    return bank, mixture, scene.StateSequence(labels, len(counts))
+
+
 class TestApply:
     def test_identity_bank_passthrough(self):
         rng = np.random.default_rng(3)
@@ -231,6 +253,32 @@ class TestApply:
             for fi in range(f):
                 naive[ti, fi] = weights[int(labels.labels[ti])][fi] @ frames[ti, fi]
         np.testing.assert_allclose(fast, naive, atol=1e-12)
+
+    def test_dynamic_bank_bytes_equal_one_product_per_state(self, dynamic_case):
+        # Chunked filtering gives every frame the bits of one product over all
+        # of its state's frames, with state counts that leave lone last frames.
+        bank, mixture, states = dynamic_case
+        x = mixture.frames
+        expected = np.empty((x.shape[0], x.shape[1], bank.source_count), dtype=np.complex128)
+        for state in range(states.state_count):
+            rows = np.flatnonzero(states.labels == state)
+            expected[rows] = (bank.weights[state] @ x[rows].transpose(1, 2, 0)).transpose(2, 0, 1)
+        got = apply_bank(bank, mixture, states)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_dynamic_bank_holds_one_block_beyond_its_output(self, dynamic_case):
+        # Frames are gathered and filtered a block at a time, so the peak above
+        # the call's start is its output plus one block of frames and that
+        # block's estimates (N/M of a block), whatever the frame count.
+        bank, mixture, states = dynamic_case
+        tracemalloc.start()
+        try:
+            out = apply_bank(bank, mixture, states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n, m = bank.source_count, bank.mic_count
+        assert peak <= out.nbytes + stft.BLOCK_BYTES + stft.BLOCK_BYTES * n // m
 
     def test_mmse_optimality_against_perturbed_weights(self):
         # With exact model covariances no perturbed weight matrix reaches a

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -344,6 +345,40 @@ class TestMain:
         err = capsys.readouterr().err
         assert "[train] training failed" in err
 
+    def test_failed_container_save_is_a_train_error(self, tmp_path, capsys, monkeypatch):
+        # analyze saves the container on a worker thread; its failure still
+        # exits 1 as [train], and the worker is gone when main returns.
+        def fail(path, covs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.containers, "save_covariances", fail)
+        threads = threading.active_count()
+        path = self.write_config(tmp_path)
+        code = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "analyze"])
+        assert code == 1
+        assert "[train] disk full" in capsys.readouterr().err
+        assert threading.active_count() == threads
+
+    def test_failed_container_save_wins_over_a_test_phase_error(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # In serial order the save comes before the test render, so its error
+        # is the one reported when both fail.
+        def fail_save(path, covs):
+            raise OSError("disk full")
+
+        def fail_render(config, spec, active_sources=None):
+            raise ValueError("render failed")
+
+        monkeypatch.setattr(cli.containers, "save_covariances", fail_save)
+        monkeypatch.setattr(cli, "_test_render", fail_render)
+        threads = threading.active_count()
+        path = self.write_config(tmp_path)
+        code = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "analyze"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[train] disk full" in err and "render failed" not in err
+        assert threading.active_count() == threads
+
     def write_config(self, tmp_path, **fields):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
@@ -402,6 +437,11 @@ class TestMain:
         {"test_duration_s": 0.01},
         {"theory": {"points": 2.5}},
         {"theory": {"points": True}},
+        {"sample_rate": 16000.5},
+        {"noise_level_db": None, "sources": {"azimuths_deg": []}},
+        {"seed": 1.7},
+        {"seed": -1},
+        {"seed": True},
     ], ids=["hop", "theory_points", "train_duration", "test_duration", "rotation_period",
             "rotation_state_count", "motion_kind", "mic_count", "layout", "sigma_pos_nan",
             "noise_level_nan", "speed_of_sound_zero", "speed_of_sound_negative",
@@ -410,7 +450,9 @@ class TestMain:
             "theory_sigmas_empty", "theory_sigmas_duplicate", "pilot_below_band",
             "pilot_level_nan", "pilot_bins_past_nyquist", "azimuth_nan", "azimuths_repeated",
             "azimuths_empty", "positions_nan", "sample_rate_zero", "train_shorter_than_frame",
-            "test_shorter_than_frame", "theory_points_fraction", "theory_points_bool"])
+            "test_shorter_than_frame", "theory_points_fraction", "theory_points_bool",
+            "sample_rate_fraction", "azimuths_empty_noiseless", "seed_fraction",
+            "seed_negative", "seed_bool"])
     def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, fields):
         path = self.write_config(tmp_path, **fields)
         out = tmp_path / "out"

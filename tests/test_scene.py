@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -423,6 +425,65 @@ class TestRenderBlocks:
             monkeypatch.setattr(stft, "BLOCK_BYTES", rows * frame_bytes)
             blocked = scene.render(spec, 2.0, CFG, FS, seed=4).mixture.frames
             np.testing.assert_array_equal(blocked.view(np.uint64), default.view(np.uint64))
+
+
+    @pytest.mark.parametrize("blocks", ["one", "many"])
+    @pytest.mark.parametrize("motion", [
+        scene.MotionModel.static(),
+        scene.MotionModel.rotation_sweep(-30.0, 30.0, period_s=0.5, state_count=3),
+    ], ids=["static", "rotation_sweep"])
+    def test_noisy_render_matches_serial_reference(self, monkeypatch, motion, blocks):
+        # A worker draws the noise block by block ahead of the render; the
+        # result equals one whole-array draw from the render's noise stream,
+        # scaled as the render scales it, plus each image in active order.
+        spec = simple_spec(mic_count=3, azimuths=(30.0, 80.0, 120.0), motion=motion,
+                           pilot=scene.Pilot(7000.0))
+        images, _ = isolated_parts(spec, 2.0, seed=4)
+        frame_bytes = images[0][0].nbytes
+        rows = len(images[0]) if blocks == "one" else 4
+        monkeypatch.setattr(stft, "BLOCK_BYTES", rows * frame_bytes)
+        rendered = scene.render(spec, 2.0, CFG, FS, seed=4).mixture.frames
+
+        powers = [np.mean(np.abs(stft.analyze(src.signal, CFG, FS).frames[:, :, 0]) ** 2)
+                  for src in spec.sources]
+        variance = float(np.mean(powers)) * 10.0 ** (spec.noise_level_db / 10.0)
+        rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(scene._NOISE_STREAM,)))
+        expected = rng.standard_normal((*images[0].shape, 2)).view(np.complex128)[..., 0]
+        edges = expected[:, [0, -1], :].real * np.sqrt(variance)
+        expected *= np.sqrt(variance / 2.0)
+        expected[:, [0, -1], :] = edges
+        for image in images:
+            expected += image
+        assert rendered.shape == expected.shape
+        np.testing.assert_array_equal(rendered.view(np.uint64), expected.view(np.uint64))
+
+    def test_concurrent_renders_under_a_short_switch_interval(self, monkeypatch):
+        # Four renders at once, each with its own noise worker (eight threads
+        # on fewer cores), and a thread switch every few microseconds: every
+        # block handoff still gives the bytes of a render run alone.
+        motion = scene.MotionModel.rotation_sweep(-30.0, 30.0, period_s=0.5, state_count=3)
+        spec = simple_spec(mic_count=3, azimuths=(30.0, 80.0, 120.0), motion=motion,
+                           pilot=scene.Pilot(7000.0))
+        alone = scene.render(spec, 2.0, CFG, FS, seed=4).mixture.frames
+        monkeypatch.setattr(stft, "BLOCK_BYTES", 2 * alone[0].nbytes)
+        results = [None] * 4
+
+        def run(k):
+            results[k] = scene.render(spec, 2.0, CFG, FS, seed=4).mixture.frames
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for frames in results:
+            np.testing.assert_array_equal(frames.view(np.uint64), alone.view(np.uint64))
 
 
 class TestGeometry:
