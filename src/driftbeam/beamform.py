@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmath import DEFAULT_EPSILON_REL, HermitianSpectrum, check_condition, regularize
+from .covmath import DEFAULT_EPSILON_REL, check_condition, regularize
 from .covest import CovarianceSet
 from .scene import StateSequence
 from .stft import SpectralFrameTensor, block_length
@@ -29,95 +29,94 @@ class StarvedStateError(ValueError):
 
 @dataclass(frozen=True)
 class BeamformerBank:
-    """Per-frequency weight matrices, keyed by motion state for dynamic mode.
+    """Per-frequency weight matrices, one set per motion state.
 
-    weights maps a state index to an (F, N, M) array; static banks store one
-    entry under key 0 and ignore state sequences when applied.
+    weights is an (S, F, N, M) array: S is the state count for a dynamic
+    bank and 1 for static and rank1 banks, which ignore state sequences when
+    applied.
     """
 
     mode: str
-    weights: dict
+    weights: np.ndarray
     reference: int
     frequencies: np.ndarray
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        for state, w in self.weights.items():
-            if not np.isfinite(w).all():
-                raise ValueError(f"non-finite beamformer weights for state {state}")
+        bad = np.flatnonzero(~np.isfinite(self.weights).all(axis=(1, 2, 3))).tolist()
+        if bad:
+            raise ValueError(f"non-finite beamformer weights for states {bad}")
 
     @property
     def source_count(self) -> int:
-        return next(iter(self.weights.values())).shape[1]
+        return self.weights.shape[2]
 
     @property
     def mic_count(self) -> int:
-        return next(iter(self.weights.values())).shape[2]
+        return self.weights.shape[3]
 
 
-def mwf_weights(source_covs, noise_cov: HermitianSpectrum, reference: int,
+def mwf_weights(sources, noise, reference: int,
                 epsilon_rel: float = DEFAULT_EPSILON_REL) -> np.ndarray:
-    """Wiener weights (F, N, M) from per-source and noise covariance spectra.
+    """Wiener weights (..., F, N, M) from source covariances (..., N, F, M, M)
+    and a noise covariance (F, M, M).
 
-    The summed covariance is diagonally loaded by epsilon_rel before
-    inversion (pass 0 to disable, e.g. with exact model covariances).
+    The summed covariance noise + R_0 + ... + R_{N-1} is diagonally loaded by
+    epsilon_rel before inversion (pass 0 to disable, e.g. with exact model
+    covariances). Each leading index (a dynamic bank's state) is solved on
+    its own, with the temporaries of one (F, M, M) stack.
     """
-    if not source_covs:
+    sources = np.asarray(sources, dtype=np.complex128)
+    noise = np.asarray(noise, dtype=np.complex128)
+    if sources.ndim < 4 or sources.shape[-4] == 0:
         raise ValueError("at least one source covariance is required")
-    m_count = noise_cov.mic_count
-    for cov in source_covs:
-        if cov.bins.shape != noise_cov.bins.shape:
-            raise ValueError("source and noise covariances must share one bin grid")
-        if not np.allclose(cov.frequencies, noise_cov.frequencies):
-            raise ValueError("source and noise covariances must share one bin grid")
-    if not 0 <= reference < m_count:
+    if noise.ndim != 3 or sources.shape[-3:] != noise.shape:
+        raise ValueError("source and noise covariances must share one bin grid")
+    if not 0 <= reference < noise.shape[-1]:
         raise ValueError(f"reference index {reference} out of range")
 
-    total = noise_cov.bins.copy()
-    for cov in source_covs:
-        total += cov.bins
-    if epsilon_rel > 0:
-        total = regularize(total, epsilon_rel)
-    check_condition(total, "summed covariance after loading")
+    batch, (n_count, f_count, m_count) = sources.shape[:-4], sources.shape[-4:-1]
+    weights = np.empty((*batch, f_count, n_count, m_count), dtype=np.complex128)
+    for index in np.ndindex(batch):
+        total = noise.copy()
+        for cov in sources[index]:
+            total += cov
+        if epsilon_rel > 0:
+            total = regularize(total, epsilon_rel)
+        check_condition(total, "summed covariance after loading"
+                        + (f" at leading index {index}" if index else ""))
+        rows = np.ascontiguousarray(sources[index][:, :, reference, :].swapaxes(0, 1))  # (F, N, M)
+        np.matmul(rows, np.linalg.inv(total), out=weights[index])
+    return weights
 
-    rows = np.stack([cov.bins[:, reference, :] for cov in source_covs], axis=1)  # (F, N, M)
-    return rows @ np.linalg.inv(total)
 
-
-def _principal_component(spectrum: HermitianSpectrum) -> HermitianSpectrum:
-    eigvals, eigvecs = np.linalg.eigh(spectrum.bins)
-    lam = np.maximum(eigvals[:, -1], 0.0)  # (F,)
-    u = eigvecs[:, :, -1]  # (F, M)
-    rank_one = lam[:, None, None] * np.einsum("fm,fn->fmn", u, u.conj())
-    return HermitianSpectrum(rank_one, spectrum.frequencies)
+def _principal_component(covs):
+    """Each matrix of the stack covs (..., M, M) replaced by its principal
+    eigenpair's rank-one part."""
+    eigvals, eigvecs = np.linalg.eigh(covs)
+    lam = np.maximum(eigvals[..., -1], 0.0)
+    u = eigvecs[..., -1]
+    return lam[..., None, None] * np.einsum("...m,...n->...mn", u, u.conj())
 
 
 def build(covs: CovarianceSet, mode: str, reference: int = 0,
           epsilon_rel: float = DEFAULT_EPSILON_REL) -> BeamformerBank:
-    """Build a beamformer bank of the requested mode from trained covariances."""
+    """Build a beamformer bank of the requested mode from trained covariances:
+    one mwf_weights call on the state-major cells, the ensemble or its
+    rank-one parts."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose one of {MODES}")
-    sources = sorted(covs.ensemble)
     if mode == "dynamic":
         missing = covs.missing_pairs()
         if missing:
             raise StarvedStateError(
                 f"no training frames for (source, state) pairs: {missing}"
             )
-        weights = {
-            state: mwf_weights(
-                [covs.per_state[(n, state)] for n in sources],
-                covs.noise, reference, epsilon_rel,
-            )
-            for state in range(covs.state_count)
-        }
-    elif mode == "static":
-        weights = {0: mwf_weights([covs.ensemble[n] for n in sources],
-                                  covs.noise, reference, epsilon_rel)}
+        weights = mwf_weights(covs.cells.swapaxes(0, 1), covs.noise, reference, epsilon_rel)
     else:
-        rank_one = [_principal_component(covs.ensemble[n]) for n in sources]
-        weights = {0: mwf_weights(rank_one, covs.noise, reference, epsilon_rel)}
+        sources = covs.ensemble if mode == "static" else _principal_component(covs.ensemble)
+        weights = mwf_weights(sources, covs.noise, reference, epsilon_rel)[None]
     return BeamformerBank(
         mode=mode,
         weights=weights,
@@ -141,12 +140,12 @@ def apply_bank(bank: BeamformerBank, mixture: SpectralFrameTensor,
     if x.shape[2] != bank.mic_count:
         raise ValueError("mixture channel count does not match the beamformer bank")
     if len(bank.weights) == 1:
-        return _filter(next(iter(bank.weights.values())), x)
+        return _filter(bank.weights[0], x)
     if states is None:
         raise ValueError("a dynamic bank needs a state sequence to apply")
     if states.frame_count != x.shape[0]:
         raise ValueError("state sequence length does not match the mixture")
-    missing = sorted(set(states.labels.tolist()) - set(bank.weights))
+    missing = sorted(set(states.labels.tolist()) - set(range(len(bank.weights))))
     if missing:
         raise ValueError(f"no weights for states {missing}")
     out = np.empty((x.shape[0], x.shape[1], bank.source_count), dtype=np.complex128)

@@ -112,12 +112,14 @@ def load_config(path=None, overrides=None):
     """Merge defaults, the optional JSON config file, and CLI overrides.
 
     Unknown keys (at any depth), a seed that is not a nonnegative int, unknown
-    or repeated modes, an invalid STFT, motion, geometry, source or pilot
-    section, an empty source list, non-finite scalars, a non-positive or
-    fractional sample rate, a non-positive speed of sound, durations shorter
-    than one frame, theory points that are not a positive int and theory
-    sigmas that are not a non-empty list of finite positive numbers with
-    distinct :g forms are rejected.
+    or repeated modes, a state_oracle, pilot.enabled or motion.jitter_reference
+    that is not a bool, a geometry.reference or motion.state_count that is not
+    an int, an invalid STFT, motion, geometry, source or pilot section, an
+    empty source list, non-finite scalars, a non-positive or fractional sample
+    rate, a non-positive speed of sound, durations shorter than one frame,
+    theory points that are not a positive int and theory sigmas that are not
+    a non-empty list of finite positive numbers with distinct :g forms are
+    rejected.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -130,9 +132,6 @@ def load_config(path=None, overrides=None):
         raise ValueError(f"unknown config keys {unknown}")
     if "seed" not in config or config["seed"] is None:
         raise ValueError("a seed is required (config key 'seed' or --seed)")
-    seed = config["seed"]
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
-        raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
     modes = config["modes"]
     if not (isinstance(modes, list) and set(modes) <= set(beamform.MODES)
             and len(set(modes)) == len(modes)):
@@ -140,6 +139,17 @@ def load_config(path=None, overrides=None):
             f"modes must be a list of distinct names from {list(beamform.MODES)}, "
             f"got {modes!r}"
         )
+    # type(), not isinstance(): True is no int here, and 1 no bool.
+    for key, kind, least in (("seed", int, 0), ("theory.points", int, 1),
+                             ("geometry.reference", int, 0), ("motion.state_count", int, None),
+                             ("state_oracle", bool, None), ("pilot.enabled", bool, None),
+                             ("motion.jitter_reference", bool, None)):
+        section, _, name = key.rpartition(".")
+        value = (config[section] if section else config)[name]
+        if type(value) is not kind or (least is not None and value < least):
+            wanted = "true or false" if kind is bool else \
+                "an int" + ("" if least is None else f" of at least {least}")
+            raise ValueError(f"{key} must be {wanted}, got {value!r}")
     for key in ("sample_rate", "speed_of_sound", "train_duration_s", "test_duration_s"):
         if not (_finite(config[key]) and config[key] > 0):
             raise ValueError(f"{key} must be finite and positive, got {config[key]!r}")
@@ -164,9 +174,6 @@ def load_config(path=None, overrides=None):
         raise ValueError(
             f"motion.sigma_pos_m must be finite, got {config['motion']['sigma_pos_m']!r}"
         )
-    points = config["theory"]["points"]
-    if not (isinstance(points, int) and not isinstance(points, bool) and points >= 1):
-        raise ValueError(f"theory.points must be an int of at least 1, got {points!r}")
     sigmas = config["theory"]["sigmas_s"]
     if not (isinstance(sigmas, list) and sigmas and all(_finite(s) and s > 0 for s in sigmas)):
         raise ValueError("theory.sigmas_s must be a non-empty list of finite positive "
@@ -222,7 +229,7 @@ def _geometry(config):
 
 def _pilot(config):
     p = config["pilot"]
-    if not p.get("enabled", False):
+    if not p["enabled"]:
         return None
     return scene.Pilot(frequency_hz=p["frequency_hz"], level_db=p["level_db"])
 
@@ -428,7 +435,8 @@ def _beamform(config, covs, rendered, mode):
         if mode == "dynamic" and covs.state_count > 1:
             states = rendered.truth_states if config["state_oracle"] else \
                 covest.estimate_states(rendered.mixture,
-                                       covest.pilot_templates(covs, rendered.pilot_bins))
+                                       covest.pilot_templates(covs, rendered.pilot_bins),
+                                       rendered.pilot_bins)
         return bank, beamform.apply_bank(bank, rendered.mixture, states)
 
 
@@ -437,6 +445,8 @@ def run_pipeline(config):
     scene, and write gain/divergence CSVs, banks and manifests. A worker
     writes the covariance container and its manifest while this thread runs
     the test phase."""
+    if len(config["sources"]["azimuths_deg"]) < 2:
+        raise ValueError("divergence curves need at least two source azimuths")
     out = _out_dir(config)
     with stage("train"):
         covs = covest.train(*_render_training(config))
@@ -489,15 +499,11 @@ def _divergence_table(covs):
     when the scene has more than one state, the same pairs within the middle
     state plus the extreme-state divergence of source 0."""
     n = covs.source_count
-    named = {}
-    if n >= 2:
-        named["div_between_source_ensemble"] = evaluate.outer_vs_central_pairs(n)
-    if covs.state_count > 1 and n >= 2:
+    named = {"div_between_source_ensemble": evaluate.outer_vs_central_pairs(n)}
+    if covs.state_count > 1:
         mid = covs.state_count // 2
         named["div_between_source_state"] = evaluate.outer_vs_central_pairs(n, state=mid)
         named["div_between_state"] = [((0, 0), (0, covs.state_count - 1))]
-    if not named:
-        raise ValueError("divergence curves need at least two sources")
     return evaluate.divergence_curve(covs, named)
 
 
@@ -542,11 +548,11 @@ def run_beamform(config, covariances_path=None):
 def run_theory(config):
     """Closed-form divergence curves for the array's start pose: the
     configured geometry, rotated to min_deg for a rotation sweep."""
-    out = _out_dir(config)
-    positions = scene.start_pose(_geometry(config), _motion(config))
     azimuths = config["sources"]["azimuths_deg"]
     if len(azimuths) < 2:
         raise ValueError("theory curves need at least two source azimuths")
+    out = _out_dir(config)
+    positions = scene.start_pose(_geometry(config), _motion(config))
     central = len(azimuths) // 2
     pairs = [
         (azimuths[i], azimuths[central]) for i in range(len(azimuths)) if i != central

@@ -4,24 +4,22 @@ banks.
 Both use the numpy .npz layout (a zip of .npy arrays) written with fixed
 zip timestamps so identical content produces identical bytes.
 
-Covariance container (format version 3):
-    format_version        ()        int
-    kind                  ()        "covariances"
-    state_count           ()        int
-    frequencies           (F,)      rad/s
-    noise                 (F, M, M) complex
-    per_state_keys        (K, 2)    (source, state) rows, K >= 1
-    per_state             (K, F, M, M)
-    frame_counts          (K,)
+Covariance container (format version 4):
+    format_version        ()               int
+    kind                  ()               "covariances"
+    frequencies           (F,)             rad/s
+    noise                 (F, M, M)        complex
+    cells                 (N, S, F, M, M)  complex, one matrix per (source, state)
+    frame_counts          (N, S)           int; 0 marks a missing, all-zero cell
 
 The ensemble covariances are not stored: CovarianceSet derives them from the
-per-state cells and their frame counts. Pilot templates are not stored
-either: covest.pilot_templates slices them from the per-state covariances at
-the test render's pilot bins.
+cells and their frame counts. Pilot templates are not stored either:
+covest.pilot_templates indexes them from the cells at the test render's
+pilot bins. Loading validates cells and noise once each.
 
 Bank container (format version 2):
     format_version, kind="bank", mode (one of beamform.MODES), reference,
-    frequencies, weight_states (S,), weights (S, F, N, M)
+    frequencies, weight_states (S,) = 0..S-1, weights (S, F, N, M)
 """
 
 import zipfile
@@ -30,43 +28,33 @@ import numpy as np
 
 from .beamform import BeamformerBank
 from .covest import CovarianceSet
-from .covmath import HermitianSpectrum
 
-FORMAT_VERSION = 3  # covariance containers
+FORMAT_VERSION = 4  # covariance containers
 BANK_FORMAT_VERSION = 2
 
 
 def _write_npz(path, arrays: dict):
-    """Stream each array into a stored .npy member, with no in-memory copy and a
-    fixed timestamp (np.savez stamps the time) so re-runs are byte-identical.
-    A list of equal-shape arrays is stored as their stack, written cell after
-    cell behind one .npy header, so the stack itself is never built."""
+    """Stream each array into a stored .npy member with a fixed timestamp
+    (np.savez stamps the time) so re-runs are byte-identical. Each array is
+    written from its own buffer behind the .npy header np.save writes, with
+    none of the 16 MiB copies np.lib.format.write_array makes for a stream
+    that is not a real file."""
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for name, value in arrays.items():
+            value = np.require(value, requirements="C")
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            if not isinstance(value, list):
-                value = np.asarray(value)
-                info.file_size = value.nbytes  # lets zipfile pick ZIP64 above 2 GiB
-                with zf.open(info, "w") as fh:
-                    np.lib.format.write_array(fh, value, allow_pickle=False)
-                continue
-            cells = [np.ascontiguousarray(cell) for cell in value]
-            if len({(cell.shape, cell.dtype) for cell in cells}) != 1:
-                raise ValueError(f"{name}: arrays to stack differ in shape or dtype")
-            header = np.lib.format.header_data_from_array_1_0(cells[0])
-            header["shape"] = (len(cells),) + cells[0].shape
-            info.file_size = sum(cell.nbytes for cell in cells)
+            info.file_size = value.nbytes  # lets zipfile pick ZIP64 above 2 GiB
             with zf.open(info, "w") as fh:
-                np.lib.format.write_array_header_1_0(fh, header)
-                for cell in cells:
-                    fh.write(memoryview(cell).cast("B"))
+                np.lib.format.write_array_header_1_0(
+                    fh, np.lib.format.header_data_from_array_1_0(value))
+                fh.write(memoryview(value).cast("B"))
 
 
 def _read_npz(path, kind, version, fields, rows):
     """Check a container's kind and format version and decode each member
     named in fields or rows once (every np.load lookup decodes the member
-    again). The members named in rows are parallel arrays and must agree in
-    length."""
+    again). rows maps member names to a count of leading axes that those
+    members share; a truncated member disagrees on them."""
     with np.load(path) as data:
         found = str(data["kind"])
         if found != kind:
@@ -74,65 +62,53 @@ def _read_npz(path, kind, version, fields, rows):
         found = int(data["format_version"])
         if found != version:
             raise ValueError(f"unsupported container version {found}")
-        arrays = {name: data[name] for name in fields + rows}
-    lengths = {name: len(arrays[name]) for name in rows}
-    if len(set(lengths.values())) > 1:
-        raise ValueError(f"truncated container: row counts {lengths} disagree")
+        arrays = {name: data[name] for name in (*fields, *rows)}
+    shapes = {name: arrays[name].shape[:axes] for name, axes in rows.items()}
+    if len(set(shapes.values())) > 1:
+        raise ValueError(f"truncated container: leading shapes {shapes} disagree")
     return arrays
 
 
 def save_covariances(path, covs: CovarianceSet):
     """Serialize a CovarianceSet to path."""
-    keys = sorted(covs.per_state)
     _write_npz(path, {
         "format_version": FORMAT_VERSION,
         "kind": "covariances",
-        "state_count": covs.state_count,
         "frequencies": covs.frequencies,
-        "noise": covs.noise.bins,
-        "per_state_keys": np.asarray(keys, dtype=np.int64),
-        "per_state": [covs.per_state[k].bins for k in keys],
-        "frame_counts": np.asarray([covs.frame_counts[k] for k in keys], dtype=np.int64),
+        "noise": covs.noise,
+        "cells": covs.cells,
+        "frame_counts": covs.frame_counts,
     })
 
 
 def load_covariances(path) -> CovarianceSet:
     """Load a CovarianceSet written by save_covariances."""
-    data = _read_npz(path, "covariances", FORMAT_VERSION, ("state_count", "frequencies", "noise"),
-                     ("per_state_keys", "per_state", "frame_counts"))
-    freqs = data["frequencies"]
-    keys = [(int(n), int(state)) for n, state in data["per_state_keys"]]
-    if len(set(keys)) != len(keys):
-        raise ValueError("covariance container repeats a (source, state) row")
-    return CovarianceSet(
-        per_state={key: HermitianSpectrum(bins, freqs)
-                   for key, bins in zip(keys, data["per_state"])},
-        frame_counts={key: int(count) for key, count in zip(keys, data["frame_counts"])},
-        noise=HermitianSpectrum(data["noise"], freqs),
-        state_count=int(data["state_count"]),
-    )
+    data = _read_npz(path, "covariances", FORMAT_VERSION, ("frequencies", "noise"),
+                     {"cells": 2, "frame_counts": 2})
+    return CovarianceSet(data["cells"], data["frame_counts"], data["noise"], data["frequencies"])
 
 
 def save_bank(path, bank: BeamformerBank):
     """Serialize a BeamformerBank to path."""
-    states = sorted(bank.weights)
     _write_npz(path, {
         "format_version": BANK_FORMAT_VERSION,
         "kind": "bank",
         "mode": bank.mode,
         "reference": bank.reference,
         "frequencies": bank.frequencies,
-        "weight_states": np.asarray(states, dtype=np.int64),
-        "weights": [bank.weights[s] for s in states],
+        "weight_states": np.arange(len(bank.weights), dtype=np.int64),
+        "weights": bank.weights,
     })
 
 
 def load_bank(path) -> BeamformerBank:
     data = _read_npz(path, "bank", BANK_FORMAT_VERSION, ("mode", "reference", "frequencies"),
-                     ("weight_states", "weights"))
+                     {"weight_states": 1, "weights": 1})
+    if not np.array_equal(data["weight_states"], np.arange(len(data["weights"]))):
+        raise ValueError(f"bank weight_states must be 0..S-1, got {data['weight_states']}")
     return BeamformerBank(
         mode=str(data["mode"]),
-        weights={int(state): w for state, w in zip(data["weight_states"], data["weights"])},
+        weights=data["weights"],
         reference=int(data["reference"]),
         frequencies=data["frequencies"],
     )

@@ -26,70 +26,84 @@ PILOT_SMOOTHING = 2
 
 @dataclass
 class CovarianceSet:
-    """Trained second-order statistics of a scene.
+    """Trained second-order statistics of a scene, as read-only arrays.
 
-    per_state maps (source, state) to the covariance spectrum conditioned on
-    that state, and frame_counts maps the same keys to the number of training
-    frames behind each cell; a state without training frames has no cell.
-    noise is estimated from a source-free render. ensemble is derived, not
-    given: source n's state-averaged spectrum sum_s (c_s / C_n) R_{n,s}, with
-    c_s the cell's frame count and C_n their total, so in a one-state scene
+    cells (N, S, F, M, M) holds source n's covariance in motion state s and
+    frame_counts (N, S) the training frames behind it; a count of 0 marks a
+    missing cell, which must be all zeros. noise (F, M, M) comes from a
+    source-free render; frequencies (F,) are the bins in rad/s. cells and
+    noise are validated once each. ensemble (N, F, M, M) is derived: source
+    n's state-averaged covariance sum_s (c_s / C_n) R_{n,s}, summed in state
+    order over its nonzero counts c_s with total C_n, so in a one-state scene
     (static or jitter) it equals the state-0 cell bit for bit.
     """
 
-    per_state: dict
-    frame_counts: dict
-    noise: HermitianSpectrum
-    state_count: int
-    ensemble: dict = field(init=False)
+    cells: np.ndarray
+    frame_counts: np.ndarray
+    noise: np.ndarray
+    frequencies: np.ndarray
+    ensemble: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        keys = sorted(self.per_state)
-        if keys != sorted(self.frame_counts):
-            raise ValueError("per_state and frame_counts must have the same (source, state) keys")
-        empty = [key for key in keys if self.frame_counts[key] < 1]
-        if empty:
-            raise ValueError(f"frame counts must be at least 1, not for cells {empty}")
-        sources = sorted({n for n, _ in keys})
-        if not sources or sources != list(range(len(sources))):
-            raise ValueError(f"covariance cells must cover sources 0..N-1, N >= 1, got {sources}")
-        self.ensemble = {}
-        for n in sources:
-            cells = [key for key in keys if key[0] == n]
-            total = sum(self.frame_counts[key] for key in cells)
-            acc = (self.frame_counts[cells[0]] / total) * self.per_state[cells[0]].bins
-            for key in cells[1:]:
-                acc += (self.frame_counts[key] / total) * self.per_state[key].bins
-            self.ensemble[n] = HermitianSpectrum(acc, self.frequencies)
+        counts = np.asarray(self.frame_counts)
+        shape = np.shape(self.cells)
+        if len(shape) != 5 or np.shape(self.noise) != shape[2:]:
+            raise ValueError(f"cells {shape} and noise {np.shape(self.noise)} must have "
+                             "shapes (N, S, F, M, M) and (F, M, M)")
+        if counts.shape != shape[:2] or counts.dtype.kind not in "iu" or (counts < 0).any():
+            raise ValueError(f"frame_counts must be nonnegative ints of shape {shape[:2]}, "
+                             f"got {counts.dtype} {counts.shape}")
+        cells = HermitianSpectrum(self.cells, self.frequencies).bins
+        noise = HermitianSpectrum(self.noise, self.frequencies)
+        missing = counts == 0
+        stray = np.argwhere(missing)[cells[missing].any(axis=(1, 2, 3))]
+        if len(stray):
+            raise ValueError("cells with a zero frame count must be zero, not "
+                             f"{[tuple(p) for p in stray.tolist()]}")
+        starved = np.flatnonzero(missing.all(axis=1)).tolist()
+        if not len(counts) or starved:
+            raise ValueError("covariance cells must hold at least one source, each with "
+                             f"training frames (none for sources {starved})")
+        ensemble = np.empty((shape[0], *shape[2:]), dtype=np.complex128)
+        for n, row in enumerate(counts):
+            states = np.flatnonzero(row)
+            total = row.sum()
+            np.multiply(row[states[0]] / total, cells[n, states[0]], out=ensemble[n])
+            for state in states[1:]:
+                ensemble[n] += (row[state] / total) * cells[n, state]
+        # Read-only views: an in-place edit raises instead of racing a
+        # concurrent save of the same arrays.
+        for name, value in (("cells", cells), ("frame_counts", counts), ("noise", noise.bins),
+                            ("frequencies", noise.frequencies), ("ensemble", ensemble)):
+            value = value.view()
+            value.flags.writeable = False
+            setattr(self, name, value)
 
     @property
     def source_count(self) -> int:
-        return len(self.ensemble)
+        return self.cells.shape[0]
 
     @property
-    def frequencies(self) -> np.ndarray:
-        return self.noise.frequencies
+    def state_count(self) -> int:
+        return self.cells.shape[1]
 
     @property
     def mic_count(self) -> int:
-        return self.noise.mic_count
+        return self.cells.shape[-1]
 
     def missing_pairs(self) -> list:
         """The (source, state) pairs without training frames, sorted."""
-        return [
-            (n, state)
-            for n in sorted(self.ensemble)
-            for state in range(self.state_count)
-            if (n, state) not in self.per_state
-        ]
+        return [tuple(pair) for pair in np.argwhere(self.frame_counts == 0).tolist()]
 
 
-def _outer_sums(frames, labels, group_count):
+def _outer_sums(frames, labels, group_count, out=None):
     """Per-group sums (G, F, M, M) of x[t,f] x[t,f]^H over complex frames (T, F, M)
-    labeled in [0, G), one zgemm batch per cache-sized bin chunk, and counts (G,)."""
+    labeled in [0, G) (into out when given; an empty group sums to zeros), one
+    zgemm batch per cache-sized bin chunk, and counts (G,)."""
     counts = np.bincount(labels, minlength=group_count)
     _, f_count, m_count = frames.shape
-    sums = np.empty((group_count, f_count, m_count, m_count), dtype=np.complex128)
+    sums = np.empty((group_count, f_count, m_count, m_count), dtype=np.complex128) \
+        if out is None else out
     for group in range(group_count):
         # A group holding every frame reads the frames in place.
         rows = slice(None) if counts[group] == len(labels) else np.flatnonzero(labels == group)
@@ -103,7 +117,7 @@ def _outer_sums(frames, labels, group_count):
     return sums, counts
 
 
-def sample_covariance(frames, frequencies) -> HermitianSpectrum:
+def sample_covariance(frames) -> np.ndarray:
     """Per-bin average of frame outer products: (1/T) sum_t x[t,f] x[t,f]^H.
 
     frames: complex (T, F, M) with T >= 1.
@@ -114,7 +128,7 @@ def sample_covariance(frames, frequencies) -> HermitianSpectrum:
     if frames.shape[0] == 0:
         raise ValueError("cannot estimate a covariance from an empty frame subset")
     sums, counts = _outer_sums(frames, np.zeros(frames.shape[0], dtype=np.int64), 1)
-    return HermitianSpectrum(sums[0] / counts[0], frequencies)
+    return sums[0] / counts[0]
 
 
 def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
@@ -123,15 +137,18 @@ def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
 
     source_renders: any iterable of one RenderedScene per source, each with
     exactly that source active, its frames grouped by its own truth_states
-    labels; each is reduced to its sums and dropped before the next is drawn.
-    noise_render: a render with no active sources; it sets states and bins.
+    labels; each is reduced to its sums in the cell tensor and dropped
+    before the next is drawn.
+    noise_render: a render with no active sources; its scene's source count,
+    its states and bins size that (N, S, F, M, M) tensor up front.
     """
     if noise_render.active_sources:
         raise ValueError("the noise render must have no active sources")
+    source_count = noise_render.source_count
     state_count = noise_render.truth_states.state_count
-    omega = noise_render.mixture.bin_omega
-    per_state_covs = {}
-    counts = {}
+    _, f_count, m_count = noise_render.mixture.frames.shape
+    cells = np.empty((source_count, state_count, f_count, m_count, m_count), dtype=np.complex128)
+    counts = np.zeros((source_count, state_count), dtype=np.int64)
     indices = []
     for render in source_renders:
         if len(render.active_sources) != 1:
@@ -143,30 +160,26 @@ def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
             raise ValueError("training renders disagree on the number of states")
         n = render.active_sources[0]
         indices.append(n)
-        sums, sizes = _outer_sums(render.mixture.frames, render.truth_states.labels,
-                                  state_count)
+        if n >= source_count:
+            break  # rejected by the coverage check below, as is a repeated source
+        _, counts[n] = _outer_sums(render.mixture.frames, render.truth_states.labels,
+                                   state_count, out=cells[n])
         del render
-        for state in np.flatnonzero(sizes).tolist():
-            counts[(n, state)] = int(sizes[state])
-            sums[state] /= sizes[state]
-            per_state_covs[(n, state)] = HermitianSpectrum(sums[state], omega)
-    if not indices or sorted(indices) != list(range(len(indices))):
-        raise ValueError(f"source renders must cover sources 0..N-1, N >= 1, got {indices}")
-    noise = sample_covariance(noise_render.mixture.frames, omega)
-    return CovarianceSet(
-        per_state=per_state_covs,
-        frame_counts=counts,
-        noise=noise,
-        state_count=state_count,
-    )
+        for state in np.flatnonzero(counts[n]).tolist():
+            cells[n, state] /= counts[n, state]
+    if sorted(indices) != list(range(source_count)):
+        raise ValueError(f"source renders must cover sources 0..N-1 of the noise render's "
+                         f"scene (N = {source_count}), got {indices}")
+    return CovarianceSet(cells, counts, sample_covariance(noise_render.mixture.frames),
+                         noise_render.mixture.bin_omega)
 
 
-def pilot_templates(covs: CovarianceSet, pilot_bins) -> dict:
-    """Per-state covariance templates at the pilot bins, one spectrum per state.
+def pilot_templates(covs: CovarianceSet, pilot_bins) -> np.ndarray:
+    """Per-state covariance templates at the pilot bins, (S, N, M, M).
 
-    Template bin n of state s is source n's trained covariance in state s at
-    that source's pilot bin pilot_bins[n], so a test frame (all pilots
-    active at once) can be matched bin by bin.
+    Template s, row n is source n's trained covariance in state s at that
+    source's pilot bin pilot_bins[n], so a test frame (all pilots active at
+    once) can be matched bin by bin.
     """
     if pilot_bins is None or len(pilot_bins) != covs.source_count:
         raise ValueError(
@@ -176,40 +189,27 @@ def pilot_templates(covs: CovarianceSet, pilot_bins) -> dict:
     missing = covs.missing_pairs()
     if missing:
         raise ValueError(f"no training frames for (source, state) pairs: {missing}")
-    sources = sorted(covs.ensemble)
-    omega = covs.frequencies[list(pilot_bins)]
-    return {
-        state: HermitianSpectrum(
-            np.stack([covs.per_state[(n, state)].bins[pilot_bins[n]] for n in sources]), omega
-        )
-        for state in range(covs.state_count)
-    }
+    return covs.cells.swapaxes(0, 1)[:, np.arange(covs.source_count), list(pilot_bins)]
 
 
-def estimate_states(mixture: SpectralFrameTensor, templates: dict,
+def estimate_states(mixture: SpectralFrameTensor, templates, pilot_bins,
                     smoothing: int = PILOT_SMOOTHING,
                     epsilon_rel: float = PILOT_EPSILON_REL) -> StateSequence:
     """Classify each frame's motion state from the pilot bins.
 
-    Each frame's pilot-bin outer product, averaged over +-smoothing frames
-    and diagonally loaded, is compared against every diagonally loaded state
-    template R_s: the state with the smallest total Gaussian divergence over
-    the pilot bins wins, ties going to the lower state index. The score is
+    templates (S, B, M, M) holds state s's covariance at each of the B
+    mixture bins pilot_bins (see pilot_templates). Each frame's pilot-bin
+    outer product, averaged over +-smoothing frames and diagonally loaded, is
+    compared against every diagonally loaded state template R_s: the state
+    with the smallest total Gaussian divergence over the pilot bins wins, ties
+    going to the lower state index. The score is
     sum_bins [tr(R_s^-1 R_t) + log det R_s], which is twice that divergence
     plus sum_bins [M + log det R_t], a term every state shares, so no
     snapshot R_t is decomposed.
     """
-    if not templates:
+    if pilot_bins is None or len(templates) == 0:
         raise ValueError("state estimation requires pilot templates (pilot disabled?)")
-    state_count = max(templates) + 1
-    any_template = next(iter(templates.values()))
-    omega_grid = mixture.bin_omega
-    bins = [int(np.argmin(np.abs(omega_grid - w))) for w in any_template.frequencies]
-    spacing = omega_grid[1] - omega_grid[0]
-    if np.abs(omega_grid[bins] - any_template.frequencies).max() > 0.5 * spacing:
-        raise ValueError("template frequencies do not lie on the mixture bin grid")
-
-    x = mixture.frames[:, bins, :]  # (T, B, M)
+    x = mixture.frames[:, list(pilot_bins), :]  # (T, B, M)
     inst = np.einsum("tbm,tbn->tbmn", x, x.conj())
     # Mean over frames t-smoothing..t+smoothing, clipped to the frame range,
     # as a difference of cumulative sums, built in place.
@@ -225,11 +225,12 @@ def estimate_states(mixture: SpectralFrameTensor, templates: dict,
     smoothed = regularize(smoothed, epsilon_rel)
 
     # tr(A B) = sum_ij A_ij B_ji: each state's trace term is one product of
-    # the flattened snapshots with its flattened, transposed inverses.
+    # the flattened snapshots with its flattened, transposed inverses (per
+    # state: one product over all states may round differently).
     flat = smoothed.reshape(len(frame), -1)
-    scores = np.full((len(frame), state_count), np.inf)
-    for state, template in templates.items():
-        loaded = regularize(template.bins, epsilon_rel)
+    scores = np.empty((len(frame), len(templates)))
+    for state, template in enumerate(templates):
+        loaded = regularize(template, epsilon_rel)
         inverse_t = np.linalg.inv(loaded).swapaxes(-1, -2).reshape(-1)
         scores[:, state] = (flat @ inverse_t).real + np.linalg.slogdet(loaded)[1].sum()
-    return StateSequence(np.argmin(scores, axis=1), state_count)
+    return StateSequence(np.argmin(scores, axis=1), len(templates))

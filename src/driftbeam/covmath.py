@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stft import block_length
+
 # Relative tolerance for the Hermitian-symmetry check of covariance bins.
 HERMITIAN_RTOL = 1e-12
 # Eigenvalues may undershoot zero by this fraction of the mean eigenvalue.
@@ -25,11 +27,14 @@ class IllConditionedError(ValueError):
 
 @dataclass(frozen=True)
 class HermitianSpectrum:
-    """One Hermitian PSD matrix per frequency bin.
+    """One Hermitian PSD matrix per frequency bin, or a stack of such spectra.
 
     Attributes:
-        bins: complex array of shape (F, M, M)
+        bins: complex array of shape (..., F, M, M)
         frequencies: physical frequency of each bin in rad/s, shape (F,)
+
+    The checks run one cache-sized block of matrices at a time, so a whole
+    tensor is validated once without whole-tensor temporaries.
     """
 
     bins: np.ndarray
@@ -38,42 +43,54 @@ class HermitianSpectrum:
     def __post_init__(self):
         bins = np.asarray(self.bins, dtype=np.complex128)
         freqs = np.asarray(self.frequencies, dtype=np.float64)
-        if bins.ndim != 3 or bins.shape[1] != bins.shape[2]:
-            raise ValueError(f"bins must have shape (F, M, M), got {bins.shape}")
-        if freqs.shape != (bins.shape[0],):
+        if bins.ndim < 3 or bins.shape[-1] != bins.shape[-2]:
+            raise ValueError(f"bins must have shape (..., F, M, M), got {bins.shape}")
+        if freqs.shape != (bins.shape[-3],):
             raise ValueError(
-                f"frequencies length {freqs.shape} does not match bin count {bins.shape[0]}"
+                f"frequencies length {freqs.shape} does not match bin count {bins.shape[-3]}"
             )
-        if not np.isfinite(bins).all():
-            raise ValueError("bins contain non-finite entries")
-        defect = np.abs(bins - bins.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        scale = np.abs(bins).max(axis=(1, 2))
-        bad = defect > HERMITIAN_RTOL * np.maximum(scale, np.finfo(float).tiny)
-        if bad.any():
-            raise ValueError(f"bins not Hermitian at indices {np.flatnonzero(bad)[:8]}")
-        mean_eig = np.trace(bins, axis1=1, axis2=2).real / bins.shape[1]
-        delta = PSD_RTOL * np.maximum(mean_eig, 0.0)
-        # A Cholesky of bins + (delta/2) I succeeds only when the smallest
-        # eigenvalue is above -delta/2, so success settles the check at a
-        # fraction of an eigvalsh; on failure eigvalsh decides and names the bins.
-        try:
-            np.linalg.cholesky(bins + 0.5 * delta[:, None, None] * np.eye(bins.shape[1]))
-        except np.linalg.LinAlgError:
-            bad = np.linalg.eigvalsh(bins)[:, 0] < -delta
-            if bad.any():
-                raise ValueError(
-                    f"bins not positive semidefinite at indices {np.flatnonzero(bad)[:8]}"
-                ) from None
+        m = bins.shape[-1]
+        matrices = bins.reshape(-1, m, m)
+        step = block_length(m * m * matrices.itemsize)
+        for lo in range(0, len(matrices), step):
+            _check_block(matrices[lo:lo + step], lo, bins.shape[:-2])
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "frequencies", freqs)
 
     @property
     def bin_count(self) -> int:
-        return self.bins.shape[0]
+        return self.bins.shape[-3]
 
     @property
     def mic_count(self) -> int:
-        return self.bins.shape[1]
+        return self.bins.shape[-1]
+
+
+def _check_block(block, offset, stack_shape):
+    """Raise unless every matrix of block (K, M, M), the matrices offset..
+    offset+K-1 of a stack shaped stack_shape, is finite, Hermitian and PSD;
+    name the first failures by bin, or by index tuple in a deeper stack."""
+    if not np.isfinite(block).all():
+        raise ValueError("bins contain non-finite entries")
+    defect = np.abs(block - block.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    scale = np.abs(block).max(axis=(1, 2))
+    bad, kind = defect > HERMITIAN_RTOL * np.maximum(scale, np.finfo(float).tiny), "Hermitian"
+    if not bad.any():
+        mean_eig = np.trace(block, axis1=1, axis2=2).real / block.shape[1]
+        delta = PSD_RTOL * np.maximum(mean_eig, 0.0)
+        # A Cholesky of bins + (delta/2) I succeeds only when the smallest
+        # eigenvalue is above -delta/2, so success settles the check at a
+        # fraction of an eigvalsh; on failure eigvalsh decides and names the bins.
+        try:
+            np.linalg.cholesky(block + 0.5 * delta[:, None, None] * np.eye(block.shape[1]))
+            return
+        except np.linalg.LinAlgError:
+            bad, kind = np.linalg.eigvalsh(block)[:, 0] < -delta, "positive semidefinite"
+    if bad.any():
+        flat = offset + np.flatnonzero(bad)[:8]
+        where = flat.tolist() if len(stack_shape) == 1 else \
+            list(zip(*(axis.tolist() for axis in np.unravel_index(flat, stack_shape))))
+        raise ValueError(f"bins not {kind} at indices {where}")
 
 
 def _square(r, name):

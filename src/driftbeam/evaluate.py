@@ -96,15 +96,13 @@ def gain(outputs, mixture_ref, desired, frequencies_hz) -> GainReport:
     )
 
 
-def _slot_spectrum(covs: CovarianceSet, slot):
+def _slot_covariance(covs: CovarianceSet, slot):
     source, state = slot
-    if state is None:
-        if source not in covs.ensemble:
-            raise ValueError(f"no ensemble covariance for source {source}")
-        return covs.ensemble[source]
-    if (source, state) not in covs.per_state:
-        raise ValueError(f"no per-state covariance for (source, state) = {slot}")
-    return covs.per_state[(source, state)]
+    trained = 0 <= source < covs.source_count and (
+        state is None or (0 <= state < covs.state_count and covs.frame_counts[source, state] > 0))
+    if not trained:
+        raise ValueError(f"no trained covariance for (source, state) = {slot}")
+    return covs.ensemble[source] if state is None else covs.cells[source, state]
 
 
 def divergence_curve(covs: CovarianceSet, named_pairs: dict,
@@ -124,8 +122,8 @@ def divergence_curve(covs: CovarianceSet, named_pairs: dict,
             raise ValueError(f"no slot pairs given for column {name!r}")
         acc = np.zeros(covs.frequencies.shape[0])
         for slot1, slot2 in pairs:
-            r1 = regularize(_slot_spectrum(covs, slot1).bins, epsilon_rel)
-            r2 = regularize(_slot_spectrum(covs, slot2).bins, epsilon_rel)
+            r1 = regularize(_slot_covariance(covs, slot1), epsilon_rel)
+            r2 = regularize(_slot_covariance(covs, slot2), epsilon_rel)
             acc += gaussian_divergence(r1, r2)
         table[name] = acc / len(pairs)
     return table

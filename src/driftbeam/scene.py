@@ -245,7 +245,7 @@ class RenderedScene:
     those additive parts are not stored. A render with noise_level_db=None and
     one active source n is exactly source n's image. `desired` holds each
     active source as observed at the reference microphone, shape
-    (T, F, n_active).
+    (T, F, n_active); source_count counts all of the scene's sources.
     """
 
     mixture: SpectralFrameTensor
@@ -253,6 +253,7 @@ class RenderedScene:
     desired: np.ndarray
     active_sources: tuple
     pilot_bins: tuple | None
+    source_count: int
 
 
 def propagation_delays(positions, azimuth_deg, c: float = SPEED_OF_SOUND):
@@ -451,6 +452,7 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
         desired=desired,
         active_sources=active,
         pilot_bins=pilots,
+        source_count=spec.source_count,
     )
 
 

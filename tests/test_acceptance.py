@@ -165,9 +165,8 @@ def test_c04_mwf_closed_form():
     m, sigma2 = 12, 0.4
     entries = np.exp(1j * rng.uniform(-np.pi, np.pi, m))
     entries[0] = 1.0
-    omega = np.array([1000.0])
-    source = covmath.HermitianSpectrum(np.outer(entries, entries.conj())[None], omega)
-    noise = covmath.HermitianSpectrum(sigma2 * np.eye(m)[None], omega)
+    source = np.outer(entries, entries.conj())[None]
+    noise = sigma2 * np.eye(m)[None]
     weights = beamform.mwf_weights([source], noise, reference=0, epsilon_rel=0.0)
     expected = np.conj(entries[0]) * entries.conj()[None, :] / (sigma2 + m)
     np.testing.assert_allclose(weights[0], expected, rtol=0, atol=1e-9)
@@ -192,10 +191,10 @@ def test_c05_scalar_wiener_baseline():
     )
     rendered = scene.render(spec, duration, CFG, FS, seed=7)
     omega = rendered.mixture.bin_omega
-    flat = covmath.HermitianSpectrum(np.ones((omega.shape[0], 1, 1), complex), omega)
-    silent = covmath.HermitianSpectrum(np.zeros((omega.shape[0], 1, 1), complex), omega)
+    flat = np.ones((omega.shape[0], 1, 1), complex)
+    silent = np.zeros((omega.shape[0], 1, 1), complex)
     weights = beamform.mwf_weights([flat] * 5, silent, reference=0, epsilon_rel=0.0)
-    bank = beamform.BeamformerBank(mode="static", weights={0: weights}, reference=0,
+    bank = beamform.BeamformerBank(mode="static", weights=weights[None], reference=0,
                                    frequencies=omega)
     gains = gain_of(bank, rendered)
     deviation = np.abs(gains.gain_db - WIENER_FLOOR_DB)
@@ -239,7 +238,7 @@ def test_c07_dynamic_beats_static(rotation_experiment):
     covs, templates, test = rotation_experiment
     static = beamform.build(covs, "static")
     dynamic = beamform.build(covs, "dynamic")
-    states = covest.estimate_states(test.mixture, templates)
+    states = covest.estimate_states(test.mixture, templates, test.pilot_bins)
     static_gain = gain_of(static, test).band_mean(0.0, 4000.0)
     dynamic_gain = gain_of(dynamic, test, states).band_mean(0.0, 4000.0)
     margin = dynamic_gain - static_gain
@@ -331,10 +330,10 @@ def test_c10_small_instance_brute_force():
     start = time.time()
     rng = np.random.default_rng(10)
     t, f, n, m = 8, 4, 2, 3
-    weights = {
-        s: rng.standard_normal((f, n, m)) + 1j * rng.standard_normal((f, n, m))
-        for s in range(3)
-    }
+    weights = np.stack([
+        rng.standard_normal((f, n, m)) + 1j * rng.standard_normal((f, n, m))
+        for _ in range(3)
+    ])
     frames = rng.standard_normal((t, f, m)) + 1j * rng.standard_normal((t, f, m))
     from driftbeam.stft import SpectralFrameTensor
 

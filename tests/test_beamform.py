@@ -11,10 +11,8 @@ CFG = StftConfig(fft_size=256, hop=128)
 FS = 16000
 
 
-def spectrum(bins, omega=None):
-    bins = np.asarray(bins, dtype=np.complex128)
-    omega = np.arange(bins.shape[0], dtype=float) if omega is None else omega
-    return covmath.HermitianSpectrum(bins, omega)
+def spectrum(bins):
+    return np.asarray(bins, dtype=np.complex128)
 
 
 def rank_one_source(a, power=1.0):
@@ -95,7 +93,7 @@ class TestBuild:
         covs, _ = trained_covs(motion=motion)
         static = build(covs, "static")
         dynamic = build(covs, "dynamic")
-        assert sorted(dynamic.weights) == [0]
+        assert dynamic.weights.shape[0] == 1
         np.testing.assert_allclose(static.weights[0], dynamic.weights[0], atol=1e-12)
 
     def test_rank_one_on_truly_rank_one_ensemble_matches_static(self):
@@ -104,12 +102,9 @@ class TestBuild:
         omega = np.linspace(100.0, 800.0, f)
         a = np.exp(1j * rng.uniform(-np.pi, np.pi, (f, m)))
         bins = 2.0 * np.einsum("fm,fn->fmn", a, a.conj())
-        source = covmath.HermitianSpectrum(bins, omega)
-        noise = covmath.HermitianSpectrum(
-            np.broadcast_to(0.3 * np.eye(m), (f, m, m)).copy(), omega
-        )
-        covs = covest.CovarianceSet(per_state={(0, 0): source}, frame_counts={(0, 0): 1},
-                                    noise=noise, state_count=1)
+        noise = np.broadcast_to(0.3 * np.eye(m), (f, m, m))
+        covs = covest.CovarianceSet(bins[None, None], np.ones((1, 1), dtype=np.int64), noise,
+                                    omega)
         static = build(covs, "static")
         rank_one = build(covs, "rank1")
         np.testing.assert_allclose(rank_one.weights[0], static.weights[0], atol=1e-9)
@@ -119,19 +114,34 @@ class TestBuild:
                                                   state_count=10)
         covs, _ = trained_covs(motion=motion)
         bank = build(covs, "dynamic")
-        assert sorted(bank.weights) == list(range(10))
-        for w in bank.weights.values():
-            assert w.shape == (CFG.bin_count, 2, 4)
+        assert bank.weights.shape == (10, CFG.bin_count, 2, 4)
+
+    def test_dynamic_bank_bits_equal_per_state_solves(self):
+        # One batched solve over the state-major cells gives each state the
+        # bits of its own mwf_weights call on cells[:, s].
+        motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=4.0,
+                                                  state_count=10)
+        covs, _ = trained_covs(motion=motion)
+        bank = build(covs, "dynamic")
+        for state in range(covs.state_count):
+            expected = mwf_weights(covs.cells[:, state], covs.noise, 0)
+            np.testing.assert_array_equal(bank.weights[state].view(np.uint64),
+                                          expected.view(np.uint64))
+
+    def test_rank_one_parts_bits_equal_per_source(self):
+        covs, _ = trained_covs(azimuths=(30.0, 80.0, 120.0))
+        batched = beamform._principal_component(covs.ensemble)
+        for n in range(covs.source_count):
+            single = beamform._principal_component(covs.ensemble[n])
+            np.testing.assert_array_equal(batched[n].view(np.uint64), single.view(np.uint64))
 
     def test_starved_state_error_lists_pairs(self):
         motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=4.0, state_count=4)
         covs, _ = trained_covs(motion=motion)
-        starved = covest.CovarianceSet(
-            per_state={k: v for k, v in covs.per_state.items() if k != (1, 0)},
-            frame_counts={k: v for k, v in covs.frame_counts.items() if k != (1, 0)},
-            noise=covs.noise,
-            state_count=covs.state_count,
-        )
+        cells, counts = covs.cells.copy(), covs.frame_counts.copy()
+        cells[1, 0] = 0.0
+        counts[1, 0] = 0
+        starved = covest.CovarianceSet(cells, counts, covs.noise, covs.frequencies)
         with pytest.raises(StarvedStateError, match=r"\(1, 0\)"):
             build(starved, "dynamic")
 
@@ -149,10 +159,10 @@ def dynamic_case():
     rng = np.random.default_rng(9)
     f, n, m = 513, 5, 12
     counts = [57, 50, 41, 52]
-    weights = {
-        s: rng.standard_normal((f, n, m)) + 1j * rng.standard_normal((f, n, m))
-        for s in range(len(counts))
-    }
+    weights = np.stack([
+        rng.standard_normal((f, n, m)) + 1j * rng.standard_normal((f, n, m))
+        for _ in counts
+    ])
     frames = rng.standard_normal((sum(counts), f, m)) + 1j * rng.standard_normal((sum(counts), f, m))
     mixture = SpectralFrameTensor(frames, FS, 1024, 512)
     labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
@@ -168,7 +178,7 @@ class TestApply:
         mixture = SpectralFrameTensor(frames, FS, 8, 4)
         bank = BeamformerBank(
             mode="static",
-            weights={0: np.broadcast_to(np.eye(3), (5, 3, 3)).copy().astype(complex)},
+            weights=np.broadcast_to(np.eye(3), (1, 5, 3, 3)).astype(complex),
             reference=0,
             frequencies=mixture.bin_omega,
         )
@@ -196,14 +206,10 @@ class TestApply:
         window_energy = np.sum(CFG.analysis_window ** 2)
         rel = geometry.positions - geometry.positions[0]
         a = np.stack([np.exp(1j * w * scene.propagation_delays(rel, az)) for w in omega])
-        source = covmath.HermitianSpectrum(
-            window_energy * np.einsum("fm,fn->fmn", a, a.conj()), omega
-        )
-        noise = covmath.HermitianSpectrum(
-            np.zeros((omega.shape[0], 6, 6), complex), omega
-        )
+        source = window_energy * np.einsum("fm,fn->fmn", a, a.conj())
+        noise = np.zeros((omega.shape[0], 6, 6), complex)
         weights = mwf_weights([source], noise, reference=0, epsilon_rel=1e-3)
-        bank = BeamformerBank(mode="static", weights={0: weights}, reference=0,
+        bank = BeamformerBank(mode="static", weights=weights[None], reference=0,
                               frequencies=omega)
         estimate = apply_bank(bank, rendered.mixture)[:, :, 0]
         err = np.sum(np.abs(estimate - rendered.desired[:, :, 0]) ** 2)
@@ -226,22 +232,22 @@ class TestApply:
         bank = build(covs, "dynamic")
         crippled = BeamformerBank(
             mode="dynamic",
-            weights={k: v for k, v in bank.weights.items() if k != 3},
+            weights=bank.weights[:3],
             reference=0,
             frequencies=bank.frequencies,
         )
         rendered = scene.render(spec, 4.0, CFG, FS, seed=7)
-        with pytest.raises(ValueError, match=r"\[3\]"):
+        with pytest.raises(ValueError, match=r"\[3, 4\]"):
             apply_bank(crippled, rendered.mixture, rendered.truth_states)
 
     def test_matches_naive_per_frame_reference(self):
         # Small instances: apply() against an explicit per-frame loop.
         rng = np.random.default_rng(8)
         t, f, n, m = 8, 4, 2, 3
-        weights = {
-            s: rng.standard_normal((f, n, m)) + 1j * rng.standard_normal((f, n, m))
-            for s in range(3)
-        }
+        weights = np.stack([
+            rng.standard_normal((f, n, m)) + 1j * rng.standard_normal((f, n, m))
+            for _ in range(3)
+        ])
         frames = rng.standard_normal((t, f, m)) + 1j * rng.standard_normal((t, f, m))
         mixture = SpectralFrameTensor(frames, FS, 6, 3)
         labels = scene.StateSequence(rng.integers(0, 3, t), 3)
@@ -285,21 +291,15 @@ class TestApply:
         # lower empirical squared error than the closed-form solution.
         rng = np.random.default_rng(9)
         m, n, f, t = 3, 2, 4, 20000
-        omega = np.linspace(1000.0, 4000.0, f)
         steering = np.exp(1j * rng.uniform(-np.pi, np.pi, (f, n, m)))
         steering[:, :, 0] = 1.0
         powers = np.array([1.0, 0.7])
         sigma2 = 0.3
         sources = [
-            covmath.HermitianSpectrum(
-                powers[k] * np.einsum("fm,fn->fmn", steering[:, k], steering[:, k].conj()),
-                omega,
-            )
+            powers[k] * np.einsum("fm,fn->fmn", steering[:, k], steering[:, k].conj())
             for k in range(n)
         ]
-        noise = covmath.HermitianSpectrum(
-            np.broadcast_to(sigma2 * np.eye(m), (f, m, m)).copy(), omega
-        )
+        noise = np.broadcast_to(sigma2 * np.eye(m), (f, m, m))
         weights = mwf_weights(sources, noise, reference=0, epsilon_rel=0.0)
         s = (rng.standard_normal((t, f, n, 2)) @ [1, 1j]) * np.sqrt(powers / 2.0)
         v = (rng.standard_normal((t, f, m, 2)) @ [1, 1j]) * np.sqrt(sigma2 / 2.0)
@@ -317,5 +317,5 @@ class TestApply:
 
     def test_nonfinite_weights_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            BeamformerBank(mode="static", weights={0: np.full((2, 1, 1), np.nan)},
+            BeamformerBank(mode="static", weights=np.full((1, 2, 1, 1), np.nan),
                            reference=0, frequencies=np.zeros(2))

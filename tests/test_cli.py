@@ -240,7 +240,7 @@ class TestTrainingMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        frames = sum(count for (n, _), count in covs.frame_counts.items() if n == 0)
+        frames = covs.frame_counts[0].sum()
         mixture_bytes = frames * len(covs.frequencies) * covs.mic_count * 16
         assert peak < (len(sources) + 1) * mixture_bytes
 
@@ -256,9 +256,8 @@ class TestTrainingMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        mixture_bytes = covs.frame_counts[(0, 0)] * len(covs.frequencies) * covs.mic_count * 16
-        cells = [covs.noise, *covs.per_state.values(), *covs.ensemble.values()]
-        cell_bytes = sum(cell.bins.nbytes for cell in cells)
+        mixture_bytes = covs.frame_counts[0, 0] * len(covs.frequencies) * covs.mic_count * 16
+        cell_bytes = covs.noise.nbytes + covs.cells.nbytes + covs.ensemble.nbytes
         assert peak < 2 * mixture_bytes + cell_bytes + 0.25 * mixture_bytes
 
 
@@ -442,6 +441,12 @@ class TestMain:
         {"seed": 1.7},
         {"seed": -1},
         {"seed": True},
+        {"state_oracle": "false"},
+        {"pilot": {"enabled": "false"}},
+        {"motion": {"kind": "gaussian_jitter", "sigma_pos_m": 0.005, "jitter_reference": "no"}},
+        {"geometry": {"reference": 1.0}},
+        {"motion": {"kind": "rotation_sweep", "state_count": 4.5}},
+        {"motion": {"kind": "rotation_sweep", "state_count": True}},
     ], ids=["hop", "theory_points", "train_duration", "test_duration", "rotation_period",
             "rotation_state_count", "motion_kind", "mic_count", "layout", "sigma_pos_nan",
             "noise_level_nan", "speed_of_sound_zero", "speed_of_sound_negative",
@@ -452,7 +457,9 @@ class TestMain:
             "azimuths_empty", "positions_nan", "sample_rate_zero", "train_shorter_than_frame",
             "test_shorter_than_frame", "theory_points_fraction", "theory_points_bool",
             "sample_rate_fraction", "azimuths_empty_noiseless", "seed_fraction",
-            "seed_negative", "seed_bool"])
+            "seed_negative", "seed_bool", "state_oracle_string", "pilot_enabled_string",
+            "jitter_reference_string", "reference_float", "state_count_float",
+            "state_count_bool"])
     def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, fields):
         path = self.write_config(tmp_path, **fields)
         out = tmp_path / "out"
@@ -468,6 +475,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert "[theory]" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "theory"])
+    def test_one_source_fails_before_any_work(self, tmp_path, capsys, command):
+        path = self.write_config(tmp_path, sources={"azimuths_deg": [20.0]})
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), command]) == 1
+        err = capsys.readouterr().err
+        assert f"[{command}] " in err and "at least two source azimuths" in err
+        assert not out.exists()
+
+    def test_one_source_simulate_train_and_beamform_work(self, tmp_path):
+        path = self.write_config(tmp_path, sources={"azimuths_deg": [20.0]})
+        out = tmp_path / "out"
+        for command in ("simulate", "train", "beamform"):
+            assert cli.main(["--config", str(path), "--out", str(out), command]) == 0
+        assert (out / "enhanced_static_00.wav").is_file()
 
     def test_beamform_failure_carries_mode_label(self, tmp_path, capsys):
         # A multi-state scene without pilots has no state track for dynamic.

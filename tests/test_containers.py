@@ -4,7 +4,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from driftbeam import beamform, containers, covest, covmath, scene
+from driftbeam import beamform, containers, covest, scene
 from driftbeam.stft import StftConfig
 
 CFG = StftConfig(fft_size=256, hop=128)
@@ -38,22 +38,29 @@ def test_covariance_round_trip(trained, tmp_path):
     containers.save_covariances(path, covs)
     loaded = containers.load_covariances(path)
     assert loaded.state_count == covs.state_count
-    assert sorted(loaded.ensemble) == sorted(covs.ensemble)
-    for n in covs.ensemble:
-        np.testing.assert_array_equal(loaded.ensemble[n].bins, covs.ensemble[n].bins)
-    for key in covs.per_state:
-        np.testing.assert_array_equal(loaded.per_state[key].bins, covs.per_state[key].bins)
-        assert loaded.frame_counts[key] == covs.frame_counts[key]
-    np.testing.assert_array_equal(loaded.noise.bins, covs.noise.bins)
-    templates = covest.pilot_templates(covs, pilot_bins)
-    loaded_templates = covest.pilot_templates(loaded, pilot_bins)
-    assert sorted(loaded_templates) == sorted(templates)
-    for state in templates:
-        np.testing.assert_array_equal(
-            loaded_templates[state].bins, templates[state].bins
-        )
+    for name in ("cells", "frame_counts", "noise", "frequencies", "ensemble"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(covs, name))
+        assert getattr(loaded, name).dtype == getattr(covs, name).dtype
+    np.testing.assert_array_equal(covest.pilot_templates(loaded, pilot_bins),
+                                  covest.pilot_templates(covs, pilot_bins))
     with zipfile.ZipFile(path) as zf:
         assert not any(name.startswith(("template", "ensemble")) for name in zf.namelist())
+
+
+def test_zero_count_cell_round_trips_as_missing(trained, tmp_path):
+    covs, _ = trained
+    cells, counts = covs.cells.copy(), covs.frame_counts.copy()
+    cells[1, 2] = 0.0
+    counts[1, 2] = 0
+    path = tmp_path / "covs.npz"
+    containers.save_covariances(path, covest.CovarianceSet(cells, counts, covs.noise,
+                                                           covs.frequencies))
+    loaded = containers.load_covariances(path)
+    assert loaded.missing_pairs() == [(1, 2)]
+    np.testing.assert_array_equal(loaded.frame_counts, counts)
+    assert not loaded.cells[1, 2].any()
+    with pytest.raises(beamform.StarvedStateError, match=r"\[\(1, 2\)\]"):
+        beamform.build(loaded, "dynamic")
 
 
 def test_one_state_container_stores_each_covariance_once(tmp_path):
@@ -73,9 +80,8 @@ def test_one_state_container_stores_each_covariance_once(tmp_path):
     with zipfile.ZipFile(path) as zf:
         assert "ensemble.npy" not in zf.namelist()
     loaded = containers.load_covariances(path)
-    assert sorted(loaded.ensemble) == [0, 1]
-    for n in range(2):
-        np.testing.assert_array_equal(loaded.ensemble[n].bins, covs.ensemble[n].bins)
+    assert loaded.ensemble.shape[0] == 2
+    np.testing.assert_array_equal(loaded.ensemble, covs.ensemble)
 
 
 def test_bank_round_trip(trained, tmp_path):
@@ -86,9 +92,16 @@ def test_bank_round_trip(trained, tmp_path):
     loaded = containers.load_bank(path)
     assert loaded.mode == "dynamic"
     assert loaded.reference == bank.reference
-    assert sorted(loaded.weights) == sorted(bank.weights)
-    for state in bank.weights:
-        np.testing.assert_array_equal(loaded.weights[state], bank.weights[state])
+    np.testing.assert_array_equal(loaded.weights, bank.weights)
+
+
+def test_bank_weight_states_must_count_from_zero(trained, tmp_path):
+    covs, _ = trained
+    path, bad = tmp_path / "bank.npz", tmp_path / "bad.npz"
+    containers.save_bank(path, beamform.build(covs, "dynamic"))
+    rewrite_entries(path, bad, {"weight_states": lambda states: states[::-1]})
+    with pytest.raises(ValueError, match=r"weight_states must be 0\.\.S-1"):
+        containers.load_bank(bad)
 
 
 def test_containers_are_byte_stable(trained, tmp_path):
@@ -107,11 +120,13 @@ def test_kind_mismatch_rejected(trained, tmp_path):
         containers.load_bank(path)
 
 
-def rewrite_entry(src, dst, name, edit):
-    """Copy a container with array `name` replaced by edit(array)."""
+def rewrite_entries(src, dst, edits):
+    """Copy a container with each array named in edits replaced by
+    edits[name](array)."""
     with np.load(src) as data:
         arrays = {key: data[key] for key in data.files}
-    arrays[name] = edit(arrays[name])
+    for name, edit in edits.items():
+        arrays[name] = edit(arrays[name])
     with zipfile.ZipFile(dst, "w") as zf:
         for key, value in arrays.items():
             with zf.open(key + ".npy", "w") as fh:
@@ -120,10 +135,10 @@ def rewrite_entry(src, dst, name, edit):
 
 def truncate_entry(src, dst, name):
     """Copy a container with array `name` cut one row short."""
-    rewrite_entry(src, dst, name, lambda value: value[:-1])
+    rewrite_entries(src, dst, {name: lambda value: value[:-1]})
 
 
-@pytest.mark.parametrize("name", ["per_state"])
+@pytest.mark.parametrize("name", ["cells", "frame_counts"])
 def test_truncated_covariance_container_rejected(trained, tmp_path, name):
     covs, _ = trained
     path, cut = tmp_path / "covs.npz", tmp_path / "cut.npz"
@@ -133,44 +148,38 @@ def test_truncated_covariance_container_rejected(trained, tmp_path, name):
         containers.load_covariances(cut)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_covariance_container_rejected(trained, tmp_path, version):
     covs, _ = trained
     path, old = tmp_path / "covs.npz", tmp_path / "old.npz"
     containers.save_covariances(path, covs)
-    rewrite_entry(path, old, "format_version", lambda value: np.asarray(version))
+    rewrite_entries(path, old, {"format_version": lambda value: np.asarray(version)})
     with pytest.raises(ValueError, match=f"unsupported container version {version}"):
         containers.load_covariances(old)
 
 
 def zero_first(counts):
     counts = counts.copy()
-    counts[0] = 0
+    counts[0, 0] = 0
     return counts
 
 
-def source_1_as_2(keys):
-    keys = keys.copy()
-    keys[keys[:, 0] == 1, 0] = 2
-    return keys
+def zero_source_1(values):
+    values = values.copy()
+    values[1] = 0
+    return values
 
 
-def repeat_first_row(keys):
-    keys = keys.copy()
-    keys[1] = keys[0]
-    return keys
-
-
-@pytest.mark.parametrize("name, edit, message", [
-    ("frame_counts", zero_first, r"frame counts must be at least 1, not for cells \[\(0, 0\)\]"),
-    ("per_state_keys", source_1_as_2, r"must cover sources 0\.\.N-1, N >= 1, got \[0, 2\]"),
-    ("per_state_keys", repeat_first_row, r"repeats a \(source, state\) row"),
-], ids=["zero_frame_count", "sources_0_and_2", "repeated_row"])
-def test_inconsistent_cells_rejected(trained, tmp_path, name, edit, message):
+@pytest.mark.parametrize("edits, message", [
+    ({"frame_counts": zero_first}, r"zero frame count must be zero, not \[\(0, 0\)\]"),
+    ({"frame_counts": zero_source_1, "cells": zero_source_1},
+     r"training frames \(none for sources \[1\]\)"),
+], ids=["zero_frame_count", "source_without_frames"])
+def test_inconsistent_cells_rejected(trained, tmp_path, edits, message):
     covs, _ = trained
     path, bad = tmp_path / "covs.npz", tmp_path / "bad.npz"
     containers.save_covariances(path, covs)
-    rewrite_entry(path, bad, name, edit)
+    rewrite_entries(path, bad, edits)
     with pytest.raises(ValueError, match=message):
         containers.load_covariances(bad)
 

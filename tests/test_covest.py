@@ -42,9 +42,9 @@ class TestSampleCovariance:
     def test_single_frame_is_outer_product(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 5, 3)) + 1j * rng.standard_normal((1, 5, 3))
-        cov = covest.sample_covariance(x, np.arange(5.0))
+        cov = covest.sample_covariance(x)
         for f in range(5):
-            np.testing.assert_allclose(cov.bins[f], np.outer(x[0, f], x[0, f].conj()),
+            np.testing.assert_allclose(cov[f], np.outer(x[0, f], x[0, f].conj()),
                                        atol=1e-14)
 
     def test_white_noise_converges_to_identity(self):
@@ -52,24 +52,24 @@ class TestSampleCovariance:
         t, m = 100_000, 4
         x = (rng.standard_normal((t, 1, m)) + 1j * rng.standard_normal((t, 1, m)))
         x /= np.sqrt(2.0)
-        cov = covest.sample_covariance(x, np.zeros(1))
+        cov = covest.sample_covariance(x)
         se = 1.0 / np.sqrt(t)
-        assert np.abs(cov.bins[0] - np.eye(m)).max() < 3.0 * se
+        assert np.abs(cov[0] - np.eye(m)).max() < 3.0 * se
 
     def test_static_source_principal_eigenvector_matches_steering(self):
         spec = build_spec(azimuths=(80.0,), noise_level_db=-40.0, duration=4.0)
         rendered = scene.render(spec, 4.0, CFG, FS, seed=2)
-        cov = covest.sample_covariance(rendered.mixture.frames, rendered.mixture.bin_omega)
+        cov = covest.sample_covariance(rendered.mixture.frames)
         rel = spec.geometry.positions - spec.geometry.positions[0]
         for f in (20, 60, 100):
             sv = np.exp(1j * rendered.mixture.bin_omega[f] * scene.propagation_delays(rel, 80.0))
-            principal = np.linalg.eigh(cov.bins[f])[1][:, -1]
+            principal = np.linalg.eigh(cov[f])[1][:, -1]
             cosine = np.abs(np.vdot(sv, principal)) / np.linalg.norm(sv)
             assert cosine > 0.999
 
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            covest.sample_covariance(np.zeros((0, 4, 2), complex), np.zeros(4))
+            covest.sample_covariance(np.zeros((0, 4, 2), complex))
 
 
 @st.composite
@@ -128,20 +128,16 @@ class TestTrain:
         renders, noise = training_renders(spec, 2.0)
         covs = covest.train(renders, noise)
         assert covs.state_count == 1
-        for n in range(2):
-            np.testing.assert_allclose(
-                covs.per_state[(n, 0)].bins, covs.ensemble[n].bins, atol=1e-12
-            )
+        np.testing.assert_allclose(covs.cells[:, 0], covs.ensemble, atol=1e-12)
 
     def test_rotation_sweep_populates_all_states(self):
         motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=4.0, state_count=10)
         spec = build_spec(motion=motion, duration=4.0)
         renders, noise = training_renders(spec, 4.0)
         covs = covest.train(renders, noise)
-        for n in range(2):
-            for state in range(10):
-                assert (n, state) in covs.per_state
-                assert covs.frame_counts[(n, state)] > 0
+        assert covs.frame_counts.shape == (2, 10)
+        assert (covs.frame_counts > 0).all()
+        assert covs.missing_pairs() == []
 
     def test_ensemble_is_weighted_average(self):
         motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=3.0, state_count=5)
@@ -149,13 +145,10 @@ class TestTrain:
         renders, noise = training_renders(spec, 3.0)
         covs = covest.train(renders, noise)
         for n in range(2):
-            total = sum(covs.frame_counts[(n, s)] for s in range(5))
-            avg = sum(
-                covs.frame_counts[(n, s)] * covs.per_state[(n, s)].bins
-                for s in range(5)
-            ) / total
-            scale = np.abs(covs.ensemble[n].bins).max()
-            assert np.abs(avg - covs.ensemble[n].bins).max() < 1e-9 * scale
+            total = covs.frame_counts[n].sum()
+            avg = sum(covs.frame_counts[n, s] * covs.cells[n, s] for s in range(5)) / total
+            scale = np.abs(covs.ensemble[n]).max()
+            assert np.abs(avg - covs.ensemble[n]).max() < 1e-9 * scale
 
     def test_split_half_ensembles_agree(self):
         # Two disjoint halves of the training data give ensemble estimates
@@ -165,14 +158,14 @@ class TestTrain:
         frames = rendered.mixture.frames
         half = frames.shape[0] // 2
         omega = rendered.mixture.bin_omega
-        first = covest.sample_covariance(frames[:half], omega)
-        second = covest.sample_covariance(frames[half:2 * half], omega)
+        first = covest.sample_covariance(frames[:half])
+        second = covest.sample_covariance(frames[half:2 * half])
         hz = omega / (2.0 * np.pi)
         low = hz < 2000.0
         for f in np.flatnonzero(low):
             d = covmath.gaussian_divergence(
-                covmath.regularize(first.bins[f], 1e-3),
-                covmath.regularize(second.bins[f], 1e-3),
+                covmath.regularize(first[f], 1e-3),
+                covmath.regularize(second[f], 1e-3),
             )
             assert d < 0.1
 
@@ -182,10 +175,10 @@ class TestTrain:
         renders, noise = training_renders(spec, 2.0)
         covs = covest.train(renders, noise)
         assert covs.state_count == 1
-        assert set(covs.per_state) == {(0, 0), (1, 0)}
+        assert covs.frame_counts.shape == (2, 1)
+        np.testing.assert_array_equal(covs.cells[:, 0], covs.ensemble)
         for n in range(2):
-            np.testing.assert_array_equal(covs.per_state[(n, 0)].bins, covs.ensemble[n].bins)
-            assert covs.frame_counts[(n, 0)] == renders[n].mixture.frame_count
+            assert covs.frame_counts[n, 0] == renders[n].mixture.frame_count
 
     def test_multi_source_render_rejected(self):
         spec = build_spec()
@@ -226,8 +219,7 @@ def static_cli_training(tmp_path, azimuths):
                            config["sample_rate"]).frames[:, :, 0]
         power = np.mean(np.abs(spectrum) ** 2, axis=0)  # (F,)
         a = np.exp(1j * omega[:, None] * scene.propagation_delays(rel, source.azimuth_deg))
-        exact.append(covmath.HermitianSpectrum(
-            power[:, None, None] * a[:, :, None] * a[:, None, :].conj(), omega))
+        exact.append(power[:, None, None] * a[:, :, None] * a[:, None, :].conj())
     return covs, exact
 
 
@@ -237,36 +229,50 @@ class TestCliTraining:
 
     def test_static_cell_is_the_image_covariance(self, tmp_path):
         covs, exact = static_cli_training(tmp_path, (30.0, 120.0))
-        assert sorted(covs.per_state) == [(0, 0), (1, 0)]
+        assert covs.frame_counts.shape == (2, 1)
         for n, image in enumerate(exact):
-            scale = np.abs(image.bins).max()
-            np.testing.assert_allclose(covs.per_state[(n, 0)].bins, image.bins,
-                                       rtol=0, atol=1e-12 * scale)
-        assert np.trace(covs.noise.bins, axis1=1, axis2=2).real.min() > 0
+            scale = np.abs(image).max()
+            np.testing.assert_allclose(covs.cells[n, 0], image, rtol=0, atol=1e-12 * scale)
+        assert np.trace(covs.noise, axis1=1, axis2=2).real.min() > 0
 
     def test_weights_match_exact_images_plus_trained_noise(self, tmp_path):
         covs, exact = static_cli_training(tmp_path, (30.0, 120.0))
-        trained = beamform.mwf_weights([covs.ensemble[0], covs.ensemble[1]], covs.noise, 0)
+        trained = beamform.mwf_weights(covs.ensemble, covs.noise, 0)
         expected = beamform.mwf_weights(exact, covs.noise, 0)
         np.testing.assert_allclose(trained, expected, rtol=0,
                                    atol=1e-8 * np.abs(expected).max())
 
 
-def unit_spectrum():
-    return covmath.HermitianSpectrum(np.stack([np.eye(2, dtype=complex)] * 4), np.arange(4.0))
+def unit_cells(counts):
+    """Identity cells (N, S, 4, 2, 2) for frame counts (N, S), zero where a
+    count is 0."""
+    counts = np.asarray(counts, dtype=np.int64)
+    cells = np.zeros((*counts.shape, 4, 2, 2), dtype=complex)
+    cells[counts > 0] = np.eye(2)
+    return cells
+
+
+def unit_set(cells, counts):
+    return covest.CovarianceSet(cells, np.asarray(counts, dtype=np.int64),
+                                np.stack([np.eye(2, dtype=complex)] * 4), np.arange(4.0))
 
 
 class TestCovarianceSet:
-    @pytest.mark.parametrize("keys, counts, message", [
-        ([(0, 0), (1, 0)], {(0, 0): 2}, r"same \(source, state\) keys"),
-        ([(0, 0), (1, 0)], {(0, 0): 2, (1, 0): 0}, r"at least 1, not for cells \[\(1, 0\)\]"),
-        ([(0, 0), (2, 0)], {(0, 0): 2, (2, 0): 2}, r"cover sources 0\.\.N-1.*\[0, 2\]"),
-        ([], {}, r"cover sources 0\.\.N-1.*\[\]"),
+    @pytest.mark.parametrize("cells, counts, message", [
+        (unit_cells([[2], [2]]), [[2]], r"frame_counts must be .* of shape \(2, 1\)"),
+        (unit_cells([[2], [2]]), [[2], [0]], r"zero frame count must be zero, not \[\(1, 0\)\]"),
+        (unit_cells([[2], [0], [2]]), [[2], [0], [2]], r"none for sources \[1\]"),
+        (unit_cells(np.zeros((0, 1))), np.zeros((0, 1)), "at least one source"),
     ], ids=["key_mismatch", "zero_count", "source_gap", "empty"])
-    def test_bad_cells_rejected(self, keys, counts, message):
+    def test_bad_cells_rejected(self, cells, counts, message):
         with pytest.raises(ValueError, match=message):
-            covest.CovarianceSet(per_state={key: unit_spectrum() for key in keys},
-                                 frame_counts=counts, noise=unit_spectrum(), state_count=1)
+            unit_set(cells, counts)
+
+    @pytest.mark.parametrize("name", ["cells", "frame_counts", "noise", "ensemble"])
+    def test_trained_arrays_are_read_only(self, name):
+        covs = covest.train(*training_renders(build_spec(duration=1.0), 1.0))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(covs, name)[0] = 0
 
 
 def streamed_renders(spec, duration, released, seed=100):
@@ -301,15 +307,8 @@ class TestStreamingTrain:
         expected = covest.train(renders, noise)
         covs = covest.train(streamed_renders(spec, 3.0, []), noise)
         assert covs.state_count == expected.state_count == 5
-        assert covs.frame_counts == expected.frame_counts
-        assert sorted(covs.per_state) == sorted(expected.per_state)
-        for key, cell in expected.per_state.items():
-            np.testing.assert_array_equal(covs.per_state[key].bins, cell.bins)
-        assert sorted(covs.ensemble) == sorted(expected.ensemble)
-        for n, ens in expected.ensemble.items():
-            np.testing.assert_array_equal(covs.ensemble[n].bins, ens.bins)
-        np.testing.assert_array_equal(covs.noise.bins, expected.noise.bins)
-        np.testing.assert_array_equal(covs.frequencies, expected.frequencies)
+        for name in ("cells", "frame_counts", "noise", "frequencies", "ensemble"):
+            np.testing.assert_array_equal(getattr(covs, name), getattr(expected, name))
 
     @pytest.mark.parametrize("sources", [[0, 0], [1], []], ids=["duplicate", "gap", "empty"])
     def test_sources_must_cover_0_to_n_minus_1(self, sources):
@@ -332,22 +331,20 @@ class TestStreamingTrain:
 
 def render_pass_templates(source_renders):
     """Oracle templates from a second pass over the training renders: the
-    sample covariance of source n's frames in each state at its pilot bin."""
+    sample covariance of source n's frames in each state at its pilot bin,
+    as an (S, N, M, M) stack."""
     state_count = source_renders[0].truth_states.state_count
     renders = sorted(source_renders, key=lambda r: r.active_sources[0])
     bins = [r.pilot_bins[r.active_sources[0]] for r in renders]
-    omega = renders[0].mixture.bin_omega[bins]
     grouped = [
         covest._outer_sums(render.mixture.frames[:, [pilot_bin], :],
                            render.truth_states.labels, state_count)
         for render, pilot_bin in zip(renders, bins)
     ]
-    return {
-        state: covmath.HermitianSpectrum(
-            np.stack([sums[state, 0] / counts[state] for sums, counts in grouped]), omega
-        )
+    return np.stack([
+        np.stack([sums[state, 0] / counts[state] for sums, counts in grouped])
         for state in range(state_count)
-    }
+    ])
 
 
 class TestPilotTemplates:
@@ -359,29 +356,19 @@ class TestPilotTemplates:
         spec = build_spec(motion=motion, duration=3.0, pilot=scene.Pilot(7000.0, -10.0))
         renders, noise = training_renders(spec, 3.0)
         templates = covest.pilot_templates(covest.train(renders, noise), renders[0].pilot_bins)
-        expected = render_pass_templates(renders)
-        assert sorted(templates) == sorted(expected)
-        for state, template in expected.items():
-            np.testing.assert_array_equal(templates[state].bins, template.bins)
-            np.testing.assert_array_equal(templates[state].frequencies, template.frequencies)
+        np.testing.assert_array_equal(templates, render_pass_templates(renders))
 
     @staticmethod
-    def two_source_covs(per_state_keys):
-        unit = unit_spectrum()
-        return covest.CovarianceSet(
-            per_state={key: unit for key in per_state_keys},
-            frame_counts={key: 3 for key in per_state_keys},
-            noise=unit,
-            state_count=2,
-        )
+    def two_source_covs(counts):
+        return unit_set(unit_cells(counts), counts)
 
     def test_wrong_pilot_bin_count_rejected(self):
-        covs = self.two_source_covs([(n, s) for n in range(2) for s in range(2)])
+        covs = self.two_source_covs([[3, 3], [3, 3]])
         with pytest.raises(ValueError, match="one pilot bin per source"):
             covest.pilot_templates(covs, (1,))
 
     def test_missing_cell_rejected(self):
-        covs = self.two_source_covs([(0, 0), (0, 1), (1, 0)])
+        covs = self.two_source_covs([[3, 3], [3, 0]])
         with pytest.raises(ValueError, match=r"no training frames for \(source, state\) "
                                              r"pairs: \[\(1, 1\)\]"):
             covest.pilot_templates(covs, (1, 3))
@@ -405,22 +392,20 @@ def rotation_setup():
     return templates, test
 
 
-def divergence_argmin_states(mixture, templates, smoothing=covest.PILOT_SMOOTHING,
+def divergence_argmin_states(mixture, templates, pilot_bins, smoothing=covest.PILOT_SMOOTHING,
                              epsilon_rel=covest.PILOT_EPSILON_REL):
     """Oracle track: argmin over states of the summed Gaussian divergence of
     each loaded, smoothed pilot snapshot from the loaded state template."""
-    bins = [int(np.argmin(np.abs(mixture.bin_omega - w)))
-            for w in next(iter(templates.values())).frequencies]
-    x = mixture.frames[:, bins, :]
+    x = mixture.frames[:, list(pilot_bins), :]
     t_count = x.shape[0]
-    scores = np.full((t_count, max(templates) + 1), np.inf)
+    scores = np.full((t_count, len(templates)), np.inf)
     snapshots = []
     for t in range(t_count):
         window = x[max(t - smoothing, 0):t + smoothing + 1]
         snapshots.append(np.einsum("tbm,tbn->bmn", window, window.conj()) / len(window))
     smoothed = covmath.regularize(np.stack(snapshots), epsilon_rel)
-    for state, template in templates.items():
-        loaded = covmath.regularize(template.bins, epsilon_rel)
+    for state, template in enumerate(templates):
+        loaded = covmath.regularize(template, epsilon_rel)
         scores[:, state] = covmath.gaussian_divergence(smoothed, loaded).sum(axis=1)
     return np.argmin(scores, axis=1)
 
@@ -428,17 +413,18 @@ def divergence_argmin_states(mixture, templates, smoothing=covest.PILOT_SMOOTHIN
 class TestEstimateStates:
     def test_track_is_the_divergence_argmin(self, rotation_setup):
         templates, test = rotation_setup
-        est = covest.estimate_states(test.mixture, templates)
-        np.testing.assert_array_equal(est.labels,
-                                      divergence_argmin_states(test.mixture, templates))
+        est = covest.estimate_states(test.mixture, templates, test.pilot_bins)
+        np.testing.assert_array_equal(
+            est.labels, divergence_argmin_states(test.mixture, templates, test.pilot_bins))
 
     def test_equal_templates_tie_to_the_lower_state(self, rotation_setup):
         templates, test = rotation_setup
-        # States 4 and 5 share one template; insert the higher key first.
-        tied = {state: templates[4 if state == 5 else state] for state in reversed(range(10))}
-        est = covest.estimate_states(test.mixture, tied)
+        # States 4 and 5 share one template.
+        tied = templates[[4 if state == 5 else state for state in range(10)]]
+        est = covest.estimate_states(test.mixture, tied, test.pilot_bins)
         assert 4 in est.labels and 5 not in est.labels
-        np.testing.assert_array_equal(est.labels, divergence_argmin_states(test.mixture, tied))
+        np.testing.assert_array_equal(
+            est.labels, divergence_argmin_states(test.mixture, tied, test.pilot_bins))
 
     def test_static_scene_constant_estimate(self):
         spec = build_spec(pilot=scene.Pilot(7000.0, -10.0), noise_level_db=None,
@@ -446,13 +432,13 @@ class TestEstimateStates:
         renders, noise = training_renders(spec, 4.0)
         test = scene.render(spec, 4.0, CFG, FS, seed=7)
         templates = covest.pilot_templates(covest.train(renders, noise), test.pilot_bins)
-        est = covest.estimate_states(test.mixture, templates)
+        est = covest.estimate_states(test.mixture, templates, test.pilot_bins)
         assert est.state_count == 1
         assert not est.labels.any()
 
     def test_rotation_sweep_accuracy(self, rotation_setup):
         templates, test = rotation_setup
-        est = covest.estimate_states(test.mixture, templates)
+        est = covest.estimate_states(test.mixture, templates, test.pilot_bins)
         agreement = (est.labels == test.truth_states.labels).mean()
         assert agreement >= 0.95
 
@@ -460,7 +446,8 @@ class TestEstimateStates:
         spec = build_spec()
         test = scene.render(spec, 1.0, CFG, FS, seed=8)
         with pytest.raises(ValueError, match="pilot"):
-            covest.estimate_states(test.mixture, {})
+            covest.estimate_states(test.mixture, np.empty((0, 2, 4, 4), complex),
+                                   test.pilot_bins)
 
     def test_templates_require_pilots(self):
         spec = build_spec(pilot=None)

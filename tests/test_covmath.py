@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_triangular
 
-from driftbeam import covmath
+from driftbeam import covmath, stft
 from driftbeam.covmath import (
     PSD_RTOL,
     HermitianSpectrum,
@@ -379,6 +379,35 @@ class TestPsdCheck:
         bins[1, 2, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             HermitianSpectrum(bins, np.zeros(2))
+
+
+class TestBlockedValidation:
+    @pytest.mark.parametrize("shape, position", [((24,), "23"), ((2, 3, 4), r"\(1, 2, 3\)")],
+                             ids=["bins", "tensor"])
+    @pytest.mark.parametrize("defect", ["non_hermitian", "indefinite"])
+    def test_last_block_defect_named(self, monkeypatch, shape, position, defect):
+        # Five 3x3 matrices a block: 24 matrices take blocks at 0, 5, ..., 20,
+        # and the defect sits in the last matrix of the last block.
+        rng = np.random.default_rng(17)
+        bins = np.stack([random_psd(rng, 3) for _ in range(24)])
+        if defect == "non_hermitian":
+            bins[-1, 0, 1] += 1.0
+            message = "not Hermitian"
+        else:
+            bins[-1] = np.diag([1.0, 1.0, -1.0])
+            message = "not positive semidefinite"
+        offsets = []
+        check = covmath._check_block
+
+        def recorded(block, offset, stack_shape):
+            offsets.append(offset)
+            check(block, offset, stack_shape)
+
+        monkeypatch.setattr(stft, "BLOCK_BYTES", 5 * bins[0].nbytes)
+        monkeypatch.setattr(covmath, "_check_block", recorded)
+        with pytest.raises(ValueError, match=rf"{message} at indices \[{position}\]"):
+            HermitianSpectrum(bins.reshape(*shape, 3, 3), np.zeros(shape[-1]))
+        assert offsets == [0, 5, 10, 15, 20]
 
 
 class TestTypes:

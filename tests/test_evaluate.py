@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from driftbeam import covest, covmath, evaluate, scene, stft
+from driftbeam import covest, evaluate, scene, stft
 from driftbeam.evaluate import divergence_curve, gain, outer_vs_central_pairs, theory_curve, write_table
 from driftbeam.stft import StftConfig
 
@@ -136,16 +136,10 @@ def small_covset():
 
     def psd():
         a = rng.standard_normal((f, m, m)) + 1j * rng.standard_normal((f, m, m))
-        return covmath.HermitianSpectrum(a @ a.conj().transpose(0, 2, 1) / m, omega)
+        return a @ a.conj().transpose(0, 2, 1) / m
 
-    per_state = {}
-    counts = {}
-    for n in range(2):
-        per_state[(n, 0)] = psd()
-        per_state[(n, 1)] = psd()
-        counts[(n, 0)] = counts[(n, 1)] = 5
-    return covest.CovarianceSet(per_state=per_state, frame_counts=counts, noise=psd(),
-                                state_count=2)
+    cells = np.stack([np.stack([psd(), psd()]) for _ in range(2)])
+    return covest.CovarianceSet(cells, np.full((2, 2), 5), psd(), omega)
 
 
 class TestDivergenceCurve:
@@ -156,12 +150,8 @@ class TestDivergenceCurve:
 
     def test_single_state_scene_state_equals_ensemble_curve(self):
         covs = small_covset()
-        single = covest.CovarianceSet(
-            per_state={(n, 0): covs.ensemble[n] for n in range(2)},
-            frame_counts={(n, 0): 10 for n in range(2)},
-            noise=covs.noise,
-            state_count=1,
-        )
+        single = covest.CovarianceSet(covs.ensemble[:, None], np.full((2, 1), 10), covs.noise,
+                                      covs.frequencies)
         table = divergence_curve(single, {
             "state": [((0, 0), (1, 0))],
             "ens": [((0, None), (1, None))],
@@ -261,13 +251,9 @@ class TestTheoryMatchesMeasurement:
             omega = rendered.mixture.bin_omega
             total += x.shape[0]
 
-        covs = covest.CovarianceSet(
-            per_state={(n, 0): covmath.HermitianSpectrum(acc[n] / total, omega)
-                       for n in range(2)},
-            frame_counts={(n, 0): 1 for n in range(2)},
-            noise=covmath.HermitianSpectrum(np.zeros_like(acc[0]), omega),
-            state_count=1,
-        )
+        cells = np.stack([acc[n] / total for n in range(2)])[:, None]
+        covs = covest.CovarianceSet(cells, np.ones((2, 1), dtype=np.int64),
+                                    np.zeros_like(acc[0]), omega)
         measured = divergence_curve(covs, {"d": [((0, None), (1, None))]},
                                     epsilon_rel=1e-5)["d"][1:]
         hz = omega[1:] / (2.0 * np.pi)
