@@ -89,109 +89,121 @@ def stage(label):
         raise StageError(label, err) from err
 
 
-def _merge(base, override):
+def _merge(base, override, unknown, prefix=""):
+    """override merged into a copy of base; each key base lacks adds its dotted path to unknown."""
     merged = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _merge(merged[key], value)
+        if key not in merged:
+            unknown.add(prefix + key)
+        elif isinstance(merged[key], dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"{prefix}{key} must be an object, got {value!r}")
+            merged[key] = _merge(merged[key], value, unknown, f"{prefix}{key}.")
         else:
             merged[key] = value
     return merged
 
 
-def _unknown_keys(config, known, prefix=""):
-    """Dotted paths of the keys in config that known does not have."""
-    for key, value in config.items():
-        if key not in known:
-            yield prefix + key
-        elif isinstance(value, dict) and isinstance(known[key], dict):
-            yield from _unknown_keys(value, known[key], f"{prefix}{key}.")
+# Kinds: (what an error says a value must be, its test). type() keeps True from ints, 1 from bools.
+_NUMBER = "a finite number", lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                                        and bool(np.isfinite(v)))
+_POSITIVE = "a finite positive number", lambda v: _NUMBER[1](v) and v > 0
+_BOOL = "true or false", lambda v: type(v) is bool
+_STR = "a string", lambda v: type(v) is str
+
+
+def _int(least):
+    return f"an int >= {least}", lambda v: type(v) is int and v >= least
+
+
+def _enum(*names):
+    return f"one of {list(names)}", lambda v: isinstance(v, str) and v in names
+
+
+def _null_or(kind):
+    return f"null or {kind[0]}", lambda v: v is None or kind[1](v)
+
+
+def _list(wanted, item, least=0, distinct=False):
+    return wanted, lambda v: (isinstance(v, list) and len(v) >= least and all(map(item, v))
+                              and not (distinct and len(set(v)) < len(v)))
+
+
+# The kind of every config value by dotted key, checked before any other use.
+CONFIG_KINDS = {
+    "seed": ("an int >= 0 (config key 'seed' or --seed)", _int(0)[1]),
+    "sample_rate": ("a positive whole number of Hz (a WAV header holds an int)",
+                    lambda v: _POSITIVE[1](v) and float(v).is_integer()),
+    "speed_of_sound": _POSITIVE,
+    "stft.fft_size": _int(1),
+    "stft.hop": _int(1),
+    "stft.window": _STR,
+    "geometry.layout": _enum("linear", "arc"),
+    "geometry.mic_count": _int(1),
+    "geometry.spacing": _NUMBER,
+    "geometry.radius": _NUMBER,
+    "geometry.span_deg": _NUMBER,
+    "geometry.reference": _int(0),
+    "geometry.positions": _null_or(_list(
+        "a non-empty list of [x, y] pairs of finite numbers",
+        lambda p: isinstance(p, list) and len(p) == 2 and all(map(_NUMBER[1], p)), 1)),
+    "sources.azimuths_deg": _list("a non-empty list of finite numbers", _NUMBER[1], 1),
+    "sources.wav_paths": _null_or(_list("a list of strings", _STR[1])),
+    "noise_level_db": _null_or(_NUMBER),
+    "motion.kind": _enum("static", "gaussian_jitter", "rotation_sweep"),
+    "motion.sigma_pos_m": ("a finite nonnegative number", lambda v: _NUMBER[1](v) and v >= 0),
+    "motion.jitter_reference": _BOOL,
+    "motion.min_deg": _NUMBER,
+    "motion.max_deg": _NUMBER,
+    "motion.period_s": _POSITIVE,
+    "motion.state_count": _int(1),
+    "pilot.enabled": _BOOL,
+    "pilot.frequency_hz": _POSITIVE,
+    "pilot.level_db": _NUMBER,
+    "train_duration_s": _POSITIVE,
+    "test_duration_s": _POSITIVE,
+    "modes": _list(f"a list of distinct names from {list(beamform.MODES)}",
+                   _enum(*beamform.MODES)[1], distinct=True),
+    "state_oracle": _BOOL,
+    "theory.sigmas_s": _list("a non-empty list of finite positive numbers", _POSITIVE[1], 1),
+    "theory.points": _int(1),
+    "out_dir": _STR,
+}
 
 
 def load_config(path=None, overrides=None):
-    """Merge defaults, the optional JSON config file, and CLI overrides.
-
-    Unknown keys (at any depth), a seed that is not a nonnegative int, unknown
-    or repeated modes, a state_oracle, pilot.enabled or motion.jitter_reference
-    that is not a bool, a geometry.reference or motion.state_count that is not
-    an int, an invalid STFT, motion, geometry, source or pilot section, an
-    empty source list, non-finite scalars, a non-positive or fractional sample
-    rate, a non-positive speed of sound, durations shorter than one frame,
-    theory points that are not a positive int and theory sigmas that are not
-    a non-empty list of finite positive numbers with distinct :g forms are
-    rejected.
-    """
-    config = copy.deepcopy(DEFAULT_CONFIG)
+    """Defaults, the optional JSON config file and CLI overrides, merged and checked."""
+    config, unknown = {**copy.deepcopy(DEFAULT_CONFIG), "seed": None}, set()
     if path is not None:
         with open(path, encoding="utf-8") as fh:
-            config = _merge(config, json.load(fh))
+            config = _merge(config, json.load(fh), unknown)
     if overrides:
-        config = _merge(config, overrides)
-    unknown = sorted(_unknown_keys(config, {**DEFAULT_CONFIG, "seed": None}))
+        config = _merge(config, overrides, unknown)
     if unknown:
-        raise ValueError(f"unknown config keys {unknown}")
-    if "seed" not in config or config["seed"] is None:
-        raise ValueError("a seed is required (config key 'seed' or --seed)")
-    modes = config["modes"]
-    if not (isinstance(modes, list) and set(modes) <= set(beamform.MODES)
-            and len(set(modes)) == len(modes)):
-        raise ValueError(
-            f"modes must be a list of distinct names from {list(beamform.MODES)}, "
-            f"got {modes!r}"
-        )
-    # type(), not isinstance(): True is no int here, and 1 no bool.
-    for key, kind, least in (("seed", int, 0), ("theory.points", int, 1),
-                             ("geometry.reference", int, 0), ("motion.state_count", int, None),
-                             ("state_oracle", bool, None), ("pilot.enabled", bool, None),
-                             ("motion.jitter_reference", bool, None)):
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
+    for key, (wanted, test) in CONFIG_KINDS.items():
         section, _, name = key.rpartition(".")
         value = (config[section] if section else config)[name]
-        if type(value) is not kind or (least is not None and value < least):
-            wanted = "true or false" if kind is bool else \
-                "an int" + ("" if least is None else f" of at least {least}")
+        if not test(value):
             raise ValueError(f"{key} must be {wanted}, got {value!r}")
-    for key in ("sample_rate", "speed_of_sound", "train_duration_s", "test_duration_s"):
-        if not (_finite(config[key]) and config[key] > 0):
-            raise ValueError(f"{key} must be finite and positive, got {config[key]!r}")
-    if not float(config["sample_rate"]).is_integer():
-        raise ValueError("sample_rate must be a whole number of Hz (a WAV header holds an "
-                         f"int), got {config['sample_rate']!r}")
     cfg = _stft_config(config)
     for key in ("train_duration_s", "test_duration_s"):
         if int(round(config[key] * config["sample_rate"])) < cfg.fft_size:
             raise ValueError(f"{key} {config[key]!r} s is shorter than one frame")
-    if not config["sources"]["azimuths_deg"]:
-        raise ValueError("sources.azimuths_deg must list at least one source")
-    scene.pilot_bins(_pilot(config), len(config["sources"]["azimuths_deg"]), cfg,
-                     config["sample_rate"])
+    azimuths = config["sources"]["azimuths_deg"]
+    scene.pilot_bins(_pilot(config), len(azimuths), cfg, config["sample_rate"])
     # Signal-free sources check the azimuths, geometry and motion of the scene.
-    _scene_spec(config, [()] * len(config["sources"]["azimuths_deg"]))
-    if config["noise_level_db"] is not None and not _finite(config["noise_level_db"]):
-        raise ValueError(
-            f"noise_level_db must be finite or null, got {config['noise_level_db']!r}"
-        )
-    if not _finite(config["motion"]["sigma_pos_m"]):
-        raise ValueError(
-            f"motion.sigma_pos_m must be finite, got {config['motion']['sigma_pos_m']!r}"
-        )
+    _scene_spec(config, [()] * len(azimuths))
     sigmas = config["theory"]["sigmas_s"]
-    if not (isinstance(sigmas, list) and sigmas and all(_finite(s) and s > 0 for s in sigmas)):
-        raise ValueError("theory.sigmas_s must be a non-empty list of finite positive "
-                         f"numbers, got {sigmas!r}")
     if len({f"{sigma:g}" for sigma in sigmas}) != len(sigmas):
         raise ValueError(f"theory.sigmas_s {sigmas!r} repeat a theory.csv column name")
-    wavs = config["sources"].get("wav_paths")
-    if wavs:
-        for p in wavs:
-            if not Path(p).is_file():
-                raise ValueError(f"source WAV not found: {p}")
+    wavs = _input_files(config)
+    for p in wavs:
+        if not Path(p).is_file():
+            raise ValueError(f"source WAV not found: {p}")
+    if wavs and len(wavs) != len(azimuths):
+        raise ValueError(f"sources.wav_paths lists {len(wavs)} WAVs for {len(azimuths)} azimuths")
     return config
-
-
-def _finite(value):
-    """True for a finite int or float (JSON NaN and Infinity are not)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and np.isfinite(value)
 
 
 def _stft_config(config):
@@ -205,25 +217,18 @@ def _motion(config):
         return scene.MotionModel.static()
     if m["kind"] == "gaussian_jitter":
         return scene.MotionModel.gaussian_jitter(m["sigma_pos_m"], m["jitter_reference"])
-    if m["kind"] == "rotation_sweep":
-        return scene.MotionModel.rotation_sweep(
-            m["min_deg"], m["max_deg"], m["period_s"], m["state_count"]
-        )
-    raise ValueError(f"unknown motion kind {m['kind']!r}")
+    return scene.MotionModel.rotation_sweep(m["min_deg"], m["max_deg"], m["period_s"],
+                                            m["state_count"])
 
 
 def _geometry(config):
     g = config["geometry"]
-    if g.get("positions") is not None:
+    if g["positions"] is not None:
         base = np.asarray(g["positions"], dtype=np.float64)
     elif g["layout"] == "linear":
         base = scene.linear_positions(g["mic_count"], g["spacing"], g["reference"])
-    elif g["layout"] == "arc":
-        base = scene.arc_positions(
-            g["mic_count"], g["radius"], g["span_deg"], g["reference"]
-        )
     else:
-        raise ValueError(f"unknown geometry layout {g['layout']!r}")
+        base = scene.arc_positions(g["mic_count"], g["radius"], g["span_deg"], g["reference"])
     return scene.ArrayGeometry(base, g["reference"])
 
 
@@ -274,22 +279,6 @@ def write_wav(path, data, sample_rate):
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", len(header) + data.nbytes) + header)
         fh.write(data)
-
-
-def _test_signals(config, samples):
-    wavs = config["sources"].get("wav_paths")
-    count = len(config["sources"]["azimuths_deg"])
-    if wavs:
-        if len(wavs) != count:
-            raise ValueError(
-                f"{len(wavs)} WAV paths given for {count} source azimuths"
-            )
-        signals = [read_wav(p, config["sample_rate"]) for p in wavs]
-    else:
-        signals = scene.pseudorandom_signals(
-            count, samples, config["seed"], scene.TEST_SIGNAL_STREAM
-        )
-    return signals
 
 
 def _scene_spec(config, signals):
@@ -370,7 +359,7 @@ def run_simulate(config):
 
 
 def _input_files(config):
-    return list(config["sources"].get("wav_paths") or [])
+    return list(config["sources"]["wav_paths"] or [])
 
 
 def _render_training(config):
@@ -413,8 +402,12 @@ def _save_training(out, config, covs):
 
 
 def _test_spec(config):
+    wavs = config["sources"]["wav_paths"]
+    if wavs:
+        return _scene_spec(config, [read_wav(p, config["sample_rate"]) for p in wavs])
     samples = int(round(config["test_duration_s"] * config["sample_rate"]))
-    return _scene_spec(config, _test_signals(config, samples))
+    return _scene_spec(config, scene.pseudorandom_signals(
+        len(config["sources"]["azimuths_deg"]), samples, config["seed"], scene.TEST_SIGNAL_STREAM))
 
 
 def _test_render(config, spec, active_sources=None):
@@ -447,6 +440,13 @@ def run_pipeline(config):
     the test phase."""
     if len(config["sources"]["azimuths_deg"]) < 2:
         raise ValueError("divergence curves need at least two source azimuths")
+    track = scene.render_states(_motion(config), config["train_duration_s"],
+                                _stft_config(config), config["sample_rate"])
+    visited = set(track.labels.tolist())
+    unvisited = [k for k in range(min(track.state_count, len(visited) + 8)) if k not in visited]
+    if unvisited:
+        raise ValueError(f"training visits {len(visited)} of {track.state_count} motion states; "
+                         f"the first unvisited are {unvisited}")
     out = _out_dir(config)
     with stage("train"):
         covs = covest.train(*_render_training(config))

@@ -293,6 +293,12 @@ def state_sequence(motion: MotionModel, frame_count: int, frame_rate: float) -> 
     return StateSequence(np.clip(labels, 0, motion.state_count - 1), motion.state_count)
 
 
+def render_states(motion, duration_s, cfg, sample_rate) -> StateSequence:
+    """The truth_states of a render of duration_s seconds."""
+    samples = int(round(duration_s * sample_rate))
+    return state_sequence(motion, (samples - cfg.fft_size) // cfg.hop + 1, sample_rate / cfg.hop)
+
+
 def pseudorandom_signals(count: int, samples: int, seed: int,
                          stream: int = TRAINING_SIGNAL_STREAM):
     """Seeded unit-variance white Gaussian source signals, one per source.
@@ -370,12 +376,12 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
         if repeated:
             raise ValueError(f"active_sources {active} repeat sources {repeated}")
 
-    t_count = (n_samples - cfg.fft_size) // cfg.hop + 1
+    states = render_states(spec.motion, duration_s, cfg, sample_rate)
+    t_count = states.frame_count
     f_count = cfg.bin_count
     m_count = spec.geometry.mic_count
     omega = 2.0 * np.pi * np.fft.rfftfreq(cfg.fft_size, d=1.0 / sample_rate)
 
-    states = state_sequence(spec.motion, t_count, sample_rate / cfg.hop)
     pilots = pilot_bins(spec.pilot, spec.source_count, cfg, sample_rate)
 
     # One cache-sized block of frames at a time, adding in the order that fixes

@@ -33,6 +33,15 @@ def tiny_config(out_dir, **overrides):
     return cli.load_config(None, config)
 
 
+def config_leaves(section, prefix=""):
+    """Dotted keys of the values (not the sections) of a config dict."""
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
 class TestConfig:
     def test_seed_required(self):
         with pytest.raises(ValueError, match="seed"):
@@ -466,6 +475,42 @@ class TestMain:
         code = cli.main(["--config", str(path), "--out", str(out), "analyze"])
         assert code == 1
         assert "[config]" in capsys.readouterr().err
+        assert not out.exists()
+
+    # An object in place of each value, then values that once got past the
+    # config checks, then a section that is not an object.
+    WRONG_KINDS = [(key, {}) for key in ["seed", *config_leaves(cli.DEFAULT_CONFIG)]] + [
+        ("stft.fft_size", "256"), ("geometry.mic_count", 3.0), ("stft.hop", 128.0),
+        ("pilot.level_db", "x"), ("pilot.frequency_hz", "7000"), ("geometry.spacing", "x"),
+        ("motion.min_deg", "a"), ("sources.azimuths_deg", 5), ("sources.azimuths_deg", "ab"),
+        ("geometry.positions", "abc"), ("out_dir", 5), ("sources.wav_paths", ["one.wav"]),
+        ("pilot", False),
+    ]
+
+    @pytest.mark.parametrize("key, value", [pytest.param(key, value, id=f"{key}={value!r}")
+                                            for key, value in WRONG_KINDS])
+    def test_wrong_kind_names_its_key_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                      key, value):
+        # No --out: out_dir comes from the config, so a bad one is checked too.
+        # Two azimuths and one WAV check the count of sources.wav_paths.
+        monkeypatch.chdir(tmp_path)
+        cli.write_wav(tmp_path / "one.wav", np.zeros(16000), 16000)
+        fields = {"out_dir": "out"}
+        section, _, name = key.rpartition(".")
+        (fields.setdefault(section, {}) if section else fields)[name] = value
+        path = self.write_config(tmp_path, **fields)
+        assert cli.main(["--config", str(path), "analyze"]) == 1
+        err = capsys.readouterr().err
+        assert f"[config] {key} " in err
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "one.wav"]
+
+    def test_analyze_rejects_training_that_misses_a_state(self, tmp_path, capsys):
+        # One second of a 20 s sweep reaches only the first of four states.
+        path = self.write_config(tmp_path, motion={**self.ROTATION, "period_s": 20.0})
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "analyze"]) == 1
+        assert ("[analyze] training visits 1 of 4 motion states; the first unvisited are "
+                "[1, 2, 3]") in capsys.readouterr().err
         assert not out.exists()
 
     def test_theory_failure_labelled_without_traceback(self, tmp_path, capsys):

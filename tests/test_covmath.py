@@ -279,6 +279,32 @@ class TestFarFieldDivergence:
         assert (np.diff(curve) < 0).all()
 
 
+@st.composite
+def spectra_with_min_eigenvalue(draw, ratio):
+    """(bins, index): a PSD stack whose bin `index` has smallest eigenvalue
+    ratio * delta, delta being that bin's PSD_RTOL * mean eigenvalue. The
+    other bins are full rank, rank one or all zero."""
+    m = draw(st.integers(2, 6))
+    count = draw(st.integers(1, 5))
+    index = draw(st.integers(0, count - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bins = np.empty((count, m, m), complex)
+    for k in range(count):
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        eigs = rng.uniform(0.1, 10.0, m) * 10.0 ** draw(st.integers(-6, 6))
+        kind = "target" if k == index else draw(st.sampled_from(["full", "rank_one", "zero"]))
+        if kind == "target":
+            # Solve lam = ratio * PSD_RTOL * (sum(others) + lam) / m for lam.
+            eigs[0] = ratio * PSD_RTOL * eigs[1:].sum() / (m - ratio * PSD_RTOL)
+        elif kind == "rank_one":
+            eigs[1:] = 0.0
+        elif kind == "zero":
+            eigs[:] = 0.0
+        r = (q * eigs) @ q.conj().T
+        bins[k] = 0.5 * (r + r.conj().T)
+    return bins, index
+
+
 class TestRegularize:
     def test_identity_scaling(self):
         out = regularize(np.eye(3), 0.001)
@@ -312,31 +338,25 @@ class TestRegularize:
         with pytest.raises(ValueError, match="epsilon_rel"):
             regularize(np.eye(2), 0.0)
 
-
-@st.composite
-def spectra_with_min_eigenvalue(draw, ratio):
-    """(bins, index): a PSD stack whose bin `index` has smallest eigenvalue
-    ratio * delta, delta being that bin's PSD_RTOL * mean eigenvalue. The
-    other bins are full rank, rank one or all zero."""
-    m = draw(st.integers(2, 6))
-    count = draw(st.integers(1, 5))
-    index = draw(st.integers(0, count - 1))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    bins = np.empty((count, m, m), complex)
-    for k in range(count):
-        q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-        eigs = rng.uniform(0.1, 10.0, m) * 10.0 ** draw(st.integers(-6, 6))
-        kind = "target" if k == index else draw(st.sampled_from(["full", "rank_one", "zero"]))
-        if kind == "target":
-            # Solve lam = ratio * PSD_RTOL * (sum(others) + lam) / m for lam.
-            eigs[0] = ratio * PSD_RTOL * eigs[1:].sum() / (m - ratio * PSD_RTOL)
-        elif kind == "rank_one":
-            eigs[1:] = 0.0
-        elif kind == "zero":
-            eigs[:] = 0.0
-        r = (q * eigs) @ q.conj().T
-        bins[k] = 0.5 * (r + r.conj().T)
-    return bins, index
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.one_of(spectra_with_min_eigenvalue(-0.99),
+                          spectra_with_min_eigenvalue(0.0)),
+           log_epsilon=st.floats(-6.0, 0.0))
+    def test_loaded_condition_number_bounded(self, case, log_epsilon):
+        # Loading by eps = epsilon_rel * trace / M puts the largest eigenvalue at
+        # most trace + eps and the smallest at least eps, so the condition number
+        # is at most 1 + M / epsilon_rel. Stacks that HermitianSpectrum accepts
+        # may reach down to -PSD_RTOL * trace / M, which loosens the bound by a
+        # factor of about 1 + 2 PSD_RTOL / epsilon_rel; 1e-8 more covers eigvalsh
+        # rounding.
+        bins, _ = case
+        epsilon_rel = 10.0 ** log_epsilon
+        m = bins.shape[-1]
+        eigs = np.linalg.eigvalsh(regularize(HermitianSpectrum(bins, np.zeros(len(bins))).bins,
+                                             epsilon_rel))
+        slack = 2.0 * PSD_RTOL / epsilon_rel + 1e-8
+        assert (eigs[:, 0] > 0).all()
+        assert (eigs[:, -1] / eigs[:, 0] <= (1.0 + m / epsilon_rel) * (1.0 + slack)).all()
 
 
 class TestPsdCheck:
