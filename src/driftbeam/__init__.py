@@ -8,7 +8,8 @@ erodes the spatial separability of sources across frequency.
 
 from .beamform import BeamformerBank, StarvedStateError, apply_bank, build, mwf_weights
 from .containers import load_bank, load_covariances, save_bank, save_covariances
-from .covest import CovarianceSet, estimate_states, pilot_templates, sample_covariance, train
+from .covest import (CovarianceSet, estimate_states, pilot_templates, sample_covariance, train,
+                     training_renders)
 from .covmath import (
     HermitianSpectrum,
     IllConditionedError,
@@ -75,5 +76,6 @@ __all__ = [
     "synthesize",
     "theory_curve",
     "train",
+    "training_renders",
     "write_table",
 ]

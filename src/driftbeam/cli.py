@@ -330,10 +330,10 @@ def _out_dir(config):
 def run_simulate(config):
     """Render the test scene; write mixture and image WAVs, the state track
     and a manifest. Returns the list of written paths."""
+    spec = _test_spec(config, _source_wavs(config))
     out = _out_dir(config)
     cfg = _stft_config(config)
     rate = config["sample_rate"]
-    spec = _test_spec(config)
     rendered = _test_render(config, spec)
 
     outputs = []
@@ -362,32 +362,19 @@ def _input_files(config):
     return list(config["sources"]["wav_paths"] or [])
 
 
-def _render_training(config):
-    """Noiseless isolated-source renders, as a generator that draws each one
-    when asked, plus a source-free render that alone carries the noise."""
-    cfg = _stft_config(config)
-    rate = config["sample_rate"]
-    duration = config["train_duration_s"]
-    samples = int(round(duration * rate))
-    count = len(config["sources"]["azimuths_deg"])
-    signals = scene.pseudorandom_signals(count, samples, config["seed"])
-    spec = _scene_spec(config, signals)
-    noiseless = dataclasses.replace(spec, noise_level_db=None)
-    renders = (
-        scene.render(noiseless, duration, cfg, rate, seed=config["seed"] + 1 + n,
-                     active_sources=[n])
-        for n in range(count)
-    )
-    noise_render = scene.render(
-        spec, duration, cfg, rate, seed=config["seed"] + 1 + count, active_sources=[]
-    )
-    return renders, noise_render
+def _train(config):
+    """covest.train on the training renders of the configured scene's seeded signals."""
+    duration, rate, seed = config["train_duration_s"], config["sample_rate"], config["seed"]
+    signals = scene.pseudorandom_signals(len(config["sources"]["azimuths_deg"]),
+                                         int(round(duration * rate)), seed)
+    return covest.train(*covest.training_renders(_scene_spec(config, signals), duration,
+                                                 _stft_config(config), rate, seed))
 
 
 def run_train(config):
     """Train covariances and write the container; returns (covs, path)."""
     out = _out_dir(config)
-    covs = covest.train(*_render_training(config))
+    covs = _train(config)
     path, _ = _save_training(out, config, covs)
     return covs, path
 
@@ -401,12 +388,21 @@ def _save_training(out, config, covs):
     return path, digests
 
 
-def _test_spec(config):
-    wavs = config["sources"]["wav_paths"]
-    if wavs:
-        return _scene_spec(config, [read_wav(p, config["sample_rate"]) for p in wavs])
+def _source_wavs(config):
+    """Each source WAV's signal, read once and checked to last the test scene."""
     samples = int(round(config["test_duration_s"] * config["sample_rate"]))
-    return _scene_spec(config, scene.pseudorandom_signals(
+    wavs = []
+    for path in _input_files(config):
+        wav = read_wav(path, config["sample_rate"])
+        if len(wav) < samples:
+            raise ValueError(f"{path}: {len(wav)} samples, the test scene needs {samples}")
+        wavs.append(wav)
+    return wavs
+
+
+def _test_spec(config, wavs):
+    samples = int(round(config["test_duration_s"] * config["sample_rate"]))
+    return _scene_spec(config, wavs or scene.pseudorandom_signals(
         len(config["sources"]["azimuths_deg"]), samples, config["seed"], scene.TEST_SIGNAL_STREAM))
 
 
@@ -447,12 +443,13 @@ def run_pipeline(config):
     if unvisited:
         raise ValueError(f"training visits {len(visited)} of {track.state_count} motion states; "
                          f"the first unvisited are {unvisited}")
+    wavs = _source_wavs(config)
     out = _out_dir(config)
     with stage("train"):
-        covs = covest.train(*_render_training(config))
+        covs = _train(config)
     saving = Worker(_save_training, out, config, covs)
     try:
-        outputs = _test_phase(config, covs, out)
+        outputs = _test_phase(config, covs, out, wavs)
     finally:
         # Joined whatever happens; a failed save came first in serial order,
         # so its train error wins over any error of the test phase.
@@ -468,11 +465,11 @@ def run_pipeline(config):
     return outputs + [manifest]
 
 
-def _test_phase(config, covs, out):
-    """Render the test scene, then filter it with each mode and write the
-    mode's gain table and bank; returns the written paths."""
+def _test_phase(config, covs, out, wavs):
+    """Render the test scene on wavs (seeded signals when empty), then filter it
+    with each mode and write the mode's gain table and bank; returns the paths."""
     with stage("simulate"):
-        rendered = _test_render(config, _test_spec(config))
+        rendered = _test_render(config, _test_spec(config, wavs))
     reference = config["geometry"]["reference"]
     outputs = []
     for mode in config["modes"]:
@@ -510,6 +507,7 @@ def _divergence_table(covs):
 def run_beamform(config, covariances_path=None):
     """Build banks from a covariance container, filter the test scene, and
     write enhanced WAVs alongside the bank containers."""
+    wavs = _source_wavs(config)
     out = _out_dir(config)
     cov_path = Path(covariances_path or out / "covariances.npz")
     if not cov_path.is_file():
@@ -517,7 +515,7 @@ def run_beamform(config, covariances_path=None):
     # Render before loading: the buffers the render frees let the allocator
     # serve the load's many 1 MB validation temporaries from its heap, where
     # loading first maps each one afresh (2.5x the page faults on rotation).
-    rendered = _test_render(config, _test_spec(config))
+    rendered = _test_render(config, _test_spec(config, wavs))
     covs = containers.load_covariances(cov_path)
     if covs.source_count != len(rendered.active_sources):
         raise ValueError(

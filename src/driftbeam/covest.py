@@ -2,21 +2,20 @@
 pilot-band identification of the array pose at test time.
 
 Training expects one render per source with that source isolated and one
-source-free render for the noise statistics. The CLI renders the isolated
-sources noiseless, so each cell is the covariance of a source image alone and
-the noise enters only through the source-free render; noisy source renders
-are accepted too, and their cells then include the noise.
+source-free render for the noise statistics. training_renders draws them for a
+scene: each source noiseless, so each cell is the covariance of a source image
+alone, and the noise enters only through the source-free render.
 Every covariance comes from one grouped outer-product estimator; the ensemble
 is the frame-weighted mixture of the per-state covariances.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .covmath import HermitianSpectrum, regularize
-from .scene import RenderedScene, StateSequence
-from .stft import SpectralFrameTensor, block_length
+from .scene import RenderedScene, SceneSpec, StateSequence, render
+from .stft import SpectralFrameTensor, StftConfig, block_length
 
 # Loading applied to near-rank-one pilot snapshots before matching.
 PILOT_EPSILON_REL = 1e-2
@@ -129,6 +128,18 @@ def sample_covariance(frames) -> np.ndarray:
         raise ValueError("cannot estimate a covariance from an empty frame subset")
     sums, counts = _outer_sums(frames, np.zeros(frames.shape[0], dtype=np.int64), 1)
     return sums[0] / counts[0]
+
+
+def training_renders(spec: SceneSpec, duration_s: float, cfg: StftConfig, sample_rate: float,
+                     seed: int):
+    """train's input for spec: a generator of noiseless renders of each source
+    alone, source n at seed + 1 + n, each drawn when asked, and a source-free
+    render at seed + 1 + N, drawn now, that alone carries spec's noise."""
+    noiseless = replace(spec, noise_level_db=None)
+    sources = (render(noiseless, duration_s, cfg, sample_rate, seed=seed + 1 + n,
+                      active_sources=[n]) for n in range(spec.source_count))
+    return sources, render(spec, duration_s, cfg, sample_rate, seed=seed + 1 + spec.source_count,
+                           active_sources=[])
 
 
 def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:

@@ -98,6 +98,8 @@ def linear_positions(mic_count: int = 12, spacing: float = 0.03, reference: int 
     on the origin. Returns an (M, 2) array."""
     if mic_count < 1:
         raise ValueError("mic_count must be positive")
+    if not 0 <= reference < mic_count:
+        raise ValueError(f"reference {reference} out of range for {mic_count} microphones")
     offsets = (np.arange(mic_count - 1) - (mic_count - 2) / 2.0) * spacing
     positions = np.zeros((mic_count, 2))
     others = [m for m in range(mic_count) if m != reference]
@@ -110,6 +112,8 @@ def arc_positions(mic_count: int = 12, radius: float = 0.15, span_deg: float = 1
     """Reference microphone at the origin, the rest evenly spread on an arc."""
     if mic_count < 2:
         raise ValueError("arc layout needs at least two microphones")
+    if not 0 <= reference < mic_count:
+        raise ValueError(f"reference {reference} out of range for {mic_count} microphones")
     angles = np.deg2rad(np.linspace(0.0, span_deg, mic_count - 1))
     positions = np.zeros((mic_count, 2))
     others = [m for m in range(mic_count) if m != reference]

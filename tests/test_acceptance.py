@@ -46,21 +46,11 @@ def five_source_spec(motion, spacing=0.05, noise_level_db=-30.0, pilot=None,
     )
 
 
-def train_scene(spec, duration=20.0, seed=100):
-    count = spec.source_count
-    renders = [
-        scene.render(spec, duration, CFG, FS, seed=seed + n, active_sources=[n])
-        for n in range(count)
-    ]
-    noise = scene.render(spec, duration, CFG, FS, seed=seed + count, active_sources=[])
-    return renders, covest.train(renders, noise)
-
-
 @pytest.fixture(scope="module")
 def rotation_experiment():
     motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=20.0, state_count=10)
     spec = five_source_spec(motion, pilot=scene.Pilot(7000.0, -20.0))
-    _, covs = train_scene(spec)
+    covs = covest.train(*covest.training_renders(spec, 20.0, CFG, FS, seed=100))
     test = scene.render(spec, 20.0, CFG, FS, seed=777)
     return covs, covest.pilot_templates(covs, test.pilot_bins), test
 
@@ -69,7 +59,7 @@ def rotation_experiment():
 def jitter_experiment():
     motion = scene.MotionModel.gaussian_jitter(0.005)
     spec = five_source_spec(motion, seed=11)
-    _, covs = train_scene(spec, seed=200)
+    covs = covest.train(*covest.training_renders(spec, 20.0, CFG, FS, seed=200))
     test = scene.render(spec, 20.0, CFG, FS, seed=888)
     return covs, test
 
@@ -307,12 +297,7 @@ def test_c09_monotonicity():
             motion=motion,
             noise_level_db=-50.0,
         )
-        renders = [
-            scene.render(spec, duration, cfg, FS, seed=300 + n, active_sources=[n])
-            for n in range(2)
-        ]
-        noise = scene.render(spec, duration, cfg, FS, seed=309, active_sources=[])
-        covs = covest.train(renders, noise)
+        covs = covest.train(*covest.training_renders(spec, duration, cfg, FS, seed=300))
         table = evaluate.divergence_curve(covs, {"d": [((0, None), (1, None))]},
                                           epsilon_rel=1e-4)
         curves[sigma_mm] = (np.asarray(table["frequency_hz"]), table["d"])

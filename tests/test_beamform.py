@@ -77,12 +77,7 @@ def trained_covs(motion=None, duration=4.0, mic_count=4, azimuths=(30.0, 120.0),
         motion=motion,
         noise_level_db=-30.0,
     )
-    renders = [
-        scene.render(spec, duration, CFG, FS, seed=seed + 1 + n, active_sources=[n])
-        for n in range(len(azimuths))
-    ]
-    noise = scene.render(spec, duration, CFG, FS, seed=seed + 9, active_sources=[])
-    return covest.train(renders, noise), spec
+    return covest.train(*covest.training_renders(spec, duration, CFG, FS, seed)), spec
 
 
 class TestBuild:

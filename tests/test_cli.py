@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from driftbeam import cli, covest, evaluate, scene
+from driftbeam import cli, evaluate, scene
 
 
 def tiny_config(out_dir, **overrides):
@@ -261,7 +261,7 @@ class TestTrainingMemory:
                              motion={"kind": "gaussian_jitter", "sigma_pos_m": 0.005})
         tracemalloc.start()
         try:
-            covs = covest.train(*cli._render_training(config))
+            covs, _ = cli.run_train(config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -456,6 +456,8 @@ class TestMain:
         {"geometry": {"reference": 1.0}},
         {"motion": {"kind": "rotation_sweep", "state_count": 4.5}},
         {"motion": {"kind": "rotation_sweep", "state_count": True}},
+        {"geometry": {"mic_count": 3, "reference": 3}},
+        {"geometry": {"layout": "arc", "mic_count": 3, "reference": 3}},
     ], ids=["hop", "theory_points", "train_duration", "test_duration", "rotation_period",
             "rotation_state_count", "motion_kind", "mic_count", "layout", "sigma_pos_nan",
             "noise_level_nan", "speed_of_sound_zero", "speed_of_sound_negative",
@@ -468,13 +470,35 @@ class TestMain:
             "sample_rate_fraction", "azimuths_empty_noiseless", "seed_fraction",
             "seed_negative", "seed_bool", "state_oracle_string", "pilot_enabled_string",
             "jitter_reference_string", "reference_float", "state_count_float",
-            "state_count_bool"])
+            "state_count_bool", "reference_past_linear", "reference_past_arc"])
     def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, fields):
         path = self.write_config(tmp_path, **fields)
         out = tmp_path / "out"
         code = cli.main(["--config", str(path), "--out", str(out), "analyze"])
         assert code == 1
         assert "[config]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "beamform"])
+    @pytest.mark.parametrize("rate, seconds, message", [
+        (16000, 0.5, "8000 samples, the test scene needs 16000"),
+        (8000, 1.0, "sample rate 8000 Hz does not match the configured 16000 Hz"),
+    ], ids=["short", "wrong_rate"])
+    def test_bad_source_wav_rejected_before_any_output(self, tmp_path, capsys, command,
+                                                       rate, seconds, message):
+        wavs = [str(tmp_path / f"source_{n}.wav") for n in range(2)]
+        for wav in wavs:
+            cli.write_wav(wav, np.zeros(int(rate * seconds)), rate)
+        path = self.write_config(tmp_path, sources={"azimuths_deg": [20.0, 100.0],
+                                                    "wav_paths": wavs})
+        args = []
+        if command == "beamform":  # training reads no source WAV
+            trained = tmp_path / "trained"
+            assert cli.main(["--config", str(path), "--out", str(trained), "train"]) == 0
+            args = ["--covariances", str(trained / "covariances.npz")]
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), command, *args]) == 1
+        assert f"error: [{command}] {wavs[0]}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     # An object in place of each value, then values that once got past the

@@ -24,12 +24,8 @@ def trained():
         noise_level_db=-30.0,
         pilot=scene.Pilot(7000.0),
     )
-    renders = [
-        scene.render(spec, 2.0, CFG, FS, seed=10 + n, active_sources=[n])
-        for n in range(2)
-    ]
-    noise = scene.render(spec, 2.0, CFG, FS, seed=20, active_sources=[])
-    return covest.train(renders, noise), renders[0].pilot_bins
+    renders, noise = covest.training_renders(spec, 2.0, CFG, FS, seed=10)
+    return covest.train(renders, noise), noise.pilot_bins
 
 
 def test_covariance_round_trip(trained, tmp_path):
@@ -72,9 +68,7 @@ def test_one_state_container_stores_each_covariance_once(tmp_path):
         motion=motion,
         noise_level_db=-30.0,
     )
-    renders = [scene.render(spec, 1.0, CFG, FS, seed=30 + n, active_sources=[n])
-               for n in range(2)]
-    covs = covest.train(renders, scene.render(spec, 1.0, CFG, FS, seed=40, active_sources=[]))
+    covs = covest.train(*covest.training_renders(spec, 1.0, CFG, FS, seed=30))
     path = tmp_path / "covs.npz"
     containers.save_covariances(path, covs)
     with zipfile.ZipFile(path) as zf:

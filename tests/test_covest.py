@@ -28,14 +28,9 @@ def build_spec(mic_count=4, azimuths=(30.0, 120.0), duration=2.0, motion=None,
     )
 
 
-def training_renders(spec, duration, seed=100):
-    count = spec.source_count
-    renders = [
-        scene.render(spec, duration, CFG, FS, seed=seed + n, active_sources=[n])
-        for n in range(count)
-    ]
-    noise = scene.render(spec, duration, CFG, FS, seed=seed + count, active_sources=[])
-    return renders, noise
+def training_renders(spec, duration):
+    """The library's training renders of spec on this module's STFT grid."""
+    return covest.training_renders(spec, duration, CFG, FS, seed=100)
 
 
 class TestSampleCovariance:
@@ -125,16 +120,14 @@ class TestOuterSumChunks:
 class TestTrain:
     def test_static_scene_per_state_equals_ensemble(self):
         spec = build_spec()
-        renders, noise = training_renders(spec, 2.0)
-        covs = covest.train(renders, noise)
+        covs = covest.train(*training_renders(spec, 2.0))
         assert covs.state_count == 1
         np.testing.assert_allclose(covs.cells[:, 0], covs.ensemble, atol=1e-12)
 
     def test_rotation_sweep_populates_all_states(self):
         motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=4.0, state_count=10)
         spec = build_spec(motion=motion, duration=4.0)
-        renders, noise = training_renders(spec, 4.0)
-        covs = covest.train(renders, noise)
+        covs = covest.train(*training_renders(spec, 4.0))
         assert covs.frame_counts.shape == (2, 10)
         assert (covs.frame_counts > 0).all()
         assert covs.missing_pairs() == []
@@ -142,8 +135,7 @@ class TestTrain:
     def test_ensemble_is_weighted_average(self):
         motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=3.0, state_count=5)
         spec = build_spec(motion=motion, duration=3.0)
-        renders, noise = training_renders(spec, 3.0)
-        covs = covest.train(renders, noise)
+        covs = covest.train(*training_renders(spec, 3.0))
         for n in range(2):
             total = covs.frame_counts[n].sum()
             avg = sum(covs.frame_counts[n, s] * covs.cells[n, s] for s in range(5)) / total
@@ -178,7 +170,7 @@ class TestTrain:
         assert covs.frame_counts.shape == (2, 1)
         np.testing.assert_array_equal(covs.cells[:, 0], covs.ensemble)
         for n in range(2):
-            assert covs.frame_counts[n, 0] == renders[n].mixture.frame_count
+            assert covs.frame_counts[n, 0] == noise.mixture.frame_count
 
     def test_multi_source_render_rejected(self):
         spec = build_spec()
@@ -189,7 +181,7 @@ class TestTrain:
 
     def test_noise_render_must_be_source_free(self):
         spec = build_spec()
-        renders, _ = training_renders(spec, 1.0)
+        renders = list(training_renders(spec, 1.0)[0])
         with pytest.raises(ValueError, match="no active sources"):
             covest.train(renders, renders[0])
 
@@ -208,7 +200,7 @@ def static_cli_training(tmp_path, azimuths):
         "pilot": {"enabled": False},
     })
     assert config["noise_level_db"] == -30.0
-    covs = covest.train(*cli._render_training(config))
+    covs, _ = cli.run_train(config)
     spec = cli._scene_spec(config, scene.pseudorandom_signals(
         len(azimuths), int(2.0 * config["sample_rate"]), config["seed"]))
     rel = spec.geometry.positions - spec.geometry.positions[0]
@@ -275,20 +267,15 @@ class TestCovarianceSet:
             getattr(covs, name)[0] = 0
 
 
-def streamed_renders(spec, duration, released, seed=100):
-    """Yield one isolated-source render per source, drawing each on demand.
-
-    Before drawing render k+1, append to released whether render k's mixture
-    frames are already gone.
-    """
-    last = None
-    for n in range(spec.source_count):
-        if last is not None:
-            released.append(last() is None)
-        render = scene.render(spec, duration, CFG, FS, seed=seed + n, active_sources=[n])
+def streamed_renders(renders, released):
+    """Yield each of the renders, drawn on demand, and append to released,
+    once render k is handed back and before the next is drawn, whether its
+    mixture frames are already gone."""
+    for render in renders:
         last = weakref.ref(render.mixture.frames)
         yield render
         del render
+        released.append(last() is None)
 
 
 class TestStreamingTrain:
@@ -296,16 +283,16 @@ class TestStreamingTrain:
 
     def test_each_render_released_before_the_next_is_drawn(self):
         spec = build_spec(azimuths=(30.0, 80.0, 120.0), motion=self.MOTION, duration=3.0)
-        noise = scene.render(spec, 3.0, CFG, FS, seed=103, active_sources=[])
+        renders, noise = training_renders(spec, 3.0)
         released = []
-        covest.train(streamed_renders(spec, 3.0, released), noise)
-        assert released == [True, True]
+        covest.train(streamed_renders(renders, released), noise)
+        assert released == [True, True, True]
 
     def test_generator_equals_list_bit_for_bit(self):
         spec = build_spec(motion=self.MOTION, duration=3.0)
         renders, noise = training_renders(spec, 3.0)
-        expected = covest.train(renders, noise)
-        covs = covest.train(streamed_renders(spec, 3.0, []), noise)
+        expected = covest.train(list(training_renders(spec, 3.0)[0]), noise)
+        covs = covest.train(streamed_renders(renders, []), noise)
         assert covs.state_count == expected.state_count == 5
         for name in ("cells", "frame_counts", "noise", "frequencies", "ensemble"):
             np.testing.assert_array_equal(getattr(covs, name), getattr(expected, name))
@@ -355,7 +342,8 @@ class TestPilotTemplates:
     def test_equal_to_render_pass_bit_for_bit(self, motion):
         spec = build_spec(motion=motion, duration=3.0, pilot=scene.Pilot(7000.0, -10.0))
         renders, noise = training_renders(spec, 3.0)
-        templates = covest.pilot_templates(covest.train(renders, noise), renders[0].pilot_bins)
+        renders = list(renders)
+        templates = covest.pilot_templates(covest.train(renders, noise), noise.pilot_bins)
         np.testing.assert_array_equal(templates, render_pass_templates(renders))
 
     @staticmethod
@@ -382,13 +370,9 @@ def rotation_setup():
                       motion=motion, noise_level_db=None,
                       pilot=scene.Pilot(7000.0, -10.0), spacing=0.02)
     cfg = StftConfig()
-    renders = [
-        scene.render(spec, 20.0, cfg, FS, seed=400 + n, active_sources=[n])
-        for n in range(2)
-    ]
-    noise = scene.render(spec, 20.0, cfg, FS, seed=402, active_sources=[])
+    covs = covest.train(*covest.training_renders(spec, 20.0, cfg, FS, seed=400))
     test = scene.render(spec, 20.0, cfg, FS, seed=444)
-    templates = covest.pilot_templates(covest.train(renders, noise), test.pilot_bins)
+    templates = covest.pilot_templates(covs, test.pilot_bins)
     return templates, test
 
 
@@ -429,9 +413,9 @@ class TestEstimateStates:
     def test_static_scene_constant_estimate(self):
         spec = build_spec(pilot=scene.Pilot(7000.0, -10.0), noise_level_db=None,
                           duration=4.0)
-        renders, noise = training_renders(spec, 4.0)
+        covs = covest.train(*training_renders(spec, 4.0))
         test = scene.render(spec, 4.0, CFG, FS, seed=7)
-        templates = covest.pilot_templates(covest.train(renders, noise), test.pilot_bins)
+        templates = covest.pilot_templates(covs, test.pilot_bins)
         est = covest.estimate_states(test.mixture, templates, test.pilot_bins)
         assert est.state_count == 1
         assert not est.labels.any()
@@ -453,4 +437,4 @@ class TestEstimateStates:
         spec = build_spec(pilot=None)
         renders, noise = training_renders(spec, 1.0)
         with pytest.raises(ValueError, match="pilot"):
-            covest.pilot_templates(covest.train(renders, noise), renders[0].pilot_bins)
+            covest.pilot_templates(covest.train(renders, noise), noise.pilot_bins)

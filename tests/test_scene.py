@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftbeam import cli, covest, covmath, scene, stft
+from driftbeam import cli, covmath, scene, stft
 from driftbeam.stft import StftConfig
 
 CFG = StftConfig(fft_size=256, hop=128)
@@ -422,7 +422,7 @@ class TestRenderTransforms:
             "sources": {"azimuths_deg": [20.0, 70.0, 140.0]},
             "train_duration_s": 0.5,
         })
-        covest.train(*cli._render_training(config))
+        cli.run_train(config)
         assert len(analyze_calls) == 2 * 3
 
 
@@ -518,6 +518,14 @@ class TestGeometry:
         pos = scene.arc_positions(7, radius=0.2)
         radii = np.linalg.norm(pos[1:], axis=1)
         np.testing.assert_allclose(radii, 0.2)
+
+    @pytest.mark.parametrize("reference", [3, -1])
+    @pytest.mark.parametrize("layout", [scene.linear_positions, scene.arc_positions],
+                             ids=["linear", "arc"])
+    def test_reference_out_of_range_rejected(self, layout, reference):
+        with pytest.raises(ValueError,
+                           match=rf"reference {reference} out of range for 3 microphones"):
+            layout(3, reference=reference)
 
     def test_rotations_keep_reference_fixed(self):
         base = scene.linear_positions(4, 0.05)
