@@ -220,8 +220,8 @@ class TestTheoryMatchesMeasurement:
     def test_jitter_scene_agreement(self):
         # Independent per-microphone delay jitter: the measured ensemble
         # divergence between two sources tracks the closed form within 20%
-        # wherever both exceed 0.01 nats. Needs a lot of frames, so the
-        # sample covariances are accumulated over render segments.
+        # wherever both exceed 0.01 nats. Needs a lot of frames, so segments
+        # are trained one at a time and their cells averaged by frame count.
         sigma_pos = 0.010
         seg_duration, segments = 50.0, 12
         azimuths = (40.0, 140.0)
@@ -230,9 +230,7 @@ class TestTheoryMatchesMeasurement:
         motion = scene.MotionModel.gaussian_jitter(sigma_pos, jitter_reference=True)
         samples = int(seg_duration * FS)
 
-        acc = [None, None]
-        total = 0
-        omega = None
+        sums, counts = 0.0, 0
         for k in range(segments):
             signals = scene.pseudorandom_signals(2, samples, seed=900 + k)
             spec = scene.SceneSpec(
@@ -242,21 +240,16 @@ class TestTheoryMatchesMeasurement:
                 motion=motion,
                 noise_level_db=-60.0,
             )
-            for n in range(2):
-                rendered = scene.render(spec, seg_duration, CFG, FS,
-                                        seed=1000 + 10 * k + n, active_sources=[n])
-                x = rendered.mixture.frames
-                outer = np.einsum("tfm,tfn->fmn", x, x.conj())
-                acc[n] = outer if acc[n] is None else acc[n] + outer
-            omega = rendered.mixture.bin_omega
-            total += x.shape[0]
+            segment = covest.train(*covest.training_renders(spec, seg_duration, CFG, FS,
+                                                            seed=999 + 10 * k))
+            sums = sums + segment.cells * segment.frame_counts[..., None, None, None]
+            counts = counts + segment.frame_counts
 
-        cells = np.stack([acc[n] / total for n in range(2)])[:, None]
-        covs = covest.CovarianceSet(cells, np.ones((2, 1), dtype=np.int64),
-                                    np.zeros_like(acc[0]), omega)
+        covs = covest.CovarianceSet(sums / counts[..., None, None, None], counts,
+                                    segment.noise, segment.frequencies)
         measured = divergence_curve(covs, {"d": [((0, None), (1, None))]},
                                     epsilon_rel=1e-5)["d"][1:]
-        hz = omega[1:] / (2.0 * np.pi)
+        hz = segment.frequencies[1:] / (2.0 * np.pi)
         theory = theory_curve(positions, {"d": [azimuths]}, [sigma_pos / 343.0], hz)
         theory = theory[f"d_sigma_{sigma_pos / 343.0:g}"]
         both = (measured > 0.01) & (theory > 0.01)

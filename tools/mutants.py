@@ -1,14 +1,14 @@
 """Check that the tests catch a standing list of one-line bugs (mutants).
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
 Each entry of MUTANTS names a file under src/driftbeam, an exact string that
 occurs once in it, its replacement, and the test ids that must all fail once
 the replacement is made. The script first runs every listed test on a clean
-copy of src/ and tests/, where they must pass. Then, for each mutant (or for
-the named ones), it makes a fresh copy in a temporary directory, applies the
-replacement there, and runs pytest on that mutant's tests only. The working
-tree is never changed.
+copy of src/ and tests/, where they must pass. Then, for each mutant, it
+makes a fresh copy in a temporary directory, applies the replacement there,
+and runs pytest on that mutant's tests only. The working tree is never
+changed.
 
 Exit status 0 when every mutant is caught. 1 when a listed test fails on the
 clean copy, a mutant survives (one of its tests passes), or a mutant's old
@@ -126,23 +126,18 @@ def caught_by(test_id, failed):
     return any(node == test_id or node.startswith(test_id + "[") for node in failed)
 
 
-def main(names):
-    unknown = set(names) - {m[0] for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    mutants = [m for m in MUTANTS if not names or m[0] in names]
+def main():
     problems = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         clean = Path(tmp) / "clean"
         copy_tree(clean)
-        ids = sorted({test_id for *_, tests in mutants for test_id in tests})
+        ids = sorted({test_id for *_, tests in MUTANTS for test_id in tests})
         code, failed = run_tests(clean, ids)
         if code != 0:
             print(f"the listed tests do not all pass without a mutant (pytest exit {code}): "
                   f"{sorted(failed)}")
             return 1
-        for k, (name, file, old, new, tests) in enumerate(mutants):
+        for k, (name, file, old, new, tests) in enumerate(MUTANTS):
             start = time.monotonic()
             tree = Path(tmp) / f"mutant_{k}"
             copy_tree(tree)
@@ -162,9 +157,9 @@ def main(names):
             else:
                 print(f"caught    {name} ({elapsed:.0f} s) by {', '.join(tests)}")
             shutil.rmtree(tree)
-    print(f"{len(mutants) - problems} of {len(mutants)} mutants caught")
+    print(f"{len(MUTANTS) - problems} of {len(MUTANTS)} mutants caught")
     return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
