@@ -60,12 +60,13 @@ class BeamformerBank:
 def mwf_weights(sources, noise, reference: int,
                 epsilon_rel: float = DEFAULT_EPSILON_REL) -> np.ndarray:
     """Wiener weights (..., F, N, M) from source covariances (..., N, F, M, M)
-    and a noise covariance (F, M, M).
+    and a noise covariance (F, M, M), Hermitian PSD per bin as a CovarianceSet holds them.
 
-    The summed covariance noise + R_0 + ... + R_{N-1} is diagonally loaded by
-    epsilon_rel before inversion (pass 0 to disable, e.g. with exact model
-    covariances). Each leading index (a dynamic bank's state) is solved on
-    its own, with the temporaries of one (F, M, M) stack.
+    Their sum is diagonally loaded by epsilon_rel, which bounds its condition number
+    by 1 + M/epsilon_rel (test_loaded_condition_number_bounded); only an unloaded
+    solve (epsilon_rel 0, e.g. exact model covariances) runs check_condition. Each
+    leading index (a dynamic bank's state) is solved on its own, with the
+    temporaries of one (F, M, M) stack.
     """
     sources = np.asarray(sources, dtype=np.complex128)
     noise = np.asarray(noise, dtype=np.complex128)
@@ -84,8 +85,9 @@ def mwf_weights(sources, noise, reference: int,
             total += cov
         if epsilon_rel > 0:
             total = regularize(total, epsilon_rel)
-        check_condition(total, "summed covariance after loading"
-                        + (f" at leading index {index}" if index else ""))
+        else:
+            check_condition(total, "unloaded summed covariance"
+                            + (f" at leading index {index}" if index else ""))
         rows = np.ascontiguousarray(sources[index][:, :, reference, :].swapaxes(0, 1))  # (F, N, M)
         np.matmul(rows, np.linalg.inv(total), out=weights[index])
     return weights
@@ -100,11 +102,10 @@ def _principal_component(covs):
     return lam[..., None, None] * np.einsum("...m,...n->...mn", u, u.conj())
 
 
-def build(covs: CovarianceSet, mode: str, reference: int = 0,
-          epsilon_rel: float = DEFAULT_EPSILON_REL) -> BeamformerBank:
+def build(covs: CovarianceSet, mode: str, reference: int = 0) -> BeamformerBank:
     """Build a beamformer bank of the requested mode from trained covariances:
-    one mwf_weights call on the state-major cells, the ensemble or its
-    rank-one parts."""
+    one mwf_weights call, loaded by DEFAULT_EPSILON_REL, on the state-major
+    cells, the ensemble or its rank-one parts."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose one of {MODES}")
     if mode == "dynamic":
@@ -113,16 +114,11 @@ def build(covs: CovarianceSet, mode: str, reference: int = 0,
             raise StarvedStateError(
                 f"no training frames for (source, state) pairs: {missing}"
             )
-        weights = mwf_weights(covs.cells.swapaxes(0, 1), covs.noise, reference, epsilon_rel)
+        weights = mwf_weights(covs.cells.swapaxes(0, 1), covs.noise, reference)
     else:
         sources = covs.ensemble if mode == "static" else _principal_component(covs.ensemble)
-        weights = mwf_weights(sources, covs.noise, reference, epsilon_rel)[None]
-    return BeamformerBank(
-        mode=mode,
-        weights=weights,
-        reference=reference,
-        frequencies=covs.frequencies.copy(),
-    )
+        weights = mwf_weights(sources, covs.noise, reference)[None]
+    return BeamformerBank(mode, weights, reference, covs.frequencies.copy())
 
 
 def apply_bank(bank: BeamformerBank, mixture: SpectralFrameTensor,

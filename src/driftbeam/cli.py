@@ -508,10 +508,10 @@ def run_beamform(config, covariances_path=None):
     """Build banks from a covariance container, filter the test scene, and
     write enhanced WAVs alongside the bank containers."""
     wavs = _source_wavs(config)
-    out = _out_dir(config)
-    cov_path = Path(covariances_path or out / "covariances.npz")
+    cov_path = Path(covariances_path or Path(config["out_dir"]) / "covariances.npz")
     if not cov_path.is_file():
         raise ValueError(f"covariance container not found: {cov_path}")
+    out = _out_dir(config)
     # Render before loading: the buffers the render frees let the allocator
     # serve the load's many 1 MB validation temporaries from its heap, where
     # loading first maps each one afresh (2.5x the page faults on rotation).
@@ -570,7 +570,7 @@ def run_theory(config):
 
 def run_report(config):
     """Merge the per-mode gain CSVs in the output directory into report.csv."""
-    out = _out_dir(config)
+    out = Path(config["out_dir"])
     merged = {}
     for mode_arg in config["modes"]:
         path = out / f"gain_{mode_arg}.csv"

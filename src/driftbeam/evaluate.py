@@ -113,19 +113,21 @@ def divergence_curve(covs: CovarianceSet, named_pairs: dict,
     (source, state) with state None selecting the ensemble covariance. The
     column holds the mean curve over its pairs, so a single pair gives that
     pair's curve and several pairs give a convenience aggregate (for example
-    every outer source against the central one). Matrices are diagonally
-    loaded by epsilon_rel before inverting.
+    every outer source against the central one). Matrices are diagonally loaded
+    by epsilon_rel, and each distinct second slot is inverted once per column.
     """
     table = {"frequency_hz": covs.frequencies / (2.0 * np.pi)}
     for name, pairs in named_pairs.items():
         if not pairs:
             raise ValueError(f"no slot pairs given for column {name!r}")
-        acc = np.zeros(covs.frequencies.shape[0])
-        for slot1, slot2 in pairs:
-            r1 = regularize(_slot_covariance(covs, slot1), epsilon_rel)
+        rows = np.empty((len(pairs), covs.frequencies.shape[0]))
+        for slot2 in dict.fromkeys(tuple(second) for _, second in pairs):
+            group = [p for p, (_, second) in enumerate(pairs) if tuple(second) == slot2]
+            r1 = regularize(np.stack([_slot_covariance(covs, pairs[p][0]) for p in group]),
+                            epsilon_rel)
             r2 = regularize(_slot_covariance(covs, slot2), epsilon_rel)
-            acc += gaussian_divergence(r1, r2)
-        table[name] = acc / len(pairs)
+            rows[group] = gaussian_divergence(r1, r2)
+        table[name] = rows.sum(axis=0) / len(pairs)  # summed in pair order
     return table
 
 

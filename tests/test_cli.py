@@ -537,6 +537,22 @@ class TestMain:
                 "[1, 2, 3]") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_beamform_without_container_leaves_no_out_directory(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(path), "--out", str(out), "beamform",
+                         "--covariances", str(tmp_path / "missing.npz")])
+        assert code == 1
+        assert "[beamform] covariance container not found" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_without_gain_csvs_leaves_no_out_directory(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "report"]) == 1
+        assert "[report] missing gain CSV" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_theory_failure_labelled_without_traceback(self, tmp_path, capsys):
         path = self.write_config(tmp_path, sources={"azimuths_deg": [20.0]})
         code = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "theory"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from driftbeam import covest, evaluate, scene, stft
+from driftbeam.covmath import gaussian_divergence, regularize
 from driftbeam.evaluate import divergence_curve, gain, outer_vs_central_pairs, theory_curve, write_table
 from driftbeam.stft import StftConfig
 
@@ -165,10 +166,20 @@ class TestDivergenceCurve:
 
     def test_aggregate_is_mean_of_pairs(self):
         covs = small_covset()
-        pairs = [((0, None), (1, None)), ((0, 0), (1, 0))]
-        table = divergence_curve(covs, {"agg": pairs})
-        singles = [divergence_curve(covs, {"one": [p]})["one"] for p in pairs]
-        np.testing.assert_allclose(table["agg"], np.mean(singles, axis=0), atol=1e-12)
+
+        def loaded(slot):
+            source, state = slot
+            return regularize(covs.ensemble[source] if state is None else covs.cells[source, state])
+
+        # The second input's second slots interleave (X, Y, X): its rows are
+        # computed per second slot and must still add up in pair order.
+        for pairs in ([((0, None), (1, None)), ((0, 0), (1, 0))],
+                      [((0, None), (1, None)), ((0, 0), (1, 0)), ((1, 1), (1, None))]):
+            table = divergence_curve(covs, {"agg": pairs})
+            acc = np.zeros(covs.frequencies.shape[0])
+            for slot1, slot2 in pairs:
+                acc += gaussian_divergence(loaded(slot1), loaded(slot2))
+            assert np.array_equal(table["agg"], acc / len(pairs))
 
     def test_outer_vs_central_pairs(self):
         assert outer_vs_central_pairs(5) == [

@@ -53,15 +53,23 @@ MUTANTS = [
      "        total = noise.copy()", "        total = 2.0 * noise",
      [ACCEPTANCE + "test_c04_mwf_closed_form",
       "tests/test_beamform.py::TestMwfWeights::test_single_rank_one_source_in_white_noise"]),
+    ("the unloaded solve skips the guard", "beamform.py",
+     "        else:\n            check_condition(total, ",
+     "        elif False:\n            check_condition(total, ",
+     ["tests/test_beamform.py::TestMwfWeights::test_singular_total_rejected_with_bin_index"]),
     ("dynamic bank applies state 0 everywhere", "beamform.py",
      "            out[rows] = _filter(bank.weights[int(state)], x[rows])",
      "            out[rows] = _filter(bank.weights[0], x[rows])",
      [ACCEPTANCE + "test_c07_dynamic_beats_static",
       ACCEPTANCE + "test_c10_small_instance_brute_force"]),
     ("divergence_curve swaps gaussian_divergence's arguments", "evaluate.py",
-     "            acc += gaussian_divergence(r1, r2)",
-     "            acc += gaussian_divergence(r2, r1)",
+     "            rows[group] = gaussian_divergence(r1, r2)",
+     "            rows[group] = gaussian_divergence(r2, r1)",
      [ACCEPTANCE + "test_c06_divergence_trend"]),
+    ("a column's pairs all use its first second slot", "evaluate.py",
+     "            r2 = regularize(_slot_covariance(covs, slot2), epsilon_rel)",
+     "            r2 = regularize(_slot_covariance(covs, pairs[0][1]), epsilon_rel)",
+     ["tests/test_evaluate.py::TestDivergenceCurve::test_aggregate_is_mean_of_pairs"]),
     ("gain of source 0 only", "evaluate.py",
      "np.mean(10.0 * np.log10(num[:, ok] / den[:, ok]), axis=0)",
      "10.0 * np.log10(num[0, ok] / den[0, ok])",
