@@ -64,9 +64,9 @@ def mwf_weights(sources, noise, reference: int,
 
     Their sum is diagonally loaded by epsilon_rel, which bounds its condition number
     by 1 + M/epsilon_rel (test_loaded_condition_number_bounded); only an unloaded
-    solve (epsilon_rel 0, e.g. exact model covariances) runs check_condition. Each
-    leading index (a dynamic bank's state) is solved on its own, with the
-    temporaries of one (F, M, M) stack.
+    solve (epsilon_rel 0, e.g. exact model covariances) runs check_condition, and a
+    negative epsilon_rel is rejected. Each leading index (a dynamic bank's state)
+    is solved on its own, with the temporaries of one (F, M, M) stack.
     """
     sources = np.asarray(sources, dtype=np.complex128)
     noise = np.asarray(noise, dtype=np.complex128)
@@ -76,6 +76,8 @@ def mwf_weights(sources, noise, reference: int,
         raise ValueError("source and noise covariances must share one bin grid")
     if not 0 <= reference < noise.shape[-1]:
         raise ValueError(f"reference index {reference} out of range")
+    if not epsilon_rel >= 0:
+        raise ValueError(f"epsilon_rel must be >= 0, got {epsilon_rel!r}")
 
     batch, (n_count, f_count, m_count) = sources.shape[:-4], sources.shape[-4:-1]
     weights = np.empty((*batch, f_count, n_count, m_count), dtype=np.complex128)

@@ -35,38 +35,6 @@ from . import beamform, containers, covest, evaluate, scene
 from .stft import SpectralFrameTensor, StftConfig, synthesize
 from .worker import Worker
 
-DEFAULT_CONFIG = {
-    "sample_rate": 16000,
-    "speed_of_sound": 343.0,
-    "stft": {"fft_size": 1024, "hop": 512, "window": "sqrt_hann"},
-    "geometry": {
-        "layout": "linear",
-        "mic_count": 12,
-        "spacing": 0.05,
-        "radius": 0.25,
-        "span_deg": 180.0,
-        "reference": 0,
-        "positions": None,
-    },
-    "sources": {"azimuths_deg": [0.0, 45.0, 90.0, 135.0, 180.0], "wav_paths": None},
-    "noise_level_db": -30.0,
-    "motion": {
-        "kind": "static",
-        "sigma_pos_m": 0.0,
-        "jitter_reference": False,
-        "min_deg": -45.0,
-        "max_deg": 45.0,
-        "period_s": 20.0,
-        "state_count": 10,
-    },
-    "pilot": {"enabled": True, "frequency_hz": 7000.0, "level_db": -20.0},
-    "train_duration_s": 20.0,
-    "test_duration_s": 20.0,
-    "modes": ["static"],
-    "state_oracle": False,
-    "theory": {"sigmas_s": [1e-5, 2e-5, 5e-5], "points": 128},
-    "out_dir": "out",
-}
 
 class StageError(RuntimeError):
     """A pipeline stage failed; carries the stage label for diagnostics."""
@@ -87,21 +55,6 @@ def stage(label):
         raise
     except Exception as err:
         raise StageError(label, err) from err
-
-
-def _merge(base, override, unknown, prefix=""):
-    """override merged into a copy of base; each key base lacks adds its dotted path to unknown."""
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        if key not in merged:
-            unknown.add(prefix + key)
-        elif isinstance(merged[key], dict):
-            if not isinstance(value, dict):
-                raise ValueError(f"{prefix}{key} must be an object, got {value!r}")
-            merged[key] = _merge(merged[key], value, unknown, f"{prefix}{key}.")
-        else:
-            merged[key] = value
-    return merged
 
 
 # Kinds: (what an error says a value must be, its test). type() keeps True from ints, 1 from bools.
@@ -129,63 +82,84 @@ def _list(wanted, item, least=0, distinct=False):
                               and not (distinct and len(set(v)) < len(v)))
 
 
-# The kind of every config value by dotted key, checked before any other use.
-CONFIG_KINDS = {
-    "seed": ("an int >= 0 (config key 'seed' or --seed)", _int(0)[1]),
-    "sample_rate": ("a positive whole number of Hz (a WAV header holds an int)",
-                    lambda v: _POSITIVE[1](v) and float(v).is_integer()),
-    "speed_of_sound": _POSITIVE,
-    "stft.fft_size": _int(1),
-    "stft.hop": _int(1),
-    "stft.window": _STR,
-    "geometry.layout": _enum("linear", "arc"),
-    "geometry.mic_count": _int(1),
-    "geometry.spacing": _NUMBER,
-    "geometry.radius": _NUMBER,
-    "geometry.span_deg": _NUMBER,
-    "geometry.reference": _int(0),
-    "geometry.positions": _null_or(_list(
+# Every config key by dotted path: its default and its kind, checked before any other use.
+CONFIG = {
+    "seed": (None, ("an int >= 0 (config key 'seed' or --seed)", _int(0)[1])),
+    "sample_rate": (16000, ("a positive whole number of Hz (a WAV header holds an int)",
+                            lambda v: _POSITIVE[1](v) and float(v).is_integer())),
+    "speed_of_sound": (343.0, _POSITIVE),
+    "stft.fft_size": (1024, _int(1)),
+    "stft.hop": (512, _int(1)),
+    "geometry.layout": ("linear", _enum("linear", "arc")),
+    "geometry.mic_count": (12, _int(1)),
+    "geometry.spacing": (0.05, _NUMBER),
+    "geometry.radius": (0.25, _NUMBER),
+    "geometry.span_deg": (180.0, _NUMBER),
+    "geometry.reference": (0, _int(0)),
+    "geometry.positions": (None, _null_or(_list(
         "a non-empty list of [x, y] pairs of finite numbers",
-        lambda p: isinstance(p, list) and len(p) == 2 and all(map(_NUMBER[1], p)), 1)),
-    "sources.azimuths_deg": _list("a non-empty list of finite numbers", _NUMBER[1], 1),
-    "sources.wav_paths": _null_or(_list("a list of strings", _STR[1])),
-    "noise_level_db": _null_or(_NUMBER),
-    "motion.kind": _enum("static", "gaussian_jitter", "rotation_sweep"),
-    "motion.sigma_pos_m": ("a finite nonnegative number", lambda v: _NUMBER[1](v) and v >= 0),
-    "motion.jitter_reference": _BOOL,
-    "motion.min_deg": _NUMBER,
-    "motion.max_deg": _NUMBER,
-    "motion.period_s": _POSITIVE,
-    "motion.state_count": _int(1),
-    "pilot.enabled": _BOOL,
-    "pilot.frequency_hz": _POSITIVE,
-    "pilot.level_db": _NUMBER,
-    "train_duration_s": _POSITIVE,
-    "test_duration_s": _POSITIVE,
-    "modes": _list(f"a list of distinct names from {list(beamform.MODES)}",
-                   _enum(*beamform.MODES)[1], distinct=True),
-    "state_oracle": _BOOL,
-    "theory.sigmas_s": _list("a non-empty list of finite positive numbers", _POSITIVE[1], 1),
-    "theory.points": _int(1),
-    "out_dir": _STR,
+        lambda p: isinstance(p, list) and len(p) == 2 and all(map(_NUMBER[1], p)), 1))),
+    "sources.azimuths_deg": ([0.0, 45.0, 90.0, 135.0, 180.0],
+                             _list("a non-empty list of finite numbers", _NUMBER[1], 1)),
+    "sources.wav_paths": (None, _null_or(_list("a list of strings", _STR[1]))),
+    "noise_level_db": (-30.0, _null_or(_NUMBER)),
+    "motion.kind": ("static", _enum("static", "gaussian_jitter", "rotation_sweep")),
+    "motion.sigma_pos_m": (0.0, ("a finite nonnegative number",
+                                 lambda v: _NUMBER[1](v) and v >= 0)),
+    "motion.jitter_reference": (False, _BOOL),
+    "motion.min_deg": (-45.0, _NUMBER),
+    "motion.max_deg": (45.0, _NUMBER),
+    "motion.period_s": (20.0, _POSITIVE),
+    "motion.state_count": (10, _int(1)),
+    "pilot.enabled": (True, _BOOL),
+    "pilot.frequency_hz": (7000.0, _POSITIVE),
+    "pilot.level_db": (-20.0, _NUMBER),
+    "train_duration_s": (20.0, _POSITIVE),
+    "test_duration_s": (20.0, _POSITIVE),
+    "modes": (["static"], _list(f"a list of distinct names from {list(beamform.MODES)}",
+                                _enum(*beamform.MODES)[1], distinct=True)),
+    "state_oracle": (False, _BOOL),
+    "theory.sigmas_s": ([1e-5, 2e-5, 5e-5],
+                        _list("a non-empty list of finite positive numbers", _POSITIVE[1], 1)),
+    "theory.points": (128, _int(1)),
+    "out_dir": ("out", _STR),
 }
+_SECTIONS = {key.rpartition(".")[0] for key in CONFIG} - {""}
+
+
+def _flatten(values, flat, unknown, prefix=""):
+    """Put each value of the nested dict values into flat by dotted key; a key
+    CONFIG lacks goes to unknown, and a section must be an object."""
+    for key, value in values.items():
+        dotted = prefix + key
+        if dotted in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ValueError(f"{dotted} must be an object, got {value!r}")
+            _flatten(value, flat, unknown, dotted + ".")
+        elif dotted in CONFIG:
+            flat[dotted] = value
+        else:
+            unknown.add(dotted)
 
 
 def load_config(path=None, overrides=None):
-    """Defaults, the optional JSON config file and CLI overrides, merged and checked."""
-    config, unknown = {**copy.deepcopy(DEFAULT_CONFIG), "seed": None}, set()
+    """Defaults, the optional JSON config file and CLI overrides, merged and checked.
+    The first error wins in this order: a section given as a non-object, the
+    unknown keys, a value of the wrong kind (in CONFIG order), the cross-field checks."""
+    flat, unknown = {}, set()
     if path is not None:
         with open(path, encoding="utf-8") as fh:
-            config = _merge(config, json.load(fh), unknown)
-    if overrides:
-        config = _merge(config, overrides, unknown)
+            _flatten(json.load(fh), flat, unknown)
+    _flatten(overrides or {}, flat, unknown)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
-    for key, (wanted, test) in CONFIG_KINDS.items():
-        section, _, name = key.rpartition(".")
-        value = (config[section] if section else config)[name]
+    config = {}
+    for key, (default, (wanted, test)) in CONFIG.items():
+        value = flat[key] if key in flat else copy.deepcopy(default)
         if not test(value):
             raise ValueError(f"{key} must be {wanted}, got {value!r}")
+        section, _, name = key.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[name] = value
     cfg = _stft_config(config)
     for key in ("train_duration_s", "test_duration_s"):
         if int(round(config[key] * config["sample_rate"])) < cfg.fft_size:
@@ -208,7 +182,7 @@ def load_config(path=None, overrides=None):
 
 def _stft_config(config):
     s = config["stft"]
-    return StftConfig(fft_size=s["fft_size"], hop=s["hop"], window=s["window"])
+    return StftConfig(fft_size=s["fft_size"], hop=s["hop"])
 
 
 def _motion(config):

@@ -1,9 +1,10 @@
 """Short-time Fourier analysis and synthesis for multichannel audio.
 
 Frames are stored with shape (time frame, frequency bin, channel) using a
-one-sided spectrum, so bin_count = fft_size // 2 + 1. The analysis/synthesis
-window pair must reconstruct exactly under overlap-add at the configured hop;
-this is verified numerically when the configuration is built.
+one-sided spectrum, so bin_count = fft_size // 2 + 1. One periodic sqrt-Hann
+window serves both analysis and synthesis; its square must overlap-add to 1
+at the configured hop, which holds at hop = fft_size / 2 and is verified
+numerically when the configuration is built.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_SAMPLE_RATE = 16000
-# Residual allowed in the overlap-add reconstruction of the window pair.
+# Residual allowed in the overlap-add reconstruction of the squared window.
 COLA_TOL = 1e-10
 # Rendering, training sums and gain walk (T, F, M) frame tensors in blocks of about
 # this many bytes, so a block stays in L2 cache from the step writing it to the next.
@@ -23,42 +24,25 @@ def block_length(unit_bytes: int) -> int:
     return max(1, BLOCK_BYTES // max(unit_bytes, 1))
 
 
-def _hann_periodic(n):
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def _window_pair(name, fft_size):
-    hann = _hann_periodic(fft_size)
-    if name == "sqrt_hann":
-        root = np.sqrt(hann)
-        return root, root
-    if name == "hann":
-        return hann, np.ones(fft_size)
-    if name == "rect":
-        return np.ones(fft_size), np.ones(fft_size)
-    raise ValueError(f"unknown window {name!r}; choose sqrt_hann, hann or rect")
-
-
 @dataclass(frozen=True)
 class StftConfig:
-    """Transform parameters: fft_size and hop in samples, window pair by name."""
+    """Transform parameters: fft_size and hop in samples. window is the
+    periodic sqrt-Hann window of fft_size samples, applied at analysis and
+    again at synthesis."""
 
     fft_size: int = 1024
     hop: int = 512
-    window: str = "sqrt_hann"
-    analysis_window: np.ndarray = field(init=False, repr=False, compare=False)
-    synthesis_window: np.ndarray = field(init=False, repr=False, compare=False)
+    window: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.fft_size < 2 or self.hop < 1 or self.hop > self.fft_size:
             raise ValueError(f"invalid fft_size/hop: {self.fft_size}/{self.hop}")
-        analysis, synthesis = _window_pair(self.window, self.fft_size)
-        object.__setattr__(self, "analysis_window", analysis)
-        object.__setattr__(self, "synthesis_window", synthesis)
+        hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(self.fft_size) / self.fft_size)
+        object.__setattr__(self, "window", np.sqrt(hann))
         residual = np.abs(self.overlap_add_weight() - 1.0).max()
         if residual > COLA_TOL:
             raise ValueError(
-                f"window {self.window!r} with hop {self.hop} does not satisfy "
+                f"sqrt-Hann window with hop {self.hop} does not satisfy "
                 f"overlap-add reconstruction (residual {residual:.3g})"
             )
 
@@ -67,8 +51,8 @@ class StftConfig:
         return self.fft_size // 2 + 1
 
     def overlap_add_weight(self):
-        """Interior overlap-add sum of analysis*synthesis windows, length fft_size."""
-        prod = self.analysis_window * self.synthesis_window
+        """Interior overlap-add sum of the squared window, length fft_size."""
+        prod = self.window * self.window
         acc = np.zeros(3 * self.fft_size)
         for start in range(0, 2 * self.fft_size + 1, self.hop):
             acc[start:start + self.fft_size] += prod
@@ -140,7 +124,7 @@ def analyze(signal, cfg: StftConfig, sample_rate: float = DEFAULT_SAMPLE_RATE) -
     # (T, M, fft_size) strided view of overlapping segments
     segments = np.lib.stride_tricks.sliding_window_view(signal, cfg.fft_size, axis=0)
     segments = segments[::cfg.hop]
-    spectra = np.fft.rfft(segments * cfg.analysis_window, axis=-1)
+    spectra = np.fft.rfft(segments * cfg.window, axis=-1)
     return SpectralFrameTensor(
         frames=spectra.transpose(0, 2, 1),
         sample_rate=sample_rate,
@@ -163,7 +147,7 @@ def synthesize(tensor: SpectralFrameTensor, cfg: StftConfig) -> np.ndarray:
     frames = tensor.frames
     t_count, _, m_count = frames.shape
     segments = np.fft.irfft(frames, n=cfg.fft_size, axis=1)
-    segments *= cfg.synthesis_window[None, :, None]
+    segments *= cfg.window[None, :, None]
     out = np.zeros(((t_count - 1) * cfg.hop + cfg.fft_size, m_count))
     for t in range(t_count):
         start = t * cfg.hop

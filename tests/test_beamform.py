@@ -64,6 +64,12 @@ class TestMwfWeights:
         with pytest.raises(covmath.IllConditionedError, match=r"\[1\]"):
             mwf_weights([src], noise, reference=0, epsilon_rel=0.0)
 
+    def test_negative_loading_rejected(self):
+        # 0 is the unloaded solve; a negative loading is an error, as in regularize.
+        eye = spectrum(np.broadcast_to(np.eye(2), (4, 2, 2)).copy())
+        with pytest.raises(ValueError, match="epsilon_rel"):
+            mwf_weights([eye], eye, 0, epsilon_rel=-0.5)
+
 
 def trained_covs(motion=None, duration=4.0, mic_count=4, azimuths=(30.0, 120.0),
                  seed=50):
@@ -198,7 +204,7 @@ class TestApply:
                                motion=scene.MotionModel.static(), noise_level_db=None)
         rendered = scene.render(spec, duration, CFG, FS, seed=5)
         omega = rendered.mixture.bin_omega
-        window_energy = np.sum(CFG.analysis_window ** 2)
+        window_energy = np.sum(CFG.window ** 2)
         rel = geometry.positions - geometry.positions[0]
         a = np.stack([np.exp(1j * w * scene.propagation_delays(rel, az)) for w in omega])
         source = window_energy * np.einsum("fm,fn->fmn", a, a.conj())

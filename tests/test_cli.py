@@ -33,15 +33,6 @@ def tiny_config(out_dir, **overrides):
     return cli.load_config(None, config)
 
 
-def config_leaves(section, prefix=""):
-    """Dotted keys of the values (not the sections) of a config dict."""
-    for key, value in section.items():
-        if isinstance(value, dict):
-            yield from config_leaves(value, f"{prefix}{key}.")
-        else:
-            yield prefix + key
-
-
 class TestConfig:
     def test_seed_required(self):
         with pytest.raises(ValueError, match="seed"):
@@ -54,10 +45,10 @@ class TestConfig:
 
     def test_file_and_overrides_merge(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"seed": 3, "stft": {"window": "hann"}}))
+        path.write_text(json.dumps({"seed": 3, "pilot": {"level_db": -25.0}, "out_dir": "x"}))
         config = cli.load_config(path, {"out_dir": "elsewhere"})
         assert config["seed"] == 3
-        assert config["stft"]["window"] == "hann"
+        assert config["pilot"] == {"enabled": True, "frequency_hz": 7000.0, "level_db": -25.0}
         assert config["stft"]["fft_size"] == 1024
         assert config["out_dir"] == "elsewhere"
 
@@ -74,6 +65,20 @@ class TestConfig:
     def test_modes_must_be_distinct_cli_names(self, modes):
         with pytest.raises(ValueError, match="modes must be a list of distinct names"):
             cli.load_config(None, {"seed": 1, "modes": modes})
+
+    def test_section_error_then_unknown_keys_then_first_bad_kind(self, tmp_path):
+        # The file is read before the overrides, but a non-object section
+        # wins over an unknown key, and an unknown key over a wrong kind,
+        # wherever each is given.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"threads": 2, "stft": {"fft_size": "256"}}))
+        with pytest.raises(ValueError, match=r"^pilot must be an object, got False$"):
+            cli.load_config(path, {"seed": 1, "pilot": False})
+        with pytest.raises(ValueError, match=r"^unknown config keys \['motion.knd', 'threads'\]$"):
+            cli.load_config(path, {"seed": 1, "motion": {"knd": "static"}})
+        path.write_text(json.dumps({"stft": {"fft_size": "256"}, "modes": "static"}))
+        with pytest.raises(ValueError, match=r"^stft.fft_size must be an int >= 1, got '256'$"):
+            cli.load_config(path, {"seed": 1})
 
     def test_unknown_keys_named_by_dotted_path(self):
         with pytest.raises(ValueError,
@@ -503,7 +508,7 @@ class TestMain:
 
     # An object in place of each value, then values that once got past the
     # config checks, then a section that is not an object.
-    WRONG_KINDS = [(key, {}) for key in ["seed", *config_leaves(cli.DEFAULT_CONFIG)]] + [
+    WRONG_KINDS = [(key, {}) for key in cli.CONFIG] + [
         ("stft.fft_size", "256"), ("geometry.mic_count", 3.0), ("stft.hop", 128.0),
         ("pilot.level_db", "x"), ("pilot.frequency_hz", "7000"), ("geometry.spacing", "x"),
         ("motion.min_deg", "a"), ("sources.azimuths_deg", 5), ("sources.azimuths_deg", "ab"),
@@ -655,11 +660,16 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         assert "[beamform" in capsys.readouterr().err
         assert not list(out.glob("enhanced_*.wav"))
 
-    def test_threads_key_rejected(self, tmp_path, capsys):
-        path = self.write_config(tmp_path, threads=2)
+    @pytest.mark.parametrize("key, fields", [
+        ("threads", {"threads": 2}),
+        ("stft.window", {"stft": {"fft_size": 256, "hop": 128, "window": "sqrt_hann"}}),
+    ], ids=["threads", "stft.window"])
+    def test_threads_key_rejected(self, tmp_path, capsys, key, fields):
+        # Keys that once existed fail like any unknown key.
+        path = self.write_config(tmp_path, **fields)
         out = tmp_path / "out"
         assert cli.main(["--config", str(path), "--out", str(out), "analyze"]) == 1
-        assert "[config] unknown config keys ['threads']" in capsys.readouterr().err
+        assert f"[config] unknown config keys ['{key}']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_training_missing_a_state_fails_dynamic_beamform(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftbeam.stft import SpectralFrameTensor, StftConfig, analyze, synthesize
@@ -23,28 +23,32 @@ def speech_like(samples, rate, seed=0):
     return envelope * tone + 0.01 * rng.standard_normal(samples)
 
 
+# Each case is sqrt-Hann at half overlap; the ids name the window, fft_size and hop.
+SIZES = [pytest.param(1024, 512, id="sqrt_hann-1024-512"),
+         pytest.param(512, 256, id="sqrt_hann-512-256")]
+
+
+def sqrt_hann_transform(k, fft_size):
+    """Closed-form DFT at bin k of the periodic sqrt-Hann window sin(pi n / N):
+    sin(pi/N) / (cos(2 pi k/N) - cos(pi/N)), real since the window is even."""
+    return np.sin(np.pi / fft_size) / (np.cos(2.0 * np.pi * k / fft_size)
+                                       - np.cos(np.pi / fft_size))
+
+
 class TestConfig:
     def test_default_is_valid(self):
         cfg = StftConfig()
         assert cfg.bin_count == 513
 
-    @pytest.mark.parametrize("window,fft_size,hop", [
-        ("sqrt_hann", 1024, 512),
-        ("sqrt_hann", 512, 256),
-        ("hann", 1024, 512),
-        ("rect", 1024, 1024),
-    ])
-    def test_supported_pairs_satisfy_overlap_add(self, window, fft_size, hop):
-        cfg = StftConfig(fft_size=fft_size, hop=hop, window=window)
+    @pytest.mark.parametrize("fft_size,hop", SIZES)
+    def test_supported_pairs_satisfy_overlap_add(self, fft_size, hop):
+        cfg = StftConfig(fft_size=fft_size, hop=hop)
         assert np.abs(cfg.overlap_add_weight() - 1.0).max() < 1e-10
 
     def test_non_reconstructing_pair_rejected(self):
+        # At a quarter hop the squared sqrt-Hann windows overlap-add to 2, not 1.
         with pytest.raises(ValueError, match="overlap-add"):
-            StftConfig(fft_size=1024, hop=512, window="rect")
-
-    def test_unknown_window_rejected(self):
-        with pytest.raises(ValueError, match="window"):
-            StftConfig(window="blackman")
+            StftConfig(fft_size=1024, hop=256)
 
 
 class TestAnalyze:
@@ -62,39 +66,27 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="shorter"):
             analyze(np.zeros(100), StftConfig())
 
-    def test_impulse_rect_window_flat_magnitude(self):
-        cfg = StftConfig(fft_size=256, hop=256, window="rect")
+    def test_impulse_flat_magnitude(self):
+        # An impulse at n0 of the first frame has |X[k]| = sin(pi n0 / N) in every bin.
+        cfg = StftConfig(fft_size=256, hop=128)
         x = np.zeros(1024)
-        x[128] = 1.0
+        x[100] = 1.0
         tensor = analyze(x, cfg)
         mags = np.abs(tensor.frames[0, :, 0])
-        np.testing.assert_allclose(mags, 1.0, atol=1e-12)
+        np.testing.assert_allclose(mags, np.sin(np.pi * 100 / 256), atol=1e-12)
 
-    def test_sinusoid_rect_window_single_bin(self):
-        cfg = StftConfig(fft_size=256, hop=256, window="rect")
+    def test_sinusoid_peaks_at_its_bin(self):
+        # A cosine at bin k0 gives (W[k - k0] + W[k + k0]) / 2 in every frame
+        # (k0 * hop is a whole number of periods), largest at k0.
+        cfg = StftConfig(fft_size=256, hop=128)
         k0 = 32
         n = np.arange(2048)
         x = np.cos(2.0 * np.pi * k0 * n / 256)
-        tensor = analyze(x, cfg)
-        mags = np.abs(tensor.frames[:, :, 0])
-        np.testing.assert_allclose(mags[:, k0], 128.0, atol=1e-9)
-        others = np.delete(mags, k0, axis=1)
-        assert others.max() < 1e-9
-
-    def test_sinusoid_hann_window_three_bins(self):
-        # Periodic Hann spreads an exact-bin cosine over k0 and k0 +- 1 with
-        # magnitudes L/4 and L/8.
-        cfg = StftConfig(fft_size=256, hop=128, window="hann")
-        k0 = 40
-        n = np.arange(2048)
-        x = np.cos(2.0 * np.pi * k0 * n / 256)
-        tensor = analyze(x, cfg)
-        mags = np.abs(tensor.frames[0, :, 0])
-        assert mags[k0] == pytest.approx(64.0, abs=1e-9)
-        assert mags[k0 - 1] == pytest.approx(32.0, abs=1e-9)
-        assert mags[k0 + 1] == pytest.approx(32.0, abs=1e-9)
-        rest = np.delete(mags, [k0 - 1, k0, k0 + 1])
-        assert rest.max() < 1e-9
+        frames = analyze(x, cfg).frames[:, :, 0]
+        k = np.arange(cfg.bin_count)
+        expected = 0.5 * (sqrt_hann_transform(k - k0, 256) + sqrt_hann_transform(k + k0, 256))
+        np.testing.assert_allclose(frames, np.broadcast_to(expected, frames.shape), atol=1e-9)
+        assert (np.argmax(np.abs(frames), axis=1) == k0).all()
 
     def test_linearity(self):
         cfg = StftConfig()
@@ -117,21 +109,14 @@ class TestAnalyze:
         weight = np.zeros(len(x))
         for t in range(tensor.frame_count):
             start = t * cfg.hop
-            weight[start:start + cfg.fft_size] += cfg.analysis_window ** 2
+            weight[start:start + cfg.fft_size] += cfg.window ** 2
         assert tensor_energy == pytest.approx(np.sum(weight * x ** 2), rel=1e-6)
 
 
-@st.composite
-def valid_configs(draw):
-    """StftConfigs that pass the overlap-add check: a Hann product at half
-    overlap or rectangular windows without overlap, for any frame length."""
-    window = draw(st.sampled_from(["sqrt_hann", "hann", "rect"]))
-    fft_size = draw(st.integers(2, 512))
-    hop = fft_size if window == "rect" else fft_size // 2
-    try:
-        return StftConfig(fft_size=fft_size, hop=hop, window=window)
-    except ValueError:
-        assume(False)
+def valid_configs():
+    """StftConfigs that pass the overlap-add check: every even frame length
+    up to 512 at half overlap."""
+    return st.integers(1, 256).map(lambda half: StftConfig(fft_size=2 * half, hop=half))
 
 
 class TestRoundTrip:
@@ -148,14 +133,9 @@ class TestRoundTrip:
         np.testing.assert_allclose(y[guard:len(y) - guard], x[guard:len(y) - guard],
                                    rtol=0, atol=1e-10 * np.abs(x).max())
 
-    @pytest.mark.parametrize("window,fft_size,hop", [
-        ("sqrt_hann", 1024, 512),
-        ("sqrt_hann", 512, 256),
-        ("hann", 1024, 512),
-        ("rect", 1024, 1024),
-    ])
-    def test_white_noise_reconstruction(self, window, fft_size, hop):
-        cfg = StftConfig(fft_size=fft_size, hop=hop, window=window)
+    @pytest.mark.parametrize("fft_size,hop", SIZES)
+    def test_white_noise_reconstruction(self, fft_size, hop):
+        cfg = StftConfig(fft_size=fft_size, hop=hop)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((160000, 2))
         y = synthesize(analyze(x, cfg), cfg)

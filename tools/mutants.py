@@ -110,6 +110,14 @@ MUTANTS = [
      "        if not motion.jitter_reference:\n            offsets[:, ref, :] = 0.0\n", "",
      ["tests/test_scene.py::TestRender::test_jitter_reference_sets_which_pairs_decorrelate"
       "[False]"]),
+    ("unknown config keys ignored", "cli.py",
+     "            unknown.add(dotted)", "            pass",
+     ["tests/test_cli.py::TestConfig::test_unknown_keys_named_by_dotted_path",
+      "tests/test_cli.py::TestMain::test_threads_key_rejected"]),
+    ("a non-object config section taken as a leaf", "cli.py",
+     "        if dotted in _SECTIONS:", "        if dotted in _SECTIONS and isinstance(value, dict):",
+     ["tests/test_cli.py::TestConfig::test_section_error_then_unknown_keys_then_first_bad_kind",
+      "tests/test_cli.py::TestMain::test_wrong_kind_names_its_key_before_any_work[pilot=False]"]),
 ]
 
 
