@@ -149,7 +149,13 @@ def load_config(path=None, overrides=None):
     flat, unknown = {}, set()
     if path is not None:
         with open(path, encoding="utf-8") as fh:
-            _flatten(json.load(fh), flat, unknown)
+            try:
+                values = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{path}: {err}") from err
+        if not isinstance(values, dict):
+            raise ValueError(f"{path} must hold a JSON object, got {type(values).__name__}")
+        _flatten(values, flat, unknown)
     _flatten(overrides or {}, flat, unknown)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")

@@ -9,6 +9,7 @@ Every covariance comes from one grouped outer-product estimator; the ensemble
 is the frame-weighted mixture of the per-state covariances.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .covmath import HermitianSpectrum, regularize
 from .scene import RenderedScene, SceneSpec, StateSequence, render
 from .stft import SpectralFrameTensor, StftConfig, block_length
+from .worker import on_two_threads
 
 # Loading applied to near-rank-one pilot snapshots before matching.
 PILOT_EPSILON_REL = 1e-2
@@ -98,21 +100,42 @@ class CovarianceSet:
 def _outer_sums(frames, labels, group_count, out=None):
     """Per-group sums (G, F, M, M) of x[t,f] x[t,f]^H over complex frames (T, F, M)
     labeled in [0, G) (into out when given; an empty group sums to zeros), one
-    zgemm batch per cache-sized bin chunk, and counts (G,)."""
+    zgemm batch per cache-sized bin chunk, and counts (G,). This thread and a
+    helper take alternate chunks; each chunk is one product over all of its
+    group's frames, so no sum depends on which thread made it."""
     counts = np.bincount(labels, minlength=group_count)
     _, f_count, m_count = frames.shape
     sums = np.empty((group_count, f_count, m_count, m_count), dtype=np.complex128) \
         if out is None else out
+    chunks = []  # (group, its runs of consecutive frames as (start, stop) rows, bins)
     for group in range(group_count):
-        # A group holding every frame reads the frames in place.
-        rows = slice(None) if counts[group] == len(labels) else np.flatnonzero(labels == group)
+        runs = np.flatnonzero(np.diff(np.r_[False, labels == group, False])).reshape(-1, 2)
         # Equal chunks of at least two bins: a one-bin copy of one microphone
         # would hand BLAS unit-stride vectors, which it sums in another order.
         parts = max(1, f_count // max(2, block_length(counts[group] * m_count * 16)))
-        for k in range(parts):
-            bins = slice(k * f_count // parts, (k + 1) * f_count // parts)
-            x = frames[rows, bins].transpose(1, 2, 0)  # (bins, M, T_g)
-            np.matmul(x, x.conj().transpose(0, 2, 1), out=sums[group, bins])
+        chunks += [(group, runs, slice(k * f_count // parts, (k + 1) * f_count // parts))
+                   for k in range(parts)]
+    # Per thread, a chunk's gathered frames and their conjugates, allocated here
+    # (see on_two_threads).
+    size = max(counts[group] * (bins.stop - bins.start) for group, _, bins in chunks) * m_count
+    scratch = np.empty((2, 2, size), dtype=np.complex128)
+
+    def add_chunks(half):
+        gathered, conjugated = scratch[half]
+        for group, runs, bins in chunks[half::2]:
+            shape = (counts[group], bins.stop - bins.start, m_count)
+            if len(runs) == 1:  # one run of frames is read in place
+                x = frames[runs[0, 0]:runs[0, 1], bins]
+            else:
+                x = gathered[:math.prod(shape)].reshape(shape)
+                filled = 0
+                for start, stop in runs.tolist():
+                    x[filled:filled + stop - start] = frames[start:stop, bins]
+                    filled += stop - start
+            xh = np.conjugate(x, out=conjugated[:x.size].reshape(shape))
+            np.matmul(x.transpose(1, 2, 0), xh.transpose(1, 0, 2), out=sums[group, bins])
+
+    on_two_threads(add_chunks)
     return sums, counts
 
 

@@ -10,13 +10,14 @@ by frame. Steering phases are taken relative to the reference microphone,
 so the desired signal of every source equals its unmodified spectrum.
 """
 
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .stft import DEFAULT_SAMPLE_RATE, SpectralFrameTensor, StftConfig, analyze, block_length
-from .worker import Worker
+from .worker import Worker, on_two_threads
 
 SPEED_OF_SOUND = 343.0
 
@@ -390,14 +391,16 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
 
     # One cache-sized block of frames at a time, adding in the order that fixes
     # the bytes. A worker draws each block's noise (or zeros it) ahead of this
-    # thread, which meanwhile transforms the sources, then waits for each
-    # block in turn to scale it and add the images.
+    # thread, which meanwhile transforms the sources. Then this thread and a
+    # helper each wait for their own blocks (even and odd) in turn, to scale
+    # them and add the images. Each block has its own event, so a thread waits
+    # only for the blocks it adds to.
     noisy = spec.noise_level_db is not None
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM,))) \
         if noisy else None
     mixture = np.empty((t_count, f_count, m_count), dtype=np.complex128)
     rows = block_length(mixture[0].nbytes)
-    drawn = threading.Semaphore(0)
+    drawn = [threading.Event() for _ in range(0, t_count, rows)]
     noise = Worker(_draw_blocks, mixture, rows, rng, drawn)
     try:
         # Reference-channel spectra (T, F) of the active sources. With noise,
@@ -437,20 +440,31 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
             tau = propagation_delays(positions, spec.sources[n].azimuth_deg, spec.speed_of_sound)
             images[n] = np.exp(1j * omega[:, None] * tau[None, :]) if static else tau
 
-        for lo in range(0, t_count, rows):
-            block = mixture[lo:lo + rows]
-            drawn.acquire()
-            if noisy:
-                # DC and Nyquist bins of a real signal carry no quadrature component.
-                edges = block[:, [0, -1], :].real * np.sqrt(variance)
-                block *= np.sqrt(variance / 2.0)
-                block[:, [0, -1], :] = edges
-            for n in active:
-                spectrum = spectra[n][lo:lo + rows, :, None]
-                if static:
-                    block += spectrum * images[n]
-                else:
-                    _add_moving_image(block, spectrum, omega, images[n][lo:lo + rows])
+        # One scratch table per thread, allocated here (see on_two_threads).
+        tables = np.empty((2, _table_size(min(rows, t_count), f_count, m_count)),
+                          dtype=np.complex128)
+
+        def add_images(parity):
+            for k in range(parity, len(drawn), 2):
+                lo = k * rows
+                block = mixture[lo:lo + rows]
+                drawn[k].wait()
+                if noisy:
+                    # DC and Nyquist bins of a real signal carry no quadrature component.
+                    edges = block[:, [0, -1], :].real * np.sqrt(variance)
+                    block *= np.sqrt(variance / 2.0)
+                    block[:, [0, -1], :] = edges
+                for n in active:
+                    spectrum = spectra[n][lo:lo + rows, :, None]
+                    if static:
+                        block += np.multiply(spectrum, images[n],
+                                             out=_carve(tables[parity], block.shape)[0])
+                    else:
+                        _add_moving_image(block, spectrum, omega, images[n][lo:lo + rows],
+                                          tables[parity])
+
+        on_two_threads(add_images)
+        del tables  # before desired is stacked
     finally:
         noise.join()
 
@@ -468,29 +482,36 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
 
 def _draw_blocks(mixture, rows, rng, drawn):
     """Fill mixture (T, F, M) one block of rows frames at a time, in order, with
-    standard complex normal draws from rng, or zeros when rng is None, and
-    release drawn after each block. Successive draws into consecutive blocks
-    continue one stream, so the bytes do not depend on rows. If a draw fails,
-    every block left is released so that no waiter hangs."""
-    starts = range(0, mixture.shape[0], rows)
-    done = 0
+    standard complex normal draws from rng, or zeros when rng is None, and set
+    the event drawn[k] once block k is filled. Successive draws into
+    consecutive blocks continue one stream, so the bytes do not depend on rows.
+    If a draw fails, every event is set so that no waiter hangs."""
     try:
-        for lo in starts:
-            block = mixture[lo:lo + rows]
+        for k, ready in enumerate(drawn):
+            block = mixture[k * rows:(k + 1) * rows]
             if rng is None:
                 block.fill(0.0)
             else:
                 rng.standard_normal(out=block.view(np.float64).reshape(*block.shape, 2))
-            drawn.release()
-            done += 1
+            ready.set()
     finally:
-        for _ in starts[done:]:
-            drawn.release()
+        for ready in drawn:
+            ready.set()
 
 
-def _add_moving_image(block, spectrum, omega, tau):
+def _table_size(rows, f_count, m_count):
+    """Entries of the complex scratch _add_moving_image needs for a block of
+    rows frames; it also holds the block itself."""
+    width = min(_BIN_CHUNK, f_count)
+    chunks = -(-f_count // width)
+    return rows * m_count * (chunks * width + width + chunks)
+
+
+def _add_moving_image(block, spectrum, omega, tau, table):
     """block += spectrum * exp(1j * omega[None, :, None] * tau[:, None, :]) for a
-    block of frames: spectrum (Tb, F, 1), delays tau (Tb, M).
+    block of frames: spectrum (Tb, F, 1), delays tau (Tb, M). Every
+    intermediate is built in table, a flat complex scratch of at least
+    _table_size(Tb, F, M) entries.
 
     The bin grid is uniform (omega[lo + k] = omega[lo] + omega[k]), so the
     phases of each _BIN_CHUNK-wide chunk starting at bin lo are one shared
@@ -499,22 +520,31 @@ def _add_moving_image(block, spectrum, omega, tau):
     of F. The products differ from exact phases by the rounding of
     omega * tau (about 1e-14 on unit phasors at the default scene).
     """
-    f_count = omega.shape[0]
+    (tb, m_count), f_count = tau.shape, omega.shape[0]
     width = min(_BIN_CHUNK, f_count)
-    offsets = _unit_phasors(omega[None, :width, None] * tau[:, None, :])  # (Tb, W, M)
-    bases = _unit_phasors(omega[None, ::width, None] * tau[:, None, :])  # (Tb, C, M)
-    phases = np.multiply(offsets[:, None], bases[:, :, None])  # (Tb, C, W, M)
-    phases = phases.reshape(tau.shape[0], -1, tau.shape[1])[:, :f_count]
+    chunks = -(-f_count // width)
+    phases, offsets, bases = _carve(table, (tb, chunks, width, m_count), (tb, width, m_count),
+                                    (tb, chunks, m_count))
+    # The phase arguments go where the products will be, before they are.
+    args = phases.reshape(-1).view(np.float64)
+    for phasors, lo_bins in ((offsets, omega[:width]), (bases, omega[::width])):
+        arg = args[:phasors.size].reshape(phasors.shape)
+        np.multiply(lo_bins[None, :, None], tau[:, None, :], out=arg)
+        np.cos(arg, out=phasors.real)
+        np.sin(arg, out=phasors.imag)
+    np.multiply(offsets[:, None], bases[:, :, None], out=phases)
+    phases = phases.reshape(tb, -1, m_count)[:, :f_count]
     phases *= spectrum
     block += phases
 
 
-def _unit_phasors(phase):
-    """exp(1j * phase) for real phase, at half the cost of the complex exponential."""
-    out = np.empty(phase.shape, dtype=np.complex128)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    return out
+def _carve(flat, *shapes):
+    """Contiguous arrays of the given shapes, back to back from the start of flat."""
+    arrays, start = [], 0
+    for shape in shapes:
+        arrays.append(flat[start:start + math.prod(shape)].reshape(shape))
+        start += math.prod(shape)
+    return arrays
 
 
 def _frame_relative_positions(spec: SceneSpec, t_count: int, frame_rate: float,

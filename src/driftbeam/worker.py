@@ -1,4 +1,5 @@
-"""One extra thread for work whose result the caller needs only later.
+"""One extra thread for work whose result the caller needs only later, and
+one helper that splits a kernel's work across this thread and one more.
 
 Every caller joins its worker before it returns or raises, so no thread
 outlives the call that started it, and every output is written by one thread
@@ -31,3 +32,16 @@ class Worker:
         if error is not None:
             raise error
         return value
+
+
+def on_two_threads(fn):
+    """Run fn(1) on a Worker and fn(0) on this thread, and return when both
+    are done. An exception of either is re-raised here, the helper's if both
+    raise. fn(0) and fn(1) must write disjoint outputs and allocate nothing
+    large: the caller allocates their scratch, so the helper thread's own
+    malloc arena does not grow the process's memory."""
+    helper = Worker(fn, 1)
+    try:
+        fn(0)
+    finally:
+        helper.join()

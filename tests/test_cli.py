@@ -672,6 +672,22 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         assert f"[config] unknown config keys ['{key}']" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", " must hold a JSON object, got list"),
+        ('"x"', " must hold a JSON object, got str"),
+        ("null", " must hold a JSON object, got NoneType"),
+        ('{"seed": 1, ', ": Expecting property name enclosed in double quotes: "
+                         "line 1 column 13 (char 12)"),
+    ], ids=["list", "string", "null", "truncated"])
+    def test_config_file_that_is_no_object_names_its_path(self, tmp_path, capsys, text,
+                                                         message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "analyze"]) == 1
+        assert capsys.readouterr().err == f"error: [config] {path}{message}\n"
+        assert not out.exists()
+
     def test_training_missing_a_state_fails_dynamic_beamform(self, tmp_path, capsys):
         # One second of a 20 s sweep reaches only the first state.
         path = self.write_config(tmp_path, motion={**self.ROTATION, "period_s": 20.0})

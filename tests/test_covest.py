@@ -1,3 +1,5 @@
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -115,6 +117,56 @@ class TestOuterSumChunks:
                 monkeypatch.setattr(stft, "BLOCK_BYTES", budget)
                 sums, _ = covest._outer_sums(frames, labels, groups)
                 np.testing.assert_array_equal(sums.view(np.uint64), expected.view(np.uint64))
+
+
+class TestOuterSumThreads:
+    """This thread and a helper take alternate bin chunks; no cell depends on
+    the split."""
+
+    T, F, M = 60, 37, 3
+    # Four groups in runs of consecutive frames, group 3 in one run (read in
+    # place), and an empty fifth group.
+    LABELS = np.repeat([0, 1, 2, 1, 0, 3, 2], [8, 9, 7, 10, 6, 12, 8])
+
+    def frames(self):
+        parts = np.random.default_rng(11).standard_normal((2, self.T, self.F, self.M))
+        return parts[0] + 1j * parts[1]
+
+    def test_two_threads_equal_whole_group_products(self, monkeypatch):
+        # Chunks of two or three bins, 90 in all, each sum filled over NaN.
+        frames = self.frames()
+        expected = np.empty((5, self.F, self.M, self.M), dtype=np.complex128)
+        for group in range(5):
+            x = frames[self.LABELS == group].transpose(1, 2, 0)
+            np.matmul(x, x.conj().transpose(0, 2, 1), out=expected[group])
+        monkeypatch.setattr(stft, "BLOCK_BYTES", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                sums = np.full_like(expected, np.nan)
+                _, counts = covest._outer_sums(frames, self.LABELS, 5, out=sums)
+                np.testing.assert_array_equal(sums.view(np.uint64), expected.view(np.uint64))
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(counts, [14, 19, 15, 12, 0])
+
+    def test_failing_chunk_reraises_in_the_caller_and_leaves_no_thread(self, monkeypatch,
+                                                                       raised_within):
+        frames = self.frames()
+        matmul = np.matmul
+
+        def fail_on_the_helper(*args, **kwargs):
+            if threading.current_thread().name != "caller":
+                raise RuntimeError("injected failure")
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", fail_on_the_helper)
+        monkeypatch.setattr(stft, "BLOCK_BYTES", 1)
+        threads = threading.active_count()
+        error = raised_within(lambda: covest._outer_sums(frames, self.LABELS, 5))
+        assert isinstance(error, RuntimeError) and str(error) == "injected failure"
+        assert threading.active_count() == threads
 
 
 class TestTrain:

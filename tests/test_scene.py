@@ -507,6 +507,74 @@ class TestRenderBlocks:
             np.testing.assert_array_equal(frames.view(np.uint64), alone.view(np.uint64))
 
 
+MOTIONS = [
+    scene.MotionModel.static(),
+    scene.MotionModel.gaussian_jitter(0.004),
+    scene.MotionModel.rotation_sweep(-30.0, 30.0, period_s=0.5, state_count=3),
+]
+
+
+class TestRenderThreads:
+    """This thread adds the images of a render's even blocks and a helper
+    those of its odd blocks; no byte depends on the split."""
+
+    @pytest.mark.parametrize("noise_level_db", [-30.0, None], ids=["noisy", "noiseless"])
+    @pytest.mark.parametrize("motion", MOTIONS, ids=["static", "gaussian_jitter", "rotation_sweep"])
+    def test_two_threads_equal_one_thread(self, monkeypatch, motion, noise_level_db):
+        # The reference is the whole render as one block, with the helper's
+        # half run here as well: it has no block, so this thread adds every image.
+        spec = simple_spec(mic_count=3, azimuths=(30.0, 80.0, 120.0), motion=motion,
+                           noise_level_db=noise_level_db, pilot=scene.Pilot(7000.0))
+        with monkeypatch.context() as serial:
+            serial.setattr(scene, "on_two_threads", lambda add: [add(half) for half in (0, 1)])
+            serial.setattr(stft, "BLOCK_BYTES", 1 << 40)
+            reference = scene.render(spec, 2.0, CFG, FS, seed=4).mixture.frames
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for rows in (1, 2, 7):
+                monkeypatch.setattr(stft, "BLOCK_BYTES", rows * reference[0].nbytes)
+                split = scene.render(spec, 2.0, CFG, FS, seed=4).mixture.frames
+                np.testing.assert_array_equal(split.view(np.uint64), reference.view(np.uint64))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", ["helper image", "noise draw"])
+    def test_failure_reraises_in_the_caller_and_leaves_no_thread(self, monkeypatch, failing,
+                                                                  raised_within):
+        # An odd block's image fails on the helper, or the noise worker's
+        # second draw fails while both threads wait for their blocks.
+        spec = simple_spec(mic_count=3, motion=MOTIONS[2], pilot=scene.Pilot(7000.0))
+        if failing == "helper image":
+            add = scene._add_moving_image
+
+            def fail_on_the_helper(*args):
+                if threading.current_thread().name != "caller":
+                    raise RuntimeError("injected failure")
+                add(*args)
+
+            monkeypatch.setattr(scene, "_add_moving_image", fail_on_the_helper)
+        else:
+            default_rng = np.random.default_rng
+
+            class SecondDrawFails:
+                def __init__(self, seed):
+                    self.rng, self.draws = default_rng(seed), 0
+
+                def standard_normal(self, **kwargs):
+                    self.draws += 1
+                    if self.draws == 2:
+                        raise RuntimeError("injected failure")
+                    return self.rng.standard_normal(**kwargs)
+
+            monkeypatch.setattr(np.random, "default_rng", SecondDrawFails)
+        monkeypatch.setattr(stft, "BLOCK_BYTES", 3 * 129 * 3 * 16)  # 3 frames, many blocks
+        threads = threading.active_count()
+        error = raised_within(lambda: scene.render(spec, 2.0, CFG, FS, seed=4))
+        assert isinstance(error, RuntimeError) and str(error) == "injected failure"
+        assert threading.active_count() == threads
+
+
 class TestGeometry:
     def test_linear_positions_reference_at_origin(self):
         pos = scene.linear_positions(5, 0.1, reference=0)

@@ -92,8 +92,8 @@ MUTANTS = [
      [ACCEPTANCE + "test_c02_perturbed_covariance_monte_carlo",
       "tests/test_scene.py::TestRender::test_jitter_ensemble_matches_perturbation_model"]),
     ("static image added at half amplitude", "scene.py",
-     "                    block += spectrum * images[n]",
-     "                    block += 0.5 * spectrum * images[n]",
+     "                        block += np.multiply(spectrum, images[n],",
+     "                        block += 0.5 * np.multiply(spectrum, images[n],",
      [ACCEPTANCE + "test_c05_scalar_wiener_baseline",
       "tests/test_scene.py::TestRender::test_single_noiseless_source_mixture_equals_image"]),
     ("one jitter offset for every frame", "scene.py",
@@ -110,6 +110,14 @@ MUTANTS = [
      "        if not motion.jitter_reference:\n            offsets[:, ref, :] = 0.0\n", "",
      ["tests/test_scene.py::TestRender::test_jitter_reference_sets_which_pairs_decorrelate"
       "[False]"]),
+    ("the image helper fills the even blocks as well", "scene.py",
+     "            for k in range(parity, len(drawn), 2):",
+     "            for k in range(parity, len(drawn), 2 - parity):",
+     ["tests/test_scene.py::TestRenderThreads::test_two_threads_equal_one_thread"]),
+    ("the second sum thread skips its chunks", "covest.py",
+     "        for group, runs, bins in chunks[half::2]:",
+     "        for group, runs, bins in chunks[half::2] if half == 0 else ():",
+     ["tests/test_covest.py::TestOuterSumThreads::test_two_threads_equal_whole_group_products"]),
     ("unknown config keys ignored", "cli.py",
      "            unknown.add(dotted)", "            pass",
      ["tests/test_cli.py::TestConfig::test_unknown_keys_named_by_dotted_path",
