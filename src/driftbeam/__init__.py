@@ -8,8 +8,7 @@ erodes the spatial separability of sources across frequency.
 
 from .beamform import BeamformerBank, StarvedStateError, apply_bank, build, mwf_weights
 from .containers import load_bank, load_covariances, save_bank, save_covariances
-from .covest import (CovarianceSet, estimate_states, pilot_templates, sample_covariance, train,
-                     training_renders)
+from .covest import CovarianceSet, estimate_states, pilot_templates, train, training_renders
 from .covmath import (
     HermitianSpectrum,
     IllConditionedError,
@@ -69,7 +68,6 @@ __all__ = [
     "pilot_templates",
     "regularize",
     "render",
-    "sample_covariance",
     "save_bank",
     "save_covariances",
     "state_sequence",

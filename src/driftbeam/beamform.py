@@ -125,7 +125,8 @@ def build(covs: CovarianceSet, mode: str, reference: int = 0) -> BeamformerBank:
 
 def apply_bank(bank: BeamformerBank, mixture: SpectralFrameTensor,
                states: StateSequence | None = None) -> np.ndarray:
-    """Filter the mixture, returning source estimates of shape (T, F, N).
+    """Filter the mixture, returning source estimates of shape (T, F, N) in
+    the mixture's precision: each weight set used is cast to it once.
 
     A bank with one weight set (static, rank1, or the dynamic bank of a
     one-state scene) ignores the state argument; a dynamic bank with several
@@ -138,7 +139,7 @@ def apply_bank(bank: BeamformerBank, mixture: SpectralFrameTensor,
     if x.shape[2] != bank.mic_count:
         raise ValueError("mixture channel count does not match the beamformer bank")
     if len(bank.weights) == 1:
-        return _filter(bank.weights[0], x)
+        return _filter(bank.weights[0].astype(x.dtype, copy=False), x)
     if states is None:
         raise ValueError("a dynamic bank needs a state sequence to apply")
     if states.frame_count != x.shape[0]:
@@ -146,7 +147,7 @@ def apply_bank(bank: BeamformerBank, mixture: SpectralFrameTensor,
     missing = sorted(set(states.labels.tolist()) - set(range(len(bank.weights))))
     if missing:
         raise ValueError(f"no weights for states {missing}")
-    out = np.empty((x.shape[0], x.shape[1], bank.source_count), dtype=np.complex128)
+    out = np.empty((x.shape[0], x.shape[1], bank.source_count), dtype=x.dtype)
     # Each state's frames are gathered and filtered in order, a chunk of at
     # most one block at a time. BLAS may round a column differently by where
     # it falls in a product (whole tiles of up to 8 columns, then the rest),
@@ -155,17 +156,18 @@ def apply_bank(bank: BeamformerBank, mixture: SpectralFrameTensor,
     # it: every frame gets the bits of one product over all its state's frames.
     chunk = 8 * max(1, (block_length(x[0].nbytes) - 1) // 8)
     for state in np.unique(states.labels):
+        weights = bank.weights[int(state)].astype(x.dtype, copy=False)
         frames = np.flatnonzero(states.labels == state)
         starts = list(range(0, len(frames), chunk))
         if len(starts) > 1 and len(frames) - starts[-1] == 1:
             starts.pop()
         for a, b in zip(starts, starts[1:] + [len(frames)]):
             rows = frames[a:b]
-            out[rows] = _filter(bank.weights[int(state)], x[rows])
+            out[rows] = _filter(weights, x[rows])
     return out
 
 
 def _filter(weights, frames):
-    """Source estimates (T, F, N) of frames (T, F, M) under weights (F, N, M),
-    one batched zgemm over (F, N, M) x (F, M, T)."""
+    """Source estimates (T, F, N) of frames (T, F, M) under weights (F, N, M)
+    of the same precision, one batched cgemm or zgemm over (F, N, M) x (F, M, T)."""
     return (weights @ frames.transpose(1, 2, 0)).transpose(2, 0, 1)

@@ -100,9 +100,11 @@ class CovarianceSet:
 def _outer_sums(frames, labels, group_count, out=None):
     """Per-group sums (G, F, M, M) of x[t,f] x[t,f]^H over complex frames (T, F, M)
     labeled in [0, G) (into out when given; an empty group sums to zeros), one
-    zgemm batch per cache-sized bin chunk, and counts (G,). This thread and a
-    helper take alternate chunks; each chunk is one product over all of its
-    group's frames, so no sum depends on which thread made it."""
+    zgemm batch per cache-sized bin chunk, and counts (G,). Each chunk's runs of
+    consecutive frames are copied into complex128 scratch, so complex64 frames
+    are summed as their exact complex128 values. This thread and a helper take
+    alternate chunks; each chunk is one product over all of its group's frames,
+    so no sum depends on which thread made it."""
     counts = np.bincount(labels, minlength=group_count)
     _, f_count, m_count = frames.shape
     sums = np.empty((group_count, f_count, m_count, m_count), dtype=np.complex128) \
@@ -124,33 +126,16 @@ def _outer_sums(frames, labels, group_count, out=None):
         gathered, conjugated = scratch[half]
         for group, runs, bins in chunks[half::2]:
             shape = (counts[group], bins.stop - bins.start, m_count)
-            if len(runs) == 1:  # one run of frames is read in place
-                x = frames[runs[0, 0]:runs[0, 1], bins]
-            else:
-                x = gathered[:math.prod(shape)].reshape(shape)
-                filled = 0
-                for start, stop in runs.tolist():
-                    x[filled:filled + stop - start] = frames[start:stop, bins]
-                    filled += stop - start
+            x = gathered[:math.prod(shape)].reshape(shape)
+            filled = 0
+            for start, stop in runs.tolist():
+                x[filled:filled + stop - start] = frames[start:stop, bins]
+                filled += stop - start
             xh = np.conjugate(x, out=conjugated[:x.size].reshape(shape))
             np.matmul(x.transpose(1, 2, 0), xh.transpose(1, 0, 2), out=sums[group, bins])
 
     on_two_threads(add_chunks)
     return sums, counts
-
-
-def sample_covariance(frames) -> np.ndarray:
-    """Per-bin average of frame outer products: (1/T) sum_t x[t,f] x[t,f]^H.
-
-    frames: complex (T, F, M) with T >= 1.
-    """
-    frames = np.asarray(frames, dtype=np.complex128)
-    if frames.ndim != 3:
-        raise ValueError(f"frames must have shape (T, F, M), got {frames.shape}")
-    if frames.shape[0] == 0:
-        raise ValueError("cannot estimate a covariance from an empty frame subset")
-    sums, counts = _outer_sums(frames, np.zeros(frames.shape[0], dtype=np.int64), 1)
-    return sums[0] / counts[0]
 
 
 def training_renders(spec: SceneSpec, duration_s: float, cfg: StftConfig, sample_rate: float,
@@ -174,7 +159,8 @@ def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
     labels; each is reduced to its sums in the cell tensor and dropped
     before the next is drawn.
     noise_render: a render with no active sources; its scene's source count,
-    its states and bins size that (N, S, F, M, M) tensor up front.
+    its states and bins size that (N, S, F, M, M) tensor up front, and the
+    noise covariance is the mean outer product of all of its frames.
     """
     if noise_render.active_sources:
         raise ValueError("the noise render must have no active sources")
@@ -204,8 +190,10 @@ def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
     if sorted(indices) != list(range(source_count)):
         raise ValueError(f"source renders must cover sources 0..N-1 of the noise render's "
                          f"scene (N = {source_count}), got {indices}")
-    return CovarianceSet(cells, counts, sample_covariance(noise_render.mixture.frames),
-                         noise_render.mixture.bin_omega)
+    noise = noise_render.mixture
+    sums, (count,) = _outer_sums(noise.frames, np.zeros(noise.frame_count, dtype=np.int64), 1)
+    sums /= count
+    return CovarianceSet(cells, counts, sums[0], noise.bin_omega)
 
 
 def pilot_templates(covs: CovarianceSet, pilot_bins) -> np.ndarray:
@@ -233,17 +221,17 @@ def estimate_states(mixture: SpectralFrameTensor, templates, pilot_bins,
 
     templates (S, B, M, M) holds state s's covariance at each of the B
     mixture bins pilot_bins (see pilot_templates). Each frame's pilot-bin
-    outer product, averaged over +-smoothing frames and diagonally loaded, is
-    compared against every diagonally loaded state template R_s: the state
-    with the smallest total Gaussian divergence over the pilot bins wins, ties
-    going to the lower state index. The score is
+    outer product, taken in complex128, averaged over +-smoothing frames and
+    diagonally loaded, is compared against every diagonally loaded state
+    template R_s: the state with the smallest total Gaussian divergence over
+    the pilot bins wins, ties going to the lower state index. The score is
     sum_bins [tr(R_s^-1 R_t) + log det R_s], which is twice that divergence
     plus sum_bins [M + log det R_t], a term every state shares, so no
     snapshot R_t is decomposed.
     """
     if pilot_bins is None or len(templates) == 0:
         raise ValueError("state estimation requires pilot templates (pilot disabled?)")
-    x = mixture.frames[:, list(pilot_bins), :]  # (T, B, M)
+    x = mixture.frames[:, list(pilot_bins), :].astype(np.complex128, copy=False)  # (T, B, M)
     inst = np.einsum("tbm,tbn->tbmn", x, x.conj())
     # Mean over frames t-smoothing..t+smoothing, clipped to the frame range,
     # as a difference of cumulative sums, built in place.

@@ -74,7 +74,8 @@ def gain(outputs, mixture_ref, desired, frequencies_hz) -> GainReport:
     if outputs.shape[2] < 1:
         raise ValueError("at least one source is required")
 
-    # Running (F, N) sums over cache-sized blocks, frame after frame like np.sum(axis=0).
+    # Running float64 (F, N) sums over cache-sized blocks, frame after frame like
+    # np.sum(axis=0); complex64 inputs give float32 squared errors, added as float64.
     num, den = np.zeros((2, *outputs.shape[1:]))
     rows = block_length(outputs[:1].nbytes)
     for lo in range(0, len(outputs), rows):

@@ -250,7 +250,8 @@ class RenderedScene:
     those additive parts are not stored. A render with noise_level_db=None and
     one active source n is exactly source n's image. `desired` holds each
     active source as observed at the reference microphone, shape
-    (T, F, n_active); source_count counts all of the scene's sources.
+    (T, F, n_active); source_count counts all of the scene's sources. Both
+    arrays are complex64 (see render).
     """
 
     mixture: SpectralFrameTensor
@@ -359,8 +360,12 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     each at most once). When the scene has noise, inactive sources still
     define its power reference, so renders with different active sets share
     one noise level; a noiseless render transforms only its active sources.
-    Each element of the mixture is its noise (zero without noise) plus the
-    images in active order, added in that order, whatever the block length.
+    The mixture and desired are complex64. Each element of the mixture is its
+    noise (zero without noise) plus the images in active order, added in that
+    order in complex128, whatever the block length, and rounded once. The
+    noise is the noise stream's standard complex normal draws rounded to
+    complex64, then scaled; an image is its source's column of desired times
+    the steering phases.
     """
     n_samples = int(round(duration_s * sample_rate))
     if n_samples < cfg.fft_size:
@@ -390,44 +395,49 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     pilots = pilot_bins(spec.pilot, spec.source_count, cfg, sample_rate)
 
     # One cache-sized block of frames at a time, adding in the order that fixes
-    # the bytes. A worker draws each block's noise (or zeros it) ahead of this
-    # thread, which meanwhile transforms the sources. Then this thread and a
-    # helper each wait for their own blocks (even and odd) in turn, to scale
-    # them and add the images. Each block has its own event, so a thread waits
-    # only for the blocks it adds to.
+    # the bytes. With noise, a worker draws each block's noise from the render's
+    # one stream ahead of this thread, which meanwhile transforms the sources,
+    # and rounds it into the mixture. Then this thread and a helper each take
+    # their own blocks (even and odd) in turn: a block is read into the
+    # thread's complex128 scratch (zeros without noise), its noise scaled and
+    # the images added there, and the sum rounded into the mixture once. Each
+    # block has its own event, so a thread waits only for the blocks it adds to.
     noisy = spec.noise_level_db is not None
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM,))) \
-        if noisy else None
-    mixture = np.empty((t_count, f_count, m_count), dtype=np.complex128)
-    rows = block_length(mixture[0].nbytes)
-    drawn = [threading.Event() for _ in range(0, t_count, rows)]
-    noise = Worker(_draw_blocks, mixture, rows, rng, drawn)
+    mixture = np.empty((t_count, f_count, m_count), dtype=np.complex64)
+    rows = min(block_length(f_count * m_count * 16), t_count)
+    starts = range(0, t_count, rows)
+    drawn = [threading.Event() for _ in starts]
+    noise = None
+    if noisy:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM,)))
+        # The worker's scratch is allocated here (see on_two_threads) and freed
+        # when its thread ends.
+        noise = Worker(_draw_blocks, mixture, np.empty((rows, f_count, m_count), np.complex128),
+                       rng, drawn)
     try:
-        # Reference-channel spectra (T, F) of the active sources. With noise,
-        # every configured source is transformed, in order, for the noise
-        # power reference, taken before pilot injection so renders with
-        # different active sets share one noise level.
-        spectra = {}
+        # Reference-channel spectra (T, F) of the active sources, one at a time:
+        # with pilot tones injected, so that images, mixture and desired signals
+        # all carry them, each is rounded into its column of desired, which the
+        # image adds read. With noise, every configured source is transformed,
+        # in order, for the noise power reference, taken before pilot injection
+        # so renders with different active sets share one noise level.
+        desired = np.empty((t_count, f_count, len(active)), dtype=np.complex64)
         powers = []
         for n in range(spec.source_count) if noisy else active:
             spectrum = analyze(spec.sources[n].signal[:n_samples], cfg, sample_rate).frames[:, :, 0]
             if noisy:
                 powers.append(np.mean(np.abs(spectrum) ** 2))
             if n in active:
-                spectra[n] = spectrum
+                if pilots is not None:
+                    power = np.mean(np.sum(np.abs(spectrum) ** 2, axis=1))
+                    amp = np.sqrt(power * 10.0 ** (spec.pilot.level_db / 10.0))
+                    digital = 2.0 * np.pi * pilots[n] / cfg.fft_size
+                    frame_advance = np.arange(t_count) * cfg.hop
+                    spectrum[:, pilots[n]] += amp * np.exp(1j * digital * frame_advance)
+                desired[:, :, active.index(n)] = spectrum
+            del spectrum  # before the next source is transformed
         if noisy:
             variance = float(np.mean(powers)) * 10.0 ** (spec.noise_level_db / 10.0)
-
-        # Inject pilot tones into the reference spectra so that images, mixture
-        # and desired signals all carry them consistently.
-        if pilots is not None:
-            frame_advance = np.arange(t_count)[:, None] * cfg.hop
-            for n in active:
-                power = np.mean(np.sum(np.abs(spectra[n]) ** 2, axis=1))
-                amp = np.sqrt(power * 10.0 ** (spec.pilot.level_db / 10.0))
-                digital = 2.0 * np.pi * pilots[n] / cfg.fft_size
-                tone = amp * np.exp(1j * digital * frame_advance[:, 0])
-                spectra[n][:, pilots[n]] += tone
 
         frame_rel = _frame_relative_positions(
             spec, t_count, sample_rate / cfg.hop, seed
@@ -435,41 +445,44 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
         static = frame_rel is None
         pose = spec.geometry.positions
         positions = pose - pose[spec.geometry.reference] if static else frame_rel
-        images = {}  # per active source: (F, M) phases if static, (T, M) delays if moving
+        images = []  # per active source: (F, M) phases if static, (T, M) delays if moving
         for n in active:
             tau = propagation_delays(positions, spec.sources[n].azimuth_deg, spec.speed_of_sound)
-            images[n] = np.exp(1j * omega[:, None] * tau[None, :]) if static else tau
+            images.append(np.exp(1j * omega[:, None] * tau[None, :]) if static else tau)
 
-        # One scratch table per thread, allocated here (see on_two_threads).
-        tables = np.empty((2, _table_size(min(rows, t_count), f_count, m_count)),
-                          dtype=np.complex128)
+        # One scratch per thread, allocated here (see on_two_threads): a block
+        # and the table the image kernels build in.
+        table_size = _table_size(rows, f_count, m_count)
+        scratch = np.empty((2, rows * f_count * m_count + table_size), dtype=np.complex128)
 
         def add_images(parity):
-            for k in range(parity, len(drawn), 2):
-                lo = k * rows
-                block = mixture[lo:lo + rows]
-                drawn[k].wait()
+            whole, table = _carve(scratch[parity], (rows, f_count, m_count), (table_size,))
+            for k in range(parity, len(starts), 2):
+                lo = starts[k]
+                out = mixture[lo:lo + rows]
+                block = whole[:len(out)]
                 if noisy:
+                    drawn[k].wait()
+                    block[...] = out
                     # DC and Nyquist bins of a real signal carry no quadrature component.
                     edges = block[:, [0, -1], :].real * np.sqrt(variance)
                     block *= np.sqrt(variance / 2.0)
                     block[:, [0, -1], :] = edges
-                for n in active:
-                    spectrum = spectra[n][lo:lo + rows, :, None]
+                else:
+                    block.fill(0.0)
+                for col, image in enumerate(images):
+                    spectrum = desired[lo:lo + rows, :, col, None]
                     if static:
-                        block += np.multiply(spectrum, images[n],
-                                             out=_carve(tables[parity], block.shape)[0])
+                        block += np.multiply(spectrum, image, out=_carve(table, block.shape)[0])
                     else:
-                        _add_moving_image(block, spectrum, omega, images[n][lo:lo + rows],
-                                          tables[parity])
+                        _add_moving_image(block, spectrum, omega, image[lo:lo + rows], table)
+                out[...] = block
 
         on_two_threads(add_images)
-        del tables  # before desired is stacked
     finally:
-        noise.join()
+        if noise is not None:
+            noise.join()
 
-    desired = np.stack([spectra[n] for n in active], axis=-1) if active else \
-        np.zeros((t_count, f_count, 0), dtype=np.complex128)
     return RenderedScene(
         mixture=SpectralFrameTensor(mixture, sample_rate, cfg.fft_size, cfg.hop),
         truth_states=states,
@@ -480,23 +493,26 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     )
 
 
-def _draw_blocks(mixture, rows, rng, drawn):
-    """Fill mixture (T, F, M) one block of rows frames at a time, in order, with
-    standard complex normal draws from rng, or zeros when rng is None, and set
-    the event drawn[k] once block k is filled. Successive draws into
-    consecutive blocks continue one stream, so the bytes do not depend on rows.
-    If a draw fails, every event is set so that no waiter hangs."""
+def _draw_blocks(mixture, draws, rng, drawn):
+    """Fill mixture (T, F, M) one block of len(draws) frames at a time, in order,
+    with standard complex normal draws from rng, made in the complex128 scratch
+    draws and rounded into the mixture, and set the event drawn[k] once block k
+    is filled. Successive draws into consecutive blocks continue one stream, so
+    the bytes do not depend on the block length. If a draw fails, every block
+    not yet filled is zeroed and its event set, so that no waiter hangs or
+    reads uninitialized memory."""
     try:
         for k, ready in enumerate(drawn):
-            block = mixture[k * rows:(k + 1) * rows]
-            if rng is None:
-                block.fill(0.0)
-            else:
-                rng.standard_normal(out=block.view(np.float64).reshape(*block.shape, 2))
+            out = mixture[k * len(draws):(k + 1) * len(draws)]
+            block = draws[:len(out)]
+            rng.standard_normal(out=block.view(np.float64).reshape(*block.shape, 2))
+            out[...] = block
             ready.set()
     finally:
-        for ready in drawn:
-            ready.set()
+        for k, ready in enumerate(drawn):
+            if not ready.is_set():
+                mixture[k * len(draws):(k + 1) * len(draws)] = 0.0
+                ready.set()
 
 
 def _table_size(rows, f_count, m_count):

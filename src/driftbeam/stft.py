@@ -64,7 +64,8 @@ class SpectralFrameTensor:
     """Dense complex STFT coefficients indexed (frame, bin, channel).
 
     Attributes:
-        frames: complex array of shape (T, F, M)
+        frames: complex array of shape (T, F, M); complex64 and complex128
+            frames are kept as given, anything else becomes complex128
         sample_rate: Hz
         fft_size, hop: transform parameters in samples
     """
@@ -75,7 +76,9 @@ class SpectralFrameTensor:
     hop: int
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.complex128)
+        frames = np.asarray(self.frames)
+        if frames.dtype != np.complex64:
+            frames = frames.astype(np.complex128, copy=False)
         if frames.ndim != 3:
             raise ValueError(f"frames must have shape (T, F, M), got {frames.shape}")
         if frames.shape[1] != self.fft_size // 2 + 1:
@@ -135,6 +138,7 @@ def analyze(signal, cfg: StftConfig, sample_rate: float = DEFAULT_SAMPLE_RATE) -
 
 def synthesize(tensor: SpectralFrameTensor, cfg: StftConfig) -> np.ndarray:
     """Overlap-add resynthesis; returns a real array of shape (samples, M).
+    Complex64 frames are inverted in single precision and overlap-added in double.
 
     The first and last fft_size samples lack full window overlap and are not
     exactly reconstructed; the interior is, for any valid configuration.

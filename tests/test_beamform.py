@@ -172,6 +172,36 @@ def dynamic_case():
     return bank, mixture, scene.StateSequence(labels, len(counts))
 
 
+def as_complex64(mixture):
+    return SpectralFrameTensor(mixture.frames.astype(np.complex64), mixture.sample_rate,
+                               mixture.fft_size, mixture.hop)
+
+
+def assert_one_product_per_state(bank, mixture, states):
+    """apply_bank's estimates equal, bit for bit, one product over all of each
+    state's frames by its weights in the frames' precision."""
+    x = mixture.frames
+    expected = np.empty((x.shape[0], x.shape[1], bank.source_count), dtype=x.dtype)
+    for state in range(states.state_count):
+        rows = np.flatnonzero(states.labels == state)
+        weights = bank.weights[state].astype(x.dtype)
+        expected[rows] = (weights @ x[rows].transpose(1, 2, 0)).transpose(2, 0, 1)
+    got = apply_bank(bank, mixture, states)
+    assert got.dtype == x.dtype
+    np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8))
+
+
+def traced_apply(bank, mixture, states):
+    """apply_bank's estimates and the peak of the memory it allocates."""
+    tracemalloc.start()
+    try:
+        out = apply_bank(bank, mixture, states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 class TestApply:
     def test_identity_bank_passthrough(self):
         rng = np.random.default_rng(3)
@@ -264,28 +294,30 @@ class TestApply:
     def test_dynamic_bank_bytes_equal_one_product_per_state(self, dynamic_case):
         # Chunked filtering gives every frame the bits of one product over all
         # of its state's frames, with state counts that leave lone last frames.
+        assert_one_product_per_state(*dynamic_case)
+
+    def test_complex64_dynamic_bank_bytes_equal_one_product_per_state(self, dynamic_case):
+        # Complex64 frames are filtered by each state's weights rounded to complex64.
         bank, mixture, states = dynamic_case
-        x = mixture.frames
-        expected = np.empty((x.shape[0], x.shape[1], bank.source_count), dtype=np.complex128)
-        for state in range(states.state_count):
-            rows = np.flatnonzero(states.labels == state)
-            expected[rows] = (bank.weights[state] @ x[rows].transpose(1, 2, 0)).transpose(2, 0, 1)
-        got = apply_bank(bank, mixture, states)
-        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert_one_product_per_state(bank, as_complex64(mixture), states)
 
     def test_dynamic_bank_holds_one_block_beyond_its_output(self, dynamic_case):
         # Frames are gathered and filtered a block at a time, so the peak above
         # the call's start is its output plus one block of frames and that
         # block's estimates (N/M of a block), whatever the frame count.
         bank, mixture, states = dynamic_case
-        tracemalloc.start()
-        try:
-            out = apply_bank(bank, mixture, states)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_apply(bank, mixture, states)
         n, m = bank.source_count, bank.mic_count
         assert peak <= out.nbytes + stft.BLOCK_BYTES + stft.BLOCK_BYTES * n // m
+
+    def test_complex64_dynamic_bank_holds_one_block_beyond_its_output(self, dynamic_case):
+        # As above, plus one state's weights cast to complex64 at a time.
+        bank, mixture, states = dynamic_case
+        out, peak = traced_apply(bank, as_complex64(mixture), states)
+        assert out.dtype == np.complex64
+        n, m = bank.source_count, bank.mic_count
+        cast = bank.weights[0].astype(np.complex64).nbytes
+        assert peak <= out.nbytes + stft.BLOCK_BYTES + stft.BLOCK_BYTES * n // m + cast
 
     def test_mmse_optimality_against_perturbed_weights(self):
         # With exact model covariances no perturbed weight matrix reaches a

@@ -35,40 +35,6 @@ def training_renders(spec, duration):
     return covest.training_renders(spec, duration, CFG, FS, seed=100)
 
 
-class TestSampleCovariance:
-    def test_single_frame_is_outer_product(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((1, 5, 3)) + 1j * rng.standard_normal((1, 5, 3))
-        cov = covest.sample_covariance(x)
-        for f in range(5):
-            np.testing.assert_allclose(cov[f], np.outer(x[0, f], x[0, f].conj()),
-                                       atol=1e-14)
-
-    def test_white_noise_converges_to_identity(self):
-        rng = np.random.default_rng(1)
-        t, m = 100_000, 4
-        x = (rng.standard_normal((t, 1, m)) + 1j * rng.standard_normal((t, 1, m)))
-        x /= np.sqrt(2.0)
-        cov = covest.sample_covariance(x)
-        se = 1.0 / np.sqrt(t)
-        assert np.abs(cov[0] - np.eye(m)).max() < 3.0 * se
-
-    def test_static_source_principal_eigenvector_matches_steering(self):
-        spec = build_spec(azimuths=(80.0,), noise_level_db=-40.0, duration=4.0)
-        rendered = scene.render(spec, 4.0, CFG, FS, seed=2)
-        cov = covest.sample_covariance(rendered.mixture.frames)
-        rel = spec.geometry.positions - spec.geometry.positions[0]
-        for f in (20, 60, 100):
-            sv = np.exp(1j * rendered.mixture.bin_omega[f] * scene.propagation_delays(rel, 80.0))
-            principal = np.linalg.eigh(cov[f])[1][:, -1]
-            cosine = np.abs(np.vdot(sv, principal)) / np.linalg.norm(sv)
-            assert cosine > 0.999
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            covest.sample_covariance(np.zeros((0, 4, 2), complex))
-
-
 @st.composite
 def labeled_frames(draw):
     """Complex (T, F, M) frames with labels drawn from [0, G)."""
@@ -95,6 +61,29 @@ class TestOuterSums:
         np.testing.assert_array_equal(counts, np.bincount(labels, minlength=groups))
         scale = max(np.abs(frames).max() ** 2, 1.0)
         np.testing.assert_allclose(sums, expected, rtol=0, atol=1e-12 * scale * len(labels))
+
+
+    def test_single_frame_is_outer_product(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, 5, 3)) + 1j * rng.standard_normal((1, 5, 3))
+        sums, counts = covest._outer_sums(x, np.zeros(1, dtype=np.int64), 1)
+        assert counts.tolist() == [1]
+        for f in range(5):
+            np.testing.assert_allclose(sums[0, f], np.outer(x[0, f], x[0, f].conj()),
+                                       atol=1e-14)
+
+    def test_static_source_principal_eigenvector_matches_steering(self):
+        spec = build_spec(azimuths=(80.0,), noise_level_db=-40.0, duration=4.0)
+        rendered = scene.render(spec, 4.0, CFG, FS, seed=2)
+        frames = rendered.mixture.frames
+        sums, counts = covest._outer_sums(frames, np.zeros(len(frames), dtype=np.int64), 1)
+        cov = sums[0] / counts[0]
+        rel = spec.geometry.positions - spec.geometry.positions[0]
+        for f in (20, 60, 100):
+            sv = np.exp(1j * rendered.mixture.bin_omega[f] * scene.propagation_delays(rel, 80.0))
+            principal = np.linalg.eigh(cov[f])[1][:, -1]
+            cosine = np.abs(np.vdot(sv, principal)) / np.linalg.norm(sv)
+            assert cosine > 0.999
 
 
 class TestOuterSumChunks:
@@ -124,8 +113,8 @@ class TestOuterSumThreads:
     the split."""
 
     T, F, M = 60, 37, 3
-    # Four groups in runs of consecutive frames, group 3 in one run (read in
-    # place), and an empty fifth group.
+    # Four groups in runs of consecutive frames, group 3 in one run, and an
+    # empty fifth group.
     LABELS = np.repeat([0, 1, 2, 1, 0, 3, 2], [8, 9, 7, 10, 6, 12, 8])
 
     def frames(self):
@@ -150,6 +139,18 @@ class TestOuterSumThreads:
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(counts, [14, 19, 15, 12, 0])
+
+    def test_complex64_frames_sum_as_their_complex128_values(self):
+        # Every chunk is upcast into the complex128 scratch before its product:
+        # group 3 lies in one run of frames, the others are gathered from several.
+        frames = self.frames().astype(np.complex64)
+        upcast = frames.astype(np.complex128)
+        expected = np.empty((5, self.F, self.M, self.M), dtype=np.complex128)
+        for group in range(5):
+            x = upcast[self.LABELS == group].transpose(1, 2, 0)
+            np.matmul(x, x.conj().transpose(0, 2, 1), out=expected[group])
+        sums, _ = covest._outer_sums(frames, self.LABELS, 5)
+        np.testing.assert_array_equal(sums.view(np.uint64), expected.view(np.uint64))
 
     def test_failing_chunk_reraises_in_the_caller_and_leaves_no_thread(self, monkeypatch,
                                                                        raised_within):
@@ -202,8 +203,9 @@ class TestTrain:
         frames = rendered.mixture.frames
         half = frames.shape[0] // 2
         omega = rendered.mixture.bin_omega
-        first = covest.sample_covariance(frames[:half])
-        second = covest.sample_covariance(frames[half:2 * half])
+        # Groups 0 and 1 are the halves; an odd last frame is group 2.
+        sums, counts = covest._outer_sums(frames, np.arange(len(frames)) // half, 3)
+        first, second = sums[0] / counts[0], sums[1] / counts[1]
         hz = omega / (2.0 * np.pi)
         low = hz < 2000.0
         for f in np.flatnonzero(low):
@@ -212,6 +214,19 @@ class TestTrain:
                 covmath.regularize(second[f], 1e-3),
             )
             assert d < 0.1
+
+    def test_noise_covariance_is_the_noise_level_times_identity(self):
+        # The source-free render's frames are the noise stream's draws at the
+        # scene's noise level, in every bin: their bin-averaged covariance is
+        # that level times the identity, within three standard errors.
+        spec = build_spec(duration=10.0)
+        covs = covest.train(*training_renders(spec, 10.0))
+        powers = [np.mean(np.abs(analyze(src.signal, CFG, FS).frames[:, :, 0]) ** 2)
+                  for src in spec.sources]
+        variance = float(np.mean(powers)) * 10.0 ** (spec.noise_level_db / 10.0)
+        t, f, m = covs.frame_counts[0, 0], len(covs.frequencies), covs.mic_count
+        se = 1.0 / np.sqrt(t * f)
+        assert np.abs(covs.noise.mean(axis=0) / variance - np.eye(m)).max() < 3.0 * se
 
     def test_jitter_state_cell_is_the_ensemble(self):
         motion = scene.MotionModel.gaussian_jitter(0.004)
@@ -241,8 +256,9 @@ class TestTrain:
 def static_cli_training(tmp_path, azimuths):
     """The CLI's training set for a static 4-mic scene at -30 dB noise, without
     pilot tones, with each source's exact image covariance: the frame mean of
-    |S_n[t,f]|^2 a a^H, S_n the source's reference spectrum and a its
-    steering vector."""
+    x x^H over its image frames x = S_n[t,f] a, S_n the source's reference
+    spectrum and a its steering vector, with S_n and each x rounded to
+    complex64 as the render rounds them."""
     config = cli.load_config(None, {
         "seed": 9, "out_dir": str(tmp_path),
         "stft": {"fft_size": 256, "hop": 128},
@@ -261,9 +277,10 @@ def static_cli_training(tmp_path, azimuths):
     for source in spec.sources:
         spectrum = analyze(source.signal, cli._stft_config(config),
                            config["sample_rate"]).frames[:, :, 0]
-        power = np.mean(np.abs(spectrum) ** 2, axis=0)  # (F,)
         a = np.exp(1j * omega[:, None] * scene.propagation_delays(rel, source.azimuth_deg))
-        exact.append(power[:, None, None] * a[:, :, None] * a[:, None, :].conj())
+        image = (spectrum.astype(np.complex64)[:, :, None] * a).astype(np.complex64)
+        exact.append(np.einsum("tfm,tfn->fmn", image.astype(np.complex128),
+                               image.conj().astype(np.complex128)) / len(image))
     return covs, exact
 
 

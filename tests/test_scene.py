@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,15 +31,59 @@ def simple_spec(mic_count=4, azimuths=(30.0, 120.0), duration=2.0,
     )
 
 
+def noise_part(spec, duration, seed):
+    """The complex128 noise that render(spec, duration, seed=seed) adds its
+    images to: one whole-array draw from the render's noise stream, rounded to
+    complex64 and scaled to the scene's noise level."""
+    samples = int(round(duration * FS))
+    t_count = (samples - CFG.fft_size) // CFG.hop + 1
+    powers = [np.mean(np.abs(stft.analyze(src.signal[:samples], CFG, FS).frames[:, :, 0]) ** 2)
+              for src in spec.sources]
+    variance = float(np.mean(powers)) * 10.0 ** (spec.noise_level_db / 10.0)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(scene._NOISE_STREAM,)))
+    draws = rng.standard_normal((t_count, CFG.bin_count, spec.geometry.mic_count, 2))
+    noise = draws.view(np.complex128)[..., 0].astype(np.complex64).astype(np.complex128)
+    edges = noise[:, [0, -1], :].real * np.sqrt(variance)
+    noise *= np.sqrt(variance / 2.0)
+    noise[:, [0, -1], :] = edges
+    return noise
+
+
+def image_part(spec, rendered, seed):
+    """The complex128 image of the one active source of a render of spec at
+    seed: its complex64 desired column times the steering phases, exact for a
+    static array and from the render's phase kernel for a moving one."""
+    (n,) = rendered.active_sources
+    spectrum = rendered.desired
+    t_count, f_count, _ = spectrum.shape
+    omega = rendered.mixture.bin_omega
+    rel = scene._frame_relative_positions(spec, t_count, FS / CFG.hop, seed)
+    if rel is None:
+        pose = spec.geometry.positions
+        tau = scene.propagation_delays(pose - pose[spec.geometry.reference],
+                                       spec.sources[n].azimuth_deg)
+        return spectrum * np.exp(1j * omega[:, None] * tau[None, :])
+    tau = scene.propagation_delays(rel, spec.sources[n].azimuth_deg)
+    image = np.zeros((t_count, f_count, tau.shape[1]), dtype=np.complex128)
+    table = np.empty(scene._table_size(t_count, f_count, tau.shape[1]), dtype=np.complex128)
+    scene._add_moving_image(image, spectrum, omega, tau, table)
+    return image
+
+
 def isolated_parts(spec, duration, seed):
-    """Each source's image and the noise of render(spec, duration, seed=seed),
-    from isolated renders: noiseless with one source active, and source-free."""
+    """The complex128 parts that render(spec, duration, seed=seed) adds before
+    it rounds the mixture: each source's image and the noise. Each part rounds
+    to the mixture of an isolated render: noiseless with one source active, or
+    source-free."""
     noiseless = dataclasses.replace(spec, noise_level_db=None)
-    images = [
-        scene.render(noiseless, duration, CFG, FS, seed=seed, active_sources=[n]).mixture.frames
-        for n in range(spec.source_count)
-    ]
-    noise = scene.render(spec, duration, CFG, FS, seed=seed, active_sources=[]).mixture.frames
+    images = []
+    for n in range(spec.source_count):
+        alone = scene.render(noiseless, duration, CFG, FS, seed=seed, active_sources=[n])
+        images.append(image_part(spec, alone, seed))
+        np.testing.assert_array_equal(alone.mixture.frames, images[-1].astype(np.complex64))
+    noise = noise_part(spec, duration, seed)
+    quiet = scene.render(spec, duration, CFG, FS, seed=seed, active_sources=[]).mixture.frames
+    np.testing.assert_array_equal(quiet, noise.astype(np.complex64))
     return images, noise
 
 
@@ -117,7 +162,8 @@ class TestRender:
         rendered = scene.render(spec, 2.0, CFG, FS, seed=1)
         images, noise = isolated_parts(spec, 2.0, seed=1)
         # Noise first, then the images in source order: the render's own order.
-        np.testing.assert_array_equal(rendered.mixture.frames, noise + images[0] + images[1])
+        np.testing.assert_array_equal(rendered.mixture.frames,
+                                      (noise + images[0] + images[1]).astype(np.complex64))
 
     def test_deterministic_under_seed(self):
         spec = simple_spec(motion=scene.MotionModel.gaussian_jitter(0.003))
@@ -152,7 +198,7 @@ class TestRender:
         tau = scene.propagation_delays(rel, 60.0)
         phases = np.exp(1j * rendered.mixture.bin_omega[:, None] * tau[None, :])
         image = rendered.desired[:, :, :1] * phases[None, :, :]
-        np.testing.assert_array_equal(rendered.mixture.frames, image)
+        np.testing.assert_array_equal(rendered.mixture.frames, image.astype(np.complex64))
         np.testing.assert_array_equal(
             rendered.desired[:, :, 0], rendered.mixture.frames[:, :, 0]
         )
@@ -206,7 +252,8 @@ class TestRender:
         assert rendered.desired.shape[-1] == 5
         images, noise = isolated_parts(spec, 1.0, seed=5)
         assert [image.shape[-1] for image in images] == [12] * 5
-        np.testing.assert_array_equal(rendered.mixture.frames, sum(images, noise))
+        np.testing.assert_array_equal(rendered.mixture.frames,
+                                      sum(images, noise).astype(np.complex64))
 
     def test_active_sources_subset(self):
         spec = simple_spec()
@@ -214,15 +261,17 @@ class TestRender:
         assert rendered.active_sources == (1,)
         assert rendered.desired.shape[-1] == 1
         images, noise = isolated_parts(spec, 1.0, seed=6)
-        np.testing.assert_array_equal(rendered.mixture.frames, noise + images[1])
+        np.testing.assert_array_equal(rendered.mixture.frames,
+                                      (noise + images[1]).astype(np.complex64))
 
     def test_noise_level_shared_across_active_sets(self):
         spec = simple_spec()
         full = scene.render(spec, 1.0, CFG, FS, seed=7)
         first = scene.render(spec, 1.0, CFG, FS, seed=7, active_sources=[0])
         images, noise = isolated_parts(spec, 1.0, seed=7)
-        np.testing.assert_array_equal(full.mixture.frames, noise + images[0] + images[1])
-        np.testing.assert_array_equal(first.mixture.frames, noise + images[0])
+        np.testing.assert_array_equal(full.mixture.frames,
+                                      (noise + images[0] + images[1]).astype(np.complex64))
+        np.testing.assert_array_equal(first.mixture.frames, (noise + images[0]).astype(np.complex64))
 
     @pytest.mark.parametrize("active", [[0, 0], [1, 0, 1]], ids=["pair", "among_others"])
     def test_duplicate_active_sources_rejected(self, active):
@@ -242,17 +291,15 @@ class TestRender:
         scene.MotionModel.rotation_sweep(-30.0, 30.0, period_s=0.5, state_count=3),
     ], ids=["static", "gaussian_jitter", "rotation_sweep"])
     def test_noise_does_not_depend_on_the_active_set(self, motion):
-        # A noisy render minus its source-free render is the noiseless render:
-        # noise level and noise stream are the same whatever is active.
+        # A noisy render is the noise of its source-free render plus the image
+        # of its noiseless render: noise level and noise stream are the same
+        # whatever is active.
         spec = simple_spec(azimuths=(30.0, 80.0, 120.0), motion=motion)
-        noise = scene.render(spec, 1.0, CFG, FS, seed=12, active_sources=[]).mixture.frames
-        noiseless = dataclasses.replace(spec, noise_level_db=None)
+        images, noise = isolated_parts(spec, 1.0, seed=12)
         for n in range(3):
             noisy = scene.render(spec, 1.0, CFG, FS, seed=12, active_sources=[n])
-            image = scene.render(noiseless, 1.0, CFG, FS, seed=12, active_sources=[n])
-            peak = np.abs(image.mixture.frames).max()
-            np.testing.assert_allclose(noisy.mixture.frames - noise, image.mixture.frames,
-                                       rtol=0, atol=1e-12 * peak)
+            np.testing.assert_array_equal(noisy.mixture.frames,
+                                          (noise + images[n]).astype(np.complex64))
 
     @pytest.mark.parametrize("duration", [1.0, 0.3, 256 / FS], ids=["1s", "0.3s", "one_frame"])
     def test_noiseless_source_free_render_is_zero_frames(self, duration):
@@ -440,7 +487,8 @@ class TestRenderBlocks:
         spec = simple_spec(mic_count=3, azimuths=(30.0, 80.0, 120.0), motion=motion,
                            noise_level_db=noise_level_db, pilot=scene.Pilot(7000.0))
         default = scene.render(spec, 2.0, CFG, FS, seed=4).mixture.frames
-        t_count, frame_bytes = default.shape[0], default[0].nbytes
+        # A frame of the render's complex128 scratch is twice a complex64 frame.
+        t_count, frame_bytes = default.shape[0], 2 * default[0].nbytes
         assert t_count % 5 != 0
         for rows in (1, 5, t_count, 3 * t_count):
             monkeypatch.setattr(stft, "BLOCK_BYTES", rows * frame_bytes)
@@ -456,27 +504,20 @@ class TestRenderBlocks:
     def test_noisy_render_matches_serial_reference(self, monkeypatch, motion, blocks):
         # A worker draws the noise block by block ahead of the render; the
         # result equals one whole-array draw from the render's noise stream,
-        # scaled as the render scales it, plus each image in active order.
+        # rounded and scaled as the render does, plus each image in active
+        # order, rounded once.
         spec = simple_spec(mic_count=3, azimuths=(30.0, 80.0, 120.0), motion=motion,
                            pilot=scene.Pilot(7000.0))
-        images, _ = isolated_parts(spec, 2.0, seed=4)
-        frame_bytes = images[0][0].nbytes
+        images, expected = isolated_parts(spec, 2.0, seed=4)
+        frame_bytes = images[0][0].nbytes  # a frame of the render's complex128 scratch
         rows = len(images[0]) if blocks == "one" else 4
         monkeypatch.setattr(stft, "BLOCK_BYTES", rows * frame_bytes)
         rendered = scene.render(spec, 2.0, CFG, FS, seed=4).mixture.frames
-
-        powers = [np.mean(np.abs(stft.analyze(src.signal, CFG, FS).frames[:, :, 0]) ** 2)
-                  for src in spec.sources]
-        variance = float(np.mean(powers)) * 10.0 ** (spec.noise_level_db / 10.0)
-        rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(scene._NOISE_STREAM,)))
-        expected = rng.standard_normal((*images[0].shape, 2)).view(np.complex128)[..., 0]
-        edges = expected[:, [0, -1], :].real * np.sqrt(variance)
-        expected *= np.sqrt(variance / 2.0)
-        expected[:, [0, -1], :] = edges
         for image in images:
             expected += image
         assert rendered.shape == expected.shape
-        np.testing.assert_array_equal(rendered.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(rendered.view(np.uint64),
+                                      expected.astype(np.complex64).view(np.uint64))
 
     def test_concurrent_renders_under_a_short_switch_interval(self, monkeypatch):
         # Four renders at once, each with its own noise worker (eight threads
@@ -486,7 +527,7 @@ class TestRenderBlocks:
         spec = simple_spec(mic_count=3, azimuths=(30.0, 80.0, 120.0), motion=motion,
                            pilot=scene.Pilot(7000.0))
         alone = scene.render(spec, 2.0, CFG, FS, seed=4).mixture.frames
-        monkeypatch.setattr(stft, "BLOCK_BYTES", 2 * alone[0].nbytes)
+        monkeypatch.setattr(stft, "BLOCK_BYTES", 2 * 2 * alone[0].nbytes)  # 2 frames
         results = [None] * 4
 
         def run(k):
@@ -505,6 +546,31 @@ class TestRenderBlocks:
         assert not any(thread.is_alive() for thread in threads)
         for frames in results:
             np.testing.assert_array_equal(frames.view(np.uint64), alone.view(np.uint64))
+
+
+class TestRenderMemory:
+    def test_noisy_render_holds_one_complex128_spectrum_beyond_its_outputs(self):
+        # The complex64 mixture and desired, the two threads' complex128
+        # scratch and one complex128 (T, F) source spectrum at a time, written
+        # into desired as it is made. The rest fits in that bound, about 1 MB
+        # below it in this 3 MB-spectrum scene: the noise worker's 1 MiB block
+        # of draws, the image kernels' iterator buffers and, before the scratch
+        # exists, the transform's windowed frames. A desired stacked in
+        # complex128 from every source's spectrum would pass it by 20 MB.
+        spec = simple_spec(mic_count=6, azimuths=(0.0, 45.0, 90.0, 135.0, 180.0),
+                           duration=12.0, pilot=scene.Pilot(7000.0))
+        tracemalloc.start()
+        try:
+            rendered = scene.render(spec, 12.0, CFG, FS, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mixture, desired = rendered.mixture.frames, rendered.desired
+        assert mixture.dtype == desired.dtype == np.complex64
+        t_count, f_count, m_count = mixture.shape
+        rows = stft.block_length(f_count * m_count * 16)
+        scratch = 2 * 16 * (rows * f_count * m_count + scene._table_size(rows, f_count, m_count))
+        assert peak <= mixture.nbytes + desired.nbytes + scratch + 16 * t_count * f_count
 
 
 MOTIONS = [
@@ -533,7 +599,7 @@ class TestRenderThreads:
         sys.setswitchinterval(1e-5)
         try:
             for rows in (1, 2, 7):
-                monkeypatch.setattr(stft, "BLOCK_BYTES", rows * reference[0].nbytes)
+                monkeypatch.setattr(stft, "BLOCK_BYTES", rows * 2 * reference[0].nbytes)
                 split = scene.render(spec, 2.0, CFG, FS, seed=4).mixture.frames
                 np.testing.assert_array_equal(split.view(np.uint64), reference.view(np.uint64))
         finally:

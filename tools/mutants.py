@@ -58,8 +58,8 @@ MUTANTS = [
      "        elif False:\n            check_condition(total, ",
      ["tests/test_beamform.py::TestMwfWeights::test_singular_total_rejected_with_bin_index"]),
     ("dynamic bank applies state 0 everywhere", "beamform.py",
-     "            out[rows] = _filter(bank.weights[int(state)], x[rows])",
-     "            out[rows] = _filter(bank.weights[0], x[rows])",
+     "        weights = bank.weights[int(state)].astype(x.dtype, copy=False)",
+     "        weights = bank.weights[0].astype(x.dtype, copy=False)",
      [ACCEPTANCE + "test_c07_dynamic_beats_static",
       ACCEPTANCE + "test_c10_small_instance_brute_force"]),
     ("divergence_curve swaps gaussian_divergence's arguments", "evaluate.py",
@@ -92,8 +92,8 @@ MUTANTS = [
      [ACCEPTANCE + "test_c02_perturbed_covariance_monte_carlo",
       "tests/test_scene.py::TestRender::test_jitter_ensemble_matches_perturbation_model"]),
     ("static image added at half amplitude", "scene.py",
-     "                        block += np.multiply(spectrum, images[n],",
-     "                        block += 0.5 * np.multiply(spectrum, images[n],",
+     "                        block += np.multiply(spectrum, image,",
+     "                        block += 0.5 * np.multiply(spectrum, image,",
      [ACCEPTANCE + "test_c05_scalar_wiener_baseline",
       "tests/test_scene.py::TestRender::test_single_noiseless_source_mixture_equals_image"]),
     ("one jitter offset for every frame", "scene.py",
@@ -111,9 +111,18 @@ MUTANTS = [
      ["tests/test_scene.py::TestRender::test_jitter_reference_sets_which_pairs_decorrelate"
       "[False]"]),
     ("the image helper fills the even blocks as well", "scene.py",
-     "            for k in range(parity, len(drawn), 2):",
-     "            for k in range(parity, len(drawn), 2 - parity):",
+     "            for k in range(parity, len(starts), 2):",
+     "            for k in range(parity, len(starts), 2 - parity):",
      ["tests/test_scene.py::TestRenderThreads::test_two_threads_equal_one_thread"]),
+    ("steering phases of the opposite sign", "scene.py",
+     "            tau = propagation_delays(positions, ",
+     "            tau = -propagation_delays(positions, ",
+     ["tests/test_scene.py::TestRender::test_single_noiseless_source_mixture_equals_image"]),
+    ("training sums multiply complex64 frames", "covest.py",
+     "    scratch = np.empty((2, 2, size), dtype=np.complex128)",
+     "    scratch = np.empty((2, 2, size), dtype=frames.dtype)",
+     ["tests/test_covest.py::TestOuterSumThreads::"
+      "test_complex64_frames_sum_as_their_complex128_values"]),
     ("the second sum thread skips its chunks", "covest.py",
      "        for group, runs, bins in chunks[half::2]:",
      "        for group, runs, bins in chunks[half::2] if half == 0 else ():",
