@@ -26,7 +26,6 @@ from .scene import (
     SceneSpec,
     Source,
     StateSequence,
-    arc_positions,
     linear_positions,
     render,
     state_sequence,
@@ -53,7 +52,6 @@ __all__ = [
     "StftConfig",
     "analyze",
     "apply_bank",
-    "arc_positions",
     "build",
     "divergence_curve",
     "estimate_states",

@@ -90,11 +90,8 @@ CONFIG = {
     "speed_of_sound": (343.0, _POSITIVE),
     "stft.fft_size": (1024, _int(1)),
     "stft.hop": (512, _int(1)),
-    "geometry.layout": ("linear", _enum("linear", "arc")),
     "geometry.mic_count": (12, _int(1)),
     "geometry.spacing": (0.05, _NUMBER),
-    "geometry.radius": (0.25, _NUMBER),
-    "geometry.span_deg": (180.0, _NUMBER),
     "geometry.reference": (0, _int(0)),
     "geometry.positions": (None, _null_or(_list(
         "a non-empty list of [x, y] pairs of finite numbers",
@@ -205,10 +202,8 @@ def _geometry(config):
     g = config["geometry"]
     if g["positions"] is not None:
         base = np.asarray(g["positions"], dtype=np.float64)
-    elif g["layout"] == "linear":
-        base = scene.linear_positions(g["mic_count"], g["spacing"], g["reference"])
     else:
-        base = scene.arc_positions(g["mic_count"], g["radius"], g["span_deg"], g["reference"])
+        base = scene.linear_positions(g["mic_count"], g["spacing"], g["reference"])
     return scene.ArrayGeometry(base, g["reference"])
 
 

@@ -45,10 +45,6 @@ class GainReport:
             return float("nan")
         return float(self.gain_db[usable].mean())
 
-    def band_flagged(self, lo_hz: float, hi_hz: float) -> int:
-        in_band = (self.frequencies_hz >= lo_hz) & (self.frequencies_hz < hi_hz)
-        return int((in_band & self.flagged).sum())
-
     def table(self) -> dict:
         return {
             "frequency_hz": self.frequencies_hz,

@@ -11,13 +11,12 @@ so the desired signal of every source equals its unmodified spectrum.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .stft import DEFAULT_SAMPLE_RATE, SpectralFrameTensor, StftConfig, analyze, block_length
-from .worker import Worker, on_two_threads
+from .worker import on_two_threads
 
 SPEED_OF_SOUND = 343.0
 
@@ -105,21 +104,6 @@ def linear_positions(mic_count: int = 12, spacing: float = 0.03, reference: int 
     positions = np.zeros((mic_count, 2))
     others = [m for m in range(mic_count) if m != reference]
     positions[others, 0] = offsets
-    return positions
-
-
-def arc_positions(mic_count: int = 12, radius: float = 0.15, span_deg: float = 180.0,
-                  reference: int = 0):
-    """Reference microphone at the origin, the rest evenly spread on an arc."""
-    if mic_count < 2:
-        raise ValueError("arc layout needs at least two microphones")
-    if not 0 <= reference < mic_count:
-        raise ValueError(f"reference {reference} out of range for {mic_count} microphones")
-    angles = np.deg2rad(np.linspace(0.0, span_deg, mic_count - 1))
-    positions = np.zeros((mic_count, 2))
-    others = [m for m in range(mic_count) if m != reference]
-    positions[others, 0] = radius * np.cos(angles)
-    positions[others, 1] = radius * np.sin(angles)
     return positions
 
 
@@ -363,9 +347,9 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     The mixture and desired are complex64. Each element of the mixture is its
     noise (zero without noise) plus the images in active order, added in that
     order in complex128, whatever the block length, and rounded once. The
-    noise is the noise stream's standard complex normal draws rounded to
-    complex64, then scaled; an image is its source's column of desired times
-    the steering phases.
+    noise of frame t is float32 standard normal draws from its own stream,
+    SeedSequence(seed, spawn_key=(_NOISE_STREAM, t)), then scaled; an image is
+    its source's column of desired times the steering phases.
     """
     n_samples = int(round(duration_s * sample_rate))
     if n_samples < cfg.fft_size:
@@ -395,35 +379,29 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     pilots = pilot_bins(spec.pilot, spec.source_count, cfg, sample_rate)
 
     # One cache-sized block of frames at a time, adding in the order that fixes
-    # the bytes. With noise, a worker draws each block's noise from the render's
-    # one stream ahead of this thread, which meanwhile transforms the sources,
-    # and rounds it into the mixture. Then this thread and a helper each take
-    # their own blocks (even and odd) in turn: a block is read into the
-    # thread's complex128 scratch (zeros without noise), its noise scaled and
-    # the images added there, and the sum rounded into the mixture once. Each
-    # block has its own event, so a thread waits only for the blocks it adds to.
+    # the bytes. With noise, the noise of frame t is float32 standard normal
+    # draws from its own stream (seed, t), made straight into its row of the
+    # mixture: a helper draws frames while this thread transforms the sources,
+    # then both take the frames left from one shared iterator. Then this thread
+    # and the helper each take their own blocks (even and odd) in turn: a block
+    # is read into the thread's complex128 scratch (zeros without noise), its
+    # noise scaled and the images added there, and the sum rounded into the
+    # mixture once.
     noisy = spec.noise_level_db is not None
     mixture = np.empty((t_count, f_count, m_count), dtype=np.complex64)
-    rows = min(block_length(f_count * m_count * 16), t_count)
-    starts = range(0, t_count, rows)
-    drawn = [threading.Event() for _ in starts]
-    noise = None
-    if noisy:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM,)))
-        # The worker's scratch is allocated here (see on_two_threads) and freed
-        # when its thread ends.
-        noise = Worker(_draw_blocks, mixture, np.empty((rows, f_count, m_count), np.complex128),
-                       rng, drawn)
-    try:
-        # Reference-channel spectra (T, F) of the active sources, one at a time:
-        # with pilot tones injected, so that images, mixture and desired signals
-        # all carry them, each is rounded into its column of desired, which the
-        # image adds read. With noise, every configured source is transformed,
-        # in order, for the noise power reference, taken before pilot injection
-        # so renders with different active sets share one noise level.
-        desired = np.empty((t_count, f_count, len(active)), dtype=np.complex64)
-        powers = []
-        for n in range(spec.source_count) if noisy else active:
+    desired = np.empty((t_count, f_count, len(active)), dtype=np.complex64)
+    # Reference-channel spectra (T, F) of the active sources, one at a time:
+    # with pilot tones injected, so that images, mixture and desired signals all
+    # carry them, each is rounded into its column of desired, which the image
+    # adds read. With noise, every configured source is transformed, in order,
+    # for the noise power reference, taken before pilot injection so renders
+    # with different active sets share one noise level.
+    transformed = range(spec.source_count) if noisy else active
+    powers = []
+    frames = iter(range(t_count if noisy else 0))
+
+    def transform_then_draw(half):
+        for n in transformed if half == 0 else ():
             spectrum = analyze(spec.sources[n].signal[:n_samples], cfg, sample_rate).frames[:, :, 0]
             if noisy:
                 powers.append(np.mean(np.abs(spectrum) ** 2))
@@ -436,52 +414,57 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
                     spectrum[:, pilots[n]] += amp * np.exp(1j * digital * frame_advance)
                 desired[:, :, active.index(n)] = spectrum
             del spectrum  # before the next source is transformed
-        if noisy:
-            variance = float(np.mean(powers)) * 10.0 ** (spec.noise_level_db / 10.0)
+        # next() on the shared iterator is atomic under the GIL, and a frame
+        # drawn twice would be written with the same bytes.
+        for t in frames:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM, t)))
+            rng.standard_normal(dtype=np.float32, out=mixture[t].view(np.float32))
 
-        frame_rel = _frame_relative_positions(
-            spec, t_count, sample_rate / cfg.hop, seed
-        )  # (T, M, 2) for moving scenes, None for static
-        static = frame_rel is None
-        pose = spec.geometry.positions
-        positions = pose - pose[spec.geometry.reference] if static else frame_rel
-        images = []  # per active source: (F, M) phases if static, (T, M) delays if moving
-        for n in active:
-            tau = propagation_delays(positions, spec.sources[n].azimuth_deg, spec.speed_of_sound)
-            images.append(np.exp(1j * omega[:, None] * tau[None, :]) if static else tau)
+    on_two_threads(transform_then_draw)
+    if noisy:
+        variance = float(np.mean(powers)) * 10.0 ** (spec.noise_level_db / 10.0)
 
-        # One scratch per thread, allocated here (see on_two_threads): a block
-        # and the table the image kernels build in.
-        table_size = _table_size(rows, f_count, m_count)
-        scratch = np.empty((2, rows * f_count * m_count + table_size), dtype=np.complex128)
+    frame_rel = _frame_relative_positions(
+        spec, t_count, sample_rate / cfg.hop, seed
+    )  # (T, M, 2) for moving scenes, None for static
+    static = frame_rel is None
+    pose = spec.geometry.positions
+    positions = pose - pose[spec.geometry.reference] if static else frame_rel
+    images = []  # per active source: (F, M) phases if static, (T, M) delays if moving
+    for n in active:
+        tau = propagation_delays(positions, spec.sources[n].azimuth_deg, spec.speed_of_sound)
+        images.append(np.exp(1j * omega[:, None] * tau[None, :]) if static else tau)
 
-        def add_images(parity):
-            whole, table = _carve(scratch[parity], (rows, f_count, m_count), (table_size,))
-            for k in range(parity, len(starts), 2):
-                lo = starts[k]
-                out = mixture[lo:lo + rows]
-                block = whole[:len(out)]
-                if noisy:
-                    drawn[k].wait()
-                    block[...] = out
-                    # DC and Nyquist bins of a real signal carry no quadrature component.
-                    edges = block[:, [0, -1], :].real * np.sqrt(variance)
-                    block *= np.sqrt(variance / 2.0)
-                    block[:, [0, -1], :] = edges
+    # One scratch per thread, allocated here (see on_two_threads): a block
+    # and the table the image kernels build in.
+    rows = min(block_length(f_count * m_count * 16), t_count)
+    starts = range(0, t_count, rows)
+    table_size = _table_size(rows, f_count, m_count)
+    scratch = np.empty((2, rows * f_count * m_count + table_size), dtype=np.complex128)
+
+    def add_images(parity):
+        whole, table = _carve(scratch[parity], (rows, f_count, m_count), (table_size,))
+        for k in range(parity, len(starts), 2):
+            lo = starts[k]
+            out = mixture[lo:lo + rows]
+            block = whole[:len(out)]
+            if noisy:
+                block[...] = out
+                # DC and Nyquist bins of a real signal carry no quadrature component.
+                edges = block[:, [0, -1], :].real * np.sqrt(variance)
+                block *= np.sqrt(variance / 2.0)
+                block[:, [0, -1], :] = edges
+            else:
+                block.fill(0.0)
+            for col, image in enumerate(images):
+                spectrum = desired[lo:lo + rows, :, col, None]
+                if static:
+                    block += np.multiply(spectrum, image, out=_carve(table, block.shape)[0])
                 else:
-                    block.fill(0.0)
-                for col, image in enumerate(images):
-                    spectrum = desired[lo:lo + rows, :, col, None]
-                    if static:
-                        block += np.multiply(spectrum, image, out=_carve(table, block.shape)[0])
-                    else:
-                        _add_moving_image(block, spectrum, omega, image[lo:lo + rows], table)
-                out[...] = block
+                    _add_moving_image(block, spectrum, omega, image[lo:lo + rows], table)
+            out[...] = block
 
-        on_two_threads(add_images)
-    finally:
-        if noise is not None:
-            noise.join()
+    on_two_threads(add_images)
 
     return RenderedScene(
         mixture=SpectralFrameTensor(mixture, sample_rate, cfg.fft_size, cfg.hop),
@@ -491,28 +474,6 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
         pilot_bins=pilots,
         source_count=spec.source_count,
     )
-
-
-def _draw_blocks(mixture, draws, rng, drawn):
-    """Fill mixture (T, F, M) one block of len(draws) frames at a time, in order,
-    with standard complex normal draws from rng, made in the complex128 scratch
-    draws and rounded into the mixture, and set the event drawn[k] once block k
-    is filled. Successive draws into consecutive blocks continue one stream, so
-    the bytes do not depend on the block length. If a draw fails, every block
-    not yet filled is zeroed and its event set, so that no waiter hangs or
-    reads uninitialized memory."""
-    try:
-        for k, ready in enumerate(drawn):
-            out = mixture[k * len(draws):(k + 1) * len(draws)]
-            block = draws[:len(out)]
-            rng.standard_normal(out=block.view(np.float64).reshape(*block.shape, 2))
-            out[...] = block
-            ready.set()
-    finally:
-        for k, ready in enumerate(drawn):
-            if not ready.is_set():
-                mixture[k * len(draws):(k + 1) * len(draws)] = 0.0
-                ready.set()
 
 
 def _table_size(rows, f_count, m_count):

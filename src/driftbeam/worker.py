@@ -2,8 +2,8 @@
 one helper that splits a kernel's work across this thread and one more.
 
 Every caller joins its worker before it returns or raises, so no thread
-outlives the call that started it, and every output is written by one thread
-in a fixed order, so the bytes of a run do not depend on how the threads are
+outlives the call that started it, and no output byte depends on which thread
+writes it or when, so the bytes of a run do not depend on how the threads are
 scheduled.
 """
 
@@ -37,9 +37,9 @@ class Worker:
 def on_two_threads(fn):
     """Run fn(1) on a Worker and fn(0) on this thread, and return when both
     are done. An exception of either is re-raised here, the helper's if both
-    raise. fn(0) and fn(1) must write disjoint outputs and allocate nothing
-    large: the caller allocates their scratch, so the helper thread's own
-    malloc arena does not grow the process's memory."""
+    raise. fn(0) and fn(1) must write disjoint outputs, and fn(1) must
+    allocate nothing large: the caller allocates its scratch, so the helper
+    thread's own malloc arena does not grow the process's memory."""
     helper = Worker(fn, 1)
     try:
         fn(0)

@@ -277,8 +277,10 @@ class TestTrainingMemory:
 
 class TestOtherCommands:
     def test_arc_layout_simulate(self, tmp_path):
-        config = tiny_config(tmp_path / "out",
-                             geometry={"layout": "arc", "mic_count": 12, "radius": 0.2},
+        # Reference at the origin, the other 11 on a half circle of radius 0.2 m.
+        angles = np.deg2rad(np.linspace(0.0, 180.0, 11))
+        arc = [[0.0, 0.0]] + [[0.2 * np.cos(a), 0.2 * np.sin(a)] for a in angles]
+        config = tiny_config(tmp_path / "out", geometry={"positions": arc},
                              sources={"azimuths_deg": [0.0, 45.0, 90.0, 135.0, 180.0]},
                              test_duration_s=1.0)
         cli.run_simulate(config)
@@ -423,7 +425,6 @@ class TestMain:
         {"motion": {"kind": "rotation_sweep", "state_count": 1}},
         {"motion": {"kind": "spin"}},
         {"geometry": {"mic_count": 0}},
-        {"geometry": {"layout": "circle"}},
         {"motion": {"kind": "gaussian_jitter", "sigma_pos_m": float("nan")}},
         {"noise_level_db": float("nan")},
         {"speed_of_sound": 0},
@@ -462,9 +463,8 @@ class TestMain:
         {"motion": {"kind": "rotation_sweep", "state_count": 4.5}},
         {"motion": {"kind": "rotation_sweep", "state_count": True}},
         {"geometry": {"mic_count": 3, "reference": 3}},
-        {"geometry": {"layout": "arc", "mic_count": 3, "reference": 3}},
     ], ids=["hop", "theory_points", "train_duration", "test_duration", "rotation_period",
-            "rotation_state_count", "motion_kind", "mic_count", "layout", "sigma_pos_nan",
+            "rotation_state_count", "motion_kind", "mic_count", "sigma_pos_nan",
             "noise_level_nan", "speed_of_sound_zero", "speed_of_sound_negative",
             "speed_of_sound_inf", "rotation_empty_span", "rotation_period_nan",
             "rotation_period_inf", "theory_sigma_nan", "theory_sigma_zero",
@@ -475,7 +475,7 @@ class TestMain:
             "sample_rate_fraction", "azimuths_empty_noiseless", "seed_fraction",
             "seed_negative", "seed_bool", "state_oracle_string", "pilot_enabled_string",
             "jitter_reference_string", "reference_float", "state_count_float",
-            "state_count_bool", "reference_past_linear", "reference_past_arc"])
+            "state_count_bool", "reference_past_linear"])
     def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, fields):
         path = self.write_config(tmp_path, **fields)
         out = tmp_path / "out"
@@ -663,7 +663,8 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     @pytest.mark.parametrize("key, fields", [
         ("threads", {"threads": 2}),
         ("stft.window", {"stft": {"fft_size": 256, "hop": 128, "window": "sqrt_hann"}}),
-    ], ids=["threads", "stft.window"])
+        ("geometry.layout", {"geometry": {"mic_count": 3, "spacing": 0.04, "layout": "arc"}}),
+    ], ids=["threads", "stft.window", "geometry.layout"])
     def test_threads_key_rejected(self, tmp_path, capsys, key, fields):
         # Keys that once existed fail like any unknown key.
         path = self.write_config(tmp_path, **fields)

@@ -33,16 +33,19 @@ def simple_spec(mic_count=4, azimuths=(30.0, 120.0), duration=2.0,
 
 def noise_part(spec, duration, seed):
     """The complex128 noise that render(spec, duration, seed=seed) adds its
-    images to: one whole-array draw from the render's noise stream, rounded to
-    complex64 and scaled to the scene's noise level."""
+    images to: each frame's float32 standard normal draws from its own noise
+    stream, as complex64, scaled to the scene's noise level."""
     samples = int(round(duration * FS))
     t_count = (samples - CFG.fft_size) // CFG.hop + 1
     powers = [np.mean(np.abs(stft.analyze(src.signal[:samples], CFG, FS).frames[:, :, 0]) ** 2)
               for src in spec.sources]
     variance = float(np.mean(powers)) * 10.0 ** (spec.noise_level_db / 10.0)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(scene._NOISE_STREAM,)))
-    draws = rng.standard_normal((t_count, CFG.bin_count, spec.geometry.mic_count, 2))
-    noise = draws.view(np.complex128)[..., 0].astype(np.complex64).astype(np.complex128)
+    noise = np.empty((t_count, CFG.bin_count, spec.geometry.mic_count), dtype=np.complex128)
+    for t in range(t_count):
+        stream = np.random.SeedSequence(seed, spawn_key=(scene._NOISE_STREAM, t))
+        draws = np.random.default_rng(stream).standard_normal(
+            (CFG.bin_count, spec.geometry.mic_count, 2), dtype=np.float32)
+        noise[t] = draws.view(np.complex64)[..., 0]
     edges = noise[:, [0, -1], :].real * np.sqrt(variance)
     noise *= np.sqrt(variance / 2.0)
     noise[:, [0, -1], :] = edges
@@ -502,10 +505,8 @@ class TestRenderBlocks:
         scene.MotionModel.rotation_sweep(-30.0, 30.0, period_s=0.5, state_count=3),
     ], ids=["static", "rotation_sweep"])
     def test_noisy_render_matches_serial_reference(self, monkeypatch, motion, blocks):
-        # A worker draws the noise block by block ahead of the render; the
-        # result equals one whole-array draw from the render's noise stream,
-        # rounded and scaled as the render does, plus each image in active
-        # order, rounded once.
+        # Each frame's noise drawn from its own stream and scaled as the
+        # render does, plus each image in active order, rounded once.
         spec = simple_spec(mic_count=3, azimuths=(30.0, 80.0, 120.0), motion=motion,
                            pilot=scene.Pilot(7000.0))
         images, expected = isolated_parts(spec, 2.0, seed=4)
@@ -519,10 +520,25 @@ class TestRenderBlocks:
         np.testing.assert_array_equal(rendered.view(np.uint64),
                                       expected.astype(np.complex64).view(np.uint64))
 
+    @pytest.mark.parametrize("rows, serial", [(1, False), (7, False), (7, True)],
+                             ids=["1_frame", "7_frames", "serial"])
+    def test_noise_is_each_frame_drawn_from_its_own_stream(self, monkeypatch, rows, serial):
+        # A source-free render is its noise alone: bit for bit the frames drawn
+        # one at a time from their own streams, whatever the block length and
+        # whichever thread draws a frame (serial: this thread draws them all).
+        motion = scene.MotionModel.rotation_sweep(-30.0, 30.0, period_s=0.5, state_count=3)
+        spec = simple_spec(mic_count=3, azimuths=(30.0, 80.0), motion=motion)
+        expected = noise_part(spec, 2.0, seed=4).astype(np.complex64)
+        monkeypatch.setattr(stft, "BLOCK_BYTES", rows * 2 * expected[0].nbytes)
+        if serial:
+            monkeypatch.setattr(scene, "on_two_threads", lambda fn: [fn(half) for half in (0, 1)])
+        quiet = scene.render(spec, 2.0, CFG, FS, seed=4, active_sources=[]).mixture.frames
+        np.testing.assert_array_equal(quiet.view(np.uint64), expected.view(np.uint64))
+
     def test_concurrent_renders_under_a_short_switch_interval(self, monkeypatch):
-        # Four renders at once, each with its own noise worker (eight threads
-        # on fewer cores), and a thread switch every few microseconds: every
-        # block handoff still gives the bytes of a render run alone.
+        # Four renders at once, each with its own helper (eight threads on
+        # fewer cores), and a thread switch every few microseconds: every
+        # frame and block handout still gives the bytes of a render run alone.
         motion = scene.MotionModel.rotation_sweep(-30.0, 30.0, period_s=0.5, state_count=3)
         spec = simple_spec(mic_count=3, azimuths=(30.0, 80.0, 120.0), motion=motion,
                            pilot=scene.Pilot(7000.0))
@@ -553,10 +569,10 @@ class TestRenderMemory:
         # The complex64 mixture and desired, the two threads' complex128
         # scratch and one complex128 (T, F) source spectrum at a time, written
         # into desired as it is made. The rest fits in that bound, about 1 MB
-        # below it in this 3 MB-spectrum scene: the noise worker's 1 MiB block
-        # of draws, the image kernels' iterator buffers and, before the scratch
-        # exists, the transform's windowed frames. A desired stacked in
-        # complex128 from every source's spectrum would pass it by 20 MB.
+        # below it in this 3 MB-spectrum scene: the image kernels' iterator
+        # buffers and, before the scratch exists, the transform's windowed
+        # frames. A desired stacked in complex128 from every source's spectrum
+        # would pass it by 20 MB.
         spec = simple_spec(mic_count=6, azimuths=(0.0, 45.0, 90.0, 135.0, 180.0),
                            duration=12.0, pilot=scene.Pilot(7000.0))
         tracemalloc.start()
@@ -608,9 +624,18 @@ class TestRenderThreads:
     @pytest.mark.parametrize("failing", ["helper image", "noise draw"])
     def test_failure_reraises_in_the_caller_and_leaves_no_thread(self, monkeypatch, failing,
                                                                   raised_within):
-        # An odd block's image fails on the helper, or the noise worker's
-        # second draw fails while both threads wait for their blocks.
+        # An odd block's image fails on the helper; or a noise draw fails on
+        # the helper, then on this thread. The other thread's first draw waits
+        # for the failure, so each thread surely takes a frame.
         spec = simple_spec(mic_count=3, motion=MOTIONS[2], pilot=scene.Pilot(7000.0))
+        monkeypatch.setattr(stft, "BLOCK_BYTES", 3 * 129 * 3 * 16)  # 3 frames, many blocks
+        threads = threading.active_count()
+
+        def reraises_and_leaves_no_thread():
+            error = raised_within(lambda: scene.render(spec, 2.0, CFG, FS, seed=4))
+            assert isinstance(error, RuntimeError) and str(error) == "injected failure"
+            assert threading.active_count() == threads
+
         if failing == "helper image":
             add = scene._add_moving_image
 
@@ -620,25 +645,25 @@ class TestRenderThreads:
                 add(*args)
 
             monkeypatch.setattr(scene, "_add_moving_image", fail_on_the_helper)
-        else:
-            default_rng = np.random.default_rng
+            reraises_and_leaves_no_thread()
+            return
+        default_rng = np.random.default_rng
+        for on_the_caller in (False, True):
+            failed = threading.Event()
 
-            class SecondDrawFails:
+            class DrawFails:
                 def __init__(self, seed):
-                    self.rng, self.draws = default_rng(seed), 0
+                    self.rng = default_rng(seed)
 
                 def standard_normal(self, **kwargs):
-                    self.draws += 1
-                    if self.draws == 2:
+                    if (threading.current_thread().name == "caller") == on_the_caller:
+                        failed.set()
                         raise RuntimeError("injected failure")
+                    assert failed.wait(timeout=60)
                     return self.rng.standard_normal(**kwargs)
 
-            monkeypatch.setattr(np.random, "default_rng", SecondDrawFails)
-        monkeypatch.setattr(stft, "BLOCK_BYTES", 3 * 129 * 3 * 16)  # 3 frames, many blocks
-        threads = threading.active_count()
-        error = raised_within(lambda: scene.render(spec, 2.0, CFG, FS, seed=4))
-        assert isinstance(error, RuntimeError) and str(error) == "injected failure"
-        assert threading.active_count() == threads
+            monkeypatch.setattr(np.random, "default_rng", DrawFails)
+            reraises_and_leaves_no_thread()
 
 
 class TestGeometry:
@@ -648,14 +673,8 @@ class TestGeometry:
         assert pos.shape == (5, 2)
         np.testing.assert_allclose(np.diff(sorted(pos[1:, 0])), 0.1)
 
-    def test_arc_positions_radius(self):
-        pos = scene.arc_positions(7, radius=0.2)
-        radii = np.linalg.norm(pos[1:], axis=1)
-        np.testing.assert_allclose(radii, 0.2)
-
     @pytest.mark.parametrize("reference", [3, -1])
-    @pytest.mark.parametrize("layout", [scene.linear_positions, scene.arc_positions],
-                             ids=["linear", "arc"])
+    @pytest.mark.parametrize("layout", [scene.linear_positions], ids=["linear"])
     def test_reference_out_of_range_rejected(self, layout, reference):
         with pytest.raises(ValueError,
                            match=rf"reference {reference} out of range for 3 microphones"):

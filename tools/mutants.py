@@ -92,8 +92,8 @@ MUTANTS = [
      [ACCEPTANCE + "test_c02_perturbed_covariance_monte_carlo",
       "tests/test_scene.py::TestRender::test_jitter_ensemble_matches_perturbation_model"]),
     ("static image added at half amplitude", "scene.py",
-     "                        block += np.multiply(spectrum, image,",
-     "                        block += 0.5 * np.multiply(spectrum, image,",
+     "                    block += np.multiply(spectrum, image,",
+     "                    block += 0.5 * np.multiply(spectrum, image,",
      [ACCEPTANCE + "test_c05_scalar_wiener_baseline",
       "tests/test_scene.py::TestRender::test_single_noiseless_source_mixture_equals_image"]),
     ("one jitter offset for every frame", "scene.py",
@@ -102,21 +102,24 @@ MUTANTS = [
      [ACCEPTANCE + "test_c09_monotonicity",
       "tests/test_scene.py::TestRender::test_jitter_ensemble_matches_perturbation_model"]),
     ("render noise seeded from the operating system", "scene.py",
-     "np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM,))",
-     "np.random.SeedSequence(None, spawn_key=(_NOISE_STREAM,))",
+     "np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM, t))",
+     "np.random.SeedSequence(None, spawn_key=(_NOISE_STREAM, t))",
      [ACCEPTANCE + "test_c11_determinism",
       "tests/test_scene.py::TestRender::test_deterministic_under_seed"]),
+    ("one stream for every frame", "scene.py",
+     "spawn_key=(_NOISE_STREAM, t)))", "spawn_key=(_NOISE_STREAM,)))",
+     ["tests/test_scene.py::TestRenderBlocks::test_noise_is_each_frame_drawn_from_its_own_stream"]),
     ("jittered reference microphone with jitter_reference false", "scene.py",
      "        if not motion.jitter_reference:\n            offsets[:, ref, :] = 0.0\n", "",
      ["tests/test_scene.py::TestRender::test_jitter_reference_sets_which_pairs_decorrelate"
       "[False]"]),
     ("the image helper fills the even blocks as well", "scene.py",
-     "            for k in range(parity, len(starts), 2):",
-     "            for k in range(parity, len(starts), 2 - parity):",
+     "        for k in range(parity, len(starts), 2):",
+     "        for k in range(parity, len(starts), 2 - parity):",
      ["tests/test_scene.py::TestRenderThreads::test_two_threads_equal_one_thread"]),
     ("steering phases of the opposite sign", "scene.py",
-     "            tau = propagation_delays(positions, ",
-     "            tau = -propagation_delays(positions, ",
+     "        tau = propagation_delays(positions, ",
+     "        tau = -propagation_delays(positions, ",
      ["tests/test_scene.py::TestRender::test_single_noiseless_source_mixture_equals_image"]),
     ("training sums multiply complex64 frames", "covest.py",
      "    scratch = np.empty((2, 2, size), dtype=np.complex128)",
