@@ -26,7 +26,7 @@ import hashlib
 import json
 import struct
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -406,9 +406,9 @@ def _beamform(config, covs, rendered, mode):
 
 def run_pipeline(config):
     """Full experiment: train, build each requested mode, filter the test
-    scene, and write gain/divergence CSVs, banks and manifests. A worker
-    writes the covariance container and its manifest while this thread runs
-    the test phase."""
+    scene, and write gain/divergence CSVs, banks and manifests. Once the test
+    render, which keeps both cores busy, has returned, a worker writes the
+    covariance container and its manifest while this thread runs the modes."""
     if len(config["sources"]["azimuths_deg"]) < 2:
         raise ValueError("divergence curves need at least two source azimuths")
     track = scene.render_states(_motion(config), config["train_duration_s"],
@@ -422,14 +422,18 @@ def run_pipeline(config):
     out = _out_dir(config)
     with stage("train"):
         covs = _train(config)
-    saving = Worker(_save_training, out, config, covs)
+    saving = None
     try:
-        outputs = _test_phase(config, covs, out, wavs)
+        with stage("simulate"):
+            rendered = _test_render(config, _test_spec(config, wavs))
+        saving = Worker(_save_training, out, config, covs)
+        outputs = _test_phase(config, covs, out, rendered)
     finally:
-        # Joined whatever happens; a failed save came first in serial order,
-        # so its train error wins over any error of the test phase.
+        # Joined whatever happens, and run here if the render failed; a failed
+        # save came first in serial order, so its train error wins over any
+        # error of the test phase.
         with stage("train"):
-            cov_path, digests = saving.join()
+            cov_path, digests = saving.join() if saving else _save_training(out, config, covs)
 
     with stage("analyze:divergence"):
         div_path = out / "divergence.csv"
@@ -440,11 +444,9 @@ def run_pipeline(config):
     return outputs + [manifest]
 
 
-def _test_phase(config, covs, out, wavs):
-    """Render the test scene on wavs (seeded signals when empty), then filter it
-    with each mode and write the mode's gain table and bank; returns the paths."""
-    with stage("simulate"):
-        rendered = _test_render(config, _test_spec(config, wavs))
+def _test_phase(config, covs, out, rendered):
+    """Filter the rendered test scene with each mode and write the mode's gain
+    table and bank; returns the paths."""
     reference = config["geometry"]["reference"]
     outputs = []
     for mode in config["modes"]:
@@ -491,6 +493,27 @@ def run_beamform(config, covariances_path=None):
     # serve the load's many 1 MB validation temporaries from its heap, where
     # loading first maps each one afresh (2.5x the page faults on rotation).
     rendered = _test_render(config, _test_spec(config, wavs))
+    # The manifest's hash of the container reads it beside the load and the
+    # modes, which leave the second core idle.
+    hashing = Worker(_sha256, cov_path)
+    try:
+        outputs = _filter_from_container(config, cov_path, rendered, out)
+    except BaseException:
+        # Joined whatever happens; the hash came last in serial order, so
+        # any other error wins over its own.
+        with suppress(Exception):
+            hashing.join()
+        raise
+    write_manifest(out / "beamform_manifest.json", config,
+                   [cov_path] + _input_files(config), outputs,
+                   known={str(cov_path): hashing.join()})
+    return outputs
+
+
+def _filter_from_container(config, cov_path, rendered, out):
+    """Load the covariance container, then build each mode's bank from it,
+    filter the rendered test scene and write the bank and its enhanced WAVs;
+    returns the paths."""
     covs = containers.load_covariances(cov_path)
     if covs.source_count != len(rendered.active_sources):
         raise ValueError(
@@ -513,8 +536,6 @@ def run_beamform(config, covariances_path=None):
             write_wav(wav_path, synthesize(mono, cfg), config["sample_rate"])
             outputs.append(wav_path)
         del bank, estimates
-    write_manifest(out / "beamform_manifest.json", config,
-                   [cov_path] + _input_files(config), outputs)
     return outputs
 
 
@@ -544,16 +565,19 @@ def run_theory(config):
 
 
 def run_report(config):
-    """Merge the per-mode gain CSVs in the output directory into report.csv."""
+    """Merge the per-mode gain CSVs in the output directory, which must share
+    one frequency grid, into report.csv."""
     out = Path(config["out_dir"])
-    merged = {}
+    merged, first = {}, None
     for mode_arg in config["modes"]:
         path = out / f"gain_{mode_arg}.csv"
         if not path.is_file():
             raise ValueError(f"missing gain CSV: {path}")
-        rows = np.genfromtxt(path, delimiter=",", names=True)
-        if "frequency_hz" not in merged:
-            merged["frequency_hz"] = rows["frequency_hz"]
+        rows = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+        if first is None:
+            first, merged["frequency_hz"] = path, rows["frequency_hz"]
+        elif not np.array_equal(rows["frequency_hz"], merged["frequency_hz"]):
+            raise ValueError(f"{path} and {first} hold different frequency_hz grids")
         merged[f"gain_db_{mode_arg}"] = rows["gain_db"]
         merged[f"flagged_{mode_arg}"] = rows["flagged"]
     path = out / "report.csv"

@@ -122,9 +122,13 @@ def gaussian_divergence(r1, r2):
     as 0.5 * sum(lam - log1p(lam)) over the eigenvalues lam of the whitened
     difference R2^{-1/2} (R1 - R2) R2^{-H/2}. The log1p form stays accurate
     when r1 and r2 are nearly equal, where the trace and log-determinant
-    terms would cancel catastrophically. Below lam = -0.5 the logarithm comes
-    from the eigenvalues of the whitened R1 instead, so an r1 far smaller
-    than r2 still gets a finite divergence; a singular r1 gets inf.
+    terms would cancel catastrophically. A matrix with an eigenvalue below
+    lam = -0.5 is far from r2, with a divergence of at least 0.097 nats, so
+    nothing cancels there: its log terms are taken together as
+    ln det R1 - ln det R2, each from the diagonal of a Cholesky factor, and
+    an r1 far smaller than r2 still gets a finite divergence. When r1 has no
+    Cholesky factor (singular or indefinite), those logarithms come from the
+    eigenvalues of the whitened R1 instead, and such an r1 gets inf.
 
     r1 and r2 are matrices or stacks (..., M, M) that broadcast against each
     other; the result has the broadcast stack shape, and is a float for two
@@ -135,20 +139,36 @@ def gaussian_divergence(r1, r2):
     if r1.shape[-1] != r2.shape[-1]:
         raise ValueError(f"dimension mismatch: {r1.shape} vs {r2.shape}")
     check_condition(r2, "r2")
-    inv_chol = np.linalg.inv(np.linalg.cholesky(r2))
-    inv_chol_h = inv_chol.conj().swapaxes(-1, -2)
-    lam = np.linalg.eigvalsh(_hermitian_part(inv_chol @ (r1 - r2) @ inv_chol_h))
-    far = lam < -0.5
-    log1p_lam = np.log1p(np.maximum(lam, -0.5))
+    chol = np.linalg.cholesky(r2)
+    inv_chol = np.linalg.inv(chol)
+    lam = np.linalg.eigvalsh(_hermitian_part(
+        inv_chol @ (r1 - r2) @ inv_chol.conj().swapaxes(-1, -2)))
+    div = np.asarray(0.5 * np.sum(lam - np.log1p(np.maximum(lam, -0.5)), axis=-1))
+    far = lam[..., 0] < -0.5  # eigvalsh ascends
     if far.any():
-        # lam = mu - 1 keeps a small eigenvalue mu of the whitened r1 only to
-        # an ulp of 1 (1e-20 - 1 is -1), so take log(mu) from that matrix
-        # itself; both spectra ascend, so mu pairs with lam index by index.
-        mu = np.linalg.eigvalsh(_hermitian_part(inv_chol @ r1 @ inv_chol_h))
-        with np.errstate(divide="ignore"):  # singular r1: infinite divergence
-            log1p_lam = np.where(far, np.log(np.maximum(mu, 0.0)), log1p_lam)
-    div = 0.5 * np.sum(lam - log1p_lam, axis=-1)
+        stack = lam.shape[:-1] + r1.shape[-2:]
+        r1_far, lam_far = np.broadcast_to(r1, stack)[far], lam[far]
+        try:
+            div[far] = 0.5 * (np.sum(lam_far, axis=-1) - _log_det(np.linalg.cholesky(r1_far))
+                              + _log_det(np.broadcast_to(chol, stack)[far]))
+        except np.linalg.LinAlgError:
+            # A singular or indefinite r1: take log(mu) from the eigenvalues mu
+            # of the whitened r1, clipped at 0 so that it gets inf (lam = mu - 1
+            # would keep a small mu only to an ulp of 1); both spectra ascend,
+            # so mu pairs with lam index by index.
+            inv_far = np.broadcast_to(inv_chol, stack)[far]
+            mu = np.linalg.eigvalsh(_hermitian_part(
+                inv_far @ r1_far @ inv_far.conj().swapaxes(-1, -2)))
+            with np.errstate(divide="ignore"):  # singular r1: infinite divergence
+                log1p_lam = np.where(lam_far < -0.5, np.log(np.maximum(mu, 0.0)),
+                                     np.log1p(np.maximum(lam_far, -0.5)))
+            div[far] = 0.5 * np.sum(lam_far - log1p_lam, axis=-1)
     return float(div) if div.ndim == 0 else div
+
+
+def _log_det(chol):
+    """ln det R of each matrix R = L L^H of a stack, from its Cholesky factors L."""
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
 
 
 def _hermitian_part(r):

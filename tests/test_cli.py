@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from driftbeam import cli, evaluate, scene
+from driftbeam import cli, containers, evaluate, scene
 
 
 def tiny_config(out_dir, **overrides):
@@ -393,6 +394,104 @@ class TestMain:
         err = capsys.readouterr().err
         assert "[train] disk full" in err and "render failed" not in err
         assert threading.active_count() == threads
+
+    def test_container_save_starts_after_the_test_render(self, tmp_path, monkeypatch):
+        # The test render keeps both cores busy, so the save waits for it and
+        # runs beside the mode stages.
+        events, save_started = [], threading.Event()
+        render, save = cli._test_render, cli.containers.save_covariances
+
+        def traced_render(config, spec, active_sources=None):
+            rendered = render(config, spec, active_sources)
+            save_started.wait(0.25)  # a save begun beside the render is recorded first
+            events.append("render returned")
+            return rendered
+
+        def traced_save(path, covs):
+            events.append("save started")
+            save_started.set()
+            return save(path, covs)
+
+        monkeypatch.setattr(cli, "_test_render", traced_render)
+        monkeypatch.setattr(cli.containers, "save_covariances", traced_save)
+        path = self.write_config(tmp_path)
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "analyze"]) == 0
+        assert events == ["render returned", "save started"]
+
+    def test_failed_test_render_still_writes_the_container(self, tmp_path, capsys, monkeypatch):
+        def fail_render(config, spec, active_sources=None):
+            raise ValueError("render failed")
+
+        monkeypatch.setattr(cli, "_test_render", fail_render)
+        threads = threading.active_count()
+        path = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "analyze"]) == 1
+        assert "[simulate] render failed" in capsys.readouterr().err
+        assert (out / "train_manifest.json").is_file()
+        assert containers.load_covariances(out / "covariances.npz").source_count == 2
+        assert threading.active_count() == threads
+
+    def test_beamform_manifest_hashes_the_container_once(self, tmp_path, monkeypatch):
+        path = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "train"]) == 0
+        hashed, sha256 = [], cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda p: hashed.append(Path(p)) or sha256(p))
+        assert cli.main(["--config", str(path), "--out", str(out), "beamform"]) == 0
+        container = out / "covariances.npz"
+        manifest = json.loads((out / "beamform_manifest.json").read_text())
+        assert manifest["inputs"][str(container)] == \
+            hashlib.sha256(container.read_bytes()).hexdigest()
+        assert hashed.count(container) == 1
+
+    @pytest.mark.parametrize("fault, message", [
+        ("truncated_container", "[beamform] File is not a zip file"),
+        ("failing_hash", "[beamform] read failed"),
+        # The hash came last in serial order, so a mode's error wins over its own.
+        ("failing_hash_and_mode", "[beamform:static] build failed"),
+    ])
+    def test_beamform_failure_joins_the_hash_worker(self, tmp_path, capsys, monkeypatch,
+                                                     fault, message):
+        path = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "train"]) == 0
+        container = out / "covariances.npz"
+        if fault == "truncated_container":
+            container.write_bytes(container.read_bytes()[:container.stat().st_size // 2])
+        else:
+            def fail(*args, **kwargs):
+                raise OSError("read failed")
+
+            def fail_build(*args, **kwargs):
+                raise ValueError("build failed")
+
+            monkeypatch.setattr(cli, "_sha256", fail)
+            if fault == "failing_hash_and_mode":
+                monkeypatch.setattr(cli.beamform, "build", fail_build)
+        threads = threading.active_count()
+        assert cli.main(["--config", str(path), "--out", str(out), "beamform"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        if fault != "failing_hash":
+            assert not list(out.glob("enhanced_*.wav"))
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("rank1_rows", ["0,1.5,0\n50,2.5,0\n", "0,1.5,0\n"],
+                             ids=["values", "length"])
+    def test_report_rejects_gain_csvs_on_different_grids(self, tmp_path, capsys, rank1_rows):
+        path = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        header = "frequency_hz,gain_db,flagged\n"
+        (out / "gain_static.csv").write_text(header + "0,1.5,0\n100,2.5,0\n")
+        (out / "gain_rank1.csv").write_text(header + rank1_rows)
+        code = cli.main(["--config", str(path), "--out", str(out), "--mode", "static,rank1",
+                         "report"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[report]" in err and "gain_static.csv" in err and "gain_rank1.csv" in err
+        assert not (out / "report.csv").exists()
 
     def write_config(self, tmp_path, **fields):
         path = tmp_path / "config.json"

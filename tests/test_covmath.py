@@ -127,6 +127,46 @@ class TestGaussianDivergence:
     def test_singular_r1_gives_infinity(self):
         assert gaussian_divergence(np.diag([1.0, 0.0]), np.eye(2)) == np.inf
 
+    def test_indefinite_r1_gives_infinity(self):
+        # Two negative eigenvalues make a positive determinant, so a signed
+        # log-determinant would give a finite divergence here.
+        r1 = np.diag([1.0, -1e-3, -1e-3, 1.0])
+        assert gaussian_divergence(r1, np.eye(4)) == np.inf
+        # The other member of the stack keeps its finite divergence.
+        stacked = gaussian_divergence(np.stack([r1, 0.25 * np.eye(4)]), 2.0 * np.eye(4))
+        assert stacked[0] == np.inf
+        assert stacked[1] == pytest.approx(2.0 * (0.125 - 1.0 - np.log(0.125)), rel=1e-14)
+
+    def test_far_matrices_take_no_second_eigensolve(self, monkeypatch):
+        # One eigvalsh checks r2's condition and one gives the whitened
+        # difference; a far r1 with a Cholesky factor needs no third.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        d = gaussian_divergence(np.stack([0.01 * np.eye(3), np.eye(3)]), 2.0 * np.eye(3))
+        assert len(calls) == 2
+        np.testing.assert_allclose(d, [1.5 * (0.005 - 1.0 - np.log(0.005)),
+                                       1.5 * (0.5 - 1.0 - np.log(0.5))], rtol=1e-14)
+
+    def test_far_near_and_tiny_members_match_the_closed_form(self):
+        # r1 = U diag(a) U^H against r2 = U diag(b) U^H diverge by
+        # 0.5 * sum(x - 1 - ln x) over the ratios x = a / b.
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        b = np.array([1.0, 2.0, 3.0, 0.5])
+        ratios = np.array([
+            [0.2, 1.0, 1.2, 0.05],               # far: some x < 0.5
+            [1.2, 0.9, 1.1, 0.55],               # near: no x below 0.5
+            [1e-20, 2e-20, 5e-21, 1e-20],        # tiny: 1 + lam is 1 - 1 in float64
+            [3.0, 0.4, 1.0, 1.0],                # far with a larger x
+        ])
+        r1 = (u * (b * ratios)[:, None, :]) @ u.conj().T
+        r2 = (u * b) @ u.conj().T
+        expected = 0.5 * np.sum(ratios - 1.0 - np.log(ratios), axis=1)
+        np.testing.assert_allclose(gaussian_divergence(r1, r2), expected, rtol=1e-12)
+        np.testing.assert_allclose(gaussian_divergence(r1, np.broadcast_to(r2, r1.shape)),
+                                   expected, rtol=1e-12)
+
     def test_ill_conditioned_stack_member_rejected(self):
         stack = np.stack([np.eye(2), np.diag([1.0, 1e-14])]).astype(complex)
         with pytest.raises(IllConditionedError):

@@ -83,6 +83,16 @@ MUTANTS = [
      "    em1 = np.expm1((omega * sigma) ** 2)", "    em1 = np.expm1((omega * sigma) ** 2 / 2)",
      [ACCEPTANCE + "test_c01_closed_form_divergence_oracle",
       "tests/test_covmath.py::TestFarFieldDivergence::test_orthogonal_hand_value"]),
+    ("far divergences always take the whitened-r1 eigensolve", "covmath.py",
+     "_log_det(np.linalg.cholesky(r1_far))", "_log_det(np.linalg.cholesky(-r1_far))",
+     ["tests/test_covmath.py::TestGaussianDivergence::test_far_matrices_take_no_second_eigensolve"]),
+    ("an r1 without a Cholesky factor makes every far member infinite", "covmath.py",
+     "            div[far] = 0.5 * np.sum(lam_far - log1p_lam, axis=-1)",
+     "            div[far] = np.inf",
+     ["tests/test_covmath.py::TestGaussianDivergence::test_indefinite_r1_gives_infinity"]),
+    ("negative eigenvalues of the whitened r1 taken by magnitude", "covmath.py",
+     "np.log(np.maximum(mu, 0.0))", "np.log(np.abs(mu))",
+     ["tests/test_covmath.py::TestGaussianDivergence::test_indefinite_r1_gives_infinity"]),
     ("overlap-add overwrites instead of adding", "stft.py",
      "        out[start:start + cfg.fft_size] += segments[t]",
      "        out[start:start + cfg.fft_size] = segments[t]",
@@ -138,6 +148,22 @@ MUTANTS = [
      "        if dotted in _SECTIONS:", "        if dotted in _SECTIONS and isinstance(value, dict):",
      ["tests/test_cli.py::TestConfig::test_section_error_then_unknown_keys_then_first_bad_kind",
       "tests/test_cli.py::TestMain::test_wrong_kind_names_its_key_before_any_work[pilot=False]"]),
+    ("the container saved beside the test render", "cli.py",
+     '        with stage("simulate"):\n'
+     "            rendered = _test_render(config, _test_spec(config, wavs))\n"
+     "        saving = Worker(_save_training, out, config, covs)\n",
+     "        saving = Worker(_save_training, out, config, covs)\n"
+     '        with stage("simulate"):\n'
+     "            rendered = _test_render(config, _test_spec(config, wavs))\n",
+     ["tests/test_cli.py::TestMain::test_container_save_starts_after_the_test_render"]),
+    ("beamform's manifest hashes the container again", "cli.py",
+     "                   known={str(cov_path): hashing.join()})",
+     "                   known={str(cov_path): hashing.join() and None})",
+     ["tests/test_cli.py::TestMain::test_beamform_manifest_hashes_the_container_once"]),
+    ("report merges gain CSVs on different frequency grids", "cli.py",
+     '        elif not np.array_equal(rows["frequency_hz"], merged["frequency_hz"]):',
+     "        elif False:",
+     ["tests/test_cli.py::TestMain::test_report_rejects_gain_csvs_on_different_grids"]),
 ]
 
 
