@@ -296,39 +296,41 @@ def write_manifest(path, config, inputs, outputs, known=None):
     return manifest["outputs"]
 
 
-def _out_dir(config):
+def _output(config, name):
+    """The path of output file name, making the output directory first: no
+    command makes it before its first write, so a failure before that leaves
+    no directory."""
     out = Path(config["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out / name
 
 
 def run_simulate(config):
     """Render the test scene; write mixture and image WAVs, the state track
     and a manifest. Returns the list of written paths."""
     spec = _test_spec(config, _source_wavs(config))
-    out = _out_dir(config)
     cfg = _stft_config(config)
     rate = config["sample_rate"]
     rendered = _test_render(config, spec)
 
     outputs = []
-    mixture_path = out / "mixture.wav"
+    mixture_path = _output(config, "mixture.wav")
     write_wav(mixture_path, synthesize(rendered.mixture, cfg), rate)
     outputs.append(mixture_path)
     # A noiseless render of one source is exactly that source's image.
     noiseless = dataclasses.replace(spec, noise_level_db=None)
     for n in rendered.active_sources:
         image = _test_render(config, noiseless, active_sources=[n]).mixture
-        path = out / f"image_{n:02d}.wav"
+        path = _output(config, f"image_{n:02d}.wav")
         write_wav(path, synthesize(image, cfg), rate)
         outputs.append(path)
-    states_path = out / "states.csv"
+    states_path = _output(config, "states.csv")
     evaluate.write_table(states_path, {
         "frame": np.arange(rendered.truth_states.frame_count),
         "state": rendered.truth_states.labels,
     })
     outputs.append(states_path)
-    manifest = out / "simulate_manifest.json"
+    manifest = _output(config, "simulate_manifest.json")
     write_manifest(manifest, config, _input_files(config), outputs)
     return outputs + [manifest]
 
@@ -348,18 +350,18 @@ def _train(config):
 
 def run_train(config):
     """Train covariances and write the container; returns (covs, path)."""
-    out = _out_dir(config)
     covs = _train(config)
-    path, _ = _save_training(out, config, covs)
+    path, _ = _save_training(config, covs)
     return covs, path
 
 
-def _save_training(out, config, covs):
+def _save_training(config, covs):
     """Write the covariance container and its manifest; returns the container's
     path and {path: digest}."""
-    path = out / "covariances.npz"
+    path = _output(config, "covariances.npz")
     containers.save_covariances(path, covs)
-    digests = write_manifest(out / "train_manifest.json", config, _input_files(config), [path])
+    digests = write_manifest(_output(config, "train_manifest.json"), config,
+                             _input_files(config), [path])
     return path, digests
 
 
@@ -387,21 +389,56 @@ def _test_render(config, spec, active_sources=None):
                         active_sources=active_sources)
 
 
-def _beamform(config, covs, rendered, mode):
-    """Build the mode's bank, pick the test scene's state track when the bank
-    is dynamic with more than one state (matched against the pilot templates
-    of covs at the test render's pilot bins), and filter the test mixture, as
-    stage beamform:<mode>. Returns (bank, estimates); callers drop both before
-    the next mode, so one mode's (T, F, N) estimates are alive at a time."""
-    with stage(f"beamform:{mode}"):
-        bank = beamform.build(covs, mode, reference=config["geometry"]["reference"])
-        states = None
-        if mode == "dynamic" and covs.state_count > 1:
-            states = rendered.truth_states if config["state_oracle"] else \
-                covest.estimate_states(rendered.mixture,
-                                       covest.pilot_templates(covs, rendered.pilot_bins),
-                                       rendered.pilot_bins)
-        return bank, beamform.apply_bank(bank, rendered.mixture, states)
+def _run_modes(config, covs, rendered, command, write):
+    """For each mode, as stage beamform:<mode>: build its bank, pick the test
+    scene's state track when the bank is dynamic with more than one state
+    (matched against the pilot templates of covs at the test render's pilot
+    bins) and filter the test mixture. Then, as stage <command>:<mode>: save
+    the bank and pass the (T, F, N) estimates to write(config, rendered, mode,
+    estimates), which returns the paths it wrote. One mode's estimates are
+    alive at a time. Returns the paths."""
+    outputs = []
+    for mode in config["modes"]:
+        with stage(f"beamform:{mode}"):
+            bank = beamform.build(covs, mode, reference=config["geometry"]["reference"])
+            states = None
+            if mode == "dynamic" and covs.state_count > 1:
+                states = rendered.truth_states if config["state_oracle"] else \
+                    covest.estimate_states(rendered.mixture,
+                                           covest.pilot_templates(covs, rendered.pilot_bins),
+                                           rendered.pilot_bins)
+            estimates = beamform.apply_bank(bank, rendered.mixture, states)
+        with stage(f"{command}:{mode}"):
+            bank_path = _output(config, f"bank_{mode}.npz")
+            containers.save_bank(bank_path, bank)
+            outputs += [bank_path] + write(config, rendered, mode, estimates)
+        del bank, estimates
+    return outputs
+
+
+def _gain_table(config, rendered, mode, estimates):
+    """Write the mode's gain table, gain_<mode>.csv; returns its path."""
+    mixture_ref = rendered.mixture.frames[:, :, config["geometry"]["reference"]]
+    report = evaluate.gain(estimates, mixture_ref, rendered.desired, rendered.mixture.bin_hz)
+    path = _output(config, f"gain_{mode}.csv")
+    evaluate.write_table(path, report.table())
+    return [path]
+
+
+def _enhanced_wavs(config, rendered, mode, estimates):
+    """Write each source's enhanced estimate, enhanced_<mode>_<NN>.wav, as a
+    mono WAV; returns the paths."""
+    cfg = _stft_config(config)
+    paths = []
+    for col, n in enumerate(rendered.active_sources):
+        mono = SpectralFrameTensor(
+            estimates[:, :, col:col + 1], rendered.mixture.sample_rate,
+            rendered.mixture.fft_size, rendered.mixture.hop,
+        )
+        path = _output(config, f"enhanced_{mode}_{n:02d}.wav")
+        write_wav(path, synthesize(mono, cfg), config["sample_rate"])
+        paths.append(path)
+    return paths
 
 
 def run_pipeline(config):
@@ -419,53 +456,28 @@ def run_pipeline(config):
         raise ValueError(f"training visits {len(visited)} of {track.state_count} motion states; "
                          f"the first unvisited are {unvisited}")
     wavs = _source_wavs(config)
-    out = _out_dir(config)
     with stage("train"):
         covs = _train(config)
     saving = None
     try:
         with stage("simulate"):
             rendered = _test_render(config, _test_spec(config, wavs))
-        saving = Worker(_save_training, out, config, covs)
-        outputs = _test_phase(config, covs, out, rendered)
+        saving = Worker(_save_training, config, covs)
+        outputs = _run_modes(config, covs, rendered, "analyze", _gain_table)
     finally:
         # Joined whatever happens, and run here if the render failed; a failed
         # save came first in serial order, so its train error wins over any
-        # error of the test phase.
+        # error of the modes.
         with stage("train"):
-            cov_path, digests = saving.join() if saving else _save_training(out, config, covs)
+            cov_path, digests = saving.join() if saving else _save_training(config, covs)
 
     with stage("analyze:divergence"):
-        div_path = out / "divergence.csv"
+        div_path = _output(config, "divergence.csv")
         evaluate.write_table(div_path, _divergence_table(covs))
     outputs = [cov_path] + outputs + [div_path]
-    manifest = out / "pipeline_manifest.json"
+    manifest = _output(config, "pipeline_manifest.json")
     write_manifest(manifest, config, _input_files(config), outputs, known=digests)
     return outputs + [manifest]
-
-
-def _test_phase(config, covs, out, rendered):
-    """Filter the rendered test scene with each mode and write the mode's gain
-    table and bank; returns the paths."""
-    reference = config["geometry"]["reference"]
-    outputs = []
-    for mode in config["modes"]:
-        bank, estimates = _beamform(config, covs, rendered, mode)
-        with stage(f"analyze:{mode}"):
-            report = evaluate.gain(
-                estimates,
-                rendered.mixture.frames[:, :, reference],
-                rendered.desired,
-                rendered.mixture.bin_hz,
-            )
-            gain_path = out / f"gain_{mode}.csv"
-            evaluate.write_table(gain_path, report.table())
-            outputs.append(gain_path)
-            bank_path = out / f"bank_{mode}.npz"
-            containers.save_bank(bank_path, bank)
-            outputs.append(bank_path)
-        del bank, estimates
-    return outputs
 
 
 def _divergence_table(covs):
@@ -488,7 +500,6 @@ def run_beamform(config, covariances_path=None):
     cov_path = Path(covariances_path or Path(config["out_dir"]) / "covariances.npz")
     if not cov_path.is_file():
         raise ValueError(f"covariance container not found: {cov_path}")
-    out = _out_dir(config)
     # Render before loading: the buffers the render frees let the allocator
     # serve the load's many 1 MB validation temporaries from its heap, where
     # loading first maps each one afresh (2.5x the page faults on rotation).
@@ -497,45 +508,22 @@ def run_beamform(config, covariances_path=None):
     # modes, which leave the second core idle.
     hashing = Worker(_sha256, cov_path)
     try:
-        outputs = _filter_from_container(config, cov_path, rendered, out)
+        covs = containers.load_covariances(cov_path)
+        if covs.source_count != len(rendered.active_sources):
+            raise ValueError(
+                f"covariance container holds {covs.source_count} sources, "
+                f"the scene has {len(rendered.active_sources)}"
+            )
+        outputs = _run_modes(config, covs, rendered, "beamform", _enhanced_wavs)
     except BaseException:
         # Joined whatever happens; the hash came last in serial order, so
         # any other error wins over its own.
         with suppress(Exception):
             hashing.join()
         raise
-    write_manifest(out / "beamform_manifest.json", config,
+    write_manifest(_output(config, "beamform_manifest.json"), config,
                    [cov_path] + _input_files(config), outputs,
                    known={str(cov_path): hashing.join()})
-    return outputs
-
-
-def _filter_from_container(config, cov_path, rendered, out):
-    """Load the covariance container, then build each mode's bank from it,
-    filter the rendered test scene and write the bank and its enhanced WAVs;
-    returns the paths."""
-    covs = containers.load_covariances(cov_path)
-    if covs.source_count != len(rendered.active_sources):
-        raise ValueError(
-            f"covariance container holds {covs.source_count} sources, "
-            f"the scene has {len(rendered.active_sources)}"
-        )
-    cfg = _stft_config(config)
-    outputs = []
-    for mode in config["modes"]:
-        bank, estimates = _beamform(config, covs, rendered, mode)
-        bank_path = out / f"bank_{mode}.npz"
-        containers.save_bank(bank_path, bank)
-        outputs.append(bank_path)
-        for col, n in enumerate(rendered.active_sources):
-            mono = SpectralFrameTensor(
-                estimates[:, :, col:col + 1], rendered.mixture.sample_rate,
-                rendered.mixture.fft_size, rendered.mixture.hop,
-            )
-            wav_path = out / f"enhanced_{mode}_{n:02d}.wav"
-            write_wav(wav_path, synthesize(mono, cfg), config["sample_rate"])
-            outputs.append(wav_path)
-        del bank, estimates
     return outputs
 
 
@@ -545,7 +533,6 @@ def run_theory(config):
     azimuths = config["sources"]["azimuths_deg"]
     if len(azimuths) < 2:
         raise ValueError("theory curves need at least two source azimuths")
-    out = _out_dir(config)
     positions = scene.start_pose(_geometry(config), _motion(config))
     central = len(azimuths) // 2
     pairs = [
@@ -558,9 +545,9 @@ def run_theory(config):
         positions, {"div_outer_vs_central": pairs},
         config["theory"]["sigmas_s"], freqs, config["speed_of_sound"],
     )
-    path = out / "theory.csv"
+    path = _output(config, "theory.csv")
     evaluate.write_table(path, table)
-    write_manifest(out / "theory_manifest.json", config, [], [path])
+    write_manifest(_output(config, "theory_manifest.json"), config, [], [path])
     return [path]
 
 
@@ -580,7 +567,7 @@ def run_report(config):
             raise ValueError(f"{path} and {first} hold different frequency_hz grids")
         merged[f"gain_db_{mode_arg}"] = rows["gain_db"]
         merged[f"flagged_{mode_arg}"] = rows["flagged"]
-    path = out / "report.csv"
+    path = _output(config, "report.csv")
     evaluate.write_table(path, merged)
     return [path]
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from driftbeam import cli, containers, evaluate, scene
+from driftbeam import beamform, cli, containers, evaluate, scene
+from driftbeam.stft import StftConfig, synthesize
 
 
 def tiny_config(out_dir, **overrides):
@@ -176,6 +177,30 @@ class TestSimulate:
         wav_a = (tmp_path / "a" / "mixture.wav").read_bytes()
         wav_b = (tmp_path / "b" / "mixture.wav").read_bytes()
         assert wav_a == wav_b
+
+    def test_source_wavs_are_the_scene_signals(self, tmp_path):
+        # One float32 and one int16 WAV of the test length drive the test
+        # scene in place of the seeded noise.
+        rng = np.random.default_rng(3)
+        wavs = [tmp_path / "float.wav", tmp_path / "int16.wav"]
+        cli.write_wav(wavs[0], 0.1 * rng.standard_normal(16000), 16000)
+        wavfile.write(wavs[1], 16000, rng.integers(-3000, 3000, 16000).astype(np.int16))
+        config = tiny_config(tmp_path / "out", test_duration_s=1.0,
+                             sources={"wav_paths": [str(w) for w in wavs]})
+        cli.run_simulate(config)
+        spec = scene.SceneSpec(
+            geometry=scene.ArrayGeometry(scene.linear_positions(4, 0.04), 0),
+            sources=tuple(scene.Source(az, cli.read_wav(w, 16000))
+                          for az, w in zip([30.0, 120.0], wavs)),
+            motion=scene.MotionModel.static(),
+            noise_level_db=-30.0,
+            pilot=scene.Pilot(frequency_hz=7000.0, level_db=-20.0),
+        )
+        cfg = StftConfig(fft_size=256, hop=128)
+        rendered = scene.render(spec, 1.0, cfg, 16000, seed=5)
+        cli.write_wav(tmp_path / "expected.wav", synthesize(rendered.mixture, cfg), 16000)
+        written = (tmp_path / "out" / "mixture.wav").read_bytes()
+        assert written == (tmp_path / "expected.wav").read_bytes()
 
 
 class TestPipeline:
@@ -642,13 +667,33 @@ class TestMain:
         assert not out.exists()
 
     def test_beamform_without_container_leaves_no_out_directory(self, tmp_path, capsys):
+        # A container that is missing, unloadable or of another scene fails
+        # before the first write, so --out is never made.
         path = self.write_config(tmp_path)
-        out = tmp_path / "out"
-        code = cli.main(["--config", str(path), "--out", str(out), "beamform",
-                         "--covariances", str(tmp_path / "missing.npz")])
-        assert code == 1
-        assert "[beamform] covariance container not found" in capsys.readouterr().err
-        assert not out.exists()
+        trained = tmp_path / "trained"
+        assert cli.main(["--config", str(path), "--out", str(trained), "train"]) == 0
+        container = trained / "covariances.npz"
+        truncated = tmp_path / "truncated.npz"
+        truncated.write_bytes(container.read_bytes()[:container.stat().st_size // 2])
+        cases = [
+            ("missing", {}, tmp_path / "missing.npz",
+             "[beamform] covariance container not found"),
+            ("truncated", {}, truncated, "[beamform] File is not a zip file"),
+            ("source_count", {"sources": {"azimuths_deg": [20.0, 100.0, 160.0]}}, container,
+             "[beamform] covariance container holds 2 sources, the scene has 3"),
+            # 129 bins at 8 kHz as at 16 kHz, on another frequency grid.
+            ("bin_grid", {"sample_rate": 8000, "pilot": {"enabled": False}}, container,
+             "[beamform:static] mixture bin grid does not match the beamformer bank"),
+        ]
+        for name, fields, covariances, message in cases:
+            (tmp_path / name).mkdir()
+            scene_path = self.write_config(tmp_path / name, **fields)
+            out = tmp_path / name / "out"
+            code = cli.main(["--config", str(scene_path), "--out", str(out), "beamform",
+                             "--covariances", str(covariances)])
+            assert code == 1, name
+            assert capsys.readouterr().err.startswith(f"error: {message}"), name
+            assert not out.exists(), name
 
     def test_report_without_gain_csvs_leaves_no_out_directory(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
@@ -726,6 +771,24 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"
         assert len(list((tmp_path / "out").glob("enhanced_*.wav"))) == 6
+
+    def test_state_oracle_filters_with_the_true_state_track(self, tmp_path):
+        # Without pilots a sweep has no state estimate; the oracle needs none.
+        path = self.write_config(tmp_path, pilot={"enabled": False}, motion=self.ROTATION,
+                                 state_oracle=True)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out),
+                         "--mode", "dynamic", "analyze"]) == 0
+        config = cli.load_config(path, {"out_dir": str(out)})
+        rendered = cli._test_render(config, cli._test_spec(config, []))
+        covs = containers.load_covariances(out / "covariances.npz")
+        estimates = beamform.apply_bank(beamform.build(covs, "dynamic"), rendered.mixture,
+                                        rendered.truth_states)
+        report = evaluate.gain(estimates, rendered.mixture.frames[:, :, 0], rendered.desired,
+                               rendered.mixture.bin_hz)
+        evaluate.write_table(tmp_path / "expected.csv", report.table())
+        assert (out / "gain_dynamic.csv").read_bytes() == \
+            (tmp_path / "expected.csv").read_bytes()
 
     def test_jitter_training_serves_dynamic_beamform(self, tmp_path):
         path = self.write_config(tmp_path,

@@ -151,11 +151,24 @@ MUTANTS = [
     ("the container saved beside the test render", "cli.py",
      '        with stage("simulate"):\n'
      "            rendered = _test_render(config, _test_spec(config, wavs))\n"
-     "        saving = Worker(_save_training, out, config, covs)\n",
-     "        saving = Worker(_save_training, out, config, covs)\n"
+     "        saving = Worker(_save_training, config, covs)\n",
+     "        saving = Worker(_save_training, config, covs)\n"
      '        with stage("simulate"):\n'
      "            rendered = _test_render(config, _test_spec(config, wavs))\n",
      ["tests/test_cli.py::TestMain::test_container_save_starts_after_the_test_render"]),
+    ("beamform makes the output directory before its render", "cli.py",
+     "    rendered = _test_render(config, _test_spec(config, wavs))\n    # The manifest's",
+     '    _output(config, "")\n'
+     "    rendered = _test_render(config, _test_spec(config, wavs))\n    # The manifest's",
+     ["tests/test_cli.py::TestMain::test_beamform_without_container_leaves_no_out_directory"]),
+    ("the test scene ignores the source WAVs", "cli.py",
+     "    return _scene_spec(config, wavs or scene.pseudorandom_signals(",
+     "    return _scene_spec(config, scene.pseudorandom_signals(",
+     ["tests/test_cli.py::TestSimulate::test_source_wavs_are_the_scene_signals"]),
+    ("state_oracle ignored", "cli.py",
+     '                states = rendered.truth_states if config["state_oracle"] else \\\n',
+     "                states = rendered.truth_states if False else \\\n",
+     ["tests/test_cli.py::TestMain::test_state_oracle_filters_with_the_true_state_track"]),
     ("beamform's manifest hashes the container again", "cli.py",
      "                   known={str(cov_path): hashing.join()})",
      "                   known={str(cov_path): hashing.join() and None})",
