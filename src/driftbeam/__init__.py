@@ -6,7 +6,7 @@ filters from sample spatial covariances, and measures how array deformation
 erodes the spatial separability of sources across frequency.
 """
 
-from .beamform import BeamformerBank, StarvedStateError, apply_bank, build, mwf_weights
+from .beamform import BeamformerBank, apply_bank, build, mwf_weights
 from .containers import load_bank, load_covariances, save_bank, save_covariances
 from .covest import CovarianceSet, estimate_states, pilot_templates, train, training_renders
 from .covmath import (
@@ -47,7 +47,6 @@ __all__ = [
     "SceneSpec",
     "Source",
     "SpectralFrameTensor",
-    "StarvedStateError",
     "StateSequence",
     "StftConfig",
     "analyze",

@@ -23,10 +23,6 @@ from .stft import SpectralFrameTensor, block_length
 MODES = ("static", "dynamic", "rank1")
 
 
-class StarvedStateError(ValueError):
-    """Raised when the dynamic beamformer lacks training data for some state."""
-
-
 @dataclass(frozen=True)
 class BeamformerBank:
     """Per-frequency weight matrices, one set per motion state.
@@ -111,11 +107,6 @@ def build(covs: CovarianceSet, mode: str, reference: int = 0) -> BeamformerBank:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose one of {MODES}")
     if mode == "dynamic":
-        missing = covs.missing_pairs()
-        if missing:
-            raise StarvedStateError(
-                f"no training frames for (source, state) pairs: {missing}"
-            )
         weights = mwf_weights(covs.cells.swapaxes(0, 1), covs.noise, reference)
     else:
         sources = covs.ensemble if mode == "static" else _principal_component(covs.ensemble)

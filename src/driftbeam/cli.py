@@ -448,13 +448,6 @@ def run_pipeline(config):
     covariance container and its manifest while this thread runs the modes."""
     if len(config["sources"]["azimuths_deg"]) < 2:
         raise ValueError("divergence curves need at least two source azimuths")
-    track = scene.render_states(_motion(config), config["train_duration_s"],
-                                _stft_config(config), config["sample_rate"])
-    visited = set(track.labels.tolist())
-    unvisited = [k for k in range(min(track.state_count, len(visited) + 8)) if k not in visited]
-    if unvisited:
-        raise ValueError(f"training visits {len(visited)} of {track.state_count} motion states; "
-                         f"the first unvisited are {unvisited}")
     wavs = _source_wavs(config)
     with stage("train"):
         covs = _train(config)

@@ -10,12 +10,12 @@ Covariance container (format version 4):
     frequencies           (F,)             rad/s
     noise                 (F, M, M)        complex
     cells                 (N, S, F, M, M)  complex, one matrix per (source, state)
-    frame_counts          (N, S)           int; 0 marks a missing, all-zero cell
+    frame_counts          (N, S)           int, each >= 1: the training frames behind each cell
 
 The ensemble covariances are not stored: CovarianceSet derives them from the
 cells and their frame counts. Pilot templates are not stored either:
 covest.pilot_templates indexes them from the cells at the test render's
-pilot bins. Loading validates cells and noise once each.
+pilot bins. Loading validates cells, counts and noise once each.
 
 Bank container (format version 2):
     format_version, kind="bank", mode (one of beamform.MODES), reference,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .covmath import HermitianSpectrum, regularize
-from .scene import RenderedScene, SceneSpec, StateSequence, render
+from .scene import RenderedScene, SceneSpec, StateSequence, render, render_states
 from .stft import SpectralFrameTensor, StftConfig, block_length
 from .worker import on_two_threads
 
@@ -30,12 +30,12 @@ class CovarianceSet:
     """Trained second-order statistics of a scene, as read-only arrays.
 
     cells (N, S, F, M, M) holds source n's covariance in motion state s and
-    frame_counts (N, S) the training frames behind it; a count of 0 marks a
-    missing cell, which must be all zeros. noise (F, M, M) comes from a
+    frame_counts (N, S) the training frames behind it, at least one each: a
+    state without frames has no beamformer. noise (F, M, M) comes from a
     source-free render; frequencies (F,) are the bins in rad/s. cells and
     noise are validated once each. ensemble (N, F, M, M) is derived: source
     n's state-averaged covariance sum_s (c_s / C_n) R_{n,s}, summed in state
-    order over its nonzero counts c_s with total C_n, so in a one-state scene
+    order over its counts c_s with total C_n, so in a one-state scene
     (static or jitter) it equals the state-0 cell bit for bit.
     """
 
@@ -54,23 +54,17 @@ class CovarianceSet:
         if counts.shape != shape[:2] or counts.dtype.kind not in "iu" or (counts < 0).any():
             raise ValueError(f"frame_counts must be nonnegative ints of shape {shape[:2]}, "
                              f"got {counts.dtype} {counts.shape}")
+        missing = [tuple(pair) for pair in np.argwhere(counts == 0).tolist()]
+        if missing or not counts.size:
+            raise ValueError(f"no training frames for (source, state) pairs: {missing}" if missing
+                             else "covariance cells must hold at least one source and state")
         cells = HermitianSpectrum(self.cells, self.frequencies).bins
         noise = HermitianSpectrum(self.noise, self.frequencies)
-        missing = counts == 0
-        stray = np.argwhere(missing)[cells[missing].any(axis=(1, 2, 3))]
-        if len(stray):
-            raise ValueError("cells with a zero frame count must be zero, not "
-                             f"{[tuple(p) for p in stray.tolist()]}")
-        starved = np.flatnonzero(missing.all(axis=1)).tolist()
-        if not len(counts) or starved:
-            raise ValueError("covariance cells must hold at least one source, each with "
-                             f"training frames (none for sources {starved})")
         ensemble = np.empty((shape[0], *shape[2:]), dtype=np.complex128)
         for n, row in enumerate(counts):
-            states = np.flatnonzero(row)
             total = row.sum()
-            np.multiply(row[states[0]] / total, cells[n, states[0]], out=ensemble[n])
-            for state in states[1:]:
+            np.multiply(row[0] / total, cells[n, 0], out=ensemble[n])
+            for state in range(1, len(row)):
                 ensemble[n] += (row[state] / total) * cells[n, state]
         # Read-only views: an in-place edit raises instead of racing a
         # concurrent save of the same arrays.
@@ -91,10 +85,6 @@ class CovarianceSet:
     @property
     def mic_count(self) -> int:
         return self.cells.shape[-1]
-
-    def missing_pairs(self) -> list:
-        """The (source, state) pairs without training frames, sorted."""
-        return [tuple(pair) for pair in np.argwhere(self.frame_counts == 0).tolist()]
 
 
 def _outer_sums(frames, labels, group_count, out=None):
@@ -142,7 +132,14 @@ def training_renders(spec: SceneSpec, duration_s: float, cfg: StftConfig, sample
                      seed: int):
     """train's input for spec: a generator of noiseless renders of each source
     alone, source n at seed + 1 + n, each drawn when asked, and a source-free
-    render at seed + 1 + N, drawn now, that alone carries spec's noise."""
+    render at seed + 1 + N, drawn now, that alone carries spec's noise. It
+    raises first, before any render, if the training track misses a state."""
+    track = render_states(spec.motion, duration_s, cfg, sample_rate)
+    visited = set(track.labels.tolist())
+    unvisited = [k for k in range(min(track.state_count, len(visited) + 8)) if k not in visited]
+    if unvisited:
+        raise ValueError(f"training visits {len(visited)} of {track.state_count} motion states; "
+                         f"the first unvisited are {unvisited}")
     noiseless = replace(spec, noise_level_db=None)
     sources = (render(noiseless, duration_s, cfg, sample_rate, seed=seed + 1 + n,
                       active_sources=[n]) for n in range(spec.source_count))
@@ -201,16 +198,13 @@ def pilot_templates(covs: CovarianceSet, pilot_bins) -> np.ndarray:
 
     Template s, row n is source n's trained covariance in state s at that
     source's pilot bin pilot_bins[n], so a test frame (all pilots active at
-    once) can be matched bin by bin.
+    once) can be matched bin by bin; a CovarianceSet has no untrained cell.
     """
     if pilot_bins is None or len(pilot_bins) != covs.source_count:
         raise ValueError(
             f"pilot templates need one pilot bin per source ({covs.source_count}), "
             f"got {pilot_bins!r} (pilot disabled?)"
         )
-    missing = covs.missing_pairs()
-    if missing:
-        raise ValueError(f"no training frames for (source, state) pairs: {missing}")
     return covs.cells.swapaxes(0, 1)[:, np.arange(covs.source_count), list(pilot_bins)]
 
 

@@ -95,9 +95,7 @@ def gain(outputs, mixture_ref, desired, frequencies_hz) -> GainReport:
 
 def _slot_covariance(covs: CovarianceSet, slot):
     source, state = slot
-    trained = 0 <= source < covs.source_count and (
-        state is None or (0 <= state < covs.state_count and covs.frame_counts[source, state] > 0))
-    if not trained:
+    if not (0 <= source < covs.source_count and (state is None or 0 <= state < covs.state_count)):
         raise ValueError(f"no trained covariance for (source, state) = {slot}")
     return covs.ensemble[source] if state is None else covs.cells[source, state]
 

@@ -214,9 +214,12 @@ class SceneSpec:
 
     def __post_init__(self):
         sources = tuple(self.sources)
-        azimuths = [s.azimuth_deg for s in sources]
-        if len(set(azimuths)) != len(azimuths):
-            raise ValueError("source azimuths must be distinct")
+        wrapped = [s.azimuth_deg % 360.0 for s in sources]  # a turn apart: the same delays
+        for j, azimuth in enumerate(wrapped):
+            if azimuth in wrapped[:j]:
+                raise ValueError(f"source azimuths must be distinct modulo 360 degrees, not "
+                                 f"{sources[wrapped.index(azimuth)].azimuth_deg!r} and "
+                                 f"{sources[j].azimuth_deg!r}")
         if self.noise_level_db is not None and not sources:
             raise ValueError("a scene with noise needs a source to set the noise level")
         object.__setattr__(self, "sources", sources)

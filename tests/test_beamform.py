@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftbeam import beamform, covest, covmath, scene, stft
-from driftbeam.beamform import BeamformerBank, StarvedStateError, apply_bank, build, mwf_weights
+from driftbeam.beamform import BeamformerBank, apply_bank, build, mwf_weights
 from driftbeam.stft import SpectralFrameTensor, StftConfig
 
 CFG = StftConfig(fft_size=256, hop=128)
@@ -137,14 +137,15 @@ class TestBuild:
             np.testing.assert_array_equal(batched[n].view(np.uint64), single.view(np.uint64))
 
     def test_starved_state_error_lists_pairs(self):
+        # No set with a starved cell reaches build: the set itself names the pair.
         motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=4.0, state_count=4)
         covs, _ = trained_covs(motion=motion)
         cells, counts = covs.cells.copy(), covs.frame_counts.copy()
         cells[1, 0] = 0.0
         counts[1, 0] = 0
-        starved = covest.CovarianceSet(cells, counts, covs.noise, covs.frequencies)
-        with pytest.raises(StarvedStateError, match=r"\(1, 0\)"):
-            build(starved, "dynamic")
+        with pytest.raises(ValueError, match=r"no training frames for \(source, state\) "
+                                             r"pairs: \[\(1, 0\)\]"):
+            covest.CovarianceSet(cells, counts, covs.noise, covs.frequencies)
 
     def test_unknown_mode_rejected(self):
         covs, _ = trained_covs()

@@ -662,7 +662,7 @@ class TestMain:
         path = self.write_config(tmp_path, motion={**self.ROTATION, "period_s": 20.0})
         out = tmp_path / "out"
         assert cli.main(["--config", str(path), "--out", str(out), "analyze"]) == 1
-        assert ("[analyze] training visits 1 of 4 motion states; the first unvisited are "
+        assert ("[train] training visits 1 of 4 motion states; the first unvisited are "
                 "[1, 2, 3]") in capsys.readouterr().err
         assert not out.exists()
 
@@ -851,14 +851,12 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         assert capsys.readouterr().err == f"error: [config] {path}{message}\n"
         assert not out.exists()
 
-    def test_training_missing_a_state_fails_dynamic_beamform(self, tmp_path, capsys):
-        # One second of a 20 s sweep reaches only the first state.
+    def test_train_rejects_training_that_misses_a_state(self, tmp_path, capsys):
+        # One second of a 20 s sweep reaches only the first state: train fails
+        # as analyze does, before it writes anything.
         path = self.write_config(tmp_path, motion={**self.ROTATION, "period_s": 20.0})
-        out = str(tmp_path / "out")
-        assert cli.main(["--config", str(path), "--out", out, "train"]) == 0
-        code = cli.main(["--config", str(path), "--out", out, "--mode", "dynamic", "beamform"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "[beamform:dynamic]" in err
-        assert ("no training frames for (source, state) pairs: "
-                "[(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]") in err
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "train"]) == 1
+        assert ("[train] training visits 1 of 4 motion states; the first unvisited are "
+                "[1, 2, 3]") in capsys.readouterr().err
+        assert not out.exists()

@@ -43,22 +43,6 @@ def test_covariance_round_trip(trained, tmp_path):
         assert not any(name.startswith(("template", "ensemble")) for name in zf.namelist())
 
 
-def test_zero_count_cell_round_trips_as_missing(trained, tmp_path):
-    covs, _ = trained
-    cells, counts = covs.cells.copy(), covs.frame_counts.copy()
-    cells[1, 2] = 0.0
-    counts[1, 2] = 0
-    path = tmp_path / "covs.npz"
-    containers.save_covariances(path, covest.CovarianceSet(cells, counts, covs.noise,
-                                                           covs.frequencies))
-    loaded = containers.load_covariances(path)
-    assert loaded.missing_pairs() == [(1, 2)]
-    np.testing.assert_array_equal(loaded.frame_counts, counts)
-    assert not loaded.cells[1, 2].any()
-    with pytest.raises(beamform.StarvedStateError, match=r"\[\(1, 2\)\]"):
-        beamform.build(loaded, "dynamic")
-
-
 def test_one_state_container_stores_each_covariance_once(tmp_path):
     motion = scene.MotionModel.gaussian_jitter(0.005)
     spec = scene.SceneSpec(
@@ -164,11 +148,22 @@ def zero_source_1(values):
     return values
 
 
+def zero_cell_1_2(values):
+    values = values.copy()
+    values[1, 2] = 0
+    return values
+
+
 @pytest.mark.parametrize("edits, message", [
-    ({"frame_counts": zero_first}, r"zero frame count must be zero, not \[\(0, 0\)\]"),
+    ({"frame_counts": zero_first},
+     r"no training frames for \(source, state\) pairs: \[\(0, 0\)\]"),
     ({"frame_counts": zero_source_1, "cells": zero_source_1},
-     r"training frames \(none for sources \[1\]\)"),
-], ids=["zero_frame_count", "source_without_frames"])
+     r"no training frames for \(source, state\) pairs: \[\(1, 0\), \(1, 1\), \(1, 2\), "
+     r"\(1, 3\)\]"),
+    # A zero count over an all-zero cell: how format 4 once stored an untrained state.
+    ({"frame_counts": zero_cell_1_2, "cells": zero_cell_1_2},
+     r"no training frames for \(source, state\) pairs: \[\(1, 2\)\]"),
+], ids=["zero_frame_count", "source_without_frames", "missing_cell"])
 def test_inconsistent_cells_rejected(trained, tmp_path, edits, message):
     covs, _ = trained
     path, bad = tmp_path / "covs.npz", tmp_path / "bad.npz"

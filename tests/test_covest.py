@@ -177,13 +177,22 @@ class TestTrain:
         assert covs.state_count == 1
         np.testing.assert_allclose(covs.cells[:, 0], covs.ensemble, atol=1e-12)
 
+    def test_under_visited_training_rejected_before_any_render(self, monkeypatch):
+        # One second of a 20 s sweep reaches only the first of four states.
+        calls = []
+        monkeypatch.setattr(covest, "render", lambda *args, **kwargs: calls.append(args))
+        motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=20.0, state_count=4)
+        with pytest.raises(ValueError, match=r"training visits 1 of 4 motion states; "
+                                             r"the first unvisited are \[1, 2, 3\]"):
+            training_renders(build_spec(motion=motion, duration=1.0), 1.0)
+        assert calls == []
+
     def test_rotation_sweep_populates_all_states(self):
         motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=4.0, state_count=10)
         spec = build_spec(motion=motion, duration=4.0)
         covs = covest.train(*training_renders(spec, 4.0))
         assert covs.frame_counts.shape == (2, 10)
         assert (covs.frame_counts > 0).all()
-        assert covs.missing_pairs() == []
 
     def test_ensemble_is_weighted_average(self):
         motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=3.0, state_count=5)
@@ -321,8 +330,10 @@ def unit_set(cells, counts):
 class TestCovarianceSet:
     @pytest.mark.parametrize("cells, counts, message", [
         (unit_cells([[2], [2]]), [[2]], r"frame_counts must be .* of shape \(2, 1\)"),
-        (unit_cells([[2], [2]]), [[2], [0]], r"zero frame count must be zero, not \[\(1, 0\)\]"),
-        (unit_cells([[2], [0], [2]]), [[2], [0], [2]], r"none for sources \[1\]"),
+        (unit_cells([[2], [2]]), [[2], [0]],
+         r"no training frames for \(source, state\) pairs: \[\(1, 0\)\]"),
+        (unit_cells([[2, 2], [0, 0], [2, 2]]), [[2, 2], [0, 0], [2, 2]],
+         r"no training frames for \(source, state\) pairs: \[\(1, 0\), \(1, 1\)\]"),
         (unit_cells(np.zeros((0, 1))), np.zeros((0, 1)), "at least one source"),
     ], ids=["key_mismatch", "zero_count", "source_gap", "empty"])
     def test_bad_cells_rejected(self, cells, counts, message):
@@ -425,10 +436,10 @@ class TestPilotTemplates:
             covest.pilot_templates(covs, (1,))
 
     def test_missing_cell_rejected(self):
-        covs = self.two_source_covs([[3, 3], [3, 0]])
+        # No set with a missing cell reaches pilot_templates.
         with pytest.raises(ValueError, match=r"no training frames for \(source, state\) "
                                              r"pairs: \[\(1, 1\)\]"):
-            covest.pilot_templates(covs, (1, 3))
+            self.two_source_covs([[3, 3], [3, 0]])
 
 
 @pytest.fixture(scope="module")

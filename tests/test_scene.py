@@ -696,10 +696,13 @@ class TestGeometry:
         np.testing.assert_allclose(dist(moved), dist(orig), atol=1e-12)
 
     def test_duplicate_azimuths_rejected(self):
+        # Azimuths a whole turn apart are the same direction.
         signals = scene.pseudorandom_signals(2, FS, 0)
-        with pytest.raises(ValueError, match="distinct"):
-            scene.SceneSpec(
-                geometry=scene.ArrayGeometry(scene.linear_positions(3, 0.05)),
-                sources=(scene.Source(5.0, signals[0]), scene.Source(5.0, signals[1])),
-                motion=scene.MotionModel.static(),
-            )
+        for first, second in [(5.0, 5.0), (0.0, 360.0), (-90.0, 270.0)]:
+            with pytest.raises(ValueError, match=f"distinct modulo 360 degrees, not "
+                                                 f"{first!r} and {second!r}"):
+                scene.SceneSpec(
+                    geometry=scene.ArrayGeometry(scene.linear_positions(3, 0.05)),
+                    sources=(scene.Source(first, signals[0]), scene.Source(second, signals[1])),
+                    motion=scene.MotionModel.static(),
+                )

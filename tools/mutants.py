@@ -33,6 +33,13 @@ MUTANTS = [
      "            total = row.sum()\n",
      "            row = (row > 0).astype(np.int64)\n            total = row.sum()\n",
      ["tests/test_covest.py::TestTrain::test_ensemble_is_weighted_average"]),
+    ("CovarianceSet accepts a zero frame count", "covest.py",
+     "        if missing or not counts.size:\n", "        if not counts.size:\n",
+     ["tests/test_covest.py::TestCovarianceSet::test_bad_cells_rejected[zero_count]"]),
+    ("training_renders skips the visit check", "covest.py",
+     "    if unvisited:\n", "    if False:\n",
+     ["tests/test_covest.py::TestTrain::"
+      "test_under_visited_training_rejected_before_any_render"]),
     ("state-score ties go to the higher state", "covest.py",
      "    return StateSequence(np.argmin(scores, axis=1), len(templates))",
      "    return StateSequence(len(templates) - 1 - np.argmin(scores[:, ::-1], axis=1),"
