@@ -486,6 +486,27 @@ def _divergence_table(covs):
     return evaluate.divergence_curve(covs, named)
 
 
+def _check_fit(config, covs, rendered):
+    """Reject a covariance container that does not fit the test scene: another
+    source or microphone count, another bin grid (apply_bank's rule), or, when
+    a dynamic bank is filtered with the true state track, another state count."""
+    def reject(held, has):
+        raise ValueError(f"covariance container holds {held}, the scene has {has}")
+
+    mixture = rendered.mixture
+    if covs.source_count != len(rendered.active_sources):
+        reject(f"{covs.source_count} sources", len(rendered.active_sources))
+    if covs.mic_count != mixture.mic_count:
+        reject(f"{covs.mic_count} microphones", mixture.mic_count)
+    if covs.frequencies.shape != mixture.bin_omega.shape or \
+            not np.allclose(covs.frequencies, mixture.bin_omega):
+        reject(f"{len(covs.frequencies)} bins up to {covs.frequencies[-1] / (2.0 * np.pi):g} Hz",
+               f"{mixture.bin_count} up to {mixture.bin_hz[-1]:g} Hz")
+    states = rendered.truth_states.state_count
+    if config["state_oracle"] and "dynamic" in config["modes"] and covs.state_count != states:
+        reject(f"{covs.state_count} motion states", states)
+
+
 def run_beamform(config, covariances_path=None):
     """Build banks from a covariance container, filter the test scene, and
     write enhanced WAVs alongside the bank containers."""
@@ -502,11 +523,7 @@ def run_beamform(config, covariances_path=None):
     hashing = Worker(_sha256, cov_path)
     try:
         covs = containers.load_covariances(cov_path)
-        if covs.source_count != len(rendered.active_sources):
-            raise ValueError(
-                f"covariance container holds {covs.source_count} sources, "
-                f"the scene has {len(rendered.active_sources)}"
-            )
+        _check_fit(config, covs, rendered)
         outputs = _run_modes(config, covs, rendered, "beamform", _enhanced_wavs)
     except BaseException:
         # Joined whatever happens; the hash came last in serial order, so

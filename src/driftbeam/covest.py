@@ -182,14 +182,18 @@ def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
         _, counts[n] = _outer_sums(render.mixture.frames, render.truth_states.labels,
                                    state_count, out=cells[n])
         del render
+        # Each cell is scaled by its count's reciprocal, which gives the same
+        # values as a division by the count: numpy divides a complex array by
+        # a real in a scalar loop that can run several times slower after a
+        # BLAS product.
         for state in np.flatnonzero(counts[n]).tolist():
-            cells[n, state] /= counts[n, state]
+            cells[n, state] *= 1.0 / counts[n, state]
     if sorted(indices) != list(range(source_count)):
         raise ValueError(f"source renders must cover sources 0..N-1 of the noise render's "
                          f"scene (N = {source_count}), got {indices}")
     noise = noise_render.mixture
     sums, (count,) = _outer_sums(noise.frames, np.zeros(noise.frame_count, dtype=np.int64), 1)
-    sums /= count
+    sums *= 1.0 / count
     return CovarianceSet(cells, counts, sums[0], noise.bin_omega)
 
 
@@ -237,16 +241,18 @@ def estimate_states(mixture: SpectralFrameTensor, templates, pilot_bins,
     lo, hi = np.maximum(frame - smoothing, 0), np.minimum(frame + smoothing + 1, len(frame))
     smoothed = cumulative[hi]
     smoothed -= cumulative[lo]
-    smoothed /= (hi - lo)[:, None, None, None]
+    smoothed *= (1.0 / (hi - lo))[:, None, None, None]  # not a division: see train
     smoothed = regularize(smoothed, epsilon_rel)
 
-    # tr(A B) = sum_ij A_ij B_ji: each state's trace term is one product of
-    # the flattened snapshots with its flattened, transposed inverses (per
-    # state: one product over all states may round differently).
+    # tr(A B) = sum_ij A_ij B_ji: each state's trace term is a row-wise dot of
+    # the flattened snapshots with its flattened, transposed inverses. numpy
+    # reduces each row on this thread; a matrix-vector product this large
+    # would wake BLAS's thread pool, which then spins on the other core.
     flat = smoothed.reshape(len(frame), -1)
     scores = np.empty((len(frame), len(templates)))
     for state, template in enumerate(templates):
         loaded = regularize(template, epsilon_rel)
         inverse_t = np.linalg.inv(loaded).swapaxes(-1, -2).reshape(-1)
-        scores[:, state] = (flat @ inverse_t).real + np.linalg.slogdet(loaded)[1].sum()
+        scores[:, state] = np.vecdot(inverse_t.conj(), flat).real \
+            + np.linalg.slogdet(loaded)[1].sum()
     return StateSequence(np.argmin(scores, axis=1), len(templates))

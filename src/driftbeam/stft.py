@@ -152,8 +152,13 @@ def synthesize(tensor: SpectralFrameTensor, cfg: StftConfig) -> np.ndarray:
     t_count, _, m_count = frames.shape
     segments = np.fft.irfft(frames, n=cfg.fft_size, axis=1)
     segments *= cfg.window[None, :, None]
-    out = np.zeros(((t_count - 1) * cfg.hop + cfg.fft_size, m_count))
-    for t in range(t_count):
-        start = t * cfg.hop
-        out[start:start + cfg.fft_size] += segments[t]
-    return out
+    # Frame t covers hop-sized blocks t .. t + K - 1 of the output, K =
+    # fft_size / hop (2 for every valid configuration). Block offset k of every
+    # frame is added in one pass, the last offset first, so each sample still
+    # sums its frames in increasing frame order.
+    k_count = cfg.fft_size // cfg.hop
+    out = np.zeros((t_count - 1 + k_count, cfg.hop, m_count))
+    blocks = segments.reshape(t_count, k_count, cfg.hop, m_count)
+    for k in reversed(range(k_count)):
+        out[k:k + t_count] += blocks[:, k]
+    return out.reshape(-1, m_count)

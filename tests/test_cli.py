@@ -683,7 +683,8 @@ class TestMain:
              "[beamform] covariance container holds 2 sources, the scene has 3"),
             # 129 bins at 8 kHz as at 16 kHz, on another frequency grid.
             ("bin_grid", {"sample_rate": 8000, "pilot": {"enabled": False}}, container,
-             "[beamform:static] mixture bin grid does not match the beamformer bank"),
+             "[beamform] covariance container holds 129 bins up to 8000 Hz, "
+             "the scene has 129 up to 4000 Hz"),
         ]
         for name, fields, covariances, message in cases:
             (tmp_path / name).mkdir()
@@ -748,6 +749,78 @@ class TestMain:
         assert cli.main(["--config", str(path), "--out", out,
                          "--mode", "dynamic", "beamform"]) == 0
         assert (tmp_path / "out" / "enhanced_dynamic_00.wav").is_file()
+
+    @pytest.mark.parametrize("fields, mode, message", [
+        ({"geometry": {"mic_count": 4, "spacing": 0.04}}, "static",
+         "3 microphones, the scene has 4"),
+        # 129 bins at 8 kHz as at 16 kHz, on another frequency grid.
+        ({"sample_rate": 8000, "pilot": {"enabled": False}}, "static",
+         "129 bins up to 8000 Hz, the scene has 129 up to 4000 Hz"),
+        # The true labels 0..1 would index two of the container's four weight sets.
+        ({"motion": {**ROTATION, "state_count": 2}, "state_oracle": True}, "dynamic",
+         "4 motion states, the scene has 2"),
+    ], ids=["mic_count", "bin_grid", "oracle_state_count"])
+    def test_beamform_rejects_a_container_that_does_not_fit(self, tmp_path, capsys, fields,
+                                                            mode, message):
+        trained = self.write_config(tmp_path, motion=self.ROTATION)
+        assert cli.main(["--config", str(trained), "--out", str(tmp_path / "trained"),
+                         "train"]) == 0
+        (tmp_path / "scene").mkdir()
+        path = self.write_config(tmp_path / "scene", **fields)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "--mode", mode, "beamform",
+                         "--covariances", str(tmp_path / "trained" / "covariances.npz")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [beamform] covariance container holds {message}"), err
+        assert not out.exists()
+
+    # Runs in a fresh interpreter, which starts OpenBLAS's pool with two
+    # threads. The startup spin is let to end before the pool's tasks are
+    # read; then analyze and beamform run every mode on a rotation scene of
+    # the README's array and sources.
+    POOL_CPU_RUN = """
+import json, os, sys, time
+from pathlib import Path
+from driftbeam import cli
+
+def pool_ticks():
+    ticks = {}
+    for task in Path("/proc/self/task").iterdir():
+        if int(task.name) != os.getpid():
+            fields = (task / "stat").read_text().rpartition(")")[2].split()
+            ticks[task.name] = int(fields[11]) + int(fields[12])  # utime, stime
+    return ticks
+
+time.sleep(0.5)
+before = pool_ticks()
+config, out = sys.argv[1:]
+for command in ("analyze", "beamform"):
+    assert cli.main(["--config", config, "--out", out, "--mode", "static,dynamic,rank1",
+                     command]) == 0, command
+after = pool_ticks()
+print(json.dumps({"threads": len(before), "cpu_s": sum(after.get(task, ticks) - ticks
+      for task, ticks in before.items()) / os.sysconf("SC_CLK_TCK")}))
+"""
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads Linux's /proc")
+    def test_blas_pool_does_no_work_after_startup(self, tmp_path):
+        # A BLAS call large enough to be threaded wakes the pool, which then
+        # spins for about 0.1 s on the other core; no stage makes one.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 1, "motion": {"kind": "rotation_sweep",
+                                                          "period_s": 2.0},
+                                    "train_duration_s": 2.0, "test_duration_s": 2.0}))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
+        run = subprocess.run(
+            [sys.executable, "-c", self.POOL_CPU_RUN, str(path), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        pool = json.loads(run.stdout.splitlines()[-1])
+        if not pool["threads"]:
+            pytest.skip("the interpreter started no BLAS pool thread")
+        assert pool["cpu_s"] < 0.03
 
     # Runs in a fresh interpreter: this test module itself imports scipy.
     SCIPY_FREE_RUN = """

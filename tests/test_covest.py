@@ -204,6 +204,19 @@ class TestTrain:
             scale = np.abs(covs.ensemble[n]).max()
             assert np.abs(avg - covs.ensemble[n]).max() < 1e-9 * scale
 
+    def test_cells_and_noise_are_sums_divided_by_counts(self):
+        motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=3.0, state_count=5)
+        renders, noise = training_renders(build_spec(motion=motion, duration=3.0), 3.0)
+        renders = list(renders)
+        covs = covest.train(renders, noise)
+        assert len(set(covs.frame_counts.ravel().tolist())) > 1
+        for n, render in enumerate(renders):
+            sums, counts = covest._outer_sums(render.mixture.frames, render.truth_states.labels, 5)
+            np.testing.assert_array_equal(covs.cells[n], sums / counts[:, None, None, None])
+        sums, counts = covest._outer_sums(noise.mixture.frames,
+                                          np.zeros(noise.mixture.frame_count, dtype=np.int64), 1)
+        np.testing.assert_array_equal(covs.noise, sums[0] / counts[0])
+
     def test_split_half_ensembles_agree(self):
         # Two disjoint halves of the training data give ensemble estimates
         # within sampling error of each other.

@@ -133,6 +133,23 @@ class TestRoundTrip:
         np.testing.assert_allclose(y[guard:len(y) - guard], x[guard:len(y) - guard],
                                    rtol=0, atol=1e-10 * np.abs(x).max())
 
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=valid_configs(), frames=st.integers(1, 9), channels=st.integers(1, 3),
+           single=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_overlap_add_equals_the_frame_loop_bit_for_bit(self, cfg, frames, channels, single,
+                                                           seed):
+        rng = np.random.default_rng(seed)
+        shape = (frames, cfg.bin_count, channels)
+        spectra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        tensor = SpectralFrameTensor(spectra.astype(np.complex64 if single else np.complex128),
+                                     16000, cfg.fft_size, cfg.hop)
+        segments = np.fft.irfft(tensor.frames, n=cfg.fft_size, axis=1)
+        segments *= cfg.window[None, :, None]
+        expected = np.zeros(((frames - 1) * cfg.hop + cfg.fft_size, channels))
+        for t in range(frames):
+            expected[t * cfg.hop:t * cfg.hop + cfg.fft_size] += segments[t]
+        assert synthesize(tensor, cfg).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("fft_size,hop", SIZES)
     def test_white_noise_reconstruction(self, fft_size, hop):
         cfg = StftConfig(fft_size=fft_size, hop=hop)

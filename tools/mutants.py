@@ -40,6 +40,12 @@ MUTANTS = [
      "    if unvisited:\n", "    if False:\n",
      ["tests/test_covest.py::TestTrain::"
       "test_under_visited_training_rejected_before_any_render"]),
+    ("cell normalised by the wrong count", "covest.py",
+     "cells[n, state] *= 1.0 / counts[n, state]", "cells[n, state] *= 1.0 / counts[n, 0]",
+     ["tests/test_covest.py::TestTrain::test_cells_and_noise_are_sums_divided_by_counts"]),
+    ("state scores drop the conjugate", "covest.py",
+     "np.vecdot(inverse_t.conj(), flat)", "np.vecdot(inverse_t, flat)",
+     ["tests/test_covest.py::TestEstimateStates::test_rotation_sweep_accuracy"]),
     ("state-score ties go to the higher state", "covest.py",
      "    return StateSequence(np.argmin(scores, axis=1), len(templates))",
      "    return StateSequence(len(templates) - 1 - np.argmin(scores[:, ::-1], axis=1),"
@@ -101,8 +107,8 @@ MUTANTS = [
      "np.log(np.maximum(mu, 0.0))", "np.log(np.abs(mu))",
      ["tests/test_covmath.py::TestGaussianDivergence::test_indefinite_r1_gives_infinity"]),
     ("overlap-add overwrites instead of adding", "stft.py",
-     "        out[start:start + cfg.fft_size] += segments[t]",
-     "        out[start:start + cfg.fft_size] = segments[t]",
+     "        out[k:k + t_count] += blocks[:, k]",
+     "        out[k:k + t_count] = blocks[:, k]",
      [ACCEPTANCE + "test_c03_stft_perfect_reconstruction"]),
     ("perturbed covariance with half the exponent", "covmath.py",
      "    att = np.exp(-((omega * sigma) ** 2))", "    att = np.exp(-((omega * sigma) ** 2) / 2)",
