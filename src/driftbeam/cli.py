@@ -89,7 +89,8 @@ CONFIG = {
                             lambda v: _POSITIVE[1](v) and float(v).is_integer())),
     "speed_of_sound": (343.0, _POSITIVE),
     "stft.fft_size": (1024, _int(1)),
-    "stft.hop": (512, _int(1)),
+    # Only fft_size / 2 is accepted; load_config fills it in when null.
+    "stft.hop": (None, _null_or(_int(1))),
     "geometry.mic_count": (12, _int(1)),
     "geometry.spacing": (0.05, _NUMBER),
     "geometry.reference": (0, _int(0)),
@@ -164,6 +165,10 @@ def load_config(path=None, overrides=None):
         section, _, name = key.rpartition(".")
         (config.setdefault(section, {}) if section else config)[name] = value
     cfg = _stft_config(config)
+    if config["stft"]["hop"] not in (None, cfg.hop):
+        raise ValueError(f"stft.hop must be stft.fft_size / 2 = {cfg.hop}, "
+                         f"got {config['stft']['hop']}")
+    config["stft"]["hop"] = cfg.hop
     for key in ("train_duration_s", "test_duration_s"):
         if int(round(config[key] * config["sample_rate"])) < cfg.fft_size:
             raise ValueError(f"{key} {config[key]!r} s is shorter than one frame")
@@ -171,6 +176,10 @@ def load_config(path=None, overrides=None):
     scene.pilot_bins(_pilot(config), len(azimuths), cfg, config["sample_rate"])
     # Signal-free sources check the azimuths, geometry and motion of the scene.
     _scene_spec(config, [()] * len(azimuths))
+    if "dynamic" in config["modes"] and config["motion"]["kind"] == "rotation_sweep" \
+            and not config["pilot"]["enabled"] and not config["state_oracle"]:
+        raise ValueError("the dynamic mode on a rotation_sweep tracks states by the pilot: "
+                         "set pilot.enabled or state_oracle")
     sigmas = config["theory"]["sigmas_s"]
     if len({f"{sigma:g}" for sigma in sigmas}) != len(sigmas):
         raise ValueError(f"theory.sigmas_s {sigmas!r} repeat a theory.csv column name")
@@ -184,8 +193,7 @@ def load_config(path=None, overrides=None):
 
 
 def _stft_config(config):
-    s = config["stft"]
-    return StftConfig(fft_size=s["fft_size"], hop=s["hop"])
+    return StftConfig(config["stft"]["fft_size"])
 
 
 def _motion(config):
@@ -309,20 +317,19 @@ def run_simulate(config):
     """Render the test scene; write mixture and image WAVs, the state track
     and a manifest. Returns the list of written paths."""
     spec = _test_spec(config, _source_wavs(config))
-    cfg = _stft_config(config)
     rate = config["sample_rate"]
     rendered = _test_render(config, spec)
 
     outputs = []
     mixture_path = _output(config, "mixture.wav")
-    write_wav(mixture_path, synthesize(rendered.mixture, cfg), rate)
+    write_wav(mixture_path, synthesize(rendered.mixture), rate)
     outputs.append(mixture_path)
     # A noiseless render of one source is exactly that source's image.
     noiseless = dataclasses.replace(spec, noise_level_db=None)
     for n in rendered.active_sources:
         image = _test_render(config, noiseless, active_sources=[n]).mixture
         path = _output(config, f"image_{n:02d}.wav")
-        write_wav(path, synthesize(image, cfg), rate)
+        write_wav(path, synthesize(image), rate)
         outputs.append(path)
     states_path = _output(config, "states.csv")
     evaluate.write_table(states_path, {
@@ -428,15 +435,12 @@ def _gain_table(config, rendered, mode, estimates):
 def _enhanced_wavs(config, rendered, mode, estimates):
     """Write each source's enhanced estimate, enhanced_<mode>_<NN>.wav, as a
     mono WAV; returns the paths."""
-    cfg = _stft_config(config)
     paths = []
     for col, n in enumerate(rendered.active_sources):
-        mono = SpectralFrameTensor(
-            estimates[:, :, col:col + 1], rendered.mixture.sample_rate,
-            rendered.mixture.fft_size, rendered.mixture.hop,
-        )
+        mono = SpectralFrameTensor(estimates[:, :, col:col + 1], rendered.mixture.sample_rate,
+                                   rendered.mixture.fft_size)
         path = _output(config, f"enhanced_{mode}_{n:02d}.wav")
-        write_wav(path, synthesize(mono, cfg), config["sample_rate"])
+        write_wav(path, synthesize(mono), config["sample_rate"])
         paths.append(path)
     return paths
 

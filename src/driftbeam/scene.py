@@ -470,7 +470,7 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     on_two_threads(add_images)
 
     return RenderedScene(
-        mixture=SpectralFrameTensor(mixture, sample_rate, cfg.fft_size, cfg.hop),
+        mixture=SpectralFrameTensor(mixture, sample_rate, cfg.fft_size),
         truth_states=states,
         desired=desired,
         active_sources=active,

@@ -2,9 +2,9 @@
 
 Frames are stored with shape (time frame, frequency bin, channel) using a
 one-sided spectrum, so bin_count = fft_size // 2 + 1. One periodic sqrt-Hann
-window serves both analysis and synthesis; its square must overlap-add to 1
-at the configured hop, which holds at hop = fft_size / 2 and is verified
-numerically when the configuration is built.
+window serves both analysis and synthesis, at the one hop, fft_size / 2, where
+its square overlap-adds to 1: sin^2 + cos^2 = 1 for every even fft_size, so
+reconstruction holds by construction.
 """
 
 from dataclasses import dataclass, field
@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_SAMPLE_RATE = 16000
-# Residual allowed in the overlap-add reconstruction of the squared window.
-COLA_TOL = 1e-10
 # Rendering, training sums and gain walk (T, F, M) frame tensors in blocks of about
 # this many bytes, so a block stays in L2 cache from the step writing it to the next.
 BLOCK_BYTES = 1 << 20
@@ -24,39 +22,32 @@ def block_length(unit_bytes: int) -> int:
     return max(1, BLOCK_BYTES // max(unit_bytes, 1))
 
 
+def _check_fft_size(fft_size):
+    if fft_size < 2 or fft_size % 2:
+        raise ValueError(f"fft_size must be even and at least 2, got {fft_size}")
+
+
 @dataclass(frozen=True)
 class StftConfig:
-    """Transform parameters: fft_size and hop in samples. window is the
-    periodic sqrt-Hann window of fft_size samples, applied at analysis and
-    again at synthesis."""
+    """Transform parameters: fft_size in samples, and the hop it implies,
+    fft_size / 2. window is the periodic sqrt-Hann window of fft_size
+    samples, applied at analysis and again at synthesis."""
 
     fft_size: int = 1024
-    hop: int = 512
     window: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.fft_size < 2 or self.hop < 1 or self.hop > self.fft_size:
-            raise ValueError(f"invalid fft_size/hop: {self.fft_size}/{self.hop}")
+        _check_fft_size(self.fft_size)
         hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(self.fft_size) / self.fft_size)
         object.__setattr__(self, "window", np.sqrt(hann))
-        residual = np.abs(self.overlap_add_weight() - 1.0).max()
-        if residual > COLA_TOL:
-            raise ValueError(
-                f"sqrt-Hann window with hop {self.hop} does not satisfy "
-                f"overlap-add reconstruction (residual {residual:.3g})"
-            )
+
+    @property
+    def hop(self) -> int:
+        return self.fft_size // 2
 
     @property
     def bin_count(self) -> int:
         return self.fft_size // 2 + 1
-
-    def overlap_add_weight(self):
-        """Interior overlap-add sum of the squared window, length fft_size."""
-        prod = self.window * self.window
-        acc = np.zeros(3 * self.fft_size)
-        for start in range(0, 2 * self.fft_size + 1, self.hop):
-            acc[start:start + self.fft_size] += prod
-        return acc[self.fft_size:2 * self.fft_size]
 
 
 @dataclass(frozen=True)
@@ -67,15 +58,16 @@ class SpectralFrameTensor:
         frames: complex array of shape (T, F, M); complex64 and complex128
             frames are kept as given, anything else becomes complex128
         sample_rate: Hz
-        fft_size, hop: transform parameters in samples
+        fft_size: the transform's frame length in samples, one StftConfig
+            accepts; the hop is fft_size / 2
     """
 
     frames: np.ndarray
     sample_rate: float
     fft_size: int
-    hop: int
 
     def __post_init__(self):
+        _check_fft_size(self.fft_size)
         frames = np.asarray(self.frames)
         if frames.dtype != np.complex64:
             frames = frames.astype(np.complex128, copy=False)
@@ -132,33 +124,27 @@ def analyze(signal, cfg: StftConfig, sample_rate: float = DEFAULT_SAMPLE_RATE) -
         frames=spectra.transpose(0, 2, 1),
         sample_rate=sample_rate,
         fft_size=cfg.fft_size,
-        hop=cfg.hop,
     )
 
 
-def synthesize(tensor: SpectralFrameTensor, cfg: StftConfig) -> np.ndarray:
-    """Overlap-add resynthesis; returns a real array of shape (samples, M).
-    Complex64 frames are inverted in single precision and overlap-added in double.
+def synthesize(tensor: SpectralFrameTensor) -> np.ndarray:
+    """Overlap-add resynthesis with the tensor's own transform; returns a real
+    array of shape (samples, M). Complex64 frames are inverted in single
+    precision and overlap-added in double.
 
     The first and last fft_size samples lack full window overlap and are not
-    exactly reconstructed; the interior is, for any valid configuration.
+    exactly reconstructed; the interior is.
     """
-    if tensor.fft_size != cfg.fft_size or tensor.hop != cfg.hop:
-        raise ValueError(
-            f"tensor built with fft_size/hop {tensor.fft_size}/{tensor.hop}, "
-            f"config has {cfg.fft_size}/{cfg.hop}"
-        )
+    cfg = StftConfig(tensor.fft_size)
     frames = tensor.frames
     t_count, _, m_count = frames.shape
     segments = np.fft.irfft(frames, n=cfg.fft_size, axis=1)
     segments *= cfg.window[None, :, None]
-    # Frame t covers hop-sized blocks t .. t + K - 1 of the output, K =
-    # fft_size / hop (2 for every valid configuration). Block offset k of every
-    # frame is added in one pass, the last offset first, so each sample still
+    # Frame t covers hop-sized blocks t and t + 1 of the output. The second half
+    # of every frame is added in one pass, then the first, so each sample still
     # sums its frames in increasing frame order.
-    k_count = cfg.fft_size // cfg.hop
-    out = np.zeros((t_count - 1 + k_count, cfg.hop, m_count))
-    blocks = segments.reshape(t_count, k_count, cfg.hop, m_count)
-    for k in reversed(range(k_count)):
-        out[k:k + t_count] += blocks[:, k]
+    out = np.zeros((t_count + 1, cfg.hop, m_count))
+    halves = segments.reshape(t_count, 2, cfg.hop, m_count)
+    for k in (1, 0):
+        out[k:k + t_count] += halves[:, k]
     return out.reshape(-1, m_count)

@@ -128,7 +128,7 @@ def test_c03_stft_perfect_reconstruction():
     guard = CFG.fft_size
 
     def residual_db(x):
-        y = synthesize(analyze(x, CFG), CFG)[:, 0]
+        y = synthesize(analyze(x, CFG))[:, 0]
         err = y[guard:len(x) - guard] - x[guard:-guard]
         return 10.0 * np.log10(np.sum(err ** 2) / np.sum(x[guard:-guard] ** 2))
 
@@ -283,7 +283,7 @@ def test_c09_monotonicity():
 
     # Measured: per-bin ensemble between-source divergence non-increasing in
     # jitter scale across 0, 2, 5, 10 mm for bins above 500 Hz.
-    cfg = StftConfig(fft_size=512, hop=256)
+    cfg = StftConfig(fft_size=512)
     duration = 60.0
     samples = int(duration * FS)
     curves = {}
@@ -322,7 +322,7 @@ def test_c10_small_instance_brute_force():
     frames = rng.standard_normal((t, f, m)) + 1j * rng.standard_normal((t, f, m))
     from driftbeam.stft import SpectralFrameTensor
 
-    mixture = SpectralFrameTensor(frames, FS, 6, 3)
+    mixture = SpectralFrameTensor(frames, FS, 6)
     labels = scene.StateSequence(rng.integers(0, 3, t), 3)
     bank = beamform.BeamformerBank(mode="dynamic", weights=weights, reference=1,
                                    frequencies=mixture.bin_omega)

@@ -7,7 +7,7 @@ from driftbeam import beamform, covest, covmath, scene, stft
 from driftbeam.beamform import BeamformerBank, apply_bank, build, mwf_weights
 from driftbeam.stft import SpectralFrameTensor, StftConfig
 
-CFG = StftConfig(fft_size=256, hop=128)
+CFG = StftConfig(fft_size=256)
 FS = 16000
 
 
@@ -166,7 +166,7 @@ def dynamic_case():
         for _ in counts
     ])
     frames = rng.standard_normal((sum(counts), f, m)) + 1j * rng.standard_normal((sum(counts), f, m))
-    mixture = SpectralFrameTensor(frames, FS, 1024, 512)
+    mixture = SpectralFrameTensor(frames, FS, 1024)
     labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
     bank = BeamformerBank(mode="dynamic", weights=weights, reference=0,
                           frequencies=mixture.bin_omega)
@@ -175,7 +175,7 @@ def dynamic_case():
 
 def as_complex64(mixture):
     return SpectralFrameTensor(mixture.frames.astype(np.complex64), mixture.sample_rate,
-                               mixture.fft_size, mixture.hop)
+                               mixture.fft_size)
 
 
 def assert_one_product_per_state(bank, mixture, states):
@@ -207,7 +207,7 @@ class TestApply:
     def test_identity_bank_passthrough(self):
         rng = np.random.default_rng(3)
         frames = rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3))
-        mixture = SpectralFrameTensor(frames, FS, 8, 4)
+        mixture = SpectralFrameTensor(frames, FS, 8)
         bank = BeamformerBank(
             mode="static",
             weights=np.broadcast_to(np.eye(3), (1, 5, 3, 3)).astype(complex),
@@ -219,9 +219,7 @@ class TestApply:
     def test_zero_mixture_zero_output(self):
         covs, _ = trained_covs()
         bank = build(covs, "static")
-        mixture = SpectralFrameTensor(
-            np.zeros((4, CFG.bin_count, 4), complex), FS, CFG.fft_size, CFG.hop
-        )
+        mixture = SpectralFrameTensor(np.zeros((4, CFG.bin_count, 4), complex), FS, CFG.fft_size)
         assert not apply_bank(bank, mixture).any()
 
     def test_oracle_single_source_reconstruction(self):
@@ -281,7 +279,7 @@ class TestApply:
             for _ in range(3)
         ])
         frames = rng.standard_normal((t, f, m)) + 1j * rng.standard_normal((t, f, m))
-        mixture = SpectralFrameTensor(frames, FS, 6, 3)
+        mixture = SpectralFrameTensor(frames, FS, 6)
         labels = scene.StateSequence(rng.integers(0, 3, t), 3)
         bank = BeamformerBank(mode="dynamic", weights=weights, reference=0,
                               frequencies=mixture.bin_omega)

@@ -196,9 +196,9 @@ class TestSimulate:
             noise_level_db=-30.0,
             pilot=scene.Pilot(frequency_hz=7000.0, level_db=-20.0),
         )
-        cfg = StftConfig(fft_size=256, hop=128)
+        cfg = StftConfig(fft_size=256)
         rendered = scene.render(spec, 1.0, cfg, 16000, seed=5)
-        cli.write_wav(tmp_path / "expected.wav", synthesize(rendered.mixture, cfg), 16000)
+        cli.write_wav(tmp_path / "expected.wav", synthesize(rendered.mixture), 16000)
         written = (tmp_path / "out" / "mixture.wav").read_bytes()
         assert written == (tmp_path / "expected.wav").read_bytes()
 
@@ -728,10 +728,13 @@ class TestMain:
         assert (out / "enhanced_static_00.wav").is_file()
 
     def test_beamform_failure_carries_mode_label(self, tmp_path, capsys):
-        # A multi-state scene without pilots has no state track for dynamic.
-        path = self.write_config(tmp_path, pilot={"enabled": False}, motion=self.ROTATION)
+        # A multi-state container filtered in a scene without pilots has no
+        # state track for dynamic.
+        trained = self.write_config(tmp_path, motion=self.ROTATION)
         out = str(tmp_path / "out")
-        assert cli.main(["--config", str(path), "--out", out, "train"]) == 0
+        assert cli.main(["--config", str(trained), "--out", out, "train"]) == 0
+        (tmp_path / "scene").mkdir()
+        path = self.write_config(tmp_path / "scene", pilot={"enabled": False})
         code = cli.main(["--config", str(path), "--out", out,
                          "--mode", "dynamic", "beamform"])
         assert code == 1
@@ -741,6 +744,38 @@ class TestMain:
 
     ROTATION = {"kind": "rotation_sweep", "min_deg": -45.0, "max_deg": 45.0,
                 "period_s": 1.0, "state_count": 4}
+
+    @pytest.mark.parametrize("command", ["analyze", "beamform"])
+    def test_dynamic_sweep_without_pilot_fails_before_any_work(self, tmp_path, capsys,
+                                                               command):
+        # Without pilots or the true track a sweep's dynamic mode has no state
+        # track: the config is rejected before training, rendering or loading.
+        path = self.write_config(tmp_path, pilot={"enabled": False}, motion=self.ROTATION)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out),
+                         "--mode", "static,dynamic", command]) == 1
+        assert capsys.readouterr().err == (
+            "error: [config] the dynamic mode on a rotation_sweep tracks states by the "
+            "pilot: set pilot.enabled or state_oracle\n")
+        assert not out.exists()
+
+    def test_hop_derived_from_fft_size(self, tmp_path):
+        path = self.write_config(tmp_path, stft={"fft_size": 256})
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "analyze"]) == 0
+        manifest = json.loads((out / "pipeline_manifest.json").read_text())
+        assert manifest["config"]["stft"] == {"fft_size": 256, "hop": 128}
+
+    @pytest.mark.parametrize("stft, message", [
+        ({"fft_size": 255}, "fft_size must be even and at least 2, got 255"),
+        ({"fft_size": 256, "hop": 100}, "stft.hop must be stft.fft_size / 2 = 128, got 100"),
+    ], ids=["odd_fft_size", "hop_not_half"])
+    def test_stft_sizes_checked_before_any_work(self, tmp_path, capsys, stft, message):
+        path = self.write_config(tmp_path, stft=stft)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "analyze"]) == 1
+        assert capsys.readouterr().err == f"error: [config] {message}\n"
+        assert not out.exists()
 
     def test_static_training_serves_dynamic_beamform(self, tmp_path):
         path = self.write_config(tmp_path, motion=self.ROTATION)

@@ -7,7 +7,7 @@ import pytest
 from driftbeam import beamform, containers, covest, scene
 from driftbeam.stft import StftConfig
 
-CFG = StftConfig(fft_size=256, hop=128)
+CFG = StftConfig(fft_size=256)
 FS = 16000
 
 

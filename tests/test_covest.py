@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from driftbeam import beamform, cli, covest, covmath, scene, stft
 from driftbeam.stft import StftConfig, analyze
 
-CFG = StftConfig(fft_size=256, hop=128)
+CFG = StftConfig(fft_size=256)
 FS = 16000
 
 

@@ -8,7 +8,7 @@ from driftbeam.covmath import gaussian_divergence, regularize
 from driftbeam.evaluate import divergence_curve, gain, outer_vs_central_pairs, theory_curve, write_table
 from driftbeam.stft import StftConfig
 
-CFG = StftConfig(fft_size=256, hop=128)
+CFG = StftConfig(fft_size=256)
 FS = 16000
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from driftbeam import cli, covmath, scene, stft
 from driftbeam.stft import StftConfig
 
-CFG = StftConfig(fft_size=256, hop=128)
+CFG = StftConfig(fft_size=256)
 FS = 16000
 
 
@@ -215,7 +215,7 @@ class TestRender:
         # Moving-array phases are built per bin chunk; compare with exact
         # per-frame exponentials, for bin counts that are not a multiple of
         # the chunk width and smaller than it.
-        cfg = StftConfig(fft_size=fft_size, hop=fft_size // 2)
+        cfg = StftConfig(fft_size=fft_size)
         spec = simple_spec(mic_count=6, azimuths=(70.0,), noise_level_db=None,
                            motion=motion, spacing=0.08)
         rendered = scene.render(spec, 2.0, cfg, FS, seed=14)

@@ -107,9 +107,13 @@ MUTANTS = [
      "np.log(np.maximum(mu, 0.0))", "np.log(np.abs(mu))",
      ["tests/test_covmath.py::TestGaussianDivergence::test_indefinite_r1_gives_infinity"]),
     ("overlap-add overwrites instead of adding", "stft.py",
-     "        out[k:k + t_count] += blocks[:, k]",
-     "        out[k:k + t_count] = blocks[:, k]",
+     "        out[k:k + t_count] += halves[:, k]",
+     "        out[k:k + t_count] = halves[:, k]",
      [ACCEPTANCE + "test_c03_stft_perfect_reconstruction"]),
+    ("hop derived as a quarter frame", "stft.py",
+     "        return self.fft_size // 2\n", "        return self.fft_size // 4\n",
+     [ACCEPTANCE + "test_c03_stft_perfect_reconstruction",
+      "tests/test_stft.py::TestRoundTrip::test_white_noise_reconstruction"]),
     ("perturbed covariance with half the exponent", "covmath.py",
      "    att = np.exp(-((omega * sigma) ** 2))", "    att = np.exp(-((omega * sigma) ** 2) / 2)",
      [ACCEPTANCE + "test_c02_perturbed_covariance_monte_carlo",
@@ -157,6 +161,13 @@ MUTANTS = [
      "            unknown.add(dotted)", "            pass",
      ["tests/test_cli.py::TestConfig::test_unknown_keys_named_by_dotted_path",
       "tests/test_cli.py::TestMain::test_threads_key_rejected"]),
+    ("a stft.hop other than fft_size / 2 accepted", "cli.py",
+     '    if config["stft"]["hop"] not in (None, cfg.hop):', "    if False:",
+     ["tests/test_cli.py::TestMain::test_stft_sizes_checked_before_any_work[hop_not_half]"]),
+    ("the dynamic-without-pilot check skipped", "cli.py",
+     '            and not config["pilot"]["enabled"] and not config["state_oracle"]:',
+     "            and False:",
+     ["tests/test_cli.py::TestMain::test_dynamic_sweep_without_pilot_fails_before_any_work"]),
     ("a non-object config section taken as a leaf", "cli.py",
      "        if dotted in _SECTIONS:", "        if dotted in _SECTIONS and isinstance(value, dict):",
      ["tests/test_cli.py::TestConfig::test_section_error_then_unknown_keys_then_first_bad_kind",
