@@ -35,21 +35,30 @@ def sqrt_hann_transform(k, fft_size):
                                        - np.cos(np.pi / fft_size))
 
 
+def assert_overlap_add_is_one(cfg):
+    """The interior overlap-add sum of the squared window at cfg.hop is 1."""
+    acc = np.zeros(3 * cfg.fft_size)
+    for start in range(0, 2 * cfg.fft_size + 1, cfg.hop):
+        acc[start:start + cfg.fft_size] += cfg.window ** 2
+    assert np.abs(acc[cfg.fft_size:2 * cfg.fft_size] - 1.0).max() < 1e-10
+
+
 class TestConfig:
     def test_default_is_valid(self):
         cfg = StftConfig()
         assert cfg.bin_count == 513
 
+    @pytest.mark.parametrize("fft_size", SIZES)
+    def test_supported_pairs_satisfy_overlap_add(self, fft_size):
+        # The interior overlap-add sum of the squared window at the derived hop is 1.
+        assert_overlap_add_is_one(StftConfig(fft_size=fft_size))
+
     @settings(max_examples=40, deadline=None)
     @given(half=st.integers(1, 512))
-    def test_supported_pairs_satisfy_overlap_add(self, half):
-        # The interior overlap-add sum of the squared window at the derived hop is 1.
+    def test_every_even_size_satisfies_overlap_add(self, half):
         cfg = StftConfig(fft_size=2 * half)
         assert cfg.hop == half
-        acc = np.zeros(3 * cfg.fft_size)
-        for start in range(0, 2 * cfg.fft_size + 1, cfg.hop):
-            acc[start:start + cfg.fft_size] += cfg.window ** 2
-        assert np.abs(acc[cfg.fft_size:2 * cfg.fft_size] - 1.0).max() < 1e-10
+        assert_overlap_add_is_one(cfg)
 
     def test_non_reconstructing_pair_rejected(self):
         # Half overlap reconstructs only an even frame length, so odd sizes and
