@@ -4,73 +4,40 @@ Simulates far-field sources captured by arrays whose microphones move
 relative to each other, trains static and dynamic multichannel Wiener
 filters from sample spatial covariances, and measures how array deformation
 erodes the spatial separability of sources across frequency.
+
+The public names are exported lazily (PEP 562): `import driftbeam` loads no
+numpy, and each name imports its module on first use. So the `driftbeam`
+command (`driftbeam.cli`) can choose OpenBLAS's thread count before numpy
+loads OpenBLAS.
 """
 
-from .beamform import BeamformerBank, apply_bank, build, mwf_weights
-from .containers import load_bank, load_covariances, save_bank, save_covariances
-from .covest import CovarianceSet, estimate_states, pilot_templates, train, training_renders
-from .covmath import (
-    HermitianSpectrum,
-    IllConditionedError,
-    far_field_divergence,
-    gaussian_divergence,
-    perturbed_covariance,
-    regularize,
-)
-from .evaluate import GainReport, divergence_curve, gain, theory_curve, write_table
-from .scene import (
-    ArrayGeometry,
-    MotionModel,
-    Pilot,
-    RenderedScene,
-    SceneSpec,
-    Source,
-    StateSequence,
-    linear_positions,
-    render,
-    state_sequence,
-)
-from .stft import SpectralFrameTensor, StftConfig, analyze, synthesize
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrayGeometry",
-    "BeamformerBank",
-    "CovarianceSet",
-    "GainReport",
-    "HermitianSpectrum",
-    "IllConditionedError",
-    "MotionModel",
-    "Pilot",
-    "RenderedScene",
-    "SceneSpec",
-    "Source",
-    "SpectralFrameTensor",
-    "StateSequence",
-    "StftConfig",
-    "analyze",
-    "apply_bank",
-    "build",
-    "divergence_curve",
-    "estimate_states",
-    "far_field_divergence",
-    "gain",
-    "gaussian_divergence",
-    "linear_positions",
-    "load_bank",
-    "load_covariances",
-    "mwf_weights",
-    "perturbed_covariance",
-    "pilot_templates",
-    "regularize",
-    "render",
-    "save_bank",
-    "save_covariances",
-    "state_sequence",
-    "synthesize",
-    "theory_curve",
-    "train",
-    "training_renders",
-    "write_table",
-]
+# Each public name and the module that defines it.
+_EXPORTS = {name: module for module, names in {
+    "beamform": ("BeamformerBank", "apply_bank", "build", "mwf_weights"),
+    "containers": ("load_bank", "load_covariances", "save_bank", "save_covariances"),
+    "covest": ("CovarianceSet", "estimate_states", "pilot_templates", "train",
+               "training_renders"),
+    "covmath": ("HermitianSpectrum", "IllConditionedError", "far_field_divergence",
+                "gaussian_divergence", "perturbed_covariance", "regularize"),
+    "evaluate": ("GainReport", "divergence_curve", "gain", "theory_curve", "write_table"),
+    "scene": ("ArrayGeometry", "MotionModel", "Pilot", "RenderedScene", "SceneSpec", "Source",
+              "StateSequence", "linear_positions", "render", "state_sequence"),
+    "stft": ("SpectralFrameTensor", "StftConfig", "analyze", "synthesize"),
+}.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import the module that defines a public name and cache the name here.
+    Any other name raises AttributeError, so `from driftbeam import cli`
+    imports the submodule."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -17,6 +17,10 @@ Configuration is a JSON file; every field has a default except the seed,
 which must be given (in the file or with --seed) so runs are reproducible.
 CLI flags override config fields. WAV files must match the configured sample
 rate; mismatched rates are rejected, never resampled.
+
+Imported before numpy, this module runs OpenBLAS on one thread unless the
+caller set OPENBLAS_NUM_THREADS; the environment is left as the caller
+passed it.
 """
 
 import argparse
@@ -24,12 +28,22 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
+# One BLAS thread unless the caller chose a count. driftbeam splits its heavy
+# kernels across its own two threads (worker.on_two_threads), and BLAS sees
+# only per-bin products, below OpenBLAS's threading thresholds; a pool would
+# only spin at start-up. The outputs do not depend on the count (CI compares
+# them). OpenBLAS reads the variable once, when numpy loads it.
+_BLAS_DEFAULT = "OPENBLAS_NUM_THREADS" not in os.environ
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
+if _BLAS_DEFAULT:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import beamform, containers, covest, evaluate, scene
 from .stft import SpectralFrameTensor, StftConfig, synthesize
@@ -492,8 +506,9 @@ def _divergence_table(covs):
 
 def _check_fit(config, covs, rendered):
     """Reject a covariance container that does not fit the test scene: another
-    source or microphone count, another bin grid (apply_bank's rule), or, when
-    a dynamic bank is filtered with the true state track, another state count."""
+    source or microphone count, another bin grid (apply_bank's rule), or, for
+    a dynamic bank, another state count than the true state track it is
+    filtered with, or more than one state and no pilot to track them."""
     def reject(held, has):
         raise ValueError(f"covariance container holds {held}, the scene has {has}")
 
@@ -506,9 +521,13 @@ def _check_fit(config, covs, rendered):
             not np.allclose(covs.frequencies, mixture.bin_omega):
         reject(f"{len(covs.frequencies)} bins up to {covs.frequencies[-1] / (2.0 * np.pi):g} Hz",
                f"{mixture.bin_count} up to {mixture.bin_hz[-1]:g} Hz")
+    if "dynamic" not in config["modes"]:
+        return
     states = rendered.truth_states.state_count
-    if config["state_oracle"] and "dynamic" in config["modes"] and covs.state_count != states:
+    if config["state_oracle"] and covs.state_count != states:
         reject(f"{covs.state_count} motion states", states)
+    if not config["state_oracle"] and covs.state_count > 1 and rendered.pilot_bins is None:
+        reject(f"{covs.state_count} motion states", "no pilot to track them")
 
 
 def run_beamform(config, covariances_path=None):

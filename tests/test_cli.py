@@ -727,19 +727,23 @@ class TestMain:
             assert cli.main(["--config", str(path), "--out", str(out), command]) == 0
         assert (out / "enhanced_static_00.wav").is_file()
 
-    def test_beamform_failure_carries_mode_label(self, tmp_path, capsys):
-        # A multi-state container filtered in a scene without pilots has no
-        # state track for dynamic.
-        trained = self.write_config(tmp_path, motion=self.ROTATION)
+    def test_beamform_failure_carries_mode_label(self, tmp_path, capsys, monkeypatch):
+        build = beamform.build
+
+        def fail_dynamic(covs, mode, **kwargs):
+            if mode == "dynamic":
+                raise ValueError("no dynamic bank")
+            return build(covs, mode, **kwargs)
+
+        path = self.write_config(tmp_path)
         out = str(tmp_path / "out")
-        assert cli.main(["--config", str(trained), "--out", out, "train"]) == 0
-        (tmp_path / "scene").mkdir()
-        path = self.write_config(tmp_path / "scene", pilot={"enabled": False})
+        assert cli.main(["--config", str(path), "--out", out, "train"]) == 0
+        monkeypatch.setattr(cli.beamform, "build", fail_dynamic)
         code = cli.main(["--config", str(path), "--out", out,
-                         "--mode", "dynamic", "beamform"])
+                         "--mode", "static,dynamic", "beamform"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "[beamform:dynamic]" in err
+        assert "[beamform:dynamic] no dynamic bank" in err
         assert "Traceback" not in err
 
     ROTATION = {"kind": "rotation_sweep", "min_deg": -45.0, "max_deg": 45.0,
@@ -794,7 +798,10 @@ class TestMain:
         # The true labels 0..1 would index two of the container's four weight sets.
         ({"motion": {**ROTATION, "state_count": 2}, "state_oracle": True}, "dynamic",
          "4 motion states, the scene has 2"),
-    ], ids=["mic_count", "bin_grid", "oracle_state_count"])
+        # A static scene without pilots has no state track for the dynamic bank.
+        ({"pilot": {"enabled": False}}, "static,dynamic",
+         "4 motion states, the scene has no pilot to track them"),
+    ], ids=["mic_count", "bin_grid", "oracle_state_count", "no_pilot_to_track"])
     def test_beamform_rejects_a_container_that_does_not_fit(self, tmp_path, capsys, fields,
                                                             mode, message):
         trained = self.write_config(tmp_path, motion=self.ROTATION)
@@ -968,3 +975,68 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         assert ("[train] training visits 1 of 4 motion states; the first unvisited are "
                 "[1, 2, 3]") in capsys.readouterr().err
         assert not out.exists()
+
+
+def fresh_interpreter(code, blas_threads=None):
+    """Run code in a new interpreter that imports this checkout's driftbeam,
+    with OPENBLAS_NUM_THREADS set to blas_threads or, when None, unset; returns
+    the JSON its last line of output prints."""
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+class TestStartup:
+    """Each test runs in a fresh interpreter: this one has loaded numpy already."""
+
+    def test_package_import_loads_no_numpy(self):
+        assert fresh_interpreter(
+            "import json, sys, driftbeam; print(json.dumps('numpy' in sys.modules))") is False
+
+    def test_exports_are_the_defining_modules_names(self):
+        assert fresh_interpreter("import json, driftbeam, driftbeam.scene\n"
+                                 "print(json.dumps(driftbeam.render is driftbeam.scene.render))")
+
+    def test_star_import_binds_all_and_unknown_names_raise(self):
+        result = fresh_interpreter("""
+import json, driftbeam
+names = {}
+exec("from driftbeam import *", names)
+try:
+    driftbeam.no_such_name
+    unknown = "no error"
+except AttributeError as err:
+    unknown = str(err)
+print(json.dumps({"bound": sorted(set(names) - {"__builtins__"}), "all": driftbeam.__all__,
+                  "unknown": unknown}))
+""")
+        assert result["bound"] == result["all"] == [
+            "ArrayGeometry", "BeamformerBank", "CovarianceSet", "GainReport",
+            "HermitianSpectrum", "IllConditionedError", "MotionModel", "Pilot",
+            "RenderedScene", "SceneSpec", "Source", "SpectralFrameTensor", "StateSequence",
+            "StftConfig", "analyze", "apply_bank", "build", "divergence_curve",
+            "estimate_states", "far_field_divergence", "gain", "gaussian_divergence",
+            "linear_positions", "load_bank", "load_covariances", "mwf_weights",
+            "perturbed_covariance", "pilot_templates", "regularize", "render", "save_bank",
+            "save_covariances", "state_sequence", "synthesize", "theory_curve", "train",
+            "training_renders", "write_table"]
+        assert result["unknown"] == "module 'driftbeam' has no attribute 'no_such_name'"
+
+    # OpenBLAS starts n - 1 pool threads for n BLAS threads when numpy loads it.
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads Linux's /proc")
+    @pytest.mark.parametrize("caller, threads", [(None, 1), ("1", 1), ("2", 2)],
+                             ids=["unset", "one", "two"])
+    def test_cli_runs_one_blas_thread_unless_the_caller_sets_a_count(self, caller, threads):
+        result = fresh_interpreter("""
+import json, os
+before = dict(os.environ)
+import driftbeam.cli
+print(json.dumps({"threads": len(os.listdir("/proc/self/task")),
+                  "environ_kept": dict(os.environ) == before}))
+""", caller)
+        assert result == {"threads": min(threads, len(os.sched_getaffinity(0))),
+                          "environ_kept": True}

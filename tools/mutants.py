@@ -168,6 +168,22 @@ MUTANTS = [
      '            and not config["pilot"]["enabled"] and not config["state_oracle"]:',
      "            and False:",
      ["tests/test_cli.py::TestMain::test_dynamic_sweep_without_pilot_fails_before_any_work"]),
+    ("a multi-state container beamformed dynamic without a pilot", "cli.py",
+     " and covs.state_count > 1 and rendered.pilot_bins is None:",
+     " and covs.state_count > 1 and False:",
+     ["tests/test_cli.py::TestMain::"
+      "test_beamform_rejects_a_container_that_does_not_fit[no_pilot_to_track]"]),
+    ("the CLI's BLAS default removed", "cli.py",
+     '_BLAS_DEFAULT = "OPENBLAS_NUM_THREADS" not in os.environ\n'
+     'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n', "_BLAS_DEFAULT = False\n",
+     ["tests/test_cli.py::TestStartup::"
+      "test_cli_runs_one_blas_thread_unless_the_caller_sets_a_count[unset]"]),
+    ("the package imports its modules eagerly", "__init__.py",
+     "import importlib\n",
+     "import importlib\n\nfrom . import beamform, containers, covest, covmath, evaluate, scene\n",
+     ["tests/test_cli.py::TestStartup::test_package_import_loads_no_numpy",
+      "tests/test_cli.py::TestStartup::"
+      "test_cli_runs_one_blas_thread_unless_the_caller_sets_a_count[unset]"]),
     ("a non-object config section taken as a leaf", "cli.py",
      "        if dotted in _SECTIONS:", "        if dotted in _SECTIONS and isinstance(value, dict):",
      ["tests/test_cli.py::TestConfig::test_section_error_then_unknown_keys_then_first_bad_kind",

@@ -13,7 +13,10 @@ of its standard output. Nothing under perfbench/ is changed.
 Each run's environment holds only PATH, HOME and, when the caller sets it,
 OPENBLAS_NUM_THREADS; whether it was set is recorded, as is the OpenBLAS core
 type that `OPENBLAS_VERBOSE=2` prints when numpy is imported in that
-environment (the kernels, and so the timings, depend on the host).
+environment (the kernels, and so the timings, depend on the host). Since the
+driftbeam command may choose its own BLAS thread count when the variable is
+unset, each side also records the OpenBLAS thread count that a process sees
+after `import driftbeam.cli` from that side's tree in the runs' environment.
 
 The output holds, per workload: the raw values of every end-to-end metric on
 each side, their medians and interquartile ranges (quartiles interpolated
@@ -69,6 +72,33 @@ def environment_record(env):
     }
 
 
+# The OpenBLAS thread count after `import driftbeam.cli`, read with the getter
+# that perfbench/run.py's environment probe uses; None without OpenBLAS.
+CLI_BLAS_CODE = r"""
+import ctypes, json, driftbeam.cli
+threads = None
+with open("/proc/self/maps") as fh:
+    libs = sorted({l.split()[-1] for l in fh if "openblas" in l.lower() and "/" in l})
+for lib in libs:
+    handle = ctypes.CDLL(lib)
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                "openblas_get_num_threads"):
+        if threads is None and hasattr(handle, sym):
+            getter = getattr(handle, sym)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            threads = getter()
+print(json.dumps(threads))
+"""
+
+
+def cli_blas_threads(tree, env):
+    """The OpenBLAS thread count of a process that imports tree's driftbeam.cli in env."""
+    probe = subprocess.run([sys.executable, "-c", CLI_BLAS_CODE], cwd=tree, check=True,
+                           env={**env, "PYTHONPATH": str(Path(tree) / "src")},
+                           capture_output=True, text=True)
+    return json.loads(probe.stdout)
+
+
 def run_perfbench(tree, workload, seed, seconds, env):
     """One benchmark run from tree; returns its JSON summary line as a dict."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -101,7 +131,8 @@ def metric_record(parent, change):
     }
 
 
-def measure(trees, workload, seed, seconds, pairs, env, runner=run_perfbench):
+def measure(trees, workload, seed, seconds, pairs, env, runner=run_perfbench,
+            probe=cli_blas_threads):
     """Run the pairs of one workload, alternating the side that goes first."""
     if pairs < 2:
         raise ValueError("an interquartile range needs at least two pairs")
@@ -126,6 +157,7 @@ def measure(trees, workload, seed, seconds, pairs, env, runner=run_perfbench):
         "correct": {side: all(s["correct"] for s in summaries[side]) for side in SIDES},
         "attempted": {side: sum(s["attempted"] for s in summaries[side]) for side in SIDES},
         "failed": {side: sum(s["failed"] for s in summaries[side]) for side in SIDES},
+        "cli_blas_threads": {side: probe(trees[side], env) for side in SIDES},
         "metrics": {name: {"unit": summaries["parent"][0]["metrics"][name]["unit"],
                            **metric_record(values["parent"][name], values["change"][name])}
                     for name in names},
@@ -189,7 +221,8 @@ def main(argv=None):
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     for run in runs:
         print(f"{run['workload']} seed {run['seed']} "
-              f"(OPENBLAS_NUM_THREADS {run['environment']['OPENBLAS_NUM_THREADS']}):")
+              f"(OPENBLAS_NUM_THREADS {run['environment']['OPENBLAS_NUM_THREADS']}, "
+              f"CLI BLAS threads {run['cli_blas_threads']}):")
         for name, m in run["metrics"].items():
             print(f"  {name:<16} {m['parent_median']:>10.4g} -> {m['change_median']:>10.4g} "
                   f"(parent IQR {m['parent_iqr']:.3g}), change lower in "
