@@ -15,7 +15,7 @@ Covariance container (format version 4):
 The ensemble covariances are not stored: CovarianceSet derives them from the
 cells and their frame counts. Pilot templates are not stored either:
 covest.pilot_templates indexes them from the cells at the test render's
-pilot bins. Loading validates cells, counts and noise once each.
+pilot bins. Loading runs covmath.HermitianSpectrum on cells and noise.
 
 Bank container (format version 2):
     format_version, kind="bank", mode (one of beamform.MODES), reference,
@@ -28,6 +28,7 @@ import numpy as np
 
 from .beamform import BeamformerBank
 from .covest import CovarianceSet
+from .covmath import HermitianSpectrum
 
 FORMAT_VERSION = 4  # covariance containers
 BANK_FORMAT_VERSION = 2
@@ -82,9 +83,11 @@ def save_covariances(path, covs: CovarianceSet):
 
 
 def load_covariances(path) -> CovarianceSet:
-    """Load a CovarianceSet written by save_covariances."""
+    """Load a CovarianceSet written by save_covariances, checking cells and noise."""
     data = _read_npz(path, "covariances", FORMAT_VERSION, ("frequencies", "noise"),
                      {"cells": 2, "frame_counts": 2})
+    for name in ("cells", "noise"):
+        HermitianSpectrum(data[name], data["frequencies"])
     return CovarianceSet(data["cells"], data["frame_counts"], data["noise"], data["frequencies"])
 
 

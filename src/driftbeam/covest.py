@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covmath import HermitianSpectrum, regularize
+from .covmath import regularize
 from .scene import RenderedScene, SceneSpec, StateSequence, render, render_states
 from .stft import SpectralFrameTensor, StftConfig, block_length
 from .worker import on_two_threads
@@ -32,10 +32,12 @@ class CovarianceSet:
     cells (N, S, F, M, M) holds source n's covariance in motion state s and
     frame_counts (N, S) the training frames behind it, at least one each: a
     state without frames has no beamformer. noise (F, M, M) comes from a
-    source-free render; frequencies (F,) are the bins in rad/s. cells and
-    noise are validated once each. ensemble (N, F, M, M) is derived: source
-    n's state-averaged covariance sum_s (c_s / C_n) R_{n,s}, summed in state
-    order over its counts c_s with total C_n, so in a one-state scene
+    source-free render; frequencies (F,) are the bins in rad/s. Only shapes
+    and counts are checked; the matrices are trusted as given: train's are
+    Hermitian PSD by construction, load_covariances checks a container's, and
+    a set built by hand is trusted as it is. ensemble (N, F, M, M) is derived:
+    source n's state-averaged covariance sum_s (c_s / C_n) R_{n,s}, summed in
+    state order over its counts c_s with total C_n, so in a one-state scene
     (static or jitter) it equals the state-0 cell bit for bit.
     """
 
@@ -46,11 +48,16 @@ class CovarianceSet:
     ensemble: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        cells = np.asarray(self.cells, dtype=np.complex128)
+        noise = np.asarray(self.noise, dtype=np.complex128)
+        frequencies = np.asarray(self.frequencies, dtype=np.float64)
         counts = np.asarray(self.frame_counts)
-        shape = np.shape(self.cells)
-        if len(shape) != 5 or np.shape(self.noise) != shape[2:]:
-            raise ValueError(f"cells {shape} and noise {np.shape(self.noise)} must have "
-                             "shapes (N, S, F, M, M) and (F, M, M)")
+        shape = cells.shape
+        if len(shape) != 5 or shape[3] != shape[4] or noise.shape != shape[2:] \
+                or frequencies.shape != shape[2:3]:
+            raise ValueError(f"cells {shape}, noise {noise.shape} and frequencies "
+                             f"{frequencies.shape} must have shapes (N, S, F, M, M), "
+                             "(F, M, M) and (F,)")
         if counts.shape != shape[:2] or counts.dtype.kind not in "iu" or (counts < 0).any():
             raise ValueError(f"frame_counts must be nonnegative ints of shape {shape[:2]}, "
                              f"got {counts.dtype} {counts.shape}")
@@ -58,8 +65,6 @@ class CovarianceSet:
         if missing or not counts.size:
             raise ValueError(f"no training frames for (source, state) pairs: {missing}" if missing
                              else "covariance cells must hold at least one source and state")
-        cells = HermitianSpectrum(self.cells, self.frequencies).bins
-        noise = HermitianSpectrum(self.noise, self.frequencies)
         ensemble = np.empty((shape[0], *shape[2:]), dtype=np.complex128)
         for n, row in enumerate(counts):
             total = row.sum()
@@ -68,8 +73,8 @@ class CovarianceSet:
                 ensemble[n] += (row[state] / total) * cells[n, state]
         # Read-only views: an in-place edit raises instead of racing a
         # concurrent save of the same arrays.
-        for name, value in (("cells", cells), ("frame_counts", counts), ("noise", noise.bins),
-                            ("frequencies", noise.frequencies), ("ensemble", ensemble)):
+        for name, value in (("cells", cells), ("frame_counts", counts), ("noise", noise),
+                            ("frequencies", frequencies), ("ensemble", ensemble)):
             value = value.view()
             value.flags.writeable = False
             setattr(self, name, value)
@@ -212,37 +217,36 @@ def pilot_templates(covs: CovarianceSet, pilot_bins) -> np.ndarray:
     return covs.cells.swapaxes(0, 1)[:, np.arange(covs.source_count), list(pilot_bins)]
 
 
-def estimate_states(mixture: SpectralFrameTensor, templates, pilot_bins,
-                    smoothing: int = PILOT_SMOOTHING,
-                    epsilon_rel: float = PILOT_EPSILON_REL) -> StateSequence:
+def estimate_states(mixture: SpectralFrameTensor, templates, pilot_bins) -> StateSequence:
     """Classify each frame's motion state from the pilot bins.
 
     templates (S, B, M, M) holds state s's covariance at each of the B
     mixture bins pilot_bins (see pilot_templates). Each frame's pilot-bin
-    outer product, taken in complex128, averaged over +-smoothing frames and
-    diagonally loaded, is compared against every diagonally loaded state
-    template R_s: the state with the smallest total Gaussian divergence over
-    the pilot bins wins, ties going to the lower state index. The score is
-    sum_bins [tr(R_s^-1 R_t) + log det R_s], which is twice that divergence
-    plus sum_bins [M + log det R_t], a term every state shares, so no
-    snapshot R_t is decomposed.
+    outer product, taken in complex128, averaged over +-PILOT_SMOOTHING frames
+    and loaded by PILOT_EPSILON_REL, is compared against every state template
+    R_s, loaded the same way: the state with the smallest total Gaussian
+    divergence over the pilot bins wins, ties going to the lower state index.
+    The score is sum_bins [tr(R_s^-1 R_t) + log det R_s], which is twice that
+    divergence plus sum_bins [M + log det R_t], a term every state shares, so
+    no snapshot R_t is decomposed.
     """
     if pilot_bins is None or len(templates) == 0:
         raise ValueError("state estimation requires pilot templates (pilot disabled?)")
     x = mixture.frames[:, list(pilot_bins), :].astype(np.complex128, copy=False)  # (T, B, M)
     inst = np.einsum("tbm,tbn->tbmn", x, x.conj())
-    # Mean over frames t-smoothing..t+smoothing, clipped to the frame range,
-    # as a difference of cumulative sums, built in place.
+    # Mean over frames t-PILOT_SMOOTHING..t+PILOT_SMOOTHING, clipped to the
+    # frame range, as a difference of cumulative sums, built in place.
     cumulative = np.empty((inst.shape[0] + 1, *inst.shape[1:]), dtype=inst.dtype)
     cumulative[0] = 0.0
     np.cumsum(inst, axis=0, out=cumulative[1:])
     del inst
     frame = np.arange(len(cumulative) - 1)
-    lo, hi = np.maximum(frame - smoothing, 0), np.minimum(frame + smoothing + 1, len(frame))
+    lo = np.maximum(frame - PILOT_SMOOTHING, 0)
+    hi = np.minimum(frame + PILOT_SMOOTHING + 1, len(frame))
     smoothed = cumulative[hi]
     smoothed -= cumulative[lo]
     smoothed *= (1.0 / (hi - lo))[:, None, None, None]  # not a division: see train
-    smoothed = regularize(smoothed, epsilon_rel)
+    smoothed = regularize(smoothed, PILOT_EPSILON_REL)
 
     # tr(A B) = sum_ij A_ij B_ji: each state's trace term is a row-wise dot of
     # the flattened snapshots with its flattened, transposed inverses. numpy
@@ -251,7 +255,7 @@ def estimate_states(mixture: SpectralFrameTensor, templates, pilot_bins,
     flat = smoothed.reshape(len(frame), -1)
     scores = np.empty((len(frame), len(templates)))
     for state, template in enumerate(templates):
-        loaded = regularize(template, epsilon_rel)
+        loaded = regularize(template, PILOT_EPSILON_REL)
         inverse_t = np.linalg.inv(loaded).swapaxes(-1, -2).reshape(-1)
         scores[:, state] = np.vecdot(inverse_t.conj(), flat).real \
             + np.linalg.slogdet(loaded)[1].sum()

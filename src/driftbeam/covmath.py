@@ -33,8 +33,9 @@ class HermitianSpectrum:
         bins: complex array of shape (..., F, M, M)
         frequencies: physical frequency of each bin in rad/s, shape (F,)
 
-    The checks run one cache-sized block of matrices at a time, so a whole
-    tensor is validated once without whole-tensor temporaries.
+    The checks run one cache-sized block of matrices at a time, with no
+    whole-tensor temporaries. containers.load_covariances runs them on the
+    cells and noise of each container, where covariances enter the program.
     """
 
     bins: np.ndarray
@@ -56,14 +57,6 @@ class HermitianSpectrum:
             _check_block(matrices[lo:lo + step], lo, bins.shape[:-2])
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "frequencies", freqs)
-
-    @property
-    def bin_count(self) -> int:
-        return self.bins.shape[-3]
-
-    @property
-    def mic_count(self) -> int:
-        return self.bins.shape[-1]
 
 
 def _check_block(block, offset, stack_shape):

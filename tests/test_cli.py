@@ -667,18 +667,24 @@ class TestMain:
         assert not out.exists()
 
     def test_beamform_without_container_leaves_no_out_directory(self, tmp_path, capsys):
-        # A container that is missing, unloadable or of another scene fails
-        # before the first write, so --out is never made.
+        # A container that is missing, unloadable, corrupt or of another scene
+        # fails before the first write, so --out is never made.
         path = self.write_config(tmp_path)
         trained = tmp_path / "trained"
         assert cli.main(["--config", str(path), "--out", str(trained), "train"]) == 0
         container = trained / "covariances.npz"
         truncated = tmp_path / "truncated.npz"
         truncated.write_bytes(container.read_bytes()[:container.stat().st_size // 2])
+        with np.load(container) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["cells"][1, 0, 40, 0, 0] = np.nan
+        nan_cell = tmp_path / "nan_cell.npz"
+        np.savez(nan_cell, **arrays)
         cases = [
             ("missing", {}, tmp_path / "missing.npz",
              "[beamform] covariance container not found"),
             ("truncated", {}, truncated, "[beamform] File is not a zip file"),
+            ("nan_cell", {}, nan_cell, "[beamform] bins contain non-finite entries"),
             ("source_count", {"sources": {"azimuths_deg": [20.0, 100.0, 160.0]}}, container,
              "[beamform] covariance container holds 2 sources, the scene has 3"),
             # 129 bins at 8 kHz as at 16 kHz, on another frequency grid.

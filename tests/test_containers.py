@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from driftbeam import beamform, containers, covest, scene
+from driftbeam.covmath import HermitianSpectrum
 from driftbeam.stft import StftConfig
 
 CFG = StftConfig(fft_size=256)
@@ -136,6 +137,21 @@ def test_old_covariance_container_rejected(trained, tmp_path, version):
         containers.load_covariances(old)
 
 
+def with_matrix(index, matrix):
+    """An edit that replaces the entry or matrix at index of a copy with
+    matrix(its old value)."""
+    def edit(values):
+        values = values.copy()
+        values[index] = matrix(values[index])
+        return values
+
+    return edit
+
+
+def indefinite(r):
+    return np.abs(r).max() * np.diag([1.0, -1.0, 1.0])
+
+
 def zero_first(counts):
     counts = counts.copy()
     counts[0, 0] = 0
@@ -163,7 +179,16 @@ def zero_cell_1_2(values):
     # A zero count over an all-zero cell: how format 4 once stored an untrained state.
     ({"frame_counts": zero_cell_1_2, "cells": zero_cell_1_2},
      r"no training frames for \(source, state\) pairs: \[\(1, 2\)\]"),
-], ids=["zero_frame_count", "source_without_frames", "missing_cell"])
+    # Content: HermitianSpectrum's check, made as the container is read.
+    ({"cells": with_matrix((1, 2, 40, 0, 0), lambda value: np.nan)},
+     "bins contain non-finite entries"),
+    ({"cells": with_matrix((1, 2, 40, 0, 1), lambda value: value + 1.0)},
+     r"bins not Hermitian at indices \[\(1, 2, 40\)\]"),
+    ({"cells": with_matrix((1, 2, 40), indefinite)},
+     r"bins not positive semidefinite at indices \[\(1, 2, 40\)\]"),
+    ({"noise": with_matrix(40, indefinite)}, r"bins not positive semidefinite at indices \[40\]"),
+], ids=["zero_frame_count", "source_without_frames", "missing_cell", "nan_cell",
+        "non_hermitian_cell", "indefinite_cell", "indefinite_noise"])
 def test_inconsistent_cells_rejected(trained, tmp_path, edits, message):
     covs, _ = trained
     path, bad = tmp_path / "covs.npz", tmp_path / "bad.npz"
@@ -171,6 +196,33 @@ def test_inconsistent_cells_rejected(trained, tmp_path, edits, message):
     rewrite_entries(path, bad, edits)
     with pytest.raises(ValueError, match=message):
         containers.load_covariances(bad)
+
+
+@pytest.mark.parametrize("motion", [
+    scene.MotionModel.rotation_sweep(-30.0, 30.0, period_s=3.0, state_count=4),
+    scene.MotionModel.gaussian_jitter(0.005),
+], ids=["rotation", "jitter"])
+def test_trained_covariances_pass_the_load_check(tmp_path, motion):
+    # A CovarianceSet does not check its matrices, so what train returns must
+    # pass the check that loading makes. Exact symmetry is not asserted: BLAS
+    # kernels differ by host. Three seconds give each jitter source, and the
+    # noise, 374 frames: enough for two bin chunks of _outer_sums, one on
+    # each thread; the rotation's four states alternate between them.
+    spec = scene.SceneSpec(
+        geometry=scene.ArrayGeometry(scene.linear_positions(3, 0.04)),
+        sources=tuple(scene.Source(az, sig) for az, sig in
+                      zip((30.0, 120.0), scene.pseudorandom_signals(2, 3 * FS, 2))),
+        motion=motion,
+        noise_level_db=-30.0,
+    )
+    covs = covest.train(*covest.training_renders(spec, 3.0, CFG, FS, seed=40))
+    HermitianSpectrum(covs.cells, covs.frequencies)
+    HermitianSpectrum(covs.noise, covs.frequencies)
+    path = tmp_path / "covs.npz"
+    containers.save_covariances(path, covs)
+    loaded = containers.load_covariances(path)
+    for name in ("cells", "frame_counts", "noise", "frequencies"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(covs, name))
 
 
 def test_truncated_bank_rejected(trained, tmp_path):

@@ -353,6 +353,16 @@ class TestCovarianceSet:
         with pytest.raises(ValueError, match=message):
             unit_set(cells, counts)
 
+    @pytest.mark.parametrize("cells, noise, frequencies", [
+        (np.zeros((1, 1, 4, 2, 3)), np.zeros((4, 2, 3)), np.arange(4.0)),
+        (unit_cells([[2]]), np.stack([np.eye(2)] * 4), np.arange(5.0)),
+        (unit_cells([[2]])[0], np.stack([np.eye(2)] * 4), np.arange(4.0)),
+    ], ids=["not_square", "frequencies_length", "four_axes"])
+    def test_bad_shapes_rejected(self, cells, noise, frequencies):
+        with pytest.raises(ValueError, match=r"must have shapes \(N, S, F, M, M\), "
+                                             r"\(F, M, M\) and \(F,\)"):
+            covest.CovarianceSet(cells, np.ones((1, 1), dtype=np.int64), noise, frequencies)
+
     @pytest.mark.parametrize("name", ["cells", "frame_counts", "noise", "ensemble"])
     def test_trained_arrays_are_read_only(self, name):
         covs = covest.train(*training_renders(build_spec(duration=1.0), 1.0))

@@ -474,8 +474,10 @@ class TestTypes:
     def test_hermitian_spectrum_accepts_valid(self):
         rng = np.random.default_rng(16)
         bins = np.stack([random_psd(rng, 4) for _ in range(8)])
-        spec = HermitianSpectrum(bins, np.linspace(0.0, 1000.0, 8))
-        assert spec.bin_count == 8 and spec.mic_count == 4
+        freqs = np.linspace(0.0, 1000.0, 8)
+        spec = HermitianSpectrum(bins, freqs)
+        np.testing.assert_array_equal(spec.bins, bins)
+        np.testing.assert_array_equal(spec.frequencies, freqs)
 
     def test_hermitian_spectrum_rejects_non_hermitian(self):
         bins = np.zeros((2, 3, 3), complex)

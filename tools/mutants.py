@@ -217,6 +217,18 @@ MUTANTS = [
      '        elif not np.array_equal(rows["frequency_hz"], merged["frequency_hz"]):',
      "        elif False:",
      ["tests/test_cli.py::TestMain::test_report_rejects_gain_csvs_on_different_grids"]),
+    ("load_covariances skips the content check", "containers.py",
+     '        HermitianSpectrum(data[name], data["frequencies"])\n', "        pass\n",
+     [f"tests/test_containers.py::test_inconsistent_cells_rejected[{case}]"
+      for case in ("nan_cell", "non_hermitian_cell", "indefinite_cell", "indefinite_noise")]
+     + ["tests/test_cli.py::TestMain::test_beamform_without_container_leaves_no_out_directory"]),
+    ("enhanced WAVs carry the reference channel", "cli.py",
+     "SpectralFrameTensor(estimates[:, :, col:col + 1], ",
+     "SpectralFrameTensor(rendered.mixture.frames[:, :, :1], ",
+     [ACCEPTANCE + "test_c15_enhanced_wavs_carry_the_gain"]),
+    ("enhanced WAVs carry half of each estimate", "cli.py",
+     "write_wav(path, synthesize(mono), ", "write_wav(path, 0.5 * synthesize(mono), ",
+     [ACCEPTANCE + "test_c15_enhanced_wavs_carry_the_gain"]),
 ]
 
 
