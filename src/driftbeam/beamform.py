@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmath import DEFAULT_EPSILON_REL, check_condition, regularize
+from .covmath import DEFAULT_EPSILON_REL, check_condition, regularize, unpack
 from .covest import CovarianceSet
 from .scene import StateSequence
 from .stft import SpectralFrameTensor, block_length
@@ -56,13 +56,14 @@ class BeamformerBank:
 def mwf_weights(sources, noise, reference: int,
                 epsilon_rel: float = DEFAULT_EPSILON_REL) -> np.ndarray:
     """Wiener weights (..., F, N, M) from source covariances (..., N, F, M, M)
-    and a noise covariance (F, M, M), Hermitian PSD per bin as a CovarianceSet holds them.
+    and a noise covariance (F, M, M), full Hermitian PSD matrices per bin, as
+    covmath.unpack makes them from a CovarianceSet's packed arrays.
 
     Their sum is diagonally loaded by epsilon_rel, which bounds its condition number
     by 1 + M/epsilon_rel (test_loaded_condition_number_bounded); only an unloaded
     solve (epsilon_rel 0, e.g. exact model covariances) runs check_condition, and a
-    negative epsilon_rel is rejected. Each leading index (a dynamic bank's state)
-    is solved on its own, with the temporaries of one (F, M, M) stack.
+    negative epsilon_rel is rejected. Each leading index is solved on its own,
+    with the temporaries of one (F, M, M) stack.
     """
     sources = np.asarray(sources, dtype=np.complex128)
     noise = np.asarray(noise, dtype=np.complex128)
@@ -102,15 +103,23 @@ def _principal_component(covs):
 
 def build(covs: CovarianceSet, mode: str, reference: int = 0) -> BeamformerBank:
     """Build a beamformer bank of the requested mode from trained covariances:
-    one mwf_weights call, loaded by DEFAULT_EPSILON_REL, on the state-major
-    cells, the ensemble or its rank-one parts."""
+    mwf_weights, loaded by DEFAULT_EPSILON_REL, on the unpacked ensemble or
+    its rank-one parts, or on each state's unpacked cells in turn, so one
+    state's full matrices are alive at a time."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose one of {MODES}")
+    noise = unpack(covs.noise)
     if mode == "dynamic":
-        weights = mwf_weights(covs.cells.swapaxes(0, 1), covs.noise, reference)
+        weights = np.empty((covs.state_count, len(noise), covs.source_count, covs.mic_count),
+                           dtype=np.complex128)
+        cells = np.empty((covs.source_count, *noise.shape), dtype=np.complex128)
+        for state in range(covs.state_count):
+            weights[state] = mwf_weights(unpack(covs.cells[:, state], out=cells), noise,
+                                         reference)
     else:
-        sources = covs.ensemble if mode == "static" else _principal_component(covs.ensemble)
-        weights = mwf_weights(sources, covs.noise, reference)[None]
+        ensemble = unpack(covs.ensemble)
+        sources = ensemble if mode == "static" else _principal_component(ensemble)
+        weights = mwf_weights(sources, noise, reference)[None]
     return BeamformerBank(mode, weights, reference, covs.frequencies.copy())
 
 

@@ -4,18 +4,21 @@ banks.
 Both use the numpy .npz layout (a zip of .npy arrays) written with fixed
 zip timestamps so identical content produces identical bytes.
 
-Covariance container (format version 4):
+Covariance container (format version 5):
     format_version        ()               int
     kind                  ()               "covariances"
     frequencies           (F,)             rad/s
-    noise                 (F, M, M)        complex
-    cells                 (N, S, F, M, M)  complex, one matrix per (source, state)
+    noise                 (F, P)           complex, packed
+    cells                 (N, S, F, P)     complex, packed, one matrix per (source, state)
     frame_counts          (N, S)           int, each >= 1: the training frames behind each cell
 
-The ensemble covariances are not stored: CovarianceSet derives them from the
-cells and their frame counts. Pilot templates are not stored either:
-covest.pilot_templates indexes them from the cells at the test render's
-pilot bins. Loading runs covmath.HermitianSpectrum on cells and noise.
+Each M x M Hermitian matrix is stored as its upper triangle, row by row, in
+P = M(M+1)/2 entries (covmath.pack), as a CovarianceSet holds it; version 4
+stored full matrices and is rejected. The ensemble covariances are not
+stored: CovarianceSet derives them from the cells and their frame counts.
+Pilot templates are not stored either: covest.pilot_templates unpacks them
+from the cells at the test render's pilot bins. Loading runs
+covmath.HermitianSpectrum on cells and noise.
 
 Bank container (format version 2):
     format_version, kind="bank", mode (one of beamform.MODES), reference,
@@ -30,7 +33,7 @@ from .beamform import BeamformerBank
 from .covest import CovarianceSet
 from .covmath import HermitianSpectrum
 
-FORMAT_VERSION = 4  # covariance containers
+FORMAT_VERSION = 5  # covariance containers
 BANK_FORMAT_VERSION = 2
 
 

@@ -5,8 +5,9 @@ Training expects one render per source with that source isolated and one
 source-free render for the noise statistics. training_renders draws them for a
 scene: each source noiseless, so each cell is the covariance of a source image
 alone, and the noise enters only through the source-free render.
-Every covariance comes from one grouped outer-product estimator; the ensemble
-is the frame-weighted mixture of the per-state covariances.
+Every covariance comes from one grouped outer-product estimator and is kept
+packed, as the upper triangles of its Hermitian matrices (covmath.pack); the
+ensemble is the frame-weighted mixture of the per-state covariances.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covmath import regularize
+from .covmath import pack, packed_order, regularize, unpack
 from .scene import RenderedScene, SceneSpec, StateSequence, render, render_states
 from .stft import SpectralFrameTensor, StftConfig, block_length
 from .worker import on_two_threads
@@ -27,18 +28,22 @@ PILOT_SMOOTHING = 2
 
 @dataclass
 class CovarianceSet:
-    """Trained second-order statistics of a scene, as read-only arrays.
+    """Trained second-order statistics of a scene, as read-only arrays, each
+    M x M Hermitian matrix packed as its upper triangle, row by row, in
+    P = M(M+1)/2 entries (covmath.pack; covmath.unpack restores the matrix).
 
-    cells (N, S, F, M, M) holds source n's covariance in motion state s and
+    cells (N, S, F, P) holds source n's covariance in motion state s and
     frame_counts (N, S) the training frames behind it, at least one each: a
-    state without frames has no beamformer. noise (F, M, M) comes from a
+    state without frames has no beamformer. noise (F, P) comes from a
     source-free render; frequencies (F,) are the bins in rad/s. Only shapes
     and counts are checked; the matrices are trusted as given: train's are
     Hermitian PSD by construction, load_covariances checks a container's, and
-    a set built by hand is trusted as it is. ensemble (N, F, M, M) is derived:
-    source n's state-averaged covariance sum_s (c_s / C_n) R_{n,s}, summed in
-    state order over its counts c_s with total C_n, so in a one-state scene
-    (static or jitter) it equals the state-0 cell bit for bit.
+    a set built by hand (from covmath.pack) is trusted as it is. ensemble
+    (N, F, P) is derived: source n's state-averaged covariance
+    sum_s (c_s / C_n) R_{n,s}, summed in state order over its counts c_s with
+    total C_n, so in a one-state scene (static or jitter) it equals the state-0
+    cell bit for bit. Full matrices are made only where a consumer needs them:
+    one state's cells, one divergence slot or the pilot bins at a time.
     """
 
     cells: np.ndarray
@@ -53,11 +58,11 @@ class CovarianceSet:
         frequencies = np.asarray(self.frequencies, dtype=np.float64)
         counts = np.asarray(self.frame_counts)
         shape = cells.shape
-        if len(shape) != 5 or shape[3] != shape[4] or noise.shape != shape[2:] \
-                or frequencies.shape != shape[2:3]:
+        if len(shape) != 4 or noise.shape != shape[2:] or frequencies.shape != shape[2:3]:
             raise ValueError(f"cells {shape}, noise {noise.shape} and frequencies "
-                             f"{frequencies.shape} must have shapes (N, S, F, M, M), "
-                             "(F, M, M) and (F,)")
+                             f"{frequencies.shape} must have shapes (N, S, F, P), "
+                             "(F, P) and (F,)")
+        packed_order(cells)
         if counts.shape != shape[:2] or counts.dtype.kind not in "iu" or (counts < 0).any():
             raise ValueError(f"frame_counts must be nonnegative ints of shape {shape[:2]}, "
                              f"got {counts.dtype} {counts.shape}")
@@ -89,21 +94,23 @@ class CovarianceSet:
 
     @property
     def mic_count(self) -> int:
-        return self.cells.shape[-1]
+        return packed_order(self.cells)
 
 
 def _outer_sums(frames, labels, group_count, out=None):
-    """Per-group sums (G, F, M, M) of x[t,f] x[t,f]^H over complex frames (T, F, M)
-    labeled in [0, G) (into out when given; an empty group sums to zeros), one
-    zgemm batch per cache-sized bin chunk, and counts (G,). Each chunk's runs of
-    consecutive frames are copied into complex128 scratch, so complex64 frames
-    are summed as their exact complex128 values. This thread and a helper take
-    alternate chunks; each chunk is one product over all of its group's frames,
-    so no sum depends on which thread made it."""
+    """Per-group sums (G, F, P) of x[t,f] x[t,f]^H, packed (covmath.pack), over
+    complex frames (T, F, M) labeled in [0, G) (into out when given; an empty
+    group sums to zeros), one zgemm batch per cache-sized bin chunk, and counts
+    (G,). Each chunk's runs of consecutive frames are copied into complex128
+    scratch, so complex64 frames are summed as their exact complex128 values,
+    and its product lands in (bins, M, M) scratch, whose upper triangles are
+    packed into the sums. This thread and a helper take alternate chunks; each
+    chunk is one product over all of its group's frames, so no sum depends on
+    which thread made it."""
     counts = np.bincount(labels, minlength=group_count)
     _, f_count, m_count = frames.shape
-    sums = np.empty((group_count, f_count, m_count, m_count), dtype=np.complex128) \
-        if out is None else out
+    sums = np.empty((group_count, f_count, m_count * (m_count + 1) // 2),
+                    dtype=np.complex128) if out is None else out
     chunks = []  # (group, its runs of consecutive frames as (start, stop) rows, bins)
     for group in range(group_count):
         runs = np.flatnonzero(np.diff(np.r_[False, labels == group, False])).reshape(-1, 2)
@@ -112,10 +119,12 @@ def _outer_sums(frames, labels, group_count, out=None):
         parts = max(1, f_count // max(2, block_length(counts[group] * m_count * 16)))
         chunks += [(group, runs, slice(k * f_count // parts, (k + 1) * f_count // parts))
                    for k in range(parts)]
-    # Per thread, a chunk's gathered frames and their conjugates, allocated here
-    # (see on_two_threads).
+    # Per thread, a chunk's gathered frames, their conjugates and their product,
+    # allocated here (see on_two_threads).
     size = max(counts[group] * (bins.stop - bins.start) for group, _, bins in chunks) * m_count
     scratch = np.empty((2, 2, size), dtype=np.complex128)
+    width = max(bins.stop - bins.start for _, _, bins in chunks)
+    products = np.empty((2, width, m_count, m_count), dtype=np.complex128)
 
     def add_chunks(half):
         gathered, conjugated = scratch[half]
@@ -127,7 +136,9 @@ def _outer_sums(frames, labels, group_count, out=None):
                 x[filled:filled + stop - start] = frames[start:stop, bins]
                 filled += stop - start
             xh = np.conjugate(x, out=conjugated[:x.size].reshape(shape))
-            np.matmul(x.transpose(1, 2, 0), xh.transpose(1, 0, 2), out=sums[group, bins])
+            product = products[half, :shape[1]]
+            np.matmul(x.transpose(1, 2, 0), xh.transpose(1, 0, 2), out=product)
+            pack(product, out=sums[group, bins])
 
     on_two_threads(add_chunks)
     return sums, counts
@@ -161,7 +172,7 @@ def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
     labels; each is reduced to its sums in the cell tensor and dropped
     before the next is drawn.
     noise_render: a render with no active sources; its scene's source count,
-    its states and bins size that (N, S, F, M, M) tensor up front, and the
+    its states and bins size that packed (N, S, F, P) tensor up front, and the
     noise covariance is the mean outer product of all of its frames.
     """
     if noise_render.active_sources:
@@ -169,7 +180,8 @@ def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
     source_count = noise_render.source_count
     state_count = noise_render.truth_states.state_count
     _, f_count, m_count = noise_render.mixture.frames.shape
-    cells = np.empty((source_count, state_count, f_count, m_count, m_count), dtype=np.complex128)
+    cells = np.empty((source_count, state_count, f_count, m_count * (m_count + 1) // 2),
+                     dtype=np.complex128)
     counts = np.zeros((source_count, state_count), dtype=np.int64)
     indices = []
     for render in source_renders:
@@ -203,7 +215,7 @@ def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
 
 
 def pilot_templates(covs: CovarianceSet, pilot_bins) -> np.ndarray:
-    """Per-state covariance templates at the pilot bins, (S, N, M, M).
+    """Per-state covariance templates at the pilot bins, (S, N, M, M), unpacked.
 
     Template s, row n is source n's trained covariance in state s at that
     source's pilot bin pilot_bins[n], so a test frame (all pilots active at
@@ -214,7 +226,7 @@ def pilot_templates(covs: CovarianceSet, pilot_bins) -> np.ndarray:
             f"pilot templates need one pilot bin per source ({covs.source_count}), "
             f"got {pilot_bins!r} (pilot disabled?)"
         )
-    return covs.cells.swapaxes(0, 1)[:, np.arange(covs.source_count), list(pilot_bins)]
+    return unpack(covs.cells.swapaxes(0, 1)[:, np.arange(covs.source_count), list(pilot_bins)])
 
 
 def estimate_states(mixture: SpectralFrameTensor, templates, pilot_bins) -> StateSequence:

@@ -1,10 +1,13 @@
 """Hermitian covariance utilities for spatial statistics.
 
-Gaussian divergence between zero-mean complex distributions, diagonal
+Packed storage of Hermitian matrices (pack, unpack) and the check of packed
+spectra, Gaussian divergence between zero-mean complex distributions, diagonal
 loading, and the closed-form effect of random per-microphone delay offsets
 on steering-vector covariances.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,17 +28,98 @@ class IllConditionedError(ValueError):
     """Raised when a covariance matrix is too ill-conditioned to invert."""
 
 
+def pack(h, out=None) -> np.ndarray:
+    """The upper triangles (..., P), P = M(M+1)/2, of matrices h (..., M, M),
+    row by row (into out when given); the strict lower triangles are not read."""
+    h = _square(h, "h")
+    m = h.shape[-1]
+    upper = _layout(m)[0]
+    if out is None:
+        out = np.empty((*h.shape[:-2], len(upper)), dtype=np.complex128)
+    return np.take(h.reshape(*h.shape[:-2], m * m), upper, axis=-1, out=out, mode="clip")
+
+
+def unpack(packed, out=None) -> np.ndarray:
+    """Hermitian matrices (..., M, M) from their packed upper triangles (..., P)
+    (see pack), into out when given, which must be C-contiguous: one
+    cache-sized block of matrices at a time, each entry is gathered from the
+    packed triangle and each strict lower entry conjugated, so the strict
+    lower triangle is exactly the conjugate of the upper."""
+    packed = np.asarray(packed, dtype=np.complex128)
+    m = packed_order(packed)
+    if out is None:
+        out = np.empty((*packed.shape[:-1], m, m), dtype=np.complex128)
+    elif out.shape != (*packed.shape[:-1], m, m) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {packed.shape[:-1]} "
+                         f"+ ({m}, {m})")
+    stack, full = (packed, out) if packed.ndim > 1 else (packed[None], out[None])
+    step = block_length(m * m * full.itemsize)
+    for index in np.ndindex(stack.shape[:-2]):
+        for lo in range(0, stack.shape[-2], step):
+            _unpack_into(stack[index][lo:lo + step], full[index][lo:lo + step])
+    return out
+
+
+def packed_order(packed) -> int:
+    """M of a packed stack (..., P) with P = M(M+1)/2 and M >= 1."""
+    p = packed.shape[-1] if packed.ndim else 0
+    m = (math.isqrt(8 * p + 1) - 1) // 2
+    if m < 1 or m * (m + 1) // 2 != p:
+        raise ValueError(f"packed Hermitian matrices need a last axis of M(M+1)/2 entries, "
+                         f"got shape {packed.shape}")
+    return m
+
+
+@functools.cache
+def _layout(m):
+    """Read-only index tables of the packed M x M layout: the row-major
+    positions of the upper triangle, in packed order; for each row-major
+    position, the packed index of its entry, or of its upper partner below
+    the diagonal; and the factors of the real and imaginary parts, -1 on the
+    imaginary parts below the diagonal and +1 elsewhere, that conjugate those
+    partners. The diagonal's packed indices are mirror[::m + 1]."""
+    rows, cols = np.indices((m, m))
+    upper = rows <= cols
+    index = np.zeros((m, m), dtype=np.intp)
+    index[upper] = np.arange(m * (m + 1) // 2)
+    mirror = np.where(upper, index, index.T).ravel()
+    signs = np.ones((m * m, 2))
+    signs[~upper.ravel(), 1] = -1.0
+    tables = np.flatnonzero(upper), mirror, signs.ravel()
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _unpack_into(packed, full):
+    """Unpack a block: packed (K, P) into the C-contiguous full (K, M, M). One
+    gather fills every entry and one product with the sign table conjugates
+    the strict lower ones, both with long inner loops over the block."""
+    m = full.shape[-1]
+    _, mirror, signs = _layout(m)
+    flat = full.reshape(len(full), m * m)
+    np.take(packed, mirror, axis=-1, out=flat, mode="clip")
+    parts = flat.view(np.float64)
+    parts *= signs
+
+
 @dataclass(frozen=True)
 class HermitianSpectrum:
-    """One Hermitian PSD matrix per frequency bin, or a stack of such spectra.
+    """One Hermitian PSD matrix per frequency bin, or a stack of such spectra,
+    each matrix packed as its upper triangle (see pack).
 
     Attributes:
-        bins: complex array of shape (..., F, M, M)
+        bins: complex array of shape (..., F, P), P = M(M+1)/2
         frequencies: physical frequency of each bin in rad/s, shape (F,)
 
-    The checks run one cache-sized block of matrices at a time, with no
-    whole-tensor temporaries. containers.load_covariances runs them on the
-    cells and noise of each container, where covariances enter the program.
+    Off the diagonal a packed matrix is Hermitian by construction, so the
+    Hermitian check is the diagonal's: twice an imaginary part, the defect
+    |r - r^H| there, must stay within HERMITIAN_RTOL of the matrix's largest
+    entry modulus. The finite check runs on the packed entries and the PSD
+    check on each cache-sized block of matrices, unpacked into reused scratch,
+    with no whole-tensor temporaries. containers.load_covariances runs the
+    checks on the cells and noise of each container, where covariances enter
+    the program.
     """
 
     bins: np.ndarray
@@ -44,41 +128,48 @@ class HermitianSpectrum:
     def __post_init__(self):
         bins = np.asarray(self.bins, dtype=np.complex128)
         freqs = np.asarray(self.frequencies, dtype=np.float64)
-        if bins.ndim < 3 or bins.shape[-1] != bins.shape[-2]:
-            raise ValueError(f"bins must have shape (..., F, M, M), got {bins.shape}")
-        if freqs.shape != (bins.shape[-3],):
+        if bins.ndim < 2:
+            raise ValueError(f"bins must have shape (..., F, P), got {bins.shape}")
+        m = packed_order(bins)
+        if freqs.shape != (bins.shape[-2],):
             raise ValueError(
-                f"frequencies length {freqs.shape} does not match bin count {bins.shape[-3]}"
+                f"frequencies length {freqs.shape} does not match bin count {bins.shape[-2]}"
             )
-        m = bins.shape[-1]
-        matrices = bins.reshape(-1, m, m)
+        matrices = bins.reshape(-1, bins.shape[-1])
         step = block_length(m * m * matrices.itemsize)
+        scratch = np.empty((min(step, len(matrices)), m, m), dtype=np.complex128)
         for lo in range(0, len(matrices), step):
-            _check_block(matrices[lo:lo + step], lo, bins.shape[:-2])
+            _check_block(matrices[lo:lo + step], scratch, lo, bins.shape[:-1])
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "frequencies", freqs)
 
 
-def _check_block(block, offset, stack_shape):
-    """Raise unless every matrix of block (K, M, M), the matrices offset..
-    offset+K-1 of a stack shaped stack_shape, is finite, Hermitian and PSD;
-    name the first failures by bin, or by index tuple in a deeper stack."""
+def _check_block(block, scratch, offset, stack_shape):
+    """Raise unless every packed matrix of block (K, P), the matrices offset..
+    offset+K-1 of a stack shaped stack_shape, is finite, Hermitian and PSD,
+    unpacking them into scratch (>= K, M, M); name the first failures by bin,
+    or by index tuple in a deeper stack."""
     if not np.isfinite(block).all():
         raise ValueError("bins contain non-finite entries")
-    defect = np.abs(block - block.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    scale = np.abs(block).max(axis=(1, 2))
+    m = scratch.shape[-1]
+    diagonal = block[:, _layout(m)[1][::m + 1]]
+    defect = 2.0 * np.abs(diagonal.imag).max(axis=1)
+    scale = np.abs(block).max(axis=1)
     bad, kind = defect > HERMITIAN_RTOL * np.maximum(scale, np.finfo(float).tiny), "Hermitian"
     if not bad.any():
-        mean_eig = np.trace(block, axis1=1, axis2=2).real / block.shape[1]
-        delta = PSD_RTOL * np.maximum(mean_eig, 0.0)
+        full = scratch[:len(block)]
+        _unpack_into(block, full)
+        delta = PSD_RTOL * np.maximum(diagonal.real.sum(axis=1) / m, 0.0)
         # A Cholesky of bins + (delta/2) I succeeds only when the smallest
         # eigenvalue is above -delta/2, so success settles the check at a
         # fraction of an eigvalsh; on failure eigvalsh decides and names the bins.
+        full.reshape(len(block), m * m)[:, ::m + 1] += 0.5 * delta[:, None]
         try:
-            np.linalg.cholesky(block + 0.5 * delta[:, None, None] * np.eye(block.shape[1]))
+            np.linalg.cholesky(full)
             return
         except np.linalg.LinAlgError:
-            bad, kind = np.linalg.eigvalsh(block)[:, 0] < -delta, "positive semidefinite"
+            _unpack_into(block, full)  # the matrices again, unloaded
+            bad, kind = np.linalg.eigvalsh(full)[:, 0] < -delta, "positive semidefinite"
     if bad.any():
         flat = offset + np.flatnonzero(bad)[:8]
         where = flat.tolist() if len(stack_shape) == 1 else \

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmath import DEFAULT_EPSILON_REL, far_field_divergence, gaussian_divergence, regularize
+from .covmath import (DEFAULT_EPSILON_REL, far_field_divergence, gaussian_divergence,
+                      regularize, unpack)
 from .covest import CovarianceSet
 from .scene import propagation_delays
 from .stft import block_length
@@ -94,10 +95,11 @@ def gain(outputs, mixture_ref, desired, frequencies_hz) -> GainReport:
 
 
 def _slot_covariance(covs: CovarianceSet, slot):
+    """The unpacked (F, M, M) covariance of a (source, state) slot."""
     source, state = slot
     if not (0 <= source < covs.source_count and (state is None or 0 <= state < covs.state_count)):
         raise ValueError(f"no trained covariance for (source, state) = {slot}")
-    return covs.ensemble[source] if state is None else covs.cells[source, state]
+    return unpack(covs.ensemble[source] if state is None else covs.cells[source, state])
 
 
 def divergence_curve(covs: CovarianceSet, named_pairs: dict,

@@ -3,8 +3,8 @@ each other.
 
 Rendering happens directly in the STFT domain: each source image is the
 source's reference-channel spectrum multiplied by the steering phases of
-the frame's array pose, diffuse noise is independent complex Gaussian in every
-(frame, bin, channel) cell, and optional near-Nyquist pilot tones are
+the frame's array pose, spatially white sensor noise is independent complex
+Gaussian in every (frame, bin, channel) cell, and optional near-Nyquist pilot tones are
 emitted from the source positions so the array pose can be identified frame
 by frame. Steering phases are taken relative to the reference microphone,
 so the desired signal of every source equals its unmodified spectrum.
@@ -233,9 +233,9 @@ class SceneSpec:
 class RenderedScene:
     """Simulator output: the mixture and ground truth.
 
-    The mixture is the diffuse noise plus the image of every active source;
-    those additive parts are not stored. A render with noise_level_db=None and
-    one active source n is exactly source n's image. `desired` holds each
+    The mixture is the spatially white sensor noise plus the image of every
+    active source; those additive parts are not stored. A render with
+    noise_level_db=None and one active source n is exactly source n's image. `desired` holds each
     active source as observed at the reference microphone, shape
     (T, F, n_active); source_count counts all of the scene's sources. Both
     arrays are complex64 (see render).
@@ -262,7 +262,10 @@ def propagation_delays(positions, azimuth_deg, c: float = SPEED_OF_SOUND):
 
 
 def _sweep_angle_series(motion: MotionModel, frame_count: int, frame_rate: float):
-    """Continuous triangle-wave angle per frame, in degrees."""
+    """Continuous triangle-wave angle per frame, in degrees, positive
+    counterclockwise as azimuths are. Frame k takes the pose at time
+    k / frame_rate = k * hop / fs: the start of its window, half a frame
+    (fft_size / 2 samples) before the window's centre."""
     times = np.arange(frame_count) / frame_rate
     phase = (times % motion.period_s) / motion.period_s
     tri = np.where(phase < 0.5, 2.0 * phase, 2.0 * (1.0 - phase))
@@ -274,6 +277,9 @@ def state_sequence(motion: MotionModel, frame_count: int, frame_rate: float) -> 
 
     rotation_sweep quantizes the continuous triangle-wave angle to the
     nearest sweep angle; static and gaussian_jitter scenes stay in state 0.
+    Frame k is labelled at the time of its pose, k / frame_rate, the start of
+    its window (see _sweep_angle_series), so training labels and the test
+    track use the same times as the renders.
     """
     if frame_count < 1:
         raise ValueError("frame_count must be at least 1")

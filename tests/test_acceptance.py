@@ -390,6 +390,82 @@ def test_c11_determinism(tmp_path):
            f"{len(first)} artifacts byte-identical across runs")
 
 
+SYMMETRY_TOL_DB = 1e-4
+
+
+def symmetric_gains(positions, azimuths, signals, motion, pilot=None):
+    """Per-source, per-bin gains in dB, mode -> (N, F), of the library
+    pipeline on a 2 s scene: train, render the test scene, build each mode
+    and filter; the dynamic bank tracks states by the pilot when there is one
+    and follows the true track otherwise."""
+    cfg = StftConfig(fft_size=512)
+    spec = scene.SceneSpec(
+        geometry=scene.ArrayGeometry(positions),
+        sources=tuple(scene.Source(az, sig) for az, sig in zip(azimuths, signals)),
+        motion=motion,
+        noise_level_db=-30.0,
+        pilot=pilot,
+    )
+    covs = covest.train(*covest.training_renders(spec, 2.0, cfg, FS, seed=20))
+    test = scene.render(spec, 2.0, cfg, FS, seed=21)
+    gains = {}
+    for mode in beamform.MODES:
+        states = None
+        if mode == "dynamic" and covs.state_count > 1:
+            states = test.truth_states if pilot is None else covest.estimate_states(
+                test.mixture, covest.pilot_templates(covs, test.pilot_bins), test.pilot_bins)
+        scored = gain_of(beamform.build(covs, mode), test, states)
+        gains[mode] = 10.0 * np.log10(scored.numerators / scored.denominators)
+    return gains
+
+
+def test_c14_pipeline_symmetries():
+    # Positions, azimuths and sweep angles share one counterclockwise frame,
+    # and nothing depends on the signal scale or the source order: every
+    # per-source, per-bin gain of every mode stays within SYMMETRY_TOL_DB when
+    # the positions are rotated by theta and theta is added to each azimuth,
+    # when every source is scaled by 1e3 or 1e-3, and, with the pilot off and
+    # the true state track, when the sources are permuted (the gains permute).
+    # Measured: 0 dB under rotation, up to 2e-5 dB under scaling (the
+    # complex64 render rounds each scale its own way) and 5e-7 dB under
+    # permutation; mirroring the azimuths moves per-bin gains by up to 39 dB.
+    start = time.time()
+    positions = scene.linear_positions(12, 0.05)
+    signals = scene.pseudorandom_signals(len(AZIMUTHS), 2 * FS, 3)
+    pilot = scene.Pilot(7000.0)
+    motions = {"static": scene.MotionModel.static(),
+               "rotation": scene.MotionModel.rotation_sweep(-45.0, 45.0, 2.0, 4)}
+    worst, bases = {}, {}
+
+    def check(case, gains, expected):
+        for mode in beamform.MODES:
+            np.testing.assert_allclose(gains[mode], expected[mode], rtol=0,
+                                       atol=SYMMETRY_TOL_DB, err_msg=f"{case} {mode}")
+        worst[case] = max(np.abs(gains[m] - expected[m]).max() for m in beamform.MODES)
+
+    for name, motion in motions.items():
+        base = bases[name] = symmetric_gains(positions, AZIMUTHS, signals, motion, pilot)
+        for theta in (30.0, 90.0):
+            rad = np.deg2rad(theta)
+            turn = np.array([[np.cos(rad), -np.sin(rad)], [np.sin(rad), np.cos(rad)]])
+            check(f"{name} rotated {theta:g}",
+                  symmetric_gains(positions @ turn.T, [az + theta for az in AZIMUTHS],
+                                  signals, motion, pilot), base)
+    for scale in (1e3, 1e-3):
+        check(f"static scaled {scale:g}",
+              symmetric_gains(positions, AZIMUTHS, [scale * sig for sig in signals],
+                              motions["static"], pilot), bases["static"])
+    order = [2, 0, 4, 1, 3]
+    base = symmetric_gains(positions, AZIMUTHS, signals, motions["rotation"])
+    check("rotation permuted",
+          symmetric_gains(positions, [AZIMUTHS[n] for n in order],
+                          [signals[n] for n in order], motions["rotation"]),
+          {mode: gains[order] for mode, gains in base.items()})
+    elapsed = time.time() - start
+    report("criterion 14 (pipeline symmetries)", elapsed,
+           ", ".join(f"{case} {dev:.1e} dB" for case, dev in worst.items()))
+
+
 def test_c15_enhanced_wavs_carry_the_gain(tmp_path, monkeypatch):
     # simulate, train and beamform (every mode) through the CLI on a short
     # rotation scene. Each enhanced_MODE_NN.wav, scored in the time domain

@@ -5,6 +5,7 @@ import pytest
 
 from driftbeam import beamform, covest, covmath, scene, stft
 from driftbeam.beamform import BeamformerBank, apply_bank, build, mwf_weights
+from driftbeam.covmath import pack, unpack
 from driftbeam.stft import SpectralFrameTensor, StftConfig
 
 CFG = StftConfig(fft_size=256)
@@ -104,8 +105,8 @@ class TestBuild:
         a = np.exp(1j * rng.uniform(-np.pi, np.pi, (f, m)))
         bins = 2.0 * np.einsum("fm,fn->fmn", a, a.conj())
         noise = np.broadcast_to(0.3 * np.eye(m), (f, m, m))
-        covs = covest.CovarianceSet(bins[None, None], np.ones((1, 1), dtype=np.int64), noise,
-                                    omega)
+        covs = covest.CovarianceSet(pack(bins[None, None]), np.ones((1, 1), dtype=np.int64),
+                                    pack(noise), omega)
         static = build(covs, "static")
         rank_one = build(covs, "rank1")
         np.testing.assert_allclose(rank_one.weights[0], static.weights[0], atol=1e-9)
@@ -118,22 +119,23 @@ class TestBuild:
         assert bank.weights.shape == (10, CFG.bin_count, 2, 4)
 
     def test_dynamic_bank_bits_equal_per_state_solves(self):
-        # One batched solve over the state-major cells gives each state the
-        # bits of its own mwf_weights call on cells[:, s].
+        # Each state's weights are the bits of its own mwf_weights call on
+        # its unpacked cells.
         motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=4.0,
                                                   state_count=10)
         covs, _ = trained_covs(motion=motion)
         bank = build(covs, "dynamic")
         for state in range(covs.state_count):
-            expected = mwf_weights(covs.cells[:, state], covs.noise, 0)
+            expected = mwf_weights(unpack(covs.cells[:, state]), unpack(covs.noise), 0)
             np.testing.assert_array_equal(bank.weights[state].view(np.uint64),
                                           expected.view(np.uint64))
 
     def test_rank_one_parts_bits_equal_per_source(self):
         covs, _ = trained_covs(azimuths=(30.0, 80.0, 120.0))
-        batched = beamform._principal_component(covs.ensemble)
+        ensemble = unpack(covs.ensemble)
+        batched = beamform._principal_component(ensemble)
         for n in range(covs.source_count):
-            single = beamform._principal_component(covs.ensemble[n])
+            single = beamform._principal_component(ensemble[n])
             np.testing.assert_array_equal(batched[n].view(np.uint64), single.view(np.uint64))
 
     def test_starved_state_error_lists_pairs(self):

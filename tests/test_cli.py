@@ -677,7 +677,7 @@ class TestMain:
         truncated.write_bytes(container.read_bytes()[:container.stat().st_size // 2])
         with np.load(container) as data:
             arrays = {key: data[key] for key in data.files}
-        arrays["cells"][1, 0, 40, 0, 0] = np.nan
+        arrays["cells"][1, 0, 40, 0] = np.nan
         nan_cell = tmp_path / "nan_cell.npz"
         np.savez(nan_cell, **arrays)
         cases = [

@@ -1,11 +1,12 @@
 import io
+import tracemalloc
 import zipfile
 
 import numpy as np
 import pytest
 
 from driftbeam import beamform, containers, covest, scene
-from driftbeam.covmath import HermitianSpectrum
+from driftbeam.covmath import HermitianSpectrum, pack
 from driftbeam.stft import StftConfig
 
 CFG = StftConfig(fft_size=256)
@@ -127,7 +128,7 @@ def test_truncated_covariance_container_rejected(trained, tmp_path, name):
         containers.load_covariances(cut)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_covariance_container_rejected(trained, tmp_path, version):
     covs, _ = trained
     path, old = tmp_path / "covs.npz", tmp_path / "old.npz"
@@ -148,8 +149,9 @@ def with_matrix(index, matrix):
     return edit
 
 
-def indefinite(r):
-    return np.abs(r).max() * np.diag([1.0, -1.0, 1.0])
+def indefinite(packed):
+    """A packed indefinite 3 x 3 matrix as large as the packed matrix given."""
+    return pack(np.abs(packed).max() * np.diag([1.0, -1.0, 1.0]))
 
 
 def zero_first(counts):
@@ -179,10 +181,12 @@ def zero_cell_1_2(values):
     # A zero count over an all-zero cell: how format 4 once stored an untrained state.
     ({"frame_counts": zero_cell_1_2, "cells": zero_cell_1_2},
      r"no training frames for \(source, state\) pairs: \[\(1, 2\)\]"),
-    # Content: HermitianSpectrum's check, made as the container is read.
-    ({"cells": with_matrix((1, 2, 40, 0, 0), lambda value: np.nan)},
+    # Content: HermitianSpectrum's check of the packed members, made as the
+    # container is read. Packed entry 0 is a matrix's (0, 0) entry, the one
+    # place besides the rest of the diagonal where it can fail to be Hermitian.
+    ({"cells": with_matrix((1, 2, 40, 0), lambda value: np.nan)},
      "bins contain non-finite entries"),
-    ({"cells": with_matrix((1, 2, 40, 0, 1), lambda value: value + 1.0)},
+    ({"cells": with_matrix((1, 2, 40, 0), lambda value: value + 1j * abs(value))},
      r"bins not Hermitian at indices \[\(1, 2, 40\)\]"),
     ({"cells": with_matrix((1, 2, 40), indefinite)},
      r"bins not positive semidefinite at indices \[\(1, 2, 40\)\]"),
@@ -204,8 +208,10 @@ def test_inconsistent_cells_rejected(trained, tmp_path, edits, message):
 ], ids=["rotation", "jitter"])
 def test_trained_covariances_pass_the_load_check(tmp_path, motion):
     # A CovarianceSet does not check its matrices, so what train returns must
-    # pass the check that loading makes. Exact symmetry is not asserted: BLAS
-    # kernels differ by host. Three seconds give each jitter source, and the
+    # pass the check that loading makes. The packed cells hold zgemm's upper
+    # triangles, so only their diagonals' imaginary parts, which BLAS kernels
+    # may leave by host, meet the Hermitian tolerance. Three seconds give each
+    # jitter source, and the
     # noise, 374 frames: enough for two bin chunks of _outer_sums, one on
     # each thread; the rotation's four states alternate between them.
     spec = scene.SceneSpec(
@@ -264,3 +270,51 @@ def test_streamed_members_match_in_memory_copies(trained, tmp_path, monkeypatch,
     expected = tmp_path / "copied.npz"
     write_through_copies(expected, members)
     assert path.read_bytes() == expected.read_bytes()
+
+
+class TestPackedMemory:
+    """The cells exist only packed: neither training nor loading ever holds
+    as many bytes as the full (N, S, F, M, M) complex128 tensor. numpy reports
+    its buffers to tracemalloc, so these peaks are exact."""
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        # 12 microphones, 513 bins, 5 sources and 10 states: the full tensor
+        # takes 59.1 MB, the packed one 32.0 MB; 1 s visits every state.
+        motion = scene.MotionModel.rotation_sweep(-45.0, 45.0, period_s=1.0, state_count=10)
+        azimuths = (0.0, 45.0, 90.0, 135.0, 180.0)
+        return scene.SceneSpec(
+            geometry=scene.ArrayGeometry(scene.linear_positions(12, 0.05)),
+            sources=tuple(scene.Source(az, sig) for az, sig in
+                          zip(azimuths, scene.pseudorandom_signals(5, FS, 3))),
+            motion=motion,
+            noise_level_db=-30.0,
+        )
+
+    @staticmethod
+    def full_bytes(covs):
+        return covs.cells[..., 0].size * covs.mic_count ** 2 * 16
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            value = fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return value, peak
+
+    def test_training_peak_is_below_the_full_tensor(self, spec):
+        renders, noise = covest.training_renders(spec, 1.0, StftConfig(1024), FS, seed=50)
+        covs, peak = self.traced_peak(covest.train, renders, noise)
+        assert covs.cells.shape == (5, 10, 513, 78)
+        assert peak < self.full_bytes(covs)
+
+    def test_load_peak_is_below_the_full_tensor(self, spec, tmp_path):
+        covs = covest.train(*covest.training_renders(spec, 1.0, StftConfig(1024), FS, seed=50))
+        path = tmp_path / "covs.npz"
+        containers.save_covariances(path, covs)
+        loaded, peak = self.traced_peak(containers.load_covariances, path)
+        np.testing.assert_array_equal(loaded.cells, covs.cells)
+        assert peak < self.full_bytes(covs)

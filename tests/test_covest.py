@@ -54,13 +54,15 @@ class TestOuterSums:
     def test_matches_per_frame_outer_products(self, case):
         frames, labels, groups = case
         sums, counts = covest._outer_sums(frames, labels, groups)
-        expected = np.zeros_like(sums)
+        m = frames.shape[2]
+        expected = np.zeros((groups, frames.shape[1], m, m), dtype=complex)
         for t, group in enumerate(labels):
             for f in range(frames.shape[1]):
                 expected[group, f] += np.outer(frames[t, f], frames[t, f].conj())
         np.testing.assert_array_equal(counts, np.bincount(labels, minlength=groups))
         scale = max(np.abs(frames).max() ** 2, 1.0)
-        np.testing.assert_allclose(sums, expected, rtol=0, atol=1e-12 * scale * len(labels))
+        np.testing.assert_allclose(sums, covmath.pack(expected), rtol=0,
+                                   atol=1e-12 * scale * len(labels))
 
 
     def test_single_frame_is_outer_product(self):
@@ -69,7 +71,7 @@ class TestOuterSums:
         sums, counts = covest._outer_sums(x, np.zeros(1, dtype=np.int64), 1)
         assert counts.tolist() == [1]
         for f in range(5):
-            np.testing.assert_allclose(sums[0, f], np.outer(x[0, f], x[0, f].conj()),
+            np.testing.assert_allclose(sums[0, f], covmath.pack(np.outer(x[0, f], x[0, f].conj())),
                                        atol=1e-14)
 
     def test_static_source_principal_eigenvector_matches_steering(self):
@@ -77,7 +79,7 @@ class TestOuterSums:
         rendered = scene.render(spec, 4.0, CFG, FS, seed=2)
         frames = rendered.mixture.frames
         sums, counts = covest._outer_sums(frames, np.zeros(len(frames), dtype=np.int64), 1)
-        cov = sums[0] / counts[0]
+        cov = covmath.unpack(sums[0] / counts[0])
         rel = spec.geometry.positions - spec.geometry.positions[0]
         for f in (20, 60, 100):
             sv = np.exp(1j * rendered.mixture.bin_omega[f] * scene.propagation_delays(rel, 80.0))
@@ -105,7 +107,8 @@ class TestOuterSumChunks:
             for budget in (1, 2 * bin_bytes, 5 * bin_bytes, f * bin_bytes):
                 monkeypatch.setattr(stft, "BLOCK_BYTES", budget)
                 sums, _ = covest._outer_sums(frames, labels, groups)
-                np.testing.assert_array_equal(sums.view(np.uint64), expected.view(np.uint64))
+                np.testing.assert_array_equal(sums.view(np.uint64),
+                                              covmath.pack(expected).view(np.uint64))
 
 
 class TestOuterSumThreads:
@@ -128,6 +131,7 @@ class TestOuterSumThreads:
         for group in range(5):
             x = frames[self.LABELS == group].transpose(1, 2, 0)
             np.matmul(x, x.conj().transpose(0, 2, 1), out=expected[group])
+        expected = covmath.pack(expected)
         monkeypatch.setattr(stft, "BLOCK_BYTES", 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -150,7 +154,8 @@ class TestOuterSumThreads:
             x = upcast[self.LABELS == group].transpose(1, 2, 0)
             np.matmul(x, x.conj().transpose(0, 2, 1), out=expected[group])
         sums, _ = covest._outer_sums(frames, self.LABELS, 5)
-        np.testing.assert_array_equal(sums.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(sums.view(np.uint64),
+                                      covmath.pack(expected).view(np.uint64))
 
     def test_failing_chunk_reraises_in_the_caller_and_leaves_no_thread(self, monkeypatch,
                                                                        raised_within):
@@ -212,7 +217,7 @@ class TestTrain:
         assert len(set(covs.frame_counts.ravel().tolist())) > 1
         for n, render in enumerate(renders):
             sums, counts = covest._outer_sums(render.mixture.frames, render.truth_states.labels, 5)
-            np.testing.assert_array_equal(covs.cells[n], sums / counts[:, None, None, None])
+            np.testing.assert_array_equal(covs.cells[n], sums / counts[:, None, None])
         sums, counts = covest._outer_sums(noise.mixture.frames,
                                           np.zeros(noise.mixture.frame_count, dtype=np.int64), 1)
         np.testing.assert_array_equal(covs.noise, sums[0] / counts[0])
@@ -227,7 +232,7 @@ class TestTrain:
         omega = rendered.mixture.bin_omega
         # Groups 0 and 1 are the halves; an odd last frame is group 2.
         sums, counts = covest._outer_sums(frames, np.arange(len(frames)) // half, 3)
-        first, second = sums[0] / counts[0], sums[1] / counts[1]
+        first, second = covmath.unpack(sums[:2] / counts[:2, None, None])
         hz = omega / (2.0 * np.pi)
         low = hz < 2000.0
         for f in np.flatnonzero(low):
@@ -248,7 +253,8 @@ class TestTrain:
         variance = float(np.mean(powers)) * 10.0 ** (spec.noise_level_db / 10.0)
         t, f, m = covs.frame_counts[0, 0], len(covs.frequencies), covs.mic_count
         se = 1.0 / np.sqrt(t * f)
-        assert np.abs(covs.noise.mean(axis=0) / variance - np.eye(m)).max() < 3.0 * se
+        noise = covmath.unpack(covs.noise).mean(axis=0)
+        assert np.abs(noise / variance - np.eye(m)).max() < 3.0 * se
 
     def test_jitter_state_cell_is_the_ensemble(self):
         motion = scene.MotionModel.gaussian_jitter(0.004)
@@ -315,29 +321,34 @@ class TestCliTraining:
         assert covs.frame_counts.shape == (2, 1)
         for n, image in enumerate(exact):
             scale = np.abs(image).max()
-            np.testing.assert_allclose(covs.cells[n, 0], image, rtol=0, atol=1e-12 * scale)
-        assert np.trace(covs.noise, axis1=1, axis2=2).real.min() > 0
+            np.testing.assert_allclose(covmath.unpack(covs.cells[n, 0]), image, rtol=0,
+                                       atol=1e-12 * scale)
+        assert np.trace(covmath.unpack(covs.noise), axis1=1, axis2=2).real.min() > 0
 
     def test_weights_match_exact_images_plus_trained_noise(self, tmp_path):
         covs, exact = static_cli_training(tmp_path, (30.0, 120.0))
-        trained = beamform.mwf_weights(covs.ensemble, covs.noise, 0)
-        expected = beamform.mwf_weights(exact, covs.noise, 0)
+        noise = covmath.unpack(covs.noise)
+        trained = beamform.mwf_weights(covmath.unpack(covs.ensemble), noise, 0)
+        expected = beamform.mwf_weights(exact, noise, 0)
         np.testing.assert_allclose(trained, expected, rtol=0,
                                    atol=1e-8 * np.abs(expected).max())
 
 
 def unit_cells(counts):
-    """Identity cells (N, S, 4, 2, 2) for frame counts (N, S), zero where a
-    count is 0."""
+    """Packed identity cells (N, S, 4, 3), 2 x 2 matrices, for frame counts
+    (N, S), zero where a count is 0."""
     counts = np.asarray(counts, dtype=np.int64)
     cells = np.zeros((*counts.shape, 4, 2, 2), dtype=complex)
     cells[counts > 0] = np.eye(2)
-    return cells
+    return covmath.pack(cells)
+
+
+UNIT_NOISE = covmath.pack(np.stack([np.eye(2, dtype=complex)] * 4))
 
 
 def unit_set(cells, counts):
-    return covest.CovarianceSet(cells, np.asarray(counts, dtype=np.int64),
-                                np.stack([np.eye(2, dtype=complex)] * 4), np.arange(4.0))
+    return covest.CovarianceSet(cells, np.asarray(counts, dtype=np.int64), UNIT_NOISE,
+                                np.arange(4.0))
 
 
 class TestCovarianceSet:
@@ -354,14 +365,19 @@ class TestCovarianceSet:
             unit_set(cells, counts)
 
     @pytest.mark.parametrize("cells, noise, frequencies", [
-        (np.zeros((1, 1, 4, 2, 3)), np.zeros((4, 2, 3)), np.arange(4.0)),
-        (unit_cells([[2]]), np.stack([np.eye(2)] * 4), np.arange(5.0)),
-        (unit_cells([[2]])[0], np.stack([np.eye(2)] * 4), np.arange(4.0)),
-    ], ids=["not_square", "frequencies_length", "four_axes"])
+        (covmath.unpack(unit_cells([[2]])), covmath.unpack(UNIT_NOISE), np.arange(4.0)),
+        (unit_cells([[2]]), UNIT_NOISE, np.arange(5.0)),
+        (unit_cells([[2]])[0], UNIT_NOISE, np.arange(4.0)),
+    ], ids=["full_matrices", "frequencies_length", "three_axes"])
     def test_bad_shapes_rejected(self, cells, noise, frequencies):
-        with pytest.raises(ValueError, match=r"must have shapes \(N, S, F, M, M\), "
-                                             r"\(F, M, M\) and \(F,\)"):
+        with pytest.raises(ValueError, match=r"must have shapes \(N, S, F, P\), "
+                                             r"\(F, P\) and \(F,\)"):
             covest.CovarianceSet(cells, np.ones((1, 1), dtype=np.int64), noise, frequencies)
+
+    def test_a_last_axis_that_is_no_triangle_rejected(self):
+        with pytest.raises(ValueError, match=r"M\(M\+1\)/2 entries"):
+            covest.CovarianceSet(np.zeros((1, 1, 4, 2), complex), np.ones((1, 1), dtype=np.int64),
+                                 np.zeros((4, 2), complex), np.arange(4.0))
 
     @pytest.mark.parametrize("name", ["cells", "frame_counts", "noise", "ensemble"])
     def test_trained_arrays_are_read_only(self, name):
@@ -431,10 +447,10 @@ def render_pass_templates(source_renders):
                            render.truth_states.labels, state_count)
         for render, pilot_bin in zip(renders, bins)
     ]
-    return np.stack([
+    return covmath.unpack(np.stack([
         np.stack([sums[state, 0] / counts[state] for sums, counts in grouped])
         for state in range(state_count)
-    ])
+    ]))
 
 
 class TestPilotTemplates:

@@ -12,8 +12,10 @@ from driftbeam.covmath import (
     IllConditionedError,
     far_field_divergence,
     gaussian_divergence,
+    pack,
     perturbed_covariance,
     regularize,
+    unpack,
 )
 
 
@@ -59,6 +61,76 @@ def divergence_inputs(draw):
     r1 = draw(psd_stacks(count, m))
     r2 = draw(psd_stacks(count, m)) if draw(st.booleans()) else draw(psd_stacks(1, m))[0]
     return r1, r2
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """(stack, M): exactly Hermitian matrices (..., M, M), M in 1..16, over a
+    stack shape of up to three axes: complex entries from small integers
+    scaled by a power of two, each strict lower entry the conjugate of its
+    upper partner (a zero's imaginary sign included) and a real diagonal."""
+    m = draw(st.integers(1, 16))
+    shape = draw(st.sampled_from([(), (1,), (7,), (3, 5), (2, 3, 4)]))
+    parts = draw(hnp.arrays(np.int64, (2, *shape, m, m), elements=st.integers(-99, 99)))
+    a = (parts[0] + 1j * parts[1]) * 2.0 ** draw(st.integers(-40, 40))
+    h = np.where(np.triu(np.ones((m, m), bool), 1), a, a.swapaxes(-1, -2).conj())
+    return np.where(np.eye(m, dtype=bool), a.real.astype(complex), h), m
+
+
+class TestPacking:
+    @settings(max_examples=60, deadline=None)
+    @given(case=hermitian_stacks())
+    def test_unpack_of_pack_is_exact(self, case):
+        h, m = case
+        packed = pack(h)
+        assert packed.shape == (*h.shape[:-2], m * (m + 1) // 2)
+        np.testing.assert_array_equal(unpack(packed).view(np.uint64), h.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=hermitian_stacks(), imaginary_diagonal=st.booleans())
+    def test_pack_of_unpack_is_exact(self, case, imaginary_diagonal):
+        # Any packed array, even one whose diagonal has imaginary parts, is
+        # kept entry for entry.
+        h, m = case
+        packed = pack(h) + (1j if imaginary_diagonal else 0.0)
+        np.testing.assert_array_equal(pack(unpack(packed)).view(np.uint64),
+                                      packed.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=hermitian_stacks())
+    def test_lower_triangle_is_the_conjugate_of_the_upper(self, case):
+        h, m = case
+        # Break the symmetry of h: pack reads only the upper triangle.
+        skewed = h + np.tril(np.ones((m, m)), -1)
+        full = unpack(pack(skewed))
+        lower = np.tril_indices(m, -1)
+        np.testing.assert_array_equal(full[..., lower[0], lower[1]],
+                                      full[..., lower[1], lower[0]].conj())
+        np.testing.assert_array_equal(np.triu(full), np.triu(h))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=hermitian_stacks(), matrices=st.sampled_from([1, 2, 5, 455, 1 << 30]))
+    def test_blocks_equal_one_shot(self, case, matrices):
+        h, m = case
+        packed = pack(h)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stft, "BLOCK_BYTES", 1 << 62)
+            whole = unpack(packed)
+            patch.setattr(stft, "BLOCK_BYTES", matrices * m * m * 16)
+            blocked = unpack(packed)
+        np.testing.assert_array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+
+    def test_strided_stacks_unpack_as_their_copies(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((4, 3, 6, 5, 5)) + 1j * rng.standard_normal((4, 3, 6, 5, 5))
+        packed = pack(a @ a.conj().swapaxes(-1, -2))
+        for view in (packed[:, 1], packed.swapaxes(0, 1), packed[::2, :, ::3]):
+            np.testing.assert_array_equal(unpack(view), unpack(view.copy()))
+
+    @pytest.mark.parametrize("p", [0, 2, 4, 7])
+    def test_a_last_axis_that_is_no_triangle_rejected(self, p):
+        with pytest.raises(ValueError, match=r"M\(M\+1\)/2"):
+            unpack(np.zeros((3, p), complex))
 
 
 class TestGaussianDivergence:
@@ -392,8 +464,8 @@ class TestRegularize:
         bins, _ = case
         epsilon_rel = 10.0 ** log_epsilon
         m = bins.shape[-1]
-        eigs = np.linalg.eigvalsh(regularize(HermitianSpectrum(bins, np.zeros(len(bins))).bins,
-                                             epsilon_rel))
+        checked = HermitianSpectrum(pack(bins), np.zeros(len(bins))).bins
+        eigs = np.linalg.eigvalsh(regularize(unpack(checked), epsilon_rel))
         slack = 2.0 * PSD_RTOL / epsilon_rel + 1e-8
         assert (eigs[:, 0] > 0).all()
         assert (eigs[:, -1] / eigs[:, 0] <= (1.0 + m / epsilon_rel) * (1.0 + slack)).all()
@@ -406,23 +478,23 @@ class TestPsdCheck:
                           spectra_with_min_eigenvalue(0.0)))
     def test_eigenvalues_above_minus_delta_accepted(self, case):
         bins, _ = case
-        spec = HermitianSpectrum(bins, np.zeros(len(bins)))
-        assert spec.bins.shape == bins.shape
+        spec = HermitianSpectrum(pack(bins), np.zeros(len(bins)))
+        np.testing.assert_array_equal(unpack(spec.bins), bins)
 
     @settings(max_examples=150, deadline=None)
     @given(case=spectra_with_min_eigenvalue(-2.0))
     def test_eigenvalue_below_minus_delta_rejected_and_named(self, case):
         bins, index = case
         with pytest.raises(ValueError, match=rf"semidefinite at indices \[{index}\]"):
-            HermitianSpectrum(bins, np.zeros(len(bins)))
+            HermitianSpectrum(pack(bins), np.zeros(len(bins)))
 
     def test_zero_and_rank_one_stacks_accepted(self):
         rng = np.random.default_rng(3)
         u = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
         rank_one = 7.0 * np.einsum("fm,fn->fmn", u, u.conj())
-        HermitianSpectrum(np.zeros((3, 5, 5), complex), np.zeros(3))
-        HermitianSpectrum(rank_one, np.zeros(4))
-        HermitianSpectrum(np.concatenate([rank_one, np.zeros((1, 5, 5))]), np.zeros(5))
+        HermitianSpectrum(pack(np.zeros((3, 5, 5), complex)), np.zeros(3))
+        HermitianSpectrum(pack(rank_one), np.zeros(4))
+        HermitianSpectrum(pack(np.concatenate([rank_one, np.zeros((1, 5, 5))])), np.zeros(5))
 
     def test_positive_definite_stack_needs_no_eigenvalues(self, monkeypatch):
         def no_eigvalsh(*args, **kwargs):
@@ -431,14 +503,14 @@ class TestPsdCheck:
         rng = np.random.default_rng(4)
         bins = np.stack([random_psd(rng, 6) for _ in range(9)])
         monkeypatch.setattr(covmath.np.linalg, "eigvalsh", no_eigvalsh)
-        HermitianSpectrum(bins, np.zeros(9))
+        HermitianSpectrum(pack(bins), np.zeros(9))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_bins_rejected(self, bad):
         bins = np.stack([np.eye(3, dtype=complex)] * 2)
-        bins[1, 2, 2] = bad
+        bins[1, 1, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            HermitianSpectrum(bins, np.zeros(2))
+            HermitianSpectrum(pack(bins), np.zeros(2))
 
 
 class TestBlockedValidation:
@@ -451,7 +523,7 @@ class TestBlockedValidation:
         rng = np.random.default_rng(17)
         bins = np.stack([random_psd(rng, 3) for _ in range(24)])
         if defect == "non_hermitian":
-            bins[-1, 0, 1] += 1.0
+            bins[-1, 2, 2] += 1j
             message = "not Hermitian"
         else:
             bins[-1] = np.diag([1.0, 1.0, -1.0])
@@ -459,14 +531,14 @@ class TestBlockedValidation:
         offsets = []
         check = covmath._check_block
 
-        def recorded(block, offset, stack_shape):
+        def recorded(block, scratch, offset, stack_shape):
             offsets.append(offset)
-            check(block, offset, stack_shape)
+            check(block, scratch, offset, stack_shape)
 
         monkeypatch.setattr(stft, "BLOCK_BYTES", 5 * bins[0].nbytes)
         monkeypatch.setattr(covmath, "_check_block", recorded)
         with pytest.raises(ValueError, match=rf"{message} at indices \[{position}\]"):
-            HermitianSpectrum(bins.reshape(*shape, 3, 3), np.zeros(shape[-1]))
+            HermitianSpectrum(pack(bins).reshape(*shape, 6), np.zeros(shape[-1]))
         assert offsets == [0, 5, 10, 15, 20]
 
 
@@ -475,25 +547,40 @@ class TestTypes:
         rng = np.random.default_rng(16)
         bins = np.stack([random_psd(rng, 4) for _ in range(8)])
         freqs = np.linspace(0.0, 1000.0, 8)
-        spec = HermitianSpectrum(bins, freqs)
-        np.testing.assert_array_equal(spec.bins, bins)
+        spec = HermitianSpectrum(pack(bins), freqs)
+        np.testing.assert_array_equal(spec.bins, pack(bins))
         np.testing.assert_array_equal(spec.frequencies, freqs)
 
-    def test_hermitian_spectrum_rejects_non_hermitian(self):
+    @staticmethod
+    def with_imaginary_diagonal(part):
+        # Off the diagonal a packed matrix is Hermitian by construction; on it,
+        # the defect |r - r^H| is twice the imaginary part, and it may reach
+        # HERMITIAN_RTOL times the largest entry modulus, here 4.
         bins = np.zeros((2, 3, 3), complex)
-        bins[0] = np.eye(3)
-        bins[0, 0, 1] = 1.0  # no conjugate partner
-        with pytest.raises(ValueError, match="Hermitian"):
-            HermitianSpectrum(bins, np.zeros(2))
+        bins[:] = np.diag([4.0, 2.0, 1.0])
+        bins[1, 2, 2] += 1j * part * covmath.HERMITIAN_RTOL * 4.0
+        return pack(bins)
+
+    def test_hermitian_spectrum_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match=r"not Hermitian at indices \[1\]"):
+            HermitianSpectrum(self.with_imaginary_diagonal(0.6), np.zeros(2))
+
+    def test_hermitian_spectrum_accepts_a_diagonal_defect_within_tolerance(self):
+        HermitianSpectrum(self.with_imaginary_diagonal(0.4), np.zeros(2))
 
     def test_hermitian_spectrum_rejects_indefinite(self):
-        bins = np.stack([np.diag([1.0, -0.5]).astype(complex)])
+        bins = pack(np.stack([np.diag([1.0, -0.5]).astype(complex)]))
         with pytest.raises(ValueError, match="semidefinite"):
             HermitianSpectrum(bins, np.zeros(1))
 
     def test_hermitian_spectrum_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            HermitianSpectrum(np.zeros((2, 2, 2), complex), np.zeros(3))
+            HermitianSpectrum(np.zeros((2, 3), complex), np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 0), (5,)])
+    def test_hermitian_spectrum_rejects_a_last_axis_that_is_no_triangle(self, shape):
+        with pytest.raises(ValueError, match=r"M\(M\+1\)/2|\(\.\.\., F, P\)"):
+            HermitianSpectrum(np.zeros(shape, complex), np.zeros(2))
 
     def test_perturbation_model_rejects_negative_sigma(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftbeam import covest, evaluate, scene, stft
-from driftbeam.covmath import gaussian_divergence, regularize
+from driftbeam.covmath import gaussian_divergence, pack, regularize, unpack
 from driftbeam.evaluate import divergence_curve, gain, outer_vs_central_pairs, theory_curve, write_table
 from driftbeam.stft import StftConfig
 
@@ -140,7 +140,7 @@ def small_covset():
         return a @ a.conj().transpose(0, 2, 1) / m
 
     cells = np.stack([np.stack([psd(), psd()]) for _ in range(2)])
-    return covest.CovarianceSet(cells, np.full((2, 2), 5), psd(), omega)
+    return covest.CovarianceSet(pack(cells), np.full((2, 2), 5), pack(psd()), omega)
 
 
 class TestDivergenceCurve:
@@ -169,7 +169,8 @@ class TestDivergenceCurve:
 
         def loaded(slot):
             source, state = slot
-            return regularize(covs.ensemble[source] if state is None else covs.cells[source, state])
+            return regularize(unpack(covs.ensemble[source] if state is None
+                                     else covs.cells[source, state]))
 
         # The second input's second slots interleave (X, Y, X): its rows are
         # computed per second slot and must still add up in pair order.
@@ -253,10 +254,10 @@ class TestTheoryMatchesMeasurement:
             )
             segment = covest.train(*covest.training_renders(spec, seg_duration, CFG, FS,
                                                             seed=999 + 10 * k))
-            sums = sums + segment.cells * segment.frame_counts[..., None, None, None]
+            sums = sums + segment.cells * segment.frame_counts[..., None, None]
             counts = counts + segment.frame_counts
 
-        covs = covest.CovarianceSet(sums / counts[..., None, None, None], counts,
+        covs = covest.CovarianceSet(sums / counts[..., None, None], counts,
                                     segment.noise, segment.frequencies)
         measured = divergence_curve(covs, {"d": [((0, None), (1, None))]},
                                     epsilon_rel=1e-5)["d"][1:]

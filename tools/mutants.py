@@ -222,6 +222,17 @@ MUTANTS = [
      [f"tests/test_containers.py::test_inconsistent_cells_rejected[{case}]"
       for case in ("nan_cell", "non_hermitian_cell", "indefinite_cell", "indefinite_noise")]
      + ["tests/test_cli.py::TestMain::test_beamform_without_container_leaves_no_out_directory"]),
+    ("unpack mirrors the upper triangle without its conjugate", "covmath.py",
+     "    parts *= signs\n", "",
+     ["tests/test_covmath.py::TestPacking::test_unpack_of_pack_is_exact",
+      "tests/test_covmath.py::TestPacking::test_lower_triangle_is_the_conjugate_of_the_upper"]),
+    ("the load check runs only its first block", "covmath.py",
+     "        for lo in range(0, len(matrices), step):\n",
+     "        for lo in range(0, len(matrices), step)[:1]:\n",
+     ["tests/test_covmath.py::TestBlockedValidation::test_last_block_defect_named"]),
+    ("azimuths mirrored against the positions' frame", "scene.py",
+     "    rad = np.deg2rad(azimuth_deg)\n", "    rad = np.deg2rad(-azimuth_deg)\n",
+     [ACCEPTANCE + "test_c14_pipeline_symmetries"]),
     ("enhanced WAVs carry the reference channel", "cli.py",
      "SpectralFrameTensor(estimates[:, :, col:col + 1], ",
      "SpectralFrameTensor(rendered.mixture.frames[:, :, :1], ",
