@@ -93,19 +93,26 @@ def mwf_weights(sources, noise, reference: int,
 
 
 def _principal_component(covs):
-    """Each matrix of the stack covs (..., M, M) replaced by its principal
-    eigenpair's rank-one part."""
-    eigvals, eigvecs = np.linalg.eigh(covs)
-    lam = np.maximum(eigvals[..., -1], 0.0)
-    u = eigvecs[..., -1]
-    return lam[..., None, None] * np.einsum("...m,...n->...mn", u, u.conj())
+    """Each matrix of the C-contiguous complex128 stack covs (..., M, M)
+    replaced, in place, by its principal eigenpair's rank-one part, one
+    cache-sized block of matrices at a time; returns covs."""
+    m = covs.shape[-1]
+    stack = covs.reshape(-1, m, m)
+    step = block_length(m * m * 16)
+    for lo in range(0, len(stack), step):
+        block = stack[lo:lo + step]
+        eigvals, eigvecs = np.linalg.eigh(block)
+        lam = np.maximum(eigvals[..., -1], 0.0)
+        u = eigvecs[..., -1]
+        np.multiply(lam[..., None, None], np.einsum("...m,...n->...mn", u, u.conj()), out=block)
+    return covs
 
 
 def build(covs: CovarianceSet, mode: str, reference: int = 0) -> BeamformerBank:
     """Build a beamformer bank of the requested mode from trained covariances:
     mwf_weights, loaded by DEFAULT_EPSILON_REL, on the unpacked ensemble or
-    its rank-one parts, or on each state's unpacked cells in turn, so one
-    state's full matrices are alive at a time."""
+    its rank-one parts, made in its place, or on each state's unpacked cells
+    in turn, so one state's full matrices are alive at a time."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose one of {MODES}")
     noise = unpack(covs.noise)

@@ -361,12 +361,14 @@ def _input_files(config):
 
 
 def _train(config):
-    """covest.train on the training renders of the configured scene's seeded signals."""
+    """covest.train on the training renders of the configured scene's seeded
+    signals. No name here holds a signal or the scene, so each signal is freed
+    once its source's render is drawn (see covest.training_renders)."""
     duration, rate, seed = config["train_duration_s"], config["sample_rate"], config["seed"]
-    signals = scene.pseudorandom_signals(len(config["sources"]["azimuths_deg"]),
-                                         int(round(duration * rate)), seed)
-    return covest.train(*covest.training_renders(_scene_spec(config, signals), duration,
-                                                 _stft_config(config), rate, seed))
+    return covest.train(*covest.training_renders(
+        _scene_spec(config, scene.pseudorandom_signals(len(config["sources"]["azimuths_deg"]),
+                                                       int(round(duration * rate)), seed)),
+        duration, _stft_config(config), rate, seed))
 
 
 def run_train(config):

@@ -148,19 +148,34 @@ def training_renders(spec: SceneSpec, duration_s: float, cfg: StftConfig, sample
                      seed: int):
     """train's input for spec: a generator of noiseless renders of each source
     alone, source n at seed + 1 + n, each drawn when asked, and a source-free
-    render at seed + 1 + N, drawn now, that alone carries spec's noise. It
-    raises first, before any render, if the training track misses a state."""
+    render at seed + 1 + N, drawn now, that alone carries spec's noise and
+    transforms every source for its power reference. It raises first, before
+    any render, if the training track misses a state.
+
+    The generator keeps the sources' signals, not spec: source n's render is
+    drawn from a noiseless spec in which only source n carries its signal,
+    and the generator drops that signal once the render is drawn. So a caller
+    that holds no signal itself frees each one after its source's render.
+    """
     track = render_states(spec.motion, duration_s, cfg, sample_rate)
     visited = set(track.labels.tolist())
     unvisited = [k for k in range(min(track.state_count, len(visited) + 8)) if k not in visited]
     if unvisited:
         raise ValueError(f"training visits {len(visited)} of {track.state_count} motion states; "
                          f"the first unvisited are {unvisited}")
-    noiseless = replace(spec, noise_level_db=None)
-    sources = (render(noiseless, duration_s, cfg, sample_rate, seed=seed + 1 + n,
-                      active_sources=[n]) for n in range(spec.source_count))
-    return sources, render(spec, duration_s, cfg, sample_rate, seed=seed + 1 + spec.source_count,
-                           active_sources=[])
+    noise = render(spec, duration_s, cfg, sample_rate, seed=seed + 1 + spec.source_count,
+                   active_sources=[])
+    signals = [source.signal for source in spec.sources]
+    bare = replace(spec, noise_level_db=None,
+                   sources=tuple(replace(source, signal=()) for source in spec.sources))
+
+    def alone(n):
+        source = replace(bare.sources[n], signal=signals[n])
+        signals[n] = None
+        return replace(bare, sources=bare.sources[:n] + (source,) + bare.sources[n + 1:])
+
+    return (render(alone(n), duration_s, cfg, sample_rate, seed=seed + 1 + n, active_sources=[n])
+            for n in range(len(signals))), noise
 
 
 def train(source_renders, noise_render: RenderedScene) -> CovarianceSet:
@@ -244,31 +259,58 @@ def estimate_states(mixture: SpectralFrameTensor, templates, pilot_bins) -> Stat
     """
     if pilot_bins is None or len(templates) == 0:
         raise ValueError("state estimation requires pilot templates (pilot disabled?)")
-    x = mixture.frames[:, list(pilot_bins), :].astype(np.complex128, copy=False)  # (T, B, M)
-    inst = np.einsum("tbm,tbn->tbmn", x, x.conj())
-    # Mean over frames t-PILOT_SMOOTHING..t+PILOT_SMOOTHING, clipped to the
-    # frame range, as a difference of cumulative sums, built in place.
-    cumulative = np.empty((inst.shape[0] + 1, *inst.shape[1:]), dtype=inst.dtype)
-    cumulative[0] = 0.0
-    np.cumsum(inst, axis=0, out=cumulative[1:])
-    del inst
-    frame = np.arange(len(cumulative) - 1)
-    lo = np.maximum(frame - PILOT_SMOOTHING, 0)
-    hi = np.minimum(frame + PILOT_SMOOTHING + 1, len(frame))
-    smoothed = cumulative[hi]
-    smoothed -= cumulative[lo]
-    smoothed *= (1.0 / (hi - lo))[:, None, None, None]  # not a division: see train
-    smoothed = regularize(smoothed, PILOT_EPSILON_REL)
+    return StateSequence(np.argmin(_state_scores(mixture.frames, templates, pilot_bins), axis=1),
+                         len(templates))
 
-    # tr(A B) = sum_ij A_ij B_ji: each state's trace term is a row-wise dot of
-    # the flattened snapshots with its flattened, transposed inverses. numpy
-    # reduces each row on this thread; a matrix-vector product this large
-    # would wake BLAS's thread pool, which then spins on the other core.
-    flat = smoothed.reshape(len(frame), -1)
-    scores = np.empty((len(frame), len(templates)))
-    for state, template in enumerate(templates):
+
+def _state_scores(frames, templates, pilot_bins):
+    """estimate_states' scores (T, S) of frames (T, F, M), one cache-sized block
+    of frames at a time.
+
+    A smoothed snapshot is a difference of cumulative sums of the pilot-bin
+    outer products. The sums a block needs, from PILOT_SMOOTHING frames before
+    it to PILOT_SMOOTHING after, sit in one buffer: the last 2 PILOT_SMOOTHING
+    + 1 are carried to the front for the next block, and each new sum is the
+    one before it plus the next snapshot, so every sum is the sequential sum a
+    whole-array np.cumsum gives.
+    """
+    bins, k = list(pilot_bins), PILOT_SMOOTHING
+    t_count, _, m_count = frames.shape
+    terms = []  # per state: its flattened, transposed loaded inverses and log-determinant sum
+    for template in templates:
         loaded = regularize(template, PILOT_EPSILON_REL)
-        inverse_t = np.linalg.inv(loaded).swapaxes(-1, -2).reshape(-1)
-        scores[:, state] = np.vecdot(inverse_t.conj(), flat).real \
-            + np.linalg.slogdet(loaded)[1].sum()
-    return StateSequence(np.argmin(scores, axis=1), len(templates))
+        terms.append((np.linalg.inv(loaded).swapaxes(-1, -2).reshape(-1),
+                      np.linalg.slogdet(loaded)[1].sum()))
+    rows = min(block_length(len(bins) * m_count * m_count * 16), t_count)
+    # cumulative[c - first] is the sum of snapshots 0..c-1, for c = first..last.
+    cumulative = np.empty((rows + 2 * k + 1, len(bins), m_count, m_count), dtype=np.complex128)
+    cumulative[0] = 0.0
+    first, last = 0, 0
+    scores = np.empty((t_count, len(terms)))
+    for a in range(0, t_count, rows):
+        frame = np.arange(a, min(a + rows, t_count))
+        lo = np.maximum(frame - k, 0)
+        hi = np.minimum(frame + k + 1, t_count)
+        held = last + 1 - lo[0]
+        cumulative[:held] = cumulative[lo[0] - first:last + 1 - first]
+        first = lo[0]
+        x = frames[last:hi[-1], bins].astype(np.complex128, copy=False)  # (new sums, B, M)
+        if len(x):
+            new = np.einsum("tbm,tbn->tbmn", x, x.conj(), out=cumulative[held:held + len(x)])
+            if last:
+                new[0] += cumulative[held - 1]
+            np.cumsum(new, axis=0, out=new)
+        last = hi[-1]
+        # Mean over frames t-PILOT_SMOOTHING..t+PILOT_SMOOTHING, clipped to the
+        # frame range.
+        smoothed = cumulative[hi - first]
+        smoothed -= cumulative[lo - first]
+        smoothed *= (1.0 / (hi - lo))[:, None, None, None]  # not a division: see train
+        flat = regularize(smoothed, PILOT_EPSILON_REL).reshape(len(frame), -1)
+        # tr(A B) = sum_ij A_ij B_ji: each state's trace term is a row-wise dot
+        # of the flattened snapshots with its flattened, transposed inverses.
+        # numpy reduces each row on this thread; a matrix-vector product this
+        # large would wake BLAS's thread pool, which then spins on the other core.
+        for state, (inverse_t, log_det) in enumerate(terms):
+            scores[a:a + len(frame), state] = np.vecdot(inverse_t.conj(), flat).real + log_det
+    return scores

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmath import (DEFAULT_EPSILON_REL, far_field_divergence, gaussian_divergence,
-                      regularize, unpack)
+from .covmath import (DEFAULT_EPSILON_REL, IllConditionedError, check_condition,
+                      far_field_divergence, gaussian_divergence, regularize, unpack)
 from .covest import CovarianceSet
 from .scene import propagation_delays
 from .stft import block_length
@@ -94,12 +94,12 @@ def gain(outputs, mixture_ref, desired, frequencies_hz) -> GainReport:
     )
 
 
-def _slot_covariance(covs: CovarianceSet, slot):
-    """The unpacked (F, M, M) covariance of a (source, state) slot."""
+def _slot_covariance(covs: CovarianceSet, slot, bins: slice):
+    """The unpacked (F', M, M) covariance of a (source, state) slot at bins."""
     source, state = slot
     if not (0 <= source < covs.source_count and (state is None or 0 <= state < covs.state_count)):
         raise ValueError(f"no trained covariance for (source, state) = {slot}")
-    return unpack(covs.ensemble[source] if state is None else covs.cells[source, state])
+    return unpack((covs.ensemble[source] if state is None else covs.cells[source, state])[bins])
 
 
 def divergence_curve(covs: CovarianceSet, named_pairs: dict,
@@ -111,19 +111,31 @@ def divergence_curve(covs: CovarianceSet, named_pairs: dict,
     column holds the mean curve over its pairs, so a single pair gives that
     pair's curve and several pairs give a convenience aggregate (for example
     every outer source against the central one). Matrices are diagonally loaded
-    by epsilon_rel, and each distinct second slot is inverted once per column.
+    by epsilon_rel, and each distinct second slot is inverted once per column
+    and bin: the pairs that share it are solved together, one cache-sized
+    block of bins at a time, each block of each slot unpacked as it is used.
     """
+    f_count = covs.frequencies.shape[0]
     table = {"frequency_hz": covs.frequencies / (2.0 * np.pi)}
     for name, pairs in named_pairs.items():
         if not pairs:
             raise ValueError(f"no slot pairs given for column {name!r}")
-        rows = np.empty((len(pairs), covs.frequencies.shape[0]))
+        rows = np.empty((len(pairs), f_count))
         for slot2 in dict.fromkeys(tuple(second) for _, second in pairs):
             group = [p for p, (_, second) in enumerate(pairs) if tuple(second) == slot2]
-            r1 = regularize(np.stack([_slot_covariance(covs, pairs[p][0]) for p in group]),
-                            epsilon_rel)
-            r2 = regularize(_slot_covariance(covs, slot2), epsilon_rel)
-            rows[group] = gaussian_divergence(r1, r2)
+            step = block_length(len(group) * covs.mic_count ** 2 * 16)
+            for lo in range(0, f_count, step):
+                bins = slice(lo, lo + step)
+                r1 = regularize(np.stack([_slot_covariance(covs, pairs[p][0], bins)
+                                          for p in group]), epsilon_rel)
+                r2 = regularize(_slot_covariance(covs, slot2, bins), epsilon_rel)
+                try:
+                    rows[group, bins] = gaussian_divergence(r1, r2)
+                except IllConditionedError:
+                    # Name the bad bins of the whole slot, not of the block.
+                    check_condition(regularize(_slot_covariance(covs, slot2, slice(None)),
+                                               epsilon_rel), "r2")
+                    raise
         table[name] = rows.sum(axis=0) / len(pairs)  # summed in pair order
     return table
 

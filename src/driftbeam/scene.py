@@ -353,6 +353,8 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     each at most once). When the scene has noise, inactive sources still
     define its power reference, so renders with different active sets share
     one noise level; a noiseless render transforms only its active sources.
+    Every source it transforms must have at least duration_s of signal; a
+    noiseless render reads no other source's signal, which may be empty.
     The mixture and desired are complex64. Each element of the mixture is its
     noise (zero without noise) plus the images in active order, added in that
     order in complex128, whatever the block length, and rounded once. The
@@ -363,12 +365,6 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     n_samples = int(round(duration_s * sample_rate))
     if n_samples < cfg.fft_size:
         raise ValueError(f"duration {duration_s} s is shorter than one frame")
-    for n, src in enumerate(spec.sources):
-        if src.signal.shape[0] < n_samples:
-            raise ValueError(
-                f"source {n} signal has {src.signal.shape[0]} samples, "
-                f"need {n_samples}"
-            )
     if active_sources is None:
         active = tuple(range(spec.source_count))
     else:
@@ -378,6 +374,16 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
         repeated = sorted({n for n in active if active.count(n) > 1})
         if repeated:
             raise ValueError(f"active_sources {active} repeat sources {repeated}")
+    noisy = spec.noise_level_db is not None
+    # The sources whose signals are read: with noise, every configured source
+    # is transformed for the noise power reference; without, only the active.
+    transformed = range(spec.source_count) if noisy else active
+    for n in transformed:
+        if spec.sources[n].signal.shape[0] < n_samples:
+            raise ValueError(
+                f"source {n} signal has {spec.sources[n].signal.shape[0]} samples, "
+                f"need {n_samples}"
+            )
 
     states = render_states(spec.motion, duration_s, cfg, sample_rate)
     t_count = states.frame_count
@@ -396,7 +402,6 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     # is read into the thread's complex128 scratch (zeros without noise), its
     # noise scaled and the images added there, and the sum rounded into the
     # mixture once.
-    noisy = spec.noise_level_db is not None
     mixture = np.empty((t_count, f_count, m_count), dtype=np.complex64)
     desired = np.empty((t_count, f_count, len(active)), dtype=np.complex64)
     # Reference-channel spectra (T, F) of the active sources, one at a time:
@@ -405,7 +410,6 @@ def render(spec: SceneSpec, duration_s: float, cfg: StftConfig = StftConfig(),
     # adds read. With noise, every configured source is transformed, in order,
     # for the noise power reference, taken before pilot injection so renders
     # with different active sets share one noise level.
-    transformed = range(spec.source_count) if noisy else active
     powers = []
     frames = iter(range(t_count if noisy else 0))
 

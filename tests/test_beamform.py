@@ -132,11 +132,45 @@ class TestBuild:
 
     def test_rank_one_parts_bits_equal_per_source(self):
         covs, _ = trained_covs(azimuths=(30.0, 80.0, 120.0))
-        ensemble = unpack(covs.ensemble)
-        batched = beamform._principal_component(ensemble)
+        batched = beamform._principal_component(unpack(covs.ensemble))
         for n in range(covs.source_count):
-            single = beamform._principal_component(ensemble[n])
+            single = beamform._principal_component(unpack(covs.ensemble[n]))
             np.testing.assert_array_equal(batched[n].view(np.uint64), single.view(np.uint64))
+
+    @pytest.mark.parametrize("budget", [1, 7, None], ids=["1", "7", "default"])
+    def test_rank_one_parts_bits_equal_one_whole_stack_eigh(self, monkeypatch, budget):
+        # One eigh per block of matrices, including a partial last block,
+        # gives each matrix the rank-one part one eigh of the whole stack does.
+        covs, _ = trained_covs(azimuths=(30.0, 80.0, 120.0))
+        ensemble = unpack(covs.ensemble)
+        eigvals, eigvecs = np.linalg.eigh(ensemble)
+        u = eigvecs[..., -1]
+        expected = np.maximum(eigvals[..., -1], 0.0)[..., None, None] \
+            * np.einsum("...m,...n->...mn", u, u.conj())
+        if budget is not None:
+            monkeypatch.setattr(stft, "BLOCK_BYTES", budget * ensemble[0, 0].nbytes)
+        assert beamform._principal_component(ensemble) is ensemble
+        assert ensemble.tobytes() == expected.tobytes()
+
+    def test_rank_one_build_holds_the_ensemble_and_a_few_blocks(self):
+        # The rank-one parts are made in place of the unpacked ensemble, one
+        # block of matrices at a time; mwf_weights then holds a few (F, M, M)
+        # stacks beside the unpacked noise (one block each at 513 bins and 12
+        # microphones). A whole-stack eigh held three more ensembles.
+        rng = np.random.default_rng(12)
+        n, f, m = 5, 513, 12
+        a = rng.standard_normal((n + 1, f, m, m)) + 1j * rng.standard_normal((n + 1, f, m, m))
+        full = a @ a.conj().swapaxes(-1, -2)
+        covs = covest.CovarianceSet(pack(full[:n, None]), np.ones((n, 1), dtype=np.int64),
+                                    pack(full[n]), np.linspace(0.0, 1.0, f))
+        tracemalloc.start()
+        try:
+            bank = build(covs, "rank1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        unpacked = full[:n].nbytes + full[n].nbytes
+        assert peak <= unpacked + bank.weights.nbytes + 4 * stft.BLOCK_BYTES
 
     def test_starved_state_error_lists_pairs(self):
         # No set with a starved cell reaches build: the set itself names the pair.

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from driftbeam import beamform, cli, containers, evaluate, scene
+from driftbeam import beamform, cli, containers, covest, evaluate, scene
 from driftbeam.stft import StftConfig, synthesize
 
 
@@ -299,6 +299,37 @@ class TestTrainingMemory:
         mixture_bytes = covs.frame_counts[0, 0] * len(covs.frequencies) * covs.mic_count * 16
         cell_bytes = covs.noise.nbytes + covs.cells.nbytes + covs.ensemble.nbytes
         assert peak < 2 * mixture_bytes + cell_bytes + 0.25 * mixture_bytes
+
+
+    def test_run_train_holds_one_training_signal_beyond_the_renders_and_cells(
+            self, tmp_path, monkeypatch):
+        # Training drops each source's signal once its render is drawn. So each
+        # source render starts with one signal fewer held than the one before,
+        # and the last starts holding the noise render, the cells and its own
+        # signal only. Two microphones make a signal half a mixture.
+        sources = [0.0, 30.0, 60.0, 90.0, 120.0, 150.0]
+        config = tiny_config(tmp_path / "out", geometry={"mic_count": 2},
+                             sources={"azimuths_deg": sources}, train_duration_s=8.0)
+        held = []  # traced bytes as each render starts: the noise render, then each source's
+        render = covest.render
+
+        def recording(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(covest, "render", recording)
+        tracemalloc.start()
+        try:
+            covs, _ = cli.run_train(config)
+        finally:
+            tracemalloc.stop()
+        signal_bytes = 8 * 16000 * 8
+        frames = covs.frame_counts[0].sum()
+        noise_render_bytes = frames * len(covs.frequencies) * covs.mic_count * 8 + frames * 8
+        cell_bytes = covs.cells.nbytes + covs.frame_counts.nbytes
+        assert len(held) == len(sources) + 1
+        assert (np.diff(held[1:]) <= -0.9 * signal_bytes).all()
+        assert held[-1] <= noise_render_bytes + cell_bytes + 1.25 * signal_bytes
 
 
 class TestOtherCommands:

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -557,3 +558,82 @@ class TestEstimateStates:
         renders, noise = training_renders(spec, 1.0)
         with pytest.raises(ValueError, match="pilot"):
             covest.pilot_templates(covest.train(renders, noise), noise.pilot_bins)
+
+
+def whole_array_scores(frames, templates, pilot_bins):
+    """estimate_states' (T, S) scores computed over the whole array at once:
+    every pilot snapshot, one np.cumsum over all of them, and every smoothed
+    snapshot loaded and scored together."""
+    k = covest.PILOT_SMOOTHING
+    x = frames[:, list(pilot_bins), :].astype(np.complex128, copy=False)
+    inst = np.einsum("tbm,tbn->tbmn", x, x.conj())
+    cumulative = np.empty((inst.shape[0] + 1, *inst.shape[1:]), dtype=inst.dtype)
+    cumulative[0] = 0.0
+    np.cumsum(inst, axis=0, out=cumulative[1:])
+    frame = np.arange(len(frames))
+    lo = np.maximum(frame - k, 0)
+    hi = np.minimum(frame + k + 1, len(frame))
+    smoothed = cumulative[hi]
+    smoothed -= cumulative[lo]
+    smoothed *= (1.0 / (hi - lo))[:, None, None, None]
+    flat = covmath.regularize(smoothed, covest.PILOT_EPSILON_REL).reshape(len(frame), -1)
+    scores = np.empty((len(frame), len(templates)))
+    for state, template in enumerate(templates):
+        loaded = covmath.regularize(template, covest.PILOT_EPSILON_REL)
+        inverse_t = np.linalg.inv(loaded).swapaxes(-1, -2).reshape(-1)
+        scores[:, state] = np.vecdot(inverse_t.conj(), flat).real \
+            + np.linalg.slogdet(loaded)[1].sum()
+    return scores
+
+
+def random_templates(rng, state_count, bin_count, mic_count):
+    a = rng.standard_normal((state_count, bin_count, mic_count, mic_count)) \
+        + 1j * rng.standard_normal((state_count, bin_count, mic_count, mic_count))
+    return a @ a.conj().swapaxes(-1, -2)
+
+
+class TestStateScoreBlocks:
+    """State scores are computed one block of frames at a time, with the
+    cumulative snapshot sums carried from block to block: every score keeps
+    the bits of the whole-array computation."""
+
+    BINS, MICS = (5, 7, 9), 4
+
+    # (frames per block, frame count): a single frame; fewer frames than one
+    # smoothing window (2 PILOT_SMOOTHING + 1 = 5); one frame either side of
+    # the first and second block boundaries; one-frame and two-frame blocks.
+    @pytest.mark.parametrize("rows, frame_count", [
+        (6, 1), (6, 3), (6, 4), (6, 5), (6, 6), (6, 7), (6, 11), (6, 12), (6, 13),
+        (1, 9), (2, 9), (None, 40)])
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_equal_to_the_whole_array_scores(self, monkeypatch, rows, frame_count, dtype):
+        rng = np.random.default_rng(frame_count)
+        templates = random_templates(rng, 5, len(self.BINS), self.MICS)
+        shape = (frame_count, 12, self.MICS)
+        frames = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+        if rows is not None:
+            monkeypatch.setattr(stft, "BLOCK_BYTES", rows * len(self.BINS) * self.MICS ** 2 * 16)
+        scores = covest._state_scores(frames, templates, self.BINS)
+        expected = whole_array_scores(frames, templates, self.BINS)
+        assert scores.tobytes() == expected.tobytes()
+        mixture = stft.SpectralFrameTensor(frames, FS, 22)
+        labels = covest.estimate_states(mixture, templates, self.BINS).labels
+        assert labels.tolist() == np.argmin(expected, axis=1).tolist()
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # The default scene's pilot snapshots (5 bins, 12 microphones) over 624
+        # frames take 6.9 blocks; the whole-array computation held about four
+        # such arrays at once, the blocked one a few blocks whatever the length.
+        rng = np.random.default_rng(6)
+        bins, shape = (30, 32, 34, 36, 38), (624, 40, 12)
+        templates = random_templates(rng, 10, len(bins), shape[2])
+        frames = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(np.complex64)
+        mixture = stft.SpectralFrameTensor(frames, FS, 78)
+        tracemalloc.start()
+        try:
+            states = covest.estimate_states(mixture, templates, bins)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scores_bytes = states.labels.nbytes * len(templates)
+        assert peak <= states.labels.nbytes + scores_bytes + 6 * stft.BLOCK_BYTES

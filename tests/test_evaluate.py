@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftbeam import covest, evaluate, scene, stft
-from driftbeam.covmath import gaussian_divergence, pack, regularize, unpack
+from driftbeam.covmath import IllConditionedError, gaussian_divergence, pack, regularize, unpack
 from driftbeam.evaluate import divergence_curve, gain, outer_vs_central_pairs, theory_curve, write_table
 from driftbeam.stft import StftConfig
 
@@ -130,8 +130,8 @@ class TestGainBlocks:
         assert peak < 0.25 * outputs.nbytes
 
 
-def small_covset():
-    rng = np.random.default_rng(5)
+def small_covset(seed=5):
+    rng = np.random.default_rng(seed)
     f, m = 6, 3
     omega = np.linspace(100.0, 600.0, f) * 2.0 * np.pi
 
@@ -181,6 +181,62 @@ class TestDivergenceCurve:
             for slot1, slot2 in pairs:
                 acc += gaussian_divergence(loaded(slot1), loaded(slot2))
             assert np.array_equal(table["agg"], acc / len(pairs))
+
+    @pytest.mark.parametrize("bins_per_block", [1, 4, None], ids=["1", "4", "default"])
+    def test_blocks_equal_the_whole_array_curve(self, monkeypatch, bins_per_block):
+        # Bins are solved a block at a time, 6 bins in blocks of 4 leaving a
+        # partial last block: every value keeps the bits of one whole-array
+        # gaussian_divergence call per second slot. Each case has covariances
+        # of its own, so no output buffer can reuse another case's values.
+        covs = small_covset(seed=30 + (bins_per_block or 0))
+        named = {"pair": [((0, 0), (1, 1))],
+                 "shared": [((0, None), (1, 0)), ((1, 1), (1, 0)), ((0, 1), (1, 0))]}
+        if bins_per_block is not None:
+            m = covs.mic_count
+            monkeypatch.setattr(stft, "BLOCK_BYTES", bins_per_block * 3 * m * m * 16)
+        table = divergence_curve(covs, named)
+        for name, pairs in named.items():
+            r2 = regularize(unpack(covs.cells[pairs[0][1]]))
+            r1 = regularize(np.stack([unpack(covs.ensemble[s1] if state is None
+                                             else covs.cells[s1, state])
+                                      for (s1, state), _ in pairs]))
+            expected = gaussian_divergence(r1, r2).sum(axis=0) / len(pairs)
+            assert table[name].tobytes() == expected.tobytes()
+
+    def test_ill_conditioned_bin_named_by_its_index_in_the_slot(self, monkeypatch):
+        # A rank-one second slot at bin 5, in the second block of 4 bins: this
+        # light a loading leaves it too ill-conditioned to invert, and the error
+        # names bin 5 of the slot, not bin 1 of its block.
+        covs = small_covset()
+        cells = unpack(covs.cells)
+        u = np.arange(1.0, 4.0)
+        cells[1, 0, 5] = np.outer(u, u)
+        covs = covest.CovarianceSet(pack(cells), covs.frame_counts, covs.noise, covs.frequencies)
+        monkeypatch.setattr(stft, "BLOCK_BYTES", 4 * covs.mic_count ** 2 * 16)
+        with pytest.raises(IllConditionedError, match=r"at bins \[5\];"):
+            divergence_curve(covs, {"pair": [((0, 0), (1, 0))]}, epsilon_rel=1e-14)
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # The default scene's sizes: 5 sources, 513 bins, 12 microphones. Four
+        # first slots share a second slot, 4.5 blocks unpacked; whole-array
+        # solves held about five such stacks, blocked ones about six temporaries
+        # of one block of them whatever the bin count.
+        rng = np.random.default_rng(13)
+        n, f, m = 5, 513, 12
+        a = rng.standard_normal((n, 2, f, m, m)) + 1j * rng.standard_normal((n, 2, f, m, m))
+        cells = pack(a @ a.conj().swapaxes(-1, -2))
+        del a
+        covs = covest.CovarianceSet(cells, np.full((n, 2), 3), cells[0, 0],
+                                    np.linspace(0.0, 1.0, f))
+        named = {"ensemble": outer_vs_central_pairs(n), "state": outer_vs_central_pairs(n, 1),
+                 "states": [((0, 0), (0, 1))]}
+        tracemalloc.start()
+        try:
+            table = divergence_curve(covs, named)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(column.nbytes for column in table.values()) + 8 * stft.BLOCK_BYTES
 
     def test_outer_vs_central_pairs(self):
         assert outer_vs_central_pairs(5) == [

@@ -329,6 +329,32 @@ class TestRender:
         with pytest.raises(ValueError, match="samples"):
             scene.render(spec, 1.0, CFG, FS, seed=0)
 
+    def test_noisy_render_rejects_a_short_inactive_source(self):
+        # With noise every source is transformed for the power reference.
+        spec = simple_spec(duration=1.0)
+        short = scene.Source(spec.sources[1].azimuth_deg, spec.sources[1].signal[:FS // 2])
+        spec = dataclasses.replace(spec, sources=(spec.sources[0], short))
+        with pytest.raises(ValueError, match="source 1 signal has 8000 samples, need 16000"):
+            scene.render(spec, 1.0, CFG, FS, seed=0, active_sources=[0])
+
+    def test_noiseless_render_rejects_a_short_active_source(self):
+        spec = simple_spec(duration=1.0, noise_level_db=None)
+        short = scene.Source(spec.sources[0].azimuth_deg, spec.sources[0].signal[:FS // 2])
+        spec = dataclasses.replace(spec, sources=(short, spec.sources[1]))
+        with pytest.raises(ValueError, match="source 0 signal has 8000 samples, need 16000"):
+            scene.render(spec, 1.0, CFG, FS, seed=0, active_sources=[0])
+
+    def test_noiseless_render_accepts_a_signal_free_inactive_source(self):
+        # A noiseless render reads only its active sources' signals, so an
+        # inactive source may carry none: the form training renders use.
+        spec = simple_spec(duration=1.0, noise_level_db=None)
+        bare = scene.Source(spec.sources[0].azimuth_deg, ())
+        rendered = scene.render(dataclasses.replace(spec, sources=(bare, spec.sources[1])),
+                                1.0, CFG, FS, seed=0, active_sources=[1])
+        expected = scene.render(spec, 1.0, CFG, FS, seed=0, active_sources=[1])
+        assert rendered.mixture.frames.tobytes() == expected.mixture.frames.tobytes()
+        assert rendered.desired.tobytes() == expected.desired.tobytes()
+
     def test_single_source_sample_covariance_is_rank_one(self):
         # Static, noiseless: the outer-product energy concentrates on the
         # steering direction; remaining eigenvalues are numerical dust.

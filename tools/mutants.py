@@ -47,15 +47,16 @@ MUTANTS = [
      "np.vecdot(inverse_t.conj(), flat)", "np.vecdot(inverse_t, flat)",
      ["tests/test_covest.py::TestEstimateStates::test_rotation_sweep_accuracy"]),
     ("state-score ties go to the higher state", "covest.py",
-     "    return StateSequence(np.argmin(scores, axis=1), len(templates))",
-     "    return StateSequence(len(templates) - 1 - np.argmin(scores[:, ::-1], axis=1),"
-     " len(templates))",
+     "    return StateSequence(np.argmin(_state_scores(mixture.frames, templates, pilot_bins),"
+     " axis=1),",
+     "    return StateSequence(len(templates) - 1 - np.argmin("
+     "_state_scores(mixture.frames, templates, pilot_bins)[:, ::-1], axis=1),",
      ["tests/test_covest.py::TestEstimateStates::test_equal_templates_tie_to_the_lower_state"]),
     ("pilot snapshots not smoothed", "covest.py",
      "PILOT_SMOOTHING = 2", "PILOT_SMOOTHING = 0",
      ["tests/test_covest.py::TestEstimateStates::test_rotation_sweep_accuracy"]),
     ("source renders trained with the noise", "covest.py",
-     "    sources = (render(noiseless, ", "    sources = (render(spec, ",
+     "    bare = replace(spec, noise_level_db=None,\n", "    bare = replace(spec,\n",
      ["tests/test_covest.py::TestCliTraining::test_static_cell_is_the_image_covariance",
       "tests/test_scene.py::TestRenderTransforms::test_cli_training_transforms_each_source_twice"]),
     ("rank-one mode takes the second eigenvector", "beamform.py",
@@ -76,12 +77,12 @@ MUTANTS = [
      [ACCEPTANCE + "test_c07_dynamic_beats_static",
       ACCEPTANCE + "test_c10_small_instance_brute_force"]),
     ("divergence_curve swaps gaussian_divergence's arguments", "evaluate.py",
-     "            rows[group] = gaussian_divergence(r1, r2)",
-     "            rows[group] = gaussian_divergence(r2, r1)",
+     "                rows[group, bins] = gaussian_divergence(r1, r2)",
+     "                rows[group, bins] = gaussian_divergence(r2, r1)",
      [ACCEPTANCE + "test_c06_divergence_trend"]),
     ("a column's pairs all use its first second slot", "evaluate.py",
-     "            r2 = regularize(_slot_covariance(covs, slot2), epsilon_rel)",
-     "            r2 = regularize(_slot_covariance(covs, pairs[0][1]), epsilon_rel)",
+     "                r2 = regularize(_slot_covariance(covs, slot2, bins), epsilon_rel)",
+     "                r2 = regularize(_slot_covariance(covs, pairs[0][1], bins), epsilon_rel)",
      ["tests/test_evaluate.py::TestDivergenceCurve::test_aggregate_is_mean_of_pairs"]),
     ("gain of source 0 only", "evaluate.py",
      "np.mean(10.0 * np.log10(num[:, ok] / den[:, ok]), axis=0)",
@@ -230,6 +231,13 @@ MUTANTS = [
      "        for lo in range(0, len(matrices), step):\n",
      "        for lo in range(0, len(matrices), step)[:1]:\n",
      ["tests/test_covmath.py::TestBlockedValidation::test_last_block_defect_named"]),
+    ("the cumulative-sum carry dropped between state-score blocks", "covest.py",
+     "                new[0] += cumulative[held - 1]\n", "                pass\n",
+     ["tests/test_covest.py::TestStateScoreBlocks::test_equal_to_the_whole_array_scores"]),
+    ("the last partial divergence block skipped", "evaluate.py",
+     "            for lo in range(0, f_count, step):\n",
+     "            for lo in range(0, f_count - step + 1, step):\n",
+     ["tests/test_evaluate.py::TestDivergenceCurve::test_blocks_equal_the_whole_array_curve"]),
     ("azimuths mirrored against the positions' frame", "scene.py",
      "    rad = np.deg2rad(azimuth_deg)\n", "    rad = np.deg2rad(-azimuth_deg)\n",
      [ACCEPTANCE + "test_c14_pipeline_symmetries"]),
